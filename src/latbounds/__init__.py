@@ -24,9 +24,10 @@ from .bounds import (L1TransferenceBound, NuBound, cosh_nu_bound, cstar,
                      supergaussian_mu_closed_form, transference_bound_l1,
                      transference_bound_l2)
 from .enumeration import (BodySpec, covering_radius_estimate, cvp_distance,
-                          enumerate_in_ball, shortest_vector)
+                          enumerate_arrays, shortest_vector)
 from .errors import (BudgetExceededError, IllConditionedBasisError,
-                     LatticeError, MissingTableError, ToleranceUnreachedError)
+                     InvariantError, LatticeError, MissingTableError,
+                     ToleranceUnreachedError)
 from .functions import (FAMILIES, TestFunctionSpec, check_hypotheses, eval_f,
                         eval_fhat)
 from .lattice import (Lattice, dual, integer_lattice, lll_reduce,
@@ -42,13 +43,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BodySpec", "BudgetExceededError", "CertifiedSum", "FAMILIES",
-    "IllConditionedBasisError", "L1TransferenceBound", "Lattice",
-    "LatticeError", "MissingTableError", "NuBound", "TailBoundReport",
+    "IllConditionedBasisError", "InvariantError", "L1TransferenceBound",
+    "Lattice", "LatticeError", "MissingTableError", "NuBound", "TailBoundReport",
     "TestFunctionSpec", "ToleranceUnreachedError", "Transform1DTable",
     "TransferenceReport", "build_transform_table", "cached_transform_table",
     "certified_sum", "check_hypotheses", "check_part1", "check_part3",
     "check_tail_inequality", "cosh_nu_bound", "covering_radius_estimate",
-    "cstar", "cvp_distance", "dual", "dual_fhat_sum", "enumerate_in_ball",
+    "cstar", "cvp_distance", "dual", "dual_fhat_sum", "enumerate_arrays",
     "eval_f", "eval_fhat", "fourier_1d", "gaussian_nu_closed_form",
     "generic_transference_condition", "handshake_bound", "handshake_census",
     "integer_lattice", "kalpha_radius", "lll_reduce", "load_lattice",

@@ -203,6 +203,13 @@ _CHECK_NAMES = ("theta", "part1", "tail_inequality", "part3", "psf",
                 "transference", "handshake", "hypotheses")
 
 
+def _budgets(manifest):
+    """(nodes, grid): the manifest's budgets, defaulted."""
+    budgets = manifest.get("budgets", {})
+    return (int(budgets.get("nodes", DEFAULT_NODE_BUDGET)),
+            int(budgets.get("grid", DEFAULT_GRID_BUDGET)))
+
+
 def plan_manifest(manifest, base_dir):
     """Validate every check entry and return ready-to-run closures.
 
@@ -210,9 +217,7 @@ def plan_manifest(manifest, base_dir):
     executes; a bad entry aborts the whole run with a message naming it.
     """
     seed = int(manifest.get("seed", 0))
-    budgets = manifest.get("budgets", {})
-    nodes = int(budgets.get("nodes", DEFAULT_NODE_BUDGET))
-    grid = int(budgets.get("grid", DEFAULT_GRID_BUDGET))
+    nodes, grid = _budgets(manifest)
     default_lattice = manifest.get("lattice_file")
     table_dir = manifest.get("table_dir")
     if table_dir is not None and not os.path.isabs(table_dir):
@@ -356,12 +361,10 @@ def run_manifest(manifest, base_dir, plot_csv=None):
     counts = {PASS: 0, FAIL: 0, INCONCLUSIVE: 0}
     for rec in records:
         counts[rec["verdict"]] += 1
+    nodes, grid = _budgets(manifest)
     report = {
         "seed": int(manifest.get("seed", 0)),
-        "budgets": {"nodes": int(manifest.get("budgets", {}).get(
-                        "nodes", DEFAULT_NODE_BUDGET)),
-                    "grid": int(manifest.get("budgets", {}).get(
-                        "grid", DEFAULT_GRID_BUDGET))},
+        "budgets": {"nodes": nodes, "grid": grid},
         "records": records,
         "summary": {"checks": len(records), "pass": counts[PASS],
                     "fail": counts[FAIL], "inconclusive": counts[INCONCLUSIVE]},
@@ -373,6 +376,7 @@ def _write_plot_csv(path, manifest, base_dir, records):
     """Radius sweep for every tail_inequality check: certified tail mass
     outside each radius next to the bound coefficient times the full sum."""
     default_lattice = manifest.get("lattice_file")
+    nodes, _ = _budgets(manifest)
     rows = ["check_index,lattice_id,family,radius,tail_mass_upper,bound"]
     for idx, entry in enumerate(manifest["checks"]):
         if entry.get("check_name") != "tail_inequality":
@@ -384,10 +388,11 @@ def _write_plot_csv(path, manifest, base_dir, records):
         v = _check_v(params, L, rng)
         body = _body_from(params, spec, L.dim)
         tol = float(params.get("tol", 1e-9))
-        full = certified_sum(L, spec, np.zeros(L.dim), 1.0, tol)
-        shifted = certified_sum(L, spec, v, 1.0, tol) if np.any(v) else full
+        full = certified_sum(L, spec, np.zeros(L.dim), 1.0, tol, nodes)
+        shifted = (certified_sum(L, spec, v, 1.0, tol, nodes) if np.any(v)
+                   else full)
         r_hi = 1.75 * body.radius
-        _, emb = enumerate_arrays(L, v, r_hi, body.p)
+        _, emb = enumerate_arrays(L, v, r_hi, body.p, nodes)
         norms = (np.abs(emb + v) ** body.p).sum(axis=1) ** (1.0 / body.p) \
             if np.isfinite(body.p) else np.abs(emb + v).max(axis=1)
         vals = np.atleast_1d(np.exp(log_f(spec, emb + v)))

@@ -1,9 +1,16 @@
 """Exact lattice point enumeration in l^p balls, shortest vectors, covering radii.
 
-The workhorse is a branch-and-bound sweep over Gram-Schmidt coordinates of an
-LLL-reduced basis (the lowest level is vectorised).  l^p balls for p != 2 are
-handled by enumerating the circumscribed l^2 ball and filtering, with the
-norm-comparison factor max(1, n^(1/2 - 1/p)).
+One primitive, ``enumerate_arrays``, does all enumeration; shortest vectors,
+CVP distances and the covering-radius candidate sets are built on it.  It
+runs a Fincke-Pohst branch-and-bound over the Gram-Schmidt coordinates of an
+LLL-reduced basis, with a node budget.  At the bottom level the admissible
+c0 are exactly those with D[0] * (c0 + shift[0] + s[0])^2 within the
+remaining budget; that cost is convex in c0, so they form one integer
+interval.  Each leaf of the search is therefore stored as an interval
+(lo, length, higher coefficients), never point by point, and all leaves are
+expanded into one (m, n) int64 array in a single numpy pass at the end.
+l^p balls for p != 2 are handled by enumerating the circumscribed l^2 ball
+and filtering, with the norm-comparison factor max(1, n^(1/2 - 1/p)).
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, InvariantError
 from .lattice import Lattice, _gso, lll_reduce, lp_norm
 
 DEFAULT_NODE_BUDGET = 100_000_000
@@ -44,17 +51,6 @@ class BodySpec:
         return lp_norm(x, self.p) <= self.radius * (1 + _BOUNDARY_SLACK)
 
 
-@dataclass(frozen=True)
-class LatticePoint:
-    """A lattice point: integer coefficients and their real embedding."""
-
-    coords: tuple
-    embedding: np.ndarray
-
-    def __repr__(self):
-        return f"LatticePoint({self.coords})"
-
-
 def l2_circumscribe_factor(p: float, n: int) -> float:
     """Radius inflation so the l^2 ball contains the l^p ball of radius 1.
 
@@ -69,36 +65,39 @@ def l2_circumscribe_factor(p: float, n: int) -> float:
 
 
 class _Counter:
-    __slots__ = ("visited", "budget")
+    __slots__ = ("visited", "budget", "found")
 
     def __init__(self, budget):
         self.visited = 0
         self.budget = int(budget)
+        self.found = 0
 
-    def spend(self, k, found):
+    def spend(self, k):
         self.visited += int(k)
         if self.visited > self.budget:
-            raise BudgetExceededError(self.budget, self.visited, partial_count=found)
+            raise BudgetExceededError(self.budget, self.visited,
+                                      partial_count=self.found)
 
 
 def _enum_l2_coeffs(basis, shift, r2, counter):
-    """Integer rows c with ||(c + shift) @ basis||_2 <= r2, unordered.
+    """(m, n) int64 rows c with ||(c + shift) @ basis||_2 <= r2, unordered.
 
-    shift is the real coefficient vector of the translation.  Classic
-    branch-and-bound on Gram-Schmidt coordinates, highest level first; the
-    bottom level is emitted as a whole integer interval at once.
+    shift is the real coefficient vector of the translation.  Levels are
+    searched highest first; every bottom-level interval is kept as a leaf
+    (lo, length, prefix) and all leaves are expanded together at the end.
     """
     n = basis.shape[0]
     mu, D, _ = _gso(basis)
+    mu, D, shift = mu.tolist(), D.tolist(), shift.tolist()
     bound2 = r2 * r2 * (1 + 1e-9) + 1e-300
-    out = []
+    los, lens, prefixes = [], [], []
 
     def descend(k, s, rem2, prefix):
-        # s[j] = sum over fixed i>k of (c_i + shift_i) * mu[i, j]
+        # s[j] = sum over fixed i>k of (c_i + shift_i) * mu[i][j]
         if rem2 < 0:
             return
         w2 = rem2 / D[k]
-        if w2 < 0 or not np.isfinite(w2):
+        if w2 < 0 or not math.isfinite(w2):
             return
         w = math.sqrt(w2)
         center = -shift[k] - s[k]
@@ -106,24 +105,41 @@ def _enum_l2_coeffs(basis, shift, r2, counter):
         cmax = math.floor(center + w + 1e-12)
         if cmax < cmin:
             return
+        counter.spend(cmax - cmin + 1)
+        limit = rem2 * (1 + 1e-9) + 1e-300
         if k == 0:
-            cs = np.arange(cmin, cmax + 1)
-            counter.spend(len(cs), len(out))
-            y = cs + shift[0] + s[0]
-            ok = D[0] * y * y <= rem2 * (1 + 1e-9) + 1e-300
-            for c0 in cs[ok]:
-                out.append((int(c0),) + prefix)
+            a, b, d = shift[0], s[0], D[0]
+            lo, hi = cmin, cmax
+            while lo <= hi and not d * (lo + a + b) * (lo + a + b) <= limit:
+                lo += 1
+            while hi > lo and not d * (hi + a + b) * (hi + a + b) <= limit:
+                hi -= 1
+            if lo <= hi:
+                los.append(lo)
+                lens.append(hi - lo + 1)
+                prefixes.append(prefix)
+                counter.found += hi - lo + 1
             return
-        counter.spend(cmax - cmin + 1, len(out))
+        row, sk, tk, dk = mu[k], s[k], shift[k], D[k]
         for c in range(cmin, cmax + 1):
-            y = c + shift[k] + s[k]
-            cost = D[k] * y * y
-            if cost <= rem2 * (1 + 1e-9) + 1e-300:
-                descend(k - 1, s[:k] + (c + shift[k]) * mu[k, :k],
-                        rem2 - cost, (int(c),) + prefix)
+            y = c + tk + sk
+            cost = dk * y * y
+            if cost <= limit:
+                t = c + tk
+                descend(k - 1, [s[j] + t * row[j] for j in range(k)],
+                        rem2 - cost, (c,) + prefix)
 
-    descend(n - 1, np.zeros(n), bound2, ())
-    return out
+    descend(n - 1, [0.0] * n, bound2, ())
+    counts = np.array(lens, dtype=np.int64)
+    m = int(counts.sum())
+    first = np.cumsum(counts) - counts
+    coeffs = np.empty((m, n), dtype=np.int64)
+    coeffs[:, 0] = np.repeat(np.array(los, dtype=np.int64) - first, counts) \
+        + np.arange(m)
+    coeffs[:, 1:] = np.repeat(
+        np.array(prefixes, dtype=np.int64).reshape(len(lens), n - 1),
+        counts, axis=0)
+    return coeffs
 
 
 def enumerate_arrays(L: Lattice, v, r: float, p: float = 2,
@@ -144,42 +160,34 @@ def enumerate_arrays(L: Lattice, v, r: float, p: float = 2,
     reduced, U = lll_reduce(L, return_transform=True)
     shift = reduced.coefficients(v)
     r2 = r * l2_circumscribe_factor(p, L.dim)
-    counter = _Counter(node_budget)
-    coeffs = _enum_l2_coeffs(reduced.basis, shift, r2, counter)
-    if not coeffs:
+    cred = _enum_l2_coeffs(reduced.basis, shift, r2, _Counter(node_budget))
+    if not len(cred):
         return (np.zeros((0, L.dim), dtype=np.int64),
                 np.zeros((0, L.dim), dtype=float))
-    cred = np.array(coeffs, dtype=np.int64)
     keep = lp_norm(cred @ reduced.basis + v, p) <= r * (1 + _BOUNDARY_SLACK)
     orig = cred[keep] @ U
     orig = orig[np.lexsort(orig.T[::-1])]
     return orig, orig.astype(float) @ L.basis
 
 
-def enumerate_in_ball(L: Lattice, v, r: float, p: float = 2,
-                      node_budget: int = DEFAULT_NODE_BUDGET):
-    """Like enumerate_arrays, but as a list of LatticePoint records."""
-    coords, emb = enumerate_arrays(L, v, r, p, node_budget)
-    return [LatticePoint(tuple(int(t) for t in c), e)
-            for c, e in zip(coords, emb)]
-
-
 def shortest_vector(L: Lattice, p: float = 2,
                     node_budget: int = DEFAULT_NODE_BUDGET):
     """Minimum l^p norm over nonzero lattice points, with all minimizers.
 
-    Returns (sigma, minimizers); minimizers are every nonzero point whose
-    norm is within 1e-9 relative of sigma, sorted by coefficients.
+    Returns (sigma, minimizers); minimizers is the (m, n) int64 array of the
+    coefficients of every nonzero point whose norm is within 1e-9 relative
+    of sigma, sorted lexicographically.
     """
     reduced = lll_reduce(L)
     r0 = min(lp_norm(row, p) for row in reduced.basis)
-    pts = enumerate_in_ball(L, np.zeros(L.dim), r0 * (1 + 1e-6),
-                            p=p, node_budget=node_budget)
-    nonzero = [pt for pt in pts if any(pt.coords)]
-    assert nonzero, "ball around the shortest basis row lost all points"
-    sigma = min(lp_norm(pt.embedding, p) for pt in nonzero)
-    mins = [pt for pt in nonzero if lp_norm(pt.embedding, p) <= sigma * (1 + 1e-9)]
-    return float(sigma), mins
+    coords, emb = enumerate_arrays(L, np.zeros(L.dim), r0 * (1 + 1e-6),
+                                   p=p, node_budget=node_budget)
+    nonzero = np.any(coords != 0, axis=1)
+    if not nonzero.any():
+        raise InvariantError("ball around the shortest basis row lost all points")
+    norms = lp_norm(emb[nonzero], p)
+    sigma = norms.min()
+    return float(sigma), coords[nonzero][norms <= sigma * (1 + 1e-9)]
 
 
 def cvp_distance(L: Lattice, target, p: float = 2,
@@ -197,9 +205,9 @@ def cvp_distance(L: Lattice, target, p: float = 2,
         return 0.0
     r *= 1 + 1e-9
     for _ in range(60):
-        pts = enumerate_in_ball(L, -target, r, p=p, node_budget=node_budget)
-        if pts:
-            return float(min(lp_norm(pt.embedding - target, p) for pt in pts))
+        _, emb = enumerate_arrays(L, -target, r, p=p, node_budget=node_budget)
+        if len(emb):
+            return float(lp_norm(emb - target, p).min())
         r *= 2
     raise RuntimeError("cvp enumeration failed to find any point")  # pragma: no cover
 
@@ -235,10 +243,10 @@ def covering_radius_estimate(L: Lattice, p: float = 2, resolution: int = 64,
     # lattice point is within d_cell/2 of it (round the coefficients), so a
     # ball of radius d_cell around the centroid certifiably contains every
     # nearest neighbour of every grid point.
-    cand = enumerate_in_ball(reduced, -centroid, d_cell, p=p,
-                             node_budget=node_budget)
-    S = np.array([pt.embedding for pt in cand])
-    assert len(S), "candidate set for covering radius is empty"
+    _, S = enumerate_arrays(reduced, -centroid, d_cell, p=p,
+                            node_budget=node_budget)
+    if not len(S):
+        raise InvariantError("candidate set for covering radius is empty")
 
     best = 0.0
     if p == 2:
@@ -257,7 +265,8 @@ def covering_radius_estimate(L: Lattice, p: float = 2, resolution: int = 64,
             dists = np.sqrt(np.maximum(d2.min(axis=1), 0.0))
         else:
             dists = lp_norm(G[:, None, :] - S[None, :, :], p).min(axis=1)
-        assert dists.max() <= babai_bound, "candidate ball missed a nearest point"
+        if not dists.max() <= babai_bound:
+            raise InvariantError("candidate ball missed a nearest point")
         best = max(best, float(dists.max()))
 
     return best, best + d_cell / resolution

@@ -47,3 +47,10 @@ class ToleranceUnreachedError(LatticeError):
         super().__init__(
             f"requested abs error {requested:.2e}, achieved {achieved:.2e}{suffix}"
         )
+
+
+class InvariantError(LatticeError):
+    """A computed result failed a consistency check it is certified by.
+
+    Raised in place of ``assert``, so the check also runs under ``python -O``.
+    """

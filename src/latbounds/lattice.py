@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import IllConditionedBasisError
+from .errors import IllConditionedBasisError, InvariantError
 
 # Refuse duals/solves beyond this condition number; answers would be noise.
 COND_THRESHOLD = 1e12
@@ -143,9 +143,8 @@ def lll_reduce(L: Lattice, delta: float = 0.99, return_transform: bool = False):
     # The input determinant is only known to ~eps * prod ||b_i|| (Hadamard),
     # so scale the sanity check accordingly for skewed bases.
     hadamard = float(np.prod(np.linalg.norm(L.basis, axis=1)))
-    assert abs(reduced.covolume - L.covolume) <= 1e-12 * max(1.0, hadamard), (
-        "LLL changed the covolume"
-    )
+    if not abs(reduced.covolume - L.covolume) <= 1e-12 * max(1.0, hadamard):
+        raise InvariantError("LLL changed the covolume")
     if return_transform:
         return reduced, U
     return reduced

@@ -20,7 +20,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gamma, gammaincc
 
 from .errors import ToleranceUnreachedError
@@ -60,6 +59,9 @@ def fourier_1d(p: float, r: float, tol: float = 1e-10):
     with the observed discrepancy folded into the reported bound.  Raises if
     the requested tolerance cannot be certified.
     """
+    # scipy.integrate is most of the package's import time; only here needs it
+    from scipy.integrate import quad
+
     if not 0 < p <= 2:
         raise ValueError("p must be in (0, 2]")
     r = abs(float(r))

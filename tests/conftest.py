@@ -1,10 +1,16 @@
 import pathlib
 
 import pytest
+from hypothesis import settings
 
 from latbounds.transform import cached_transform_table
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+# property tests replay the same examples on every run and stay cheap
+settings.register_profile("tier1", derandomize=True, deadline=None,
+                          max_examples=100, database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from latbounds.cli import main
+from latbounds.cli import _write_plot_csv, main
+from latbounds.errors import BudgetExceededError
 from latbounds.lattice import integer_lattice, save_lattice
 
 
@@ -221,6 +222,15 @@ def test_verify_plot_csv(tmp_path, z2):
     lines = csv.read_text().splitlines()
     assert lines[0] == "check_index,lattice_id,family,radius,tail_mass_upper,bound"
     assert len(lines) == 25  # 24 radii for the single tail check
+
+
+def test_plot_csv_sweep_keeps_manifest_node_budget(tmp_path, z2):
+    man = {"lattice_file": z2, "budgets": {"nodes": 3},
+           "checks": [{"check_name": "tail_inequality",
+                       "params": {"family": "gaussian", "tau": 1.0}}]}
+    with pytest.raises(BudgetExceededError) as exc:
+        _write_plot_csv(tmp_path / "curves.csv", man, str(tmp_path), [])
+    assert exc.value.budget == 3
 
 
 def test_main_callable_in_process(capsys, z1):

@@ -3,12 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
+import latbounds.enumeration as enumeration
 from latbounds.enumeration import (BodySpec, covering_radius_estimate,
                                    cvp_distance, enumerate_arrays,
-                                   enumerate_in_ball, shortest_vector)
-from latbounds.errors import BudgetExceededError
-from latbounds.lattice import Lattice, integer_lattice, lp_norm, lll_reduce
+                                   l2_circumscribe_factor, shortest_vector)
+from latbounds.errors import BudgetExceededError, InvariantError
+from latbounds.lattice import (Lattice, integer_lattice, lp_norm, lll_reduce,
+                               random_unimodular_lattice)
+
+P_VALUES = [0.5, 1.0, 1.5, 2.0, math.inf]
 
 
 def brute_points(basis, v, r, p, box=12):
@@ -45,26 +50,66 @@ def test_enumerate_matches_brute_force_sheared():
         assert got == brute_points(B, np.zeros(2), r, p)
 
 
+def _rounded(emb):
+    return sorted(tuple(np.round(row, 9)) for row in emb)
+
+
+@given(n=st.integers(1, 3), seed=st.integers(0, 10 ** 6),
+       p=st.sampled_from(P_VALUES), r=st.floats(0.1, 3.0),
+       v=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
+def test_enumerate_sheared_zn_matches_brute_force(n, seed, p, r, v):
+    # a sheared basis of Z^n still spans Z^n: brute force in the unit basis
+    L = random_unimodular_lattice(n, seed)
+    v = np.array(v[:n])
+    _, emb = enumerate_arrays(L, v, r, p)
+    assert _rounded(emb) == brute_points(np.eye(n), v, r, p,
+                                         box=math.ceil(r + 1))
+
+
+@given(n=st.integers(1, 3), p=st.sampled_from(P_VALUES),
+       r=st.floats(0.1, 2.5),
+       entries=st.lists(st.floats(-2.0, 2.0), min_size=9, max_size=9),
+       v=st.lists(st.floats(-0.5, 0.5), min_size=3, max_size=3))
+def test_enumerate_real_basis_matches_brute_force(n, p, r, entries, v):
+    B = np.array(entries[:n * n]).reshape(n, n)
+    assume(abs(np.linalg.det(B)) > 0.5 and np.linalg.cond(B) < 10)
+    v = np.array(v[:n])
+    # |c_i| <= ||x||_2 * ||column i of B^-1||_2 bounds every coefficient
+    reach = r * l2_circumscribe_factor(p, n) + np.linalg.norm(v)
+    box = math.ceil(reach * np.linalg.norm(np.linalg.inv(B), axis=0).max())
+    _, emb = enumerate_arrays(Lattice(B), v, r, p)
+    assert _rounded(emb) == brute_points(B, v, r, p, box=box)
+
+
 def test_enumerate_sorted_and_typed():
-    coords, emb = enumerate_arrays(integer_lattice(2), np.zeros(2), 1.5, 2.0)
-    assert coords.dtype == np.int64
-    # lexicographic order of coordinate rows
-    as_tuples = [tuple(row) for row in coords]
-    assert as_tuples == sorted(as_tuples)
-    assert emb.shape == coords.shape
+    for n, r in ((2, 1.5), (1, 2.2)):
+        coords, emb = enumerate_arrays(integer_lattice(n), np.zeros(n), r, 2.0)
+        assert coords.dtype == np.int64
+        # lexicographic order of coordinate rows
+        as_tuples = [tuple(row) for row in coords]
+        assert as_tuples == sorted(as_tuples)
+        assert emb.shape == coords.shape
+    assert emb[:, 0].tolist() == [-2.0, -1.0, 0.0, 1.0, 2.0]
 
 
 def test_enumerate_budget():
+    Z3 = integer_lattice(3)
     with pytest.raises(BudgetExceededError):
-        enumerate_arrays(integer_lattice(3), np.zeros(3), 6.0, 2.0,
-                         node_budget=5)
+        enumerate_arrays(Z3, np.zeros(3), 6.0, 2.0, node_budget=5)
+    # 1051 is the whole search tree of this ball: the smallest budget that
+    # passes, so one node less must stop the search after its last node
+    coords, _ = enumerate_arrays(Z3, np.zeros(3), 6.0, 2.0, node_budget=1051)
+    assert len(coords) == 925
+    with pytest.raises(BudgetExceededError) as exc:
+        enumerate_arrays(Z3, np.zeros(3), 6.0, 2.0, node_budget=1050)
+    assert (exc.value.visited, exc.value.partial_count) == (1051, 924)
 
 
 def test_shortest_vector_zn():
     for n in (1, 2, 4):
         sigma, mins = shortest_vector(integer_lattice(n))
         assert abs(sigma - 1.0) < 1e-12
-        assert len(mins) == 2 * n
+        assert mins.shape == (2 * n, n) and mins.dtype == np.int64
 
 
 def test_shortest_vector_sheared_l1():
@@ -116,7 +161,15 @@ def test_body_spec_contains():
     assert BodySpec(p=1.0, radius=2.0).contains(np.array([1.0, 1.0]))
 
 
-def test_enumerate_in_ball_wrapper():
-    pts = enumerate_in_ball(integer_lattice(1), np.zeros(1), 2.2, p=2)
-    vals = sorted(float(pt.embedding[0]) for pt in pts)
-    assert vals == [-2.0, -1.0, 0.0, 1.0, 2.0]
+@pytest.mark.parametrize("check, coords, emb, match", [
+    (shortest_vector, [0, 0], [0.0, 0.0], "lost all points"),
+    (covering_radius_estimate, [], [], "empty"),
+    (covering_radius_estimate, [9, 9], [9.0, 9.0], "missed a nearest point"),
+])
+def test_enumeration_invariants_raise(monkeypatch, check, coords, emb, match):
+    monkeypatch.setattr(enumeration, "enumerate_arrays",
+                        lambda L, *args, **kwargs: (
+                            np.array(coords, dtype=np.int64).reshape(-1, L.dim),
+                            np.array(emb, dtype=float).reshape(-1, L.dim)))
+    with pytest.raises(InvariantError, match=match):
+        check(integer_lattice(2))

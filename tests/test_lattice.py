@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+import latbounds.lattice as lattice
+from latbounds.errors import InvariantError
 from latbounds.lattice import (Lattice, dual, integer_lattice, lll_reduce,
                                load_lattice, lp_norm,
                                random_unimodular_lattice, same_lattice,
@@ -102,6 +104,15 @@ def test_lll_classic_2d():
     R = lll_reduce(L)
     assert lp_norm(R.basis, 2).max() <= 1 + 1e-9
     assert same_lattice(L, R)
+
+
+def test_lll_raises_when_covolume_changes(monkeypatch):
+    L = integer_lattice(2)
+    # the reduced lattice is built through the module's Lattice: scale it
+    monkeypatch.setattr(lattice, "Lattice",
+                        lambda basis, name=None: Lattice(2 * basis, name))
+    with pytest.raises(InvariantError, match="covolume"):
+        lll_reduce(L)
 
 
 def test_lll_rejects_bad_delta():
