@@ -19,10 +19,9 @@ so a PASS never rests on an uncertified digit.
 """
 
 from .bounds import (L1TransferenceBound, NuBound, cosh_nu_bound, cstar,
-                     gaussian_nu_closed_form, generic_transference_condition,
-                     handshake_bound, kalpha_radius, mu_norm,
-                     supergaussian_mu_closed_form, transference_bound_l1,
-                     transference_bound_l2)
+                     gaussian_nu_closed_form, handshake_bound, kalpha_radius,
+                     mu_norm, supergaussian_mu_closed_form,
+                     transference_bound_l1, transference_bound_l2)
 from .enumeration import (BodySpec, covering_radius_estimate, cvp_distance,
                           enumerate_arrays, shortest_vector)
 from .errors import (BudgetExceededError, IllConditionedBasisError,
@@ -51,9 +50,9 @@ __all__ = [
     "check_tail_inequality", "cosh_nu_bound", "covering_radius_estimate",
     "cstar", "cvp_distance", "dual", "dual_fhat_sum", "enumerate_arrays",
     "eval_f", "eval_fhat", "fourier_1d", "gaussian_nu_closed_form",
-    "generic_transference_condition", "handshake_bound", "handshake_census",
-    "integer_lattice", "kalpha_radius", "lll_reduce", "load_lattice",
-    "mu_norm", "nu_for_body", "psf_residual", "random_unimodular_lattice",
-    "save_lattice", "shortest_vector", "supergaussian_mu_closed_form",
-    "transference_bound_l1", "transference_bound_l2", "transference_check",
+    "handshake_bound", "handshake_census", "integer_lattice", "kalpha_radius",
+    "lll_reduce", "load_lattice", "mu_norm", "nu_for_body", "psf_residual",
+    "random_unimodular_lattice", "save_lattice", "shortest_vector",
+    "supergaussian_mu_closed_form", "transference_bound_l1",
+    "transference_bound_l2", "transference_check",
 ]

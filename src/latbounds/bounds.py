@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .errors import InvariantError
+
 SQRT3_OVER_2PI = math.sqrt(3.0) / (2 * math.pi)
 
 _INVPHI = (math.sqrt(5.0) - 1) / 2
@@ -53,33 +55,6 @@ class NuBound:
             raise ValueError(f"unknown method {self.method!r}")
         if not (self.value >= 0):
             raise ValueError("bound value must be nonnegative")
-
-
-@dataclass(frozen=True)
-class BoundParams:
-    """Validated parameter bundle for the analytic bounds."""
-
-    n: int | None = None        # ambient dimension
-    u: float | None = None      # radial shrink factor, in (0, 1]
-    t: float | None = None      # dilation, >= 1
-    tau: float | None = None    # Gaussian radius parameter, >= 1/2
-    alpha: float | None = None  # l^1-ball scale, > sqrt(3)/(2 pi)
-    cstar: float | None = None
-
-    def __post_init__(self):
-        if self.n is not None and self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.u is not None and not (0 < self.u <= 1):
-            raise ValueError(f"u must be in (0, 1], got {self.u}")
-        if self.t is not None and not (self.t >= 1):
-            raise ValueError(f"t must be >= 1, got {self.t}")
-        if self.tau is not None and not (self.tau >= 0.5):
-            raise ValueError(f"tau must be >= 1/2, got {self.tau}")
-        if self.alpha is not None and not (self.alpha > SQRT3_OVER_2PI):
-            raise ValueError(
-                f"alpha must exceed sqrt(3)/(2 pi) ~ {SQRT3_OVER_2PI:.6f}, got {self.alpha}")
-        if self.cstar is not None and not (0.42 <= self.cstar <= 0.43):
-            raise ValueError(f"cstar must lie in [0.42, 0.43], got {self.cstar}")
 
 
 def _radial_profile(spec):
@@ -205,7 +180,8 @@ def transference_bound_l1(n: int) -> L1TransferenceBound:
     alpha = SQRT3_OVER_2PI + 3.0 / math.sqrt(n)
     value = (1.0 + cstar()) ** 2 * alpha ** 2 * n ** 2
     ceiling = 0.154264 * n ** 2 * (1.0 + 2 * math.pi * math.sqrt(3.0 / n)) ** 2
-    assert value < ceiling, "exact product bound must stay below the ceiling"
+    if not value < ceiling:
+        raise InvariantError("exact product bound must stay below the ceiling")
     return L1TransferenceBound(value=float(value), ceiling=float(ceiling))
 
 
@@ -225,20 +201,3 @@ def handshake_bound(n: int, p: float, u: float) -> float:
     up = u ** p
     return 10.0 * (math.exp(up) * n / p) * math.exp(up * n / p)
 
-
-def generic_transference_condition(nu_K: float, nu_Kprime: float):
-    """Strict test 2 nu_K + nu_K' < 1 enabling the product bound <= 1.
-
-    A total at or above 1 is decisively False; a total below 1 by less than
-    1e-12 is returned as None rather than certified True, since floating
-    point cannot establish the strict inequality there.
-    """
-    for name, v in (("nu_K", nu_K), ("nu_Kprime", nu_Kprime)):
-        if not (v >= 0) or not math.isfinite(v):
-            raise ValueError(f"{name} must be finite and nonnegative, got {v}")
-    total = 2.0 * nu_K + nu_Kprime
-    if total >= 1.0:
-        return False
-    if 1.0 - total <= 1e-12:
-        return None
-    return True

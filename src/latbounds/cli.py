@@ -12,9 +12,12 @@ verify        run a manifest of checks and write a structured report
 
 Lattices are JSON files with fields ``dim``, ``basis`` and optional ``name``.
 A manifest is a JSON object {lattice_file, checks, budgets, seed, output};
-every check entry is validated before any check runs.  All numeric output is
-fixed at 12 significant digits and a run is byte-deterministic given the
-same manifest, seed and budgets.
+every check entry is validated before any check runs.  The one-shot
+subcommands (theta, psf, tail, transference, kissing) run their arguments as
+a one-entry manifest (kissing is the ``handshake`` check) and print that
+check's record as ``name value...`` lines: its params, then its results.
+All numeric output is fixed at 12 significant digits and a run is
+byte-deterministic given the same manifest, seed and budgets.
 
 Exit codes: 0 all PASS, 1 any FAIL, 2 any inconclusive, 3 usage or parse
 error, 4 budget or tolerance infeasibility.
@@ -41,9 +44,10 @@ from .functions import (FAMILIES, TestFunctionSpec, check_hypotheses, log_f,
 from .lattice import (Lattice, integer_lattice, load_lattice,
                       random_unimodular_lattice)
 from .transform import cached_transform_table
-from .verify import (FAIL, INCONCLUSIVE, PASS, certified_sum, check_part1,
-                     check_part3, check_tail_inequality, handshake_census,
-                     nu_for_body, psf_residual, transference_check)
+from .verify import (FAIL, INCONCLUSIVE, PASS, _verdict, certified_sum,
+                     check_part1, check_part3, check_tail_inequality,
+                     handshake_census, nu_for_body, psf_residual,
+                     transference_check)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -78,24 +82,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _parse_vec(text, n):
+def _parse_vec(text):
     try:
-        parts = [float(tok) for tok in text.split(",")]
+        return [float(tok) for tok in text.split(",")]
     except ValueError:
         raise ValueError(f"v must be comma-separated numbers, got {text!r}")
-    if len(parts) != n:
-        raise ValueError(f"v has {len(parts)} coordinates, lattice needs {n}")
-    return np.array(parts)
 
 
 def _spec_from(family, dim, p=None):
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose from {sorted(FAMILIES)}")
     return TestFunctionSpec(family, dim, p=p)
-
-
-def _verdict_exit(verdict):
-    return {PASS: EXIT_PASS, FAIL: EXIT_FAIL, INCONCLUSIVE: EXIT_INCONCLUSIVE}[verdict]
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +134,8 @@ def _check_v(params, L, rng):
         return np.zeros(L.dim)
     v = np.asarray(v, dtype=float)
     if v.shape != (L.dim,):
-        raise ManifestError(f"v has shape {v.shape}, lattice dim is {L.dim}")
+        raise ManifestError(f"v has shape {v.shape}, the lattice needs "
+                            f"{L.dim} coordinates")
     return v
 
 
@@ -289,10 +287,9 @@ def _plan_one(entry, base_dir, default_lattice, seed, nodes, grid, table_dir):
 
         def run_hs():
             hc = handshake_census(L, p, u, node_budget=nodes)
-            return {"check": "handshake", "lattice_id": L.name or "",
+            return {"check": "handshake", "lattice_id": L.name,
                     "params": {"p": p, "u": u}, "count": hc.count,
-                    "bound": hc.bound,
-                    "verdict": PASS if hc.passed else FAIL}
+                    "bound": hc.bound, "verdict": hc.verdict}
         return run_hs
 
     # the rest carry a test function
@@ -309,7 +306,7 @@ def _plan_one(entry, base_dir, default_lattice, seed, nodes, grid, table_dir):
 
         def run_theta():
             cs = certified_sum(L, spec, v, t, tol, node_budget=nodes)
-            return {"check": "theta", "lattice_id": L.name or "",
+            return {"check": "theta", "lattice_id": L.name,
                     "params": {"family": spec.family, "t": t, "tol": tol},
                     "partial": cs.partial,
                     "remainder_bound": cs.remainder_bound,
@@ -333,12 +330,12 @@ def _plan_one(entry, base_dir, default_lattice, seed, nodes, grid, table_dir):
         def run_psf():
             res = psf_residual(L, spec, v, t, tol, node_budget=nodes,
                                table=table)
-            return {"check": "psf", "lattice_id": L.name or "",
+            _, verdict = _verdict((res, res), (max_residual, max_residual))
+            return {"check": "psf", "lattice_id": L.name,
                     "params": {"family": spec.family, "t": t, "tol": tol,
                                "v": [float(x) for x in v],
                                "max_residual": max_residual},
-                    "residual": res,
-                    "verdict": PASS if res <= max_residual else FAIL}
+                    "residual": res, "verdict": verdict}
         return run_psf
 
     body = _body_from(params, spec, L.dim)
@@ -408,7 +405,7 @@ def _write_plot_csv(path, manifest, base_dir, records):
                 bound_txt = _fmt(bound)
             except ValueError:
                 bound_txt = ""
-            rows.append(",".join([str(idx), L.name or "", spec.label,
+            rows.append(",".join([str(idx), L.name, spec.label,
                                   _fmt(radius), _fmt(tail_upper), bound_txt]))
     with open(path, "w") as fh:
         fh.write("\n".join(rows) + "\n")
@@ -418,86 +415,39 @@ def _write_plot_csv(path, manifest, base_dir, records):
 # subcommands
 
 
-def cmd_theta(args):
-    L = load_lattice(args.lattice)
-    spec = _spec_from(args.family, L.dim, args.p)
-    v = _parse_vec(args.v, L.dim) if args.v else np.zeros(L.dim)
-    if args.t <= 0:
-        raise ValueError("t > 0 required")
-    cs = certified_sum(L, spec, v, args.t, args.tol,
-                       node_budget=args.node_budget)
-    print("partial", _fmt(cs.partial))
-    print("remainder_bound", _fmt(cs.remainder_bound))
-    print("truncation_radius", _fmt(cs.truncation_radius))
+# argparse dests of the one-shot subcommands that are manifest params
+_PARAM_DESTS = ("family", "p", "v", "tol", "t", "max_residual", "body_p",
+                "radius", "tau", "tscale", "alpha", "resolution", "u")
+
+
+def _exit_code(summary):
+    if summary["fail"]:
+        return EXIT_FAIL
+    if summary["inconclusive"]:
+        return EXIT_INCONCLUSIVE
     return EXIT_PASS
 
 
-def cmd_psf(args):
-    L = load_lattice(args.lattice)
-    spec = _spec_from(args.family, L.dim, args.p)
-    v = _parse_vec(args.v, L.dim) if args.v else np.zeros(L.dim)
-    if args.t <= 0:
-        raise ValueError("t > 0 required")
-    table = None
-    if spec.family == "supergaussian" and spec.p not in (1.0, 2.0):
-        table = cached_transform_table(spec.p, tol=1e-8,
-                                       directory=args.table_dir, r_max=96.0)
-    res = psf_residual(L, spec, v, args.t, args.tol,
-                       node_budget=args.node_budget, table=table)
-    print("residual", _fmt(res))
-    if args.max_residual is not None:
-        verdict = PASS if res <= args.max_residual else FAIL
-        print("verdict", verdict)
-        return _verdict_exit(verdict)
-    return EXIT_PASS
-
-
-def cmd_tail(args):
-    L = load_lattice(args.lattice)
-    spec = _spec_from(args.family, L.dim, args.p)
-    v = _parse_vec(args.v, L.dim) if args.v else np.zeros(L.dim)
-    params = {}
-    for key in ("radius", "tau", "tscale", "alpha"):
-        val = getattr(args, key.replace("-", "_"))
-        if val is not None:
-            params[key] = val
-    if args.body_p is not None:
-        params["body_p"] = args.body_p
-    body = _body_from(params, spec, L.dim)
-    nu = nu_for_body(spec, body, L.dim)
-    rep = check_tail_inequality(L, spec, body, v, nu, tol=args.tol,
-                                node_budget=args.node_budget)
-    print("body_p", _fmt(body.p))
-    print("body_radius", _fmt(body.radius))
-    print("nu", _fmt(nu.value), nu.method)
-    print("tail_mass", _fmt(rep.lhs.lower), _fmt(rep.lhs.upper))
-    print("bound", _fmt(nu.value * rep.rhs_sum.lower))
-    print("margin", _fmt(rep.margin))
-    print("verdict", rep.verdict)
-    return _verdict_exit(rep.verdict)
-
-
-def cmd_transference(args):
-    L = load_lattice(args.lattice)
-    rep = transference_check(L, args.p, resolution=args.resolution,
-                             node_budget=args.node_budget,
-                             grid_budget=args.grid_budget)
-    print("sigma", _fmt(rep.sigma))
-    print("rho_lower", _fmt(rep.rho_bracket[0]))
-    print("rho_upper", _fmt(rep.rho_bracket[1]))
-    print("product_upper", _fmt(rep.product_upper))
-    print("bound", _fmt(rep.stated_bound))
-    print("verdict", rep.verdict)
-    return _verdict_exit(rep.verdict)
-
-
-def cmd_kissing(args):
-    L = load_lattice(args.lattice)
-    hc = handshake_census(L, args.p, args.u, node_budget=args.node_budget)
-    print("count", hc.count)
-    print("bound", _fmt(hc.bound))
-    print("verdict", PASS if hc.passed else FAIL)
-    return EXIT_PASS if hc.passed else EXIT_FAIL
+def cmd_check(args):
+    """Run one check as a one-entry manifest and print its record."""
+    params = {key: getattr(args, key) for key in _PARAM_DESTS
+              if getattr(args, key, None) is not None}
+    if "v" in params:
+        params["v"] = _parse_vec(params["v"])
+    params["lattice"] = args.lattice
+    manifest = {"budgets": {"nodes": args.node_budget,
+                            "grid": getattr(args, "grid_budget",
+                                            DEFAULT_GRID_BUDGET)},
+                "table_dir": getattr(args, "table_dir", None),
+                "checks": [{"check_name": args.check, "params": params}]}
+    report = run_manifest(manifest, os.getcwd())
+    rec = report["records"][0]
+    results = [(k, v) for k, v in rec.items()
+               if k not in ("check", "lattice_id", "params")]
+    for key, val in [*rec["params"].items(), *results]:
+        vals = val if isinstance(val, list) else [val]
+        print(key, *(x if isinstance(x, str) else _fmt(x) for x in vals))
+    return _exit_code(report["summary"])
 
 
 def _parse_list(text, cast, what):
@@ -549,11 +499,7 @@ def cmd_verify(args):
         with open(out, "w") as fh:
             json.dump(_round12(report), fh, indent=2)
             fh.write("\n")
-    if s["fail"]:
-        return EXIT_FAIL
-    if s["inconclusive"]:
-        return EXIT_INCONCLUSIVE
-    return EXIT_PASS
+    return _exit_code(s)
 
 
 # ---------------------------------------------------------------------------
@@ -579,15 +525,15 @@ def _build_parser():
     p = sub.add_parser("theta", help="certified lattice sum")
     common(p)
     p.add_argument("--t", type=float, default=1.0, help="dilation, sums f((x+v)/t)")
-    p.set_defaults(func=cmd_theta)
+    p.set_defaults(func=cmd_check, check="theta")
 
     p = sub.add_parser("psf", help="summation identity residual")
     common(p)
     p.add_argument("--t", type=float, default=1.0)
-    p.add_argument("--max-residual", type=float, default=None)
+    p.add_argument("--max-residual", type=float, default=math.inf)
     p.add_argument("--table-dir", default=None,
                    help="transform table cache directory")
-    p.set_defaults(func=cmd_psf)
+    p.set_defaults(func=cmd_check, check="psf")
 
     p = sub.add_parser("tail", help="mass outside a body vs certified bound")
     common(p)
@@ -596,20 +542,20 @@ def _build_parser():
     p.add_argument("--tau", type=float, default=None)
     p.add_argument("--tscale", type=float, default=None)
     p.add_argument("--alpha", type=float, default=None)
-    p.set_defaults(func=cmd_tail)
+    p.set_defaults(func=cmd_check, check="tail_inequality")
 
     p = sub.add_parser("transference", help="sigma * dual covering radius vs bound")
     common(p, tfun=False)
     p.add_argument("--p", type=float, required=True, choices=[1.0, 2.0])
     p.add_argument("--resolution", type=int, default=64)
     p.add_argument("--grid-budget", type=int, default=DEFAULT_GRID_BUDGET)
-    p.set_defaults(func=cmd_transference)
+    p.set_defaults(func=cmd_check, check="transference")
 
     p = sub.add_parser("kissing", help="short vector census vs cap")
     common(p, tfun=False)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--u", type=float, default=1.0)
-    p.set_defaults(func=cmd_kissing)
+    p.set_defaults(func=cmd_check, check="handshake")
 
     p = sub.add_parser("constants", help="closed-form constants and grids")
     p.add_argument("--n", default="1,2,3,4", help="dimensions, comma-separated")

@@ -184,7 +184,8 @@ def random_unimodular_lattice(dim: int, seed: int, shears: int | None = None) ->
         i, j = rng.choice(dim, size=2, replace=False)
         m = int(rng.integers(-3, 4))
         M[i] += m * M[j]
-    assert round(float(np.linalg.det(M.astype(float)))) == 1
+    if round(float(np.linalg.det(M.astype(float)))) != 1:
+        raise InvariantError("shear product lost determinant 1")
     return Lattice(M.astype(float), name=f"uni{dim}d-s{seed}")
 
 

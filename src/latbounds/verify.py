@@ -12,7 +12,6 @@ INCONCLUSIVE; an interval straddling the boundary is never coerced.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -26,7 +25,7 @@ from .bounds import (NuBound, cosh_nu_bound, cstar, gaussian_nu_closed_form,
 from .enumeration import (DEFAULT_GRID_BUDGET, DEFAULT_NODE_BUDGET, BodySpec,
                           covering_radius_estimate, enumerate_arrays,
                           shortest_vector)
-from .errors import ToleranceUnreachedError
+from .errors import InvariantError, ToleranceUnreachedError
 from .functions import (TestFunctionSpec, is_self_dual, log_f,
                         natural_norm_p)
 from .lattice import Lattice, dual, lll_reduce, lp_norm
@@ -353,7 +352,8 @@ def _product_fhat_sum(diag, spec, t, v, theta, tol_abs, table=None):
     # the cosine-only 1d sums rely on the sin part cancelling over the
     # symmetric index range, which needs either the shift or the phase to
     # vanish in each coordinate
-    assert not any(v[j] and theta[j] for j in range(n))
+    if any(v[j] and theta[j] for j in range(n)):
+        raise InvariantError("a coordinate has both a shift and a phase")
     # first pass at loose tolerance to size the factors, then split the
     # absolute budget so the propagated product error stays under tol_abs
     rough = [one_d(t * diag[j], v[j], theta[j], 1e-3) for j in range(n)]
@@ -422,7 +422,7 @@ def _weighted_dual_partial(L, spec, v, t, tol_abs, node_budget):
 
     Only for families whose fhat admits an exponential envelope (the
     self-dual ones, plus supergaussian p=2 exactly).  The sin pairing over
-    the symmetric point set must cancel; it is asserted below 1e-12.
+    the symmetric point set must cancel; it is checked below 1e-12.
     """
     n = L.dim
     fam = spec.family
@@ -448,8 +448,9 @@ def _weighted_dual_partial(L, spec, v, t, tol_abs, node_budget):
     phase = 2 * math.pi * (emb @ v)
     cos_part, slack_c = _stable_sum(vals * np.cos(phase))
     sin_part, _ = _stable_sum(vals * np.sin(phase))
-    assert abs(sin_part) <= 1e-12 * max(1.0, abs(cos_part)), \
-        "sin pairing failed to cancel over the symmetric point set"
+    if not abs(sin_part) <= 1e-12 * max(1.0, abs(cos_part)):
+        raise InvariantError(
+            "sin pairing failed to cancel over the symmetric point set")
     rem = math.exp(min(logtail(S), 700.0)) * (1 + _SAFETY) + slack_c
     return cos_part, rem
 
@@ -494,18 +495,24 @@ def psf_residual(L: Lattice, spec: TestFunctionSpec, v, t: float,
 # inequality checks
 
 
-def _lattice_id(L):
-    if L.name:
-        return L.name
-    digest = hashlib.sha1(
-        np.ascontiguousarray(L.basis).tobytes()).hexdigest()[:10]
-    return f"dim{L.dim}-{digest}"
+def _verdict(lhs_iv, rhs_iv):
+    """(margin, verdict) for the claim lhs <= rhs, each side an interval.
+
+    PASS needs the whole of lhs at or below the whole of rhs, FAIL the whole
+    of lhs above the whole of rhs; overlapping intervals are INCONCLUSIVE.
+    """
+    margin = rhs_iv[0] - lhs_iv[1]
+    if margin >= 0:
+        return margin, PASS
+    if lhs_iv[0] > rhs_iv[1]:
+        return margin, FAIL
+    return margin, INCONCLUSIVE
 
 
-def _record(check, L, params, lhs_iv, rhs_iv, margin, verdict):
+def _record(check, lattice_id, params, lhs_iv, rhs_iv, margin, verdict):
     return {
         "check": check,
-        "lattice_id": _lattice_id(L),
+        "lattice_id": lattice_id,
         "params": params,
         "lhs_interval": [float(lhs_iv[0]), float(lhs_iv[1])],
         "rhs_interval": [float(rhs_iv[0]), float(rhs_iv[1])],
@@ -536,19 +543,16 @@ def check_part1(L: Lattice, spec: TestFunctionSpec, v, t: float,
     lhs = certified_sum(L, spec, v, t, tol, node_budget)
     params = _spec_params(spec, v=[float(x) for x in v], t=float(t), tol=tol)
     if t == 1.0 and not np.any(v):
-        return _record("part1", L, params, lhs.interval(), lhs.interval(),
-                       0.0, PASS)
+        # both sides are one expression: their difference is exactly 0
+        margin, verdict = _verdict((0.0, 0.0), (0.0, 0.0))
+        return _record("part1", L.name, params, lhs.interval(),
+                       lhs.interval(), margin, verdict)
     base = certified_sum(L, spec, np.zeros(L.dim), 1.0, tol, node_budget)
     tn = t ** L.dim
     rhs_iv = (tn * base.partial, tn * base.upper)
-    margin = rhs_iv[0] - lhs.upper
-    if margin >= 0:
-        verdict = PASS
-    elif lhs.partial > rhs_iv[1]:
-        verdict = FAIL
-    else:
-        verdict = INCONCLUSIVE
-    return _record("part1", L, params, lhs.interval(), rhs_iv, margin, verdict)
+    margin, verdict = _verdict(lhs.interval(), rhs_iv)
+    return _record("part1", L.name, params, lhs.interval(), rhs_iv, margin,
+                   verdict)
 
 
 @dataclass(frozen=True)
@@ -566,15 +570,10 @@ class TailBoundReport:
 
     def record(self):
         nu = self.rhs_factor.value
-        return {
-            "check": self.check,
-            "lattice_id": self.lattice_id,
-            "params": self.params or {},
-            "lhs_interval": [self.lhs.lower, self.lhs.upper],
-            "rhs_interval": [nu * self.rhs_sum.lower, nu * self.rhs_sum.upper],
-            "margin": self.margin,
-            "verdict": self.verdict,
-        }
+        return _record(self.check, self.lattice_id, self.params or {},
+                       self.lhs.interval(),
+                       (nu * self.rhs_sum.lower, nu * self.rhs_sum.upper),
+                       self.margin, self.verdict)
 
 
 def nu_for_body(spec: TestFunctionSpec, K: BodySpec, n: int) -> NuBound:
@@ -633,19 +632,14 @@ def check_tail_inequality(L: Lattice, spec: TestFunctionSpec, K: BodySpec,
                        truncation_radius=shifted.truncation_radius,
                        norm_p=shifted.norm_p,
                        npoints=shifted.npoints - emb_in.shape[0])
-    margin = nu.value * full.lower - lhs.upper
-    if margin >= 0:
-        verdict = PASS
-    elif lhs.lower > nu.value * full.upper:
-        verdict = FAIL
-    else:
-        verdict = INCONCLUSIVE
     params = _spec_params(spec, body_p=float(K.p), body_radius=float(K.radius),
                           v=[float(x) for x in v], nu=nu.value,
                           nu_method=nu.method, tol=tol)
+    margin, verdict = _verdict(lhs.interval(),
+                               (nu.value * full.lower, nu.value * full.upper))
     return TailBoundReport(lhs=lhs, rhs_factor=nu, rhs_sum=full,
                            margin=float(margin), verdict=verdict,
-                           lattice_id=_lattice_id(L), params=params)
+                           lattice_id=L.name, params=params)
 
 
 def check_part3(L: Lattice, spec: TestFunctionSpec, K: BodySpec, v,
@@ -671,22 +665,22 @@ def check_part3(L: Lattice, spec: TestFunctionSpec, K: BodySpec, v,
            else dual_fhat_sum(L, spec, v, tol, node_budget, table))
     rhs_iv = ((coeff * rhs_sum.lower, coeff * rhs_sum.upper) if coeff >= 0
               else (coeff * rhs_sum.upper, coeff * rhs_sum.lower))
-    margin = lhs.lower - rhs_iv[1]
-    if margin >= 0:
-        verdict = PASS
-    elif lhs.upper < rhs_iv[0]:
-        verdict = FAIL
-    else:
-        verdict = INCONCLUSIVE
+    # the claim is rhs <= lhs
+    margin, verdict = _verdict(rhs_iv, lhs.interval())
     params = _spec_params(spec, body_p=float(K.p), body_radius=float(K.radius),
                           v=[float(x) for x in v], nu=nu.value, tol=tol)
-    return _record("part3", L, params, lhs.interval(), rhs_iv, margin, verdict)
+    return _record("part3", L.name, params, lhs.interval(), rhs_iv, margin,
+                   verdict)
 
 
 class HandshakeCensus(NamedTuple):
     count: int
     bound: float
-    passed: bool
+    verdict: str
+
+    @property
+    def passed(self):
+        return self.verdict == PASS
 
 
 def handshake_census(L: Lattice, p: float, u: float,
@@ -700,7 +694,8 @@ def handshake_census(L: Lattice, p: float, u: float,
     coords, _ = enumerate_arrays(L, np.zeros(L.dim), u * sigma, p, node_budget)
     count = int(np.sum(np.any(coords != 0, axis=1)))
     bound = handshake_bound(L.dim, p, u)
-    return HandshakeCensus(count=count, bound=bound, passed=count <= bound)
+    _, verdict = _verdict((count, count), (bound, bound))
+    return HandshakeCensus(count=count, bound=bound, verdict=verdict)
 
 
 @dataclass(frozen=True)
@@ -711,23 +706,19 @@ class TransferenceReport:
     rho_bracket: tuple
     product_upper: float
     stated_bound: float
+    margin: float
     verdict: str
     p: float
     lattice_id: str = ""
 
     def record(self):
-        return {
-            "check": "transference",
-            "lattice_id": self.lattice_id,
-            "params": {"p": self.p, "sigma": self.sigma,
-                       "rho_lower": self.rho_bracket[0],
-                       "rho_upper": self.rho_bracket[1]},
-            "lhs_interval": [self.sigma * self.rho_bracket[0],
-                             self.product_upper],
-            "rhs_interval": [self.stated_bound, self.stated_bound],
-            "margin": self.stated_bound - self.product_upper,
-            "verdict": self.verdict,
-        }
+        params = {"p": self.p, "sigma": self.sigma,
+                  "rho_lower": self.rho_bracket[0],
+                  "rho_upper": self.rho_bracket[1]}
+        return _record("transference", self.lattice_id, params,
+                       (self.sigma * self.rho_bracket[0], self.product_upper),
+                       (self.stated_bound, self.stated_bound), self.margin,
+                       self.verdict)
 
 
 def transference_check(L: Lattice, p: float, resolution: int = 64,
@@ -743,14 +734,9 @@ def transference_check(L: Lattice, p: float, resolution: int = 64,
                                               node_budget=node_budget)
     bound = transference_bound_l2(n) if p == 2 else transference_bound_l1(n).value
     product = sigma * rho_hi
-    if product <= bound:
-        verdict = PASS
-    elif sigma * rho_lo > bound:
-        verdict = FAIL
-    else:
-        verdict = INCONCLUSIVE
+    margin, verdict = _verdict((sigma * rho_lo, product), (bound, bound))
     return TransferenceReport(sigma=float(sigma),
                               rho_bracket=(float(rho_lo), float(rho_hi)),
                               product_upper=float(product),
-                              stated_bound=float(bound), verdict=verdict,
-                              p=float(p), lattice_id=_lattice_id(L))
+                              stated_bound=float(bound), margin=float(margin),
+                              verdict=verdict, p=float(p), lattice_id=L.name)

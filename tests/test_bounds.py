@@ -2,12 +2,14 @@ import math
 
 import pytest
 
-from latbounds.bounds import (BoundParams, L1TransferenceBound, NuBound,
-                              cosh_nu_bound, cstar, gaussian_nu_closed_form,
-                              generic_transference_condition, golden_section_max,
-                              handshake_bound, kalpha_radius, mu_norm,
+import latbounds.bounds as bounds
+from latbounds.bounds import (L1TransferenceBound, NuBound, cosh_nu_bound,
+                              cstar, gaussian_nu_closed_form,
+                              golden_section_max, handshake_bound,
+                              kalpha_radius, mu_norm,
                               supergaussian_mu_closed_form,
                               transference_bound_l1, transference_bound_l2)
+from latbounds.errors import InvariantError
 from latbounds.functions import TestFunctionSpec as FnSpec
 
 CSTAR = 0.424789765355589  # frozen; re-derived independently below
@@ -41,14 +43,6 @@ def test_nu_bound_validation():
         NuBound(value=0.5, method="guesswork")
     with pytest.raises(ValueError):
         NuBound(value=-0.1, method="closed_form")
-
-
-def test_bound_params_domains():
-    BoundParams(n=2, u=0.5, t=1.5, tau=0.75, alpha=0.5, cstar=CSTAR)
-    for bad in (dict(n=0), dict(u=0.0), dict(u=1.2), dict(t=0.9),
-                dict(tau=0.4), dict(alpha=0.27), dict(cstar=0.5)):
-        with pytest.raises(ValueError):
-            BoundParams(**bad)
 
 
 def test_gaussian_closed_form_values():
@@ -149,14 +143,9 @@ def test_handshake_bound_values():
             handshake_bound(**bad)
 
 
-def test_generic_transference_condition():
-    assert generic_transference_condition(0.1, 0.1) is True
-    assert generic_transference_condition(0.5, 0.2) is False
-    # 2*(1/3) + 1/3 lands exactly on 1.0 in binary: decisively False
-    assert generic_transference_condition(1 / 3, 1 / 3) is False
-    # strictly below 1 but within float slack: refuse to certify
-    assert generic_transference_condition(0.25, 0.5 - 1e-13) is None
-    with pytest.raises(ValueError):
-        generic_transference_condition(-0.1, 0.2)
-    with pytest.raises(ValueError):
-        generic_transference_condition(math.nan, 0.2)
+
+def test_l1_bound_raises_above_its_ceiling(monkeypatch):
+    # a C* too large for the rounded headline constant
+    monkeypatch.setattr(bounds, "cstar", lambda: 1.0)
+    with pytest.raises(InvariantError, match="ceiling"):
+        transference_bound_l1(4)

@@ -5,15 +5,25 @@ import sys
 import numpy as np
 import pytest
 
-from latbounds.cli import _write_plot_csv, main
+from latbounds.cli import _fmt, _write_plot_csv, main
 from latbounds.errors import BudgetExceededError
 from latbounds.lattice import integer_lattice, save_lattice
 
 
-def run_cli(*args):
+def run_module(*args):
     cp = subprocess.run([sys.executable, "-m", "latbounds", *args],
                         capture_output=True, text=True)
     return cp.returncode, cp.stdout, cp.stderr
+
+
+@pytest.fixture
+def run_cli(capsys):
+    """Run the command line in process: (exit code, stdout, stderr)."""
+    def run(*args):
+        code = main(list(args))
+        cap = capsys.readouterr()
+        return code, cap.out, cap.err
+    return run
 
 
 @pytest.fixture(scope="module")
@@ -30,14 +40,18 @@ def z2(tmp_path_factory):
     return str(path)
 
 
-def get_field(out, name):
+def get_fields(out, name):
     for line in out.splitlines():
         if line.startswith(name + " "):
-            return line.split()[1]
+            return line.split()[1:]
     raise KeyError(name)
 
 
-def test_theta_z1(z1):
+def get_field(out, name):
+    return get_fields(out, name)[0]
+
+
+def test_theta_z1(run_cli, z1):
     code, out, _ = run_cli("theta", z1, "--family", "gaussian")
     assert code == 0
     assert abs(float(get_field(out, "partial")) - 1.086434811213308) < 1e-9
@@ -45,7 +59,7 @@ def test_theta_z1(z1):
     assert float(get_field(out, "truncation_radius")) > 0
 
 
-def test_theta_missing_basis_names_field(tmp_path):
+def test_theta_missing_basis_names_field(run_cli, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"dim": 1}))
     code, _, err = run_cli("theta", str(bad), "--family", "gaussian")
@@ -53,30 +67,38 @@ def test_theta_missing_basis_names_field(tmp_path):
     assert "basis" in err
 
 
-def test_theta_rejects_nonpositive_t(z1):
+def test_theta_rejects_nonpositive_t(run_cli, z1):
     code, _, err = run_cli("theta", z1, "--family", "gaussian", "--t", "0")
     assert code == 3
     assert "t > 0" in err
 
 
-def test_theta_rejects_unknown_family(z1):
+def test_theta_rejects_unknown_family(run_cli, z1):
     code, _, err = run_cli("theta", z1, "--family", "bogus")
     assert code == 3
     assert "bogus" in err
 
 
-def test_theta_rejects_wrong_v_length(z2):
+def test_theta_rejects_wrong_v_length(run_cli, z2):
     code, _, err = run_cli("theta", z2, "--family", "gaussian", "--v", "0.1")
     assert code == 3
     assert "coordinates" in err
 
 
 def test_unknown_subcommand_is_usage_error():
-    code, _, _ = run_cli("frobnicate")
+    # argparse's own usage exit, rerouted from 2 to 3
+    code, _, err = run_module("frobnicate")
     assert code == 3
+    assert "invalid choice" in err
 
 
-def test_constants_rows():
+def test_module_entry_point(z1):
+    code, out, _ = run_module("theta", z1, "--family", "gaussian")
+    assert code == 0
+    assert abs(float(get_field(out, "partial")) - 1.086434811213308) < 1e-9
+
+
+def test_constants_rows(run_cli):
     code, out, _ = run_cli("constants")
     assert code == 0
     assert "cstar 0.424789765356" in out
@@ -87,34 +109,35 @@ def test_constants_rows():
     assert abs(float(row.split()[-1]) - 401.7107384) < 1e-6
 
 
-def test_constants_empty_grid_is_usage_error():
+def test_constants_empty_grid_is_usage_error(run_cli):
     code, _, err = run_cli("constants", "--n", "")
     assert code == 3
     assert "empty" in err
 
 
-def test_psf_verdict(z2):
+def test_psf_verdict(run_cli, z2):
     code, out, _ = run_cli("psf", z2, "--family", "gaussian", "--t", "1.5",
                            "--v", "0.2,0.3", "--max-residual", "1e-8")
     assert code == 0
     assert "verdict PASS" in out
 
 
-def test_tail_subcommand(z2):
+def test_tail_subcommand(run_cli, z2):
     code, out, _ = run_cli("tail", z2, "--family", "gaussian", "--tau", "1")
     assert code == 0
     assert "verdict PASS" in out
     assert float(get_field(out, "margin")) > 0
 
 
-def test_transference_subcommand(z1):
+def test_transference_subcommand(run_cli, z1):
     code, out, _ = run_cli("transference", z1, "--p", "2",
                            "--resolution", "256")
     assert code == 0
-    assert float(get_field(out, "product_upper")) <= 1.11409
+    # the upper end of lhs_interval is sigma times the bracket's upper end
+    assert float(get_fields(out, "lhs_interval")[1]) <= 1.11409
 
 
-def test_kissing_subcommand(z2):
+def test_kissing_subcommand(run_cli, z2):
     code, out, _ = run_cli("kissing", z2, "--p", "2", "--u", "1.5")
     assert code == 0
     assert get_field(out, "count") == "8"
@@ -125,7 +148,7 @@ def _write_manifest(path, payload):
     return str(path)
 
 
-def test_verify_manifest_end_to_end(tmp_path, z2):
+def test_verify_manifest_end_to_end(run_cli, tmp_path, z2):
     man = {
         "lattice_file": z2,
         "seed": 7,
@@ -154,7 +177,7 @@ def test_verify_manifest_end_to_end(tmp_path, z2):
     assert out.splitlines()[0].startswith("[0] part1")
 
 
-def test_verify_reports_byte_identical(tmp_path, z2):
+def test_verify_reports_byte_identical(run_cli, tmp_path, z2):
     man = {
         "lattice_file": z2, "seed": 5,
         "checks": [{"check_name": "part1",
@@ -171,7 +194,7 @@ def test_verify_reports_byte_identical(tmp_path, z2):
     assert outs[0] == outs[1]
 
 
-def test_verify_failing_check_exits_one(tmp_path, z1):
+def test_verify_failing_check_exits_one(run_cli, tmp_path, z1):
     man = {"lattice_file": z1,
            "checks": [{"check_name": "psf",
                        "params": {"family": "exp_l1", "tol": 1e-6,
@@ -182,7 +205,7 @@ def test_verify_failing_check_exits_one(tmp_path, z1):
     assert "fail=1" in out
 
 
-def test_verify_unknown_check_rejected_before_running(tmp_path, z1):
+def test_verify_unknown_check_rejected_before_running(run_cli, tmp_path, z1):
     man = {"lattice_file": z1,
            "checks": [{"check_name": "theta", "params": {"family": "gaussian"}},
                       {"check_name": "wat", "params": {}}]}
@@ -193,7 +216,7 @@ def test_verify_unknown_check_rejected_before_running(tmp_path, z1):
     assert out == ""  # nothing executed
 
 
-def test_verify_empty_checks_usage_error(tmp_path, z1):
+def test_verify_empty_checks_usage_error(run_cli, tmp_path, z1):
     mp = _write_manifest(tmp_path / "man.json",
                          {"lattice_file": z1, "checks": []})
     code, _, err = run_cli("verify", mp)
@@ -201,7 +224,7 @@ def test_verify_empty_checks_usage_error(tmp_path, z1):
     assert "checks" in err
 
 
-def test_verify_budget_exhaustion_exits_four(tmp_path, z2):
+def test_verify_budget_exhaustion_exits_four(run_cli, tmp_path, z2):
     man = {"lattice_file": z2, "budgets": {"nodes": 3},
            "checks": [{"check_name": "theta",
                        "params": {"family": "gaussian"}}]}
@@ -211,7 +234,7 @@ def test_verify_budget_exhaustion_exits_four(tmp_path, z2):
     assert "budget" in err.lower()
 
 
-def test_verify_plot_csv(tmp_path, z2):
+def test_verify_plot_csv(run_cli, tmp_path, z2):
     man = {"lattice_file": z2,
            "checks": [{"check_name": "tail_inequality",
                        "params": {"family": "gaussian", "tau": 1.0}}]}
@@ -241,7 +264,7 @@ def test_main_callable_in_process(capsys, z1):
     assert "partial" in out
 
 
-def test_inline_lattice_kinds(tmp_path):
+def test_inline_lattice_kinds(run_cli, tmp_path):
     man = {"seed": 1,
            "checks": [
                {"check_name": "theta",
@@ -262,7 +285,7 @@ def test_inline_lattice_kinds(tmp_path):
     assert "sheared" in out
 
 
-def test_lattice_file_resolved_relative_to_manifest(tmp_path):
+def test_lattice_file_resolved_relative_to_manifest(run_cli, tmp_path):
     save_lattice(integer_lattice(1), tmp_path / "local.json")
     man = {"lattice_file": "local.json",
            "checks": [{"check_name": "theta",
@@ -270,3 +293,44 @@ def test_lattice_file_resolved_relative_to_manifest(tmp_path):
     mp = _write_manifest(tmp_path / "man.json", man)
     code, _, _ = run_cli("verify", mp)
     assert code == 0
+
+
+@pytest.mark.parametrize("argv, check_name, params", [
+    (["theta", "--family", "gaussian", "--t", "1.5", "--v", "0.1,-0.2"],
+     "theta", {"family": "gaussian", "t": 1.5, "v": [0.1, -0.2]}),
+    (["psf", "--family", "inv_cosh_product", "--t", "1.5", "--v", "0.2,0.3",
+      "--max-residual", "1e-8"],
+     "psf", {"family": "inv_cosh_product", "t": 1.5, "v": [0.2, 0.3],
+             "max_residual": 1e-8}),
+    (["tail", "--family", "gaussian", "--radius", "1.3", "--v", "0.4,0.1"],
+     "tail_inequality", {"family": "gaussian", "radius": 1.3, "v": [0.4, 0.1]}),
+    (["transference", "--p", "1", "--resolution", "32"],
+     "transference", {"p": 1, "resolution": 32}),
+    (["kissing", "--p", "2", "--u", "1.5"],
+     "handshake", {"p": 2, "u": 1.5}),
+])
+def test_one_shot_prints_the_verify_record(run_cli, tmp_path, z2, argv,
+                                           check_name, params):
+    code, out, _ = run_cli(argv[0], z2, *argv[1:])
+    mp = _write_manifest(tmp_path / "man.json", {
+        "lattice_file": z2,
+        "checks": [{"check_name": check_name, "params": params}]})
+    rep_path = tmp_path / "report.json"
+    assert run_cli("verify", mp, "--output", str(rep_path))[0] == code
+    rec = json.loads(rep_path.read_text())["records"][0]
+    expected = [*rec["params"].items(),
+                *((k, v) for k, v in rec.items()
+                  if k not in ("check", "lattice_id", "params"))]
+    printed = [line.split() for line in out.splitlines()]
+    assert [row[0] for row in printed] == [k for k, _ in expected]
+    for row, (key, val) in zip(printed, expected):
+        vals = val if isinstance(val, list) else [val]
+        assert row[1:] == [x if isinstance(x, str) else _fmt(x) for x in vals]
+
+
+def test_psf_without_threshold_passes(run_cli, z2):
+    code, out, _ = run_cli("psf", z2, "--family", "gaussian", "--t", "1.5")
+    assert code == 0
+    assert get_field(out, "max_residual") == "inf"
+    assert get_field(out, "verdict") == "PASS"
+

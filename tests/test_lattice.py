@@ -115,6 +115,13 @@ def test_lll_raises_when_covolume_changes(monkeypatch):
         lll_reduce(L)
 
 
+def test_unimodular_raises_when_determinant_is_lost(monkeypatch):
+    # an int64 overflow in the shear product would show as det != 1
+    monkeypatch.setattr(lattice.np.linalg, "det", lambda a: 2.0)
+    with pytest.raises(InvariantError, match="determinant"):
+        random_unimodular_lattice(3, seed=1)
+
+
 def test_lll_rejects_bad_delta():
     with pytest.raises(ValueError, match="delta"):
         lll_reduce(integer_lattice(2), delta=1.5)

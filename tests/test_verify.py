@@ -5,12 +5,13 @@ import pytest
 
 from latbounds.bounds import NuBound, cosh_nu_bound
 from latbounds.enumeration import BodySpec
-from latbounds.errors import ToleranceUnreachedError
+import latbounds.verify as verify
+from latbounds.errors import InvariantError, ToleranceUnreachedError
 from latbounds.functions import TestFunctionSpec as FnSpec
 from latbounds.lattice import Lattice, integer_lattice, lll_reduce, \
     random_unimodular_lattice
 from latbounds.verify import (FAIL, INCONCLUSIVE, PASS, CertifiedSum,
-                              certified_sum, check_part1, check_part3,
+                              _verdict, certified_sum, check_part1, check_part3,
                               check_tail_inequality, dual_fhat_sum,
                               handshake_census, nu_for_body, psf_residual,
                               transference_check)
@@ -178,6 +179,20 @@ def test_psf_scaled_diagonal_lattice():
 # the three inequality checks
 
 
+@pytest.mark.parametrize("lhs, rhs, margin, verdict", [
+    ((1.0, 2.0), (3.0, 4.0), 1.0, PASS),           # disjoint, lhs below
+    ((3.0, 4.0), (1.0, 2.0), -3.0, FAIL),          # disjoint, lhs above
+    ((1.0, 3.0), (2.0, 4.0), -1.0, INCONCLUSIVE),  # overlapping
+    ((2.0, 4.0), (1.0, 3.0), -3.0, INCONCLUSIVE),  # overlapping, lhs higher
+    ((1.0, 2.0), (2.0, 3.0), 0.0, PASS),           # touching at 2
+    ((2.0, 3.0), (1.0, 2.0), -2.0, INCONCLUSIVE),  # touching, lhs above
+    ((0.0, 0.0), (0.0, 0.0), 0.0, PASS),           # equal points
+    ((5.0, 5.0), (4.0, 4.0), -1.0, FAIL),          # distinct points
+])
+def test_verdict_table(lhs, rhs, margin, verdict):
+    assert _verdict(lhs, rhs) == (margin, verdict)
+
+
 def test_part1_identity_margin_zero():
     rec = check_part1(integer_lattice(2), FnSpec("gaussian", 2),
                       np.zeros(2), 1.0)
@@ -321,6 +336,25 @@ def test_transference_z2_l1():
 def test_transference_rejects_other_p():
     with pytest.raises(ValueError):
         transference_check(integer_lattice(2), 1.5)
+
+
+def test_product_fhat_sum_rejects_shift_with_phase():
+    # no public caller passes both; the cosine-only 1-D sums would be wrong
+    with pytest.raises(InvariantError, match="shift and a phase"):
+        verify._product_fhat_sum(np.ones(2), FnSpec("exp_l1", 2), 1.0,
+                                 np.array([0.1, 0.0]), np.array([0.2, 0.0]),
+                                 1e-6)
+
+
+def test_psf_raises_when_sin_pairing_does_not_cancel(monkeypatch):
+    # a lopsided point set: the dual phase sum keeps a sin part
+    monkeypatch.setattr(verify, "enumerate_arrays",
+                        lambda L, *args, **kwargs: (
+                            np.array([[1, 0]], dtype=np.int64),
+                            np.array([[1.0, 0.0]])))
+    with pytest.raises(InvariantError, match="sin pairing"):
+        psf_residual(integer_lattice(2), FnSpec("gaussian", 2),
+                     np.array([0.25, 0.0]), 1.0, 1e-6)
 
 
 def test_certified_sum_interval_type():
