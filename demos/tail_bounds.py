@@ -2,7 +2,9 @@
 
 For each family the fraction of the lattice sum living outside a centered
 ball K is bounded by nu_f(K) times the full sum.  Here we compute both
-sides with certified enumeration and watch the margin.
+sides with certified enumeration and watch the margin: each check returns
+its report record, with the certified tail mass as lhs_interval and the
+bound as rhs_interval.
 """
 
 import numpy as np
@@ -18,9 +20,10 @@ spec = TestFunctionSpec("gaussian", 3)
 for tau in (0.75, 1.0, 2.0):
     r = float(np.sqrt(tau * 3 / np.pi))
     nu = gaussian_nu_closed_form(tau, 3)
-    rep = check_tail_inequality(L, spec, BodySpec(2.0, r), np.zeros(3), nu)
-    print(f"tau = {tau:0.2f}: tail <= {rep.lhs.upper:.3e}, "
-          f"bound = {nu.value:.3e} * theta, margin {rep.margin:+.3e}  {rep.verdict}")
+    rec = check_tail_inequality(L, spec, BodySpec(2.0, r), np.zeros(3), nu)
+    print(f"tau = {tau:0.2f}: tail <= {rec['lhs_interval'][1]:.3e}, "
+          f"bound = {nu.value:.3e} * theta, margin {rec['margin']:+.3e}  "
+          f"{rec['verdict']}")
 
 print()
 print("== same bound survives a shift of the ball's center ==")
@@ -28,8 +31,9 @@ rng = np.random.default_rng(11)
 v = rng.uniform(-0.5, 0.5, 3)
 nu = gaussian_nu_closed_form(1.0, 3)
 r = float(np.sqrt(3 / np.pi))
-rep = check_tail_inequality(L, spec, BodySpec(2.0, r), v, nu)
-print(f"v = {np.round(v, 3).tolist()}: margin {rep.margin:+.3e}  {rep.verdict}")
+rec = check_tail_inequality(L, spec, BodySpec(2.0, r), v, nu)
+print(f"v = {np.round(v, 3).tolist()}: margin {rec['margin']:+.3e}  "
+      f"{rec['verdict']}")
 
 print()
 print("== supergaussian families, l^p ball at radius t (n/p)^(1/p) ==")
@@ -39,9 +43,9 @@ for p in (1.0, 2.0):
         spec = TestFunctionSpec("supergaussian", 2, p=p)
         r = t * (2 / p) ** (1 / p)
         mu = supergaussian_mu_closed_form(p, r, 2)
-        rep = check_tail_inequality(L, spec, BodySpec(p, r), np.zeros(2), mu)
+        rec = check_tail_inequality(L, spec, BodySpec(p, r), np.zeros(2), mu)
         print(f"p = {p:.0f}, t = {t:.1f}: mu = {mu.value:.3e}, "
-          f"margin {rep.margin:+.3e}  {rep.verdict}")
+              f"margin {rec['margin']:+.3e}  {rec['verdict']}")
 
 print()
 print("== inv_cosh on a random unimodular lattice, K_alpha radius ==")
@@ -50,6 +54,6 @@ spec = TestFunctionSpec("inv_cosh_product", 3)
 alpha = 0.5
 body = BodySpec(1.0, kalpha_radius(alpha, 3))
 nu = nu_for_body(spec, body, 3)  # dispatches to the cosh closed form
-rep = check_tail_inequality(L, spec, body, np.zeros(3), nu)
+rec = check_tail_inequality(L, spec, body, np.zeros(3), nu)
 print(f"alpha = {alpha}: radius {body.radius:.4f}, nu = {nu.value:.4f}, "
-      f"margin {rep.margin:+.3e}  {rep.verdict}")
+      f"margin {rec['margin']:+.3e}  {rec['verdict']}")

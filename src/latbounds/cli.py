@@ -16,6 +16,8 @@ every check entry is validated before any check runs.  The one-shot
 subcommands (theta, psf, tail, transference, kissing) run their arguments as
 a one-entry manifest (kissing is the ``handshake`` check) and print that
 check's record as ``name value...`` lines: its params, then its results.
+The params are every input that shapes the numbers, e.g. ``v`` for theta,
+``p`` for a supergaussian and ``resolution`` for transference.
 All numeric output is fixed at 12 significant digits and a run is
 byte-deterministic given the same manifest, seed and budgets.
 
@@ -26,6 +28,7 @@ error, 4 budget or tolerance infeasibility.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -39,15 +42,15 @@ from .enumeration import (DEFAULT_GRID_BUDGET, DEFAULT_NODE_BUDGET, BodySpec,
                           enumerate_arrays)
 from .errors import (BudgetExceededError, MissingTableError,
                      ToleranceUnreachedError)
-from .functions import (FAMILIES, TestFunctionSpec, check_hypotheses, log_f,
+from .functions import (TestFunctionSpec, check_hypotheses, log_f,
                         natural_norm_p)
 from .lattice import (Lattice, integer_lattice, load_lattice,
                       random_unimodular_lattice)
 from .transform import cached_transform_table
-from .verify import (FAIL, INCONCLUSIVE, PASS, _verdict, certified_sum,
-                     check_part1, check_part3, check_tail_inequality,
-                     handshake_census, nu_for_body, psf_residual,
-                     transference_check)
+from .verify import (FAIL, INCONCLUSIVE, PASS, _record, _spec_params,
+                     _verdict, certified_sum, check_part1, check_part3,
+                     check_tail_inequality, handshake_census, nu_for_body,
+                     psf_residual, transference_check)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -87,12 +90,6 @@ def _parse_vec(text):
         return [float(tok) for tok in text.split(",")]
     except ValueError:
         raise ValueError(f"v must be comma-separated numbers, got {text!r}")
-
-
-def _spec_from(family, dim, p=None):
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; choose from {sorted(FAMILIES)}")
-    return TestFunctionSpec(family, dim, p=p)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +206,8 @@ def _budgets(manifest):
 
 
 def plan_manifest(manifest, base_dir):
-    """Validate every check entry and return ready-to-run closures.
+    """Validate every check entry and return its plan: a zero-argument
+    callable that runs the check and returns its record.
 
     All parameter and lattice validation happens here, before any check
     executes; a bad entry aborts the whole run with a message naming it.
@@ -245,8 +243,8 @@ def _plan_one(entry, base_dir, default_lattice, seed, nodes, grid, table_dir):
     rng = np.random.default_rng(seed)
 
     if name == "hypotheses":
-        spec = _spec_from(params["family"], int(params["dim"]),
-                          params.get("p"))
+        spec = TestFunctionSpec(params["family"], int(params["dim"]),
+                                params.get("p"))
         samples = int(params.get("samples", 10000))
         hseed = int(params.get("seed", seed))
         table = _table_for(spec, table_dir)
@@ -256,12 +254,12 @@ def _plan_one(entry, base_dir, default_lattice, seed, nodes, grid, table_dir):
                                    table=table)
             worst = min(st.worst_margin for st in rep.checks.values())
             total = sum(st.violations for st in rep.checks.values())
-            return {"check": "hypotheses", "lattice_id": "",
-                    "params": {"family": spec.family, "dim": spec.dim,
-                               **({"p": spec.p} if spec.p is not None else {}),
-                               "samples": samples, "seed": hseed},
-                    "violations": total, "worst_margin": worst,
-                    "verdict": PASS if rep.ok else FAIL}
+            return _record("hypotheses", "",
+                           {"family": spec.family, "dim": spec.dim,
+                            **({"p": spec.p} if spec.p is not None else {}),
+                            "samples": samples, "seed": hseed},
+                           PASS if rep.ok else FAIL,
+                           violations=total, worst_margin=worst)
         return run_hyp
 
     L = _resolve_lattice(params.get("lattice"), base_dir, default_lattice)
@@ -287,13 +285,12 @@ def _plan_one(entry, base_dir, default_lattice, seed, nodes, grid, table_dir):
 
         def run_hs():
             hc = handshake_census(L, p, u, node_budget=nodes)
-            return {"check": "handshake", "lattice_id": L.name,
-                    "params": {"p": p, "u": u}, "count": hc.count,
-                    "bound": hc.bound, "verdict": hc.verdict}
+            return _record("handshake", L.name, {"p": p, "u": u}, hc.verdict,
+                           count=hc.count, bound=hc.bound)
         return run_hs
 
     # the rest carry a test function
-    spec = _spec_from(params["family"], L.dim, params.get("p"))
+    spec = TestFunctionSpec(params["family"], L.dim, params.get("p"))
     v = _check_v(params, L, rng)
     tol = float(params.get("tol", 1e-9))
     if tol <= 0:
@@ -306,12 +303,13 @@ def _plan_one(entry, base_dir, default_lattice, seed, nodes, grid, table_dir):
 
         def run_theta():
             cs = certified_sum(L, spec, v, t, tol, node_budget=nodes)
-            return {"check": "theta", "lattice_id": L.name,
-                    "params": {"family": spec.family, "t": t, "tol": tol},
-                    "partial": cs.partial,
-                    "remainder_bound": cs.remainder_bound,
-                    "truncation_radius": cs.truncation_radius,
-                    "npoints": cs.npoints, "verdict": PASS}
+            return _record("theta", L.name,
+                           _spec_params(spec, v=[float(x) for x in v], t=t,
+                                        tol=tol),
+                           PASS, partial=cs.partial,
+                           remainder_bound=cs.remainder_bound,
+                           truncation_radius=cs.truncation_radius,
+                           npoints=cs.npoints)
         return run_theta
 
     if name == "part1":
@@ -331,19 +329,20 @@ def _plan_one(entry, base_dir, default_lattice, seed, nodes, grid, table_dir):
             res = psf_residual(L, spec, v, t, tol, node_budget=nodes,
                                table=table)
             _, verdict = _verdict((res, res), (max_residual, max_residual))
-            return {"check": "psf", "lattice_id": L.name,
-                    "params": {"family": spec.family, "t": t, "tol": tol,
-                               "v": [float(x) for x in v],
-                               "max_residual": max_residual},
-                    "residual": res, "verdict": verdict}
+            return _record("psf", L.name,
+                           _spec_params(spec, t=t, tol=tol,
+                                        v=[float(x) for x in v],
+                                        max_residual=max_residual),
+                           verdict, residual=res)
         return run_psf
 
     body = _body_from(params, spec, L.dim)
     nu = nu_for_body(spec, body, L.dim)
 
     if name == "tail_inequality":
-        return lambda: check_tail_inequality(L, spec, body, v, nu, tol=tol,
-                                             node_budget=nodes).record()
+        # a partial, so the --plot-csv sweep can read the check's arguments
+        return functools.partial(check_tail_inequality, L, spec, body, v, nu,
+                                 tol=tol, node_budget=nodes)
     # part3
     table = _table_for(spec, table_dir)
     return lambda: check_part3(L, spec, body, v, nu, tol=tol,
@@ -354,7 +353,7 @@ def run_manifest(manifest, base_dir, plot_csv=None):
     plans = plan_manifest(manifest, base_dir)
     records = [run() for run in plans]
     if plot_csv:
-        _write_plot_csv(plot_csv, manifest, base_dir, records)
+        _write_plot_csv(plot_csv, plans)
     counts = {PASS: 0, FAIL: 0, INCONCLUSIVE: 0}
     for rec in records:
         counts[rec["verdict"]] += 1
@@ -369,22 +368,16 @@ def run_manifest(manifest, base_dir, plot_csv=None):
     return report
 
 
-def _write_plot_csv(path, manifest, base_dir, records):
-    """Radius sweep for every tail_inequality check: certified tail mass
-    outside each radius next to the bound coefficient times the full sum."""
-    default_lattice = manifest.get("lattice_file")
-    nodes, _ = _budgets(manifest)
+def _write_plot_csv(path, plans):
+    """Radius sweep for every tail_inequality plan: certified tail mass
+    outside each radius next to the bound coefficient times the full sum.
+    Each sweep takes its lattice, body, shift and budgets from its plan."""
     rows = ["check_index,lattice_id,family,radius,tail_mass_upper,bound"]
-    for idx, entry in enumerate(manifest["checks"]):
-        if entry.get("check_name") != "tail_inequality":
+    for idx, plan in enumerate(plans):
+        if getattr(plan, "func", None) is not check_tail_inequality:
             continue
-        params = entry.get("params", {})
-        L = _resolve_lattice(params.get("lattice"), base_dir, default_lattice)
-        spec = _spec_from(params["family"], L.dim, params.get("p"))
-        rng = np.random.default_rng(int(manifest.get("seed", 0)) + idx)
-        v = _check_v(params, L, rng)
-        body = _body_from(params, spec, L.dim)
-        tol = float(params.get("tol", 1e-9))
+        L, spec, body, v, _ = plan.args
+        tol, nodes = plan.keywords["tol"], plan.keywords["node_budget"]
         full = certified_sum(L, spec, np.zeros(L.dim), 1.0, tol, nodes)
         shifted = (certified_sum(L, spec, v, 1.0, tol, nodes) if np.any(v)
                    else full)
@@ -546,7 +539,7 @@ def _build_parser():
 
     p = sub.add_parser("transference", help="sigma * dual covering radius vs bound")
     common(p, tfun=False)
-    p.add_argument("--p", type=float, required=True, choices=[1.0, 2.0])
+    p.add_argument("--p", type=float, required=True, help="1 or 2")
     p.add_argument("--resolution", type=int, default=64)
     p.add_argument("--grid-budget", type=int, default=DEFAULT_GRID_BUDGET)
     p.set_defaults(func=cmd_check, check="transference")

@@ -1,7 +1,7 @@
 """Exact lattice point enumeration in l^p balls, shortest vectors, covering radii.
 
-One primitive, ``enumerate_arrays``, does all enumeration; shortest vectors,
-CVP distances and the covering-radius candidate sets are built on it.  It
+One primitive, ``enumerate_arrays``, does all enumeration; shortest vectors
+and the covering-radius candidate sets are built on it.  It
 runs a Fincke-Pohst branch-and-bound over the Gram-Schmidt coordinates of an
 LLL-reduced basis, with a node budget.  At the bottom level the admissible
 c0 are exactly those with D[0] * (c0 + shift[0] + s[0])^2 within the
@@ -42,13 +42,6 @@ class BodySpec:
             raise ValueError(f"p must be positive, got {self.p}")
         if not (self.radius > 0):
             raise ValueError(f"radius must be positive, got {self.radius}")
-
-    def norm(self, x):
-        """The gauge ||x||_K = ||x||_p / radius (1.0 on the boundary)."""
-        return lp_norm(x, self.p) / self.radius
-
-    def contains(self, x):
-        return lp_norm(x, self.p) <= self.radius * (1 + _BOUNDARY_SLACK)
 
 
 def l2_circumscribe_factor(p: float, n: int) -> float:
@@ -188,28 +181,6 @@ def shortest_vector(L: Lattice, p: float = 2,
     norms = lp_norm(emb[nonzero], p)
     sigma = norms.min()
     return float(sigma), coords[nonzero][norms <= sigma * (1 + 1e-9)]
-
-
-def cvp_distance(L: Lattice, target, p: float = 2,
-                 node_budget: int = DEFAULT_NODE_BUDGET) -> float:
-    """Exact l^p distance from target to the nearest lattice point.
-
-    Starts from the rounding (Babai) candidate and enumerates; the initial
-    radius already contains the optimum, the doubling loop is a safety net.
-    """
-    target = np.asarray(target, dtype=float)
-    a = L.coefficients(target)
-    babai = np.round(a) @ L.basis
-    r = float(lp_norm(babai - target, p))
-    if r == 0.0:
-        return 0.0
-    r *= 1 + 1e-9
-    for _ in range(60):
-        _, emb = enumerate_arrays(L, -target, r, p=p, node_budget=node_budget)
-        if len(emb):
-            return float(lp_norm(emb - target, p).min())
-        r *= 2
-    raise RuntimeError("cvp enumeration failed to find any point")  # pragma: no cover
 
 
 def _fundamental_cell_data(L, p):

@@ -100,15 +100,13 @@ def _gso(basis):
     return mu, norms2, ortho
 
 
-def lll_reduce(L: Lattice, delta: float = 0.99, return_transform: bool = False):
-    """LLL-reduce the basis.  Returns a new Lattice spanning the same points.
+def lll_reduce(L: Lattice, return_transform: bool = False):
+    """LLL-reduce the basis, with Lovasz parameter 0.99.  Returns a new
+    Lattice spanning the same points.
 
-    delta is the Lovasz parameter, required to lie in (0.25, 1).  With
-    return_transform=True also returns the integer unimodular matrix U with
-    reduced.basis == U @ L.basis (up to float roundoff).
+    With return_transform=True also returns the integer unimodular matrix U
+    with reduced.basis == U @ L.basis (up to float roundoff).
     """
-    if not 0.25 < delta < 1.0:
-        raise ValueError(f"delta must be in (0.25, 1), got {delta}")
     b = L.basis.astype(float).copy()
     n = L.dim
     U = np.eye(n, dtype=np.int64)
@@ -130,7 +128,7 @@ def lll_reduce(L: Lattice, delta: float = 0.99, return_transform: bool = False):
         if iters > max_iters:  # pragma: no cover - safety valve
             raise RuntimeError("LLL failed to terminate")
         size_reduce(k, mu)
-        if norms2[k] >= (delta - mu[k, k - 1] ** 2) * norms2[k - 1]:
+        if norms2[k] >= (0.99 - mu[k, k - 1] ** 2) * norms2[k - 1]:
             k += 1
         else:
             b[[k - 1, k]] = b[[k, k - 1]]

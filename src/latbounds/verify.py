@@ -509,16 +509,18 @@ def _verdict(lhs_iv, rhs_iv):
     return margin, INCONCLUSIVE
 
 
-def _record(check, lattice_id, params, lhs_iv, rhs_iv, margin, verdict):
-    return {
-        "check": check,
-        "lattice_id": lattice_id,
-        "params": params,
-        "lhs_interval": [float(lhs_iv[0]), float(lhs_iv[1])],
-        "rhs_interval": [float(rhs_iv[0]), float(rhs_iv[1])],
-        "margin": float(margin),
-        "verdict": verdict,
-    }
+def _record(check, lattice_id, params, verdict, **results):
+    """The report entry of one check: its results, in call order, between
+    its params and its verdict."""
+    return {"check": check, "lattice_id": lattice_id, "params": params,
+            **results, "verdict": verdict}
+
+
+def _compared(lhs_iv, rhs_iv, margin):
+    """The results of an interval comparison, as record fields."""
+    return {"lhs_interval": [float(lhs_iv[0]), float(lhs_iv[1])],
+            "rhs_interval": [float(rhs_iv[0]), float(rhs_iv[1])],
+            "margin": float(margin)}
 
 
 def _spec_params(spec, **extra):
@@ -544,36 +546,15 @@ def check_part1(L: Lattice, spec: TestFunctionSpec, v, t: float,
     params = _spec_params(spec, v=[float(x) for x in v], t=float(t), tol=tol)
     if t == 1.0 and not np.any(v):
         # both sides are one expression: their difference is exactly 0
+        rhs_iv = lhs.interval()
         margin, verdict = _verdict((0.0, 0.0), (0.0, 0.0))
-        return _record("part1", L.name, params, lhs.interval(),
-                       lhs.interval(), margin, verdict)
-    base = certified_sum(L, spec, np.zeros(L.dim), 1.0, tol, node_budget)
-    tn = t ** L.dim
-    rhs_iv = (tn * base.partial, tn * base.upper)
-    margin, verdict = _verdict(lhs.interval(), rhs_iv)
-    return _record("part1", L.name, params, lhs.interval(), rhs_iv, margin,
-                   verdict)
-
-
-@dataclass(frozen=True)
-class TailBoundReport:
-    """Outcome of a mass-outside-K check against nu * (full sum)."""
-
-    lhs: CertifiedSum
-    rhs_factor: NuBound
-    rhs_sum: CertifiedSum
-    margin: float
-    verdict: str
-    check: str = "tail_inequality"
-    lattice_id: str = ""
-    params: dict | None = None
-
-    def record(self):
-        nu = self.rhs_factor.value
-        return _record(self.check, self.lattice_id, self.params or {},
-                       self.lhs.interval(),
-                       (nu * self.rhs_sum.lower, nu * self.rhs_sum.upper),
-                       self.margin, self.verdict)
+    else:
+        base = certified_sum(L, spec, np.zeros(L.dim), 1.0, tol, node_budget)
+        tn = t ** L.dim
+        rhs_iv = (tn * base.partial, tn * base.upper)
+        margin, verdict = _verdict(lhs.interval(), rhs_iv)
+    return _record("part1", L.name, params, verdict,
+                   **_compared(lhs.interval(), rhs_iv, margin))
 
 
 def nu_for_body(spec: TestFunctionSpec, K: BodySpec, n: int) -> NuBound:
@@ -614,7 +595,7 @@ def nu_for_body(spec: TestFunctionSpec, K: BodySpec, n: int) -> NuBound:
 
 def check_tail_inequality(L: Lattice, spec: TestFunctionSpec, K: BodySpec,
                           v, nu: NuBound, tol: float = 1e-9,
-                          node_budget: int = DEFAULT_NODE_BUDGET) -> TailBoundReport:
+                          node_budget: int = DEFAULT_NODE_BUDGET) -> dict:
     """Check sum_{lambda+v not in K} f(lambda+v) <= nu * sum_L f(lambda).
 
     The out-of-K mass is the certified full shifted sum minus the exact sum
@@ -627,19 +608,15 @@ def check_tail_inequality(L: Lattice, spec: TestFunctionSpec, K: BodySpec,
     _, emb_in = enumerate_arrays(L, v, K.radius, K.p, node_budget)
     inner = (math.fsum(np.atleast_1d(np.exp(log_f(spec, emb_in + v))))
              if emb_in.size else 0.0)
-    lhs = CertifiedSum(partial=shifted.partial - inner,
-                       remainder_bound=shifted.remainder_bound,
-                       truncation_radius=shifted.truncation_radius,
-                       norm_p=shifted.norm_p,
-                       npoints=shifted.npoints - emb_in.shape[0])
+    outside = shifted.partial - inner
+    lhs_iv = (outside, outside + shifted.remainder_bound)
+    rhs_iv = (nu.value * full.lower, nu.value * full.upper)
     params = _spec_params(spec, body_p=float(K.p), body_radius=float(K.radius),
                           v=[float(x) for x in v], nu=nu.value,
                           nu_method=nu.method, tol=tol)
-    margin, verdict = _verdict(lhs.interval(),
-                               (nu.value * full.lower, nu.value * full.upper))
-    return TailBoundReport(lhs=lhs, rhs_factor=nu, rhs_sum=full,
-                           margin=float(margin), verdict=verdict,
-                           lattice_id=L.name, params=params)
+    margin, verdict = _verdict(lhs_iv, rhs_iv)
+    return _record("tail_inequality", L.name, params, verdict,
+                   **_compared(lhs_iv, rhs_iv, margin))
 
 
 def check_part3(L: Lattice, spec: TestFunctionSpec, K: BodySpec, v,
@@ -669,8 +646,8 @@ def check_part3(L: Lattice, spec: TestFunctionSpec, K: BodySpec, v,
     margin, verdict = _verdict(rhs_iv, lhs.interval())
     params = _spec_params(spec, body_p=float(K.p), body_radius=float(K.radius),
                           v=[float(x) for x in v], nu=nu.value, tol=tol)
-    return _record("part3", L.name, params, lhs.interval(), rhs_iv, margin,
-                   verdict)
+    return _record("part3", L.name, params, verdict,
+                   **_compared(lhs.interval(), rhs_iv, margin))
 
 
 class HandshakeCensus(NamedTuple):
@@ -709,16 +686,18 @@ class TransferenceReport:
     margin: float
     verdict: str
     p: float
+    resolution: int
     lattice_id: str = ""
 
     def record(self):
-        params = {"p": self.p, "sigma": self.sigma,
-                  "rho_lower": self.rho_bracket[0],
+        params = {"p": self.p, "resolution": self.resolution,
+                  "sigma": self.sigma, "rho_lower": self.rho_bracket[0],
                   "rho_upper": self.rho_bracket[1]}
-        return _record("transference", self.lattice_id, params,
-                       (self.sigma * self.rho_bracket[0], self.product_upper),
-                       (self.stated_bound, self.stated_bound), self.margin,
-                       self.verdict)
+        return _record("transference", self.lattice_id, params, self.verdict,
+                       **_compared((self.sigma * self.rho_bracket[0],
+                                    self.product_upper),
+                                   (self.stated_bound, self.stated_bound),
+                                   self.margin))
 
 
 def transference_check(L: Lattice, p: float, resolution: int = 64,
@@ -739,4 +718,5 @@ def transference_check(L: Lattice, p: float, resolution: int = 64,
                               rho_bracket=(float(rho_lo), float(rho_hi)),
                               product_upper=float(product),
                               stated_bound=float(bound), margin=float(margin),
-                              verdict=verdict, p=float(p), lattice_id=L.name)
+                              verdict=verdict, p=float(p),
+                              resolution=int(resolution), lattice_id=L.name)

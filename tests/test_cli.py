@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from latbounds.cli import _fmt, _write_plot_csv, main
+from latbounds.cli import _fmt, _write_plot_csv, main, plan_manifest
 from latbounds.errors import BudgetExceededError
 from latbounds.lattice import integer_lattice, save_lattice
 
@@ -135,6 +135,10 @@ def test_transference_subcommand(run_cli, z1):
     assert code == 0
     # the upper end of lhs_interval is sigma times the bracket's upper end
     assert float(get_fields(out, "lhs_interval")[1]) <= 1.11409
+    # p outside {1, 2} is rejected by the planner, as in a manifest
+    code, _, err = run_cli("transference", z1, "--p", "1.5")
+    assert code == 3
+    assert "p in {1, 2}" in err
 
 
 def test_kissing_subcommand(run_cli, z2):
@@ -251,8 +255,9 @@ def test_plot_csv_sweep_keeps_manifest_node_budget(tmp_path, z2):
     man = {"lattice_file": z2, "budgets": {"nodes": 3},
            "checks": [{"check_name": "tail_inequality",
                        "params": {"family": "gaussian", "tau": 1.0}}]}
+    plans = plan_manifest(man, str(tmp_path))
     with pytest.raises(BudgetExceededError) as exc:
-        _write_plot_csv(tmp_path / "curves.csv", man, str(tmp_path), [])
+        _write_plot_csv(tmp_path / "curves.csv", plans)
     assert exc.value.budget == 3
 
 
@@ -326,6 +331,22 @@ def test_one_shot_prints_the_verify_record(run_cli, tmp_path, z2, argv,
     for row, (key, val) in zip(printed, expected):
         vals = val if isinstance(val, list) else [val]
         assert row[1:] == [x if isinstance(x, str) else _fmt(x) for x in vals]
+
+
+@pytest.mark.parametrize("argv, lines", [
+    (["theta", "--family", "supergaussian", "--p", "1.5", "--v", "0.1,-0.2"],
+     {"p": ["1.5"], "v": ["0.1", "-0.2"]}),
+    (["transference", "--p", "2", "--resolution", "16"],
+     {"resolution": ["16"]}),
+    (["psf", "--family", "supergaussian", "--p", "2", "--t", "1.5"],
+     {"p": ["2"]}),
+])
+def test_one_shot_prints_every_param_that_shapes_the_numbers(run_cli, z2,
+                                                             argv, lines):
+    code, out, _ = run_cli(argv[0], z2, *argv[1:])
+    assert code == 0
+    for name, vals in lines.items():
+        assert get_fields(out, name) == vals
 
 
 def test_psf_without_threshold_passes(run_cli, z2):

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 import latbounds.enumeration as enumeration
-from latbounds.enumeration import (BodySpec, covering_radius_estimate,
-                                   cvp_distance, enumerate_arrays,
+from latbounds.enumeration import (covering_radius_estimate, enumerate_arrays,
                                    l2_circumscribe_factor, shortest_vector)
 from latbounds.errors import BudgetExceededError, InvariantError
 from latbounds.lattice import (Lattice, integer_lattice, lp_norm, lll_reduce,
@@ -120,13 +119,6 @@ def test_shortest_vector_sheared_l1():
     assert len(mins) == 8
 
 
-def test_cvp_distance_z2():
-    L = integer_lattice(2)
-    assert abs(cvp_distance(L, np.array([0.4, 0.5]), 2) - math.sqrt(0.41)) < 1e-12
-    assert abs(cvp_distance(L, np.array([0.5, 0.5]), 2) - math.sqrt(0.5)) < 1e-12
-    assert cvp_distance(L, np.array([1.0, -3.0]), 2) < 1e-12
-
-
 def test_covering_radius_z2_hits_deep_hole():
     lo, hi = covering_radius_estimate(integer_lattice(2), p=2, resolution=64)
     # even grid lands exactly on (1/2, 1/2)
@@ -152,13 +144,6 @@ def test_covering_radius_budget():
     with pytest.raises(BudgetExceededError):
         covering_radius_estimate(integer_lattice(3), resolution=512,
                                  grid_budget=10 ** 6)
-
-
-def test_body_spec_contains():
-    K = BodySpec(p=2.0, radius=1.5)
-    assert K.contains(np.array([1.0, 1.0]))
-    assert not K.contains(np.array([1.5, 1.5]))
-    assert BodySpec(p=1.0, radius=2.0).contains(np.array([1.0, 1.0]))
 
 
 @pytest.mark.parametrize("check, coords, emb, match", [

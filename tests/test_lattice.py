@@ -120,8 +120,3 @@ def test_unimodular_raises_when_determinant_is_lost(monkeypatch):
     monkeypatch.setattr(lattice.np.linalg, "det", lambda a: 2.0)
     with pytest.raises(InvariantError, match="determinant"):
         random_unimodular_lattice(3, seed=1)
-
-
-def test_lll_rejects_bad_delta():
-    with pytest.raises(ValueError, match="delta"):
-        lll_reduce(integer_lattice(2), delta=1.5)

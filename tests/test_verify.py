@@ -233,12 +233,11 @@ def test_tail_inequality_passes():
     L, spec = integer_lattice(2), FnSpec("gaussian", 2)
     K = BodySpec(p=2.0, radius=math.sqrt(2 / math.pi))  # tau = 1
     nu = nu_for_body(spec, K, 2)
-    rep = check_tail_inequality(L, spec, K, np.zeros(2), nu)
-    assert rep.verdict == PASS
-    assert rep.margin > 0
-    rec = rep.record()
+    rec = check_tail_inequality(L, spec, K, np.zeros(2), nu)
     assert rec["check"] == "tail_inequality"
     assert rec["verdict"] == PASS
+    assert rec["margin"] > 0
+    assert rec["margin"] == rec["rhs_interval"][0] - rec["lhs_interval"][1]
 
 
 def test_tail_inequality_detects_false_bound():
@@ -246,16 +245,16 @@ def test_tail_inequality_detects_false_bound():
     L, spec = integer_lattice(2), FnSpec("gaussian", 2)
     K = BodySpec(p=2.0, radius=1.3)
     bogus = NuBound(value=1e-6, method="closed_form")
-    rep = check_tail_inequality(L, spec, K, np.zeros(2), bogus)
-    assert rep.verdict == FAIL
+    rec = check_tail_inequality(L, spec, K, np.zeros(2), bogus)
+    assert rec["verdict"] == FAIL
 
 
 def test_tail_inequality_shifted():
     L, spec = integer_lattice(2), FnSpec("gaussian", 2)
     K = BodySpec(p=2.0, radius=1.3)
     nu = nu_for_body(spec, K, 2)
-    rep = check_tail_inequality(L, spec, K, np.array([0.4, 0.1]), nu)
-    assert rep.verdict == PASS
+    rec = check_tail_inequality(L, spec, K, np.array([0.4, 0.1]), nu)
+    assert rec["verdict"] == PASS
 
 
 def test_part3_passes_and_precondition():
