@@ -344,9 +344,8 @@ def _plan_one(entry, base_dir, default_lattice, seed, nodes, grid, table_dir):
         return functools.partial(check_tail_inequality, L, spec, body, v, nu,
                                  tol=tol, node_budget=nodes)
     # part3
-    table = _table_for(spec, table_dir)
     return lambda: check_part3(L, spec, body, v, nu, tol=tol,
-                               node_budget=nodes, table=table)
+                               node_budget=nodes)
 
 
 def run_manifest(manifest, base_dir, plot_csv=None):

@@ -8,6 +8,12 @@ beyond the truncation radius tile a region where the envelope can be
 integrated in closed form (an incomplete-gamma expression).  Inequality
 checks compare such intervals pessimistically and return PASS / FAIL /
 INCONCLUSIVE; an interval straddling the boundary is never coerced.
+
+Sums of fhat over the dual lattice (part 3) are taken on the primal side by
+Poisson summation, as covol(L) times a cos-weighted sum of f over L; their
+terms are signed, so those intervals are symmetric, [partial - rem,
+partial + rem].  The psf check sums the dual side directly instead, so it
+stays an independent test of the numerics.
 """
 
 from __future__ import annotations
@@ -26,8 +32,7 @@ from .enumeration import (DEFAULT_GRID_BUDGET, DEFAULT_NODE_BUDGET, BodySpec,
                           covering_radius_estimate, enumerate_arrays,
                           shortest_vector)
 from .errors import InvariantError, ToleranceUnreachedError
-from .functions import (TestFunctionSpec, is_self_dual, log_f,
-                        natural_norm_p)
+from .functions import TestFunctionSpec, is_self_dual, log_f
 from .lattice import Lattice, dual, lll_reduce, lp_norm
 
 PASS = "PASS"
@@ -168,16 +173,32 @@ def _stable_sum(vals):
     return tot, slack
 
 
+def _truncated(L, env, beta_eff, v, log_target, node_budget):
+    """The points of v + L that a certified sum keeps, and its tail bound.
+
+    Grows the radius S, in the envelope's norm q, until the certified bound
+    on the mass of e^{n loga - beta_eff ||y||_q^q} over the points y of
+    v + L with ||y||_q >= S drops below e^{log_target(reduced)}, where
+    reduced is the LLL basis of L.  Returns (embedded points inside S,
+    that tail bound, S).
+    """
+    reduced = lll_reduce(L)
+    cell = _cell_shape(reduced.basis, env.q)
+    logtail = lambda S: _log_tail(L.dim, L.covolume, env, beta_eff, cell, S)
+    s_floor = (2.0 * cell) ** (1.0 / env.q) if env.q <= 1.0 else 2.5 * cell
+    S = _presolve_radius(log_target(reduced), max(s_floor, 1e-3), logtail)
+    _, emb = enumerate_arrays(L, v, S, env.q, node_budget)
+    return emb, math.exp(min(logtail(S), 700.0)) * (1 + _SAFETY), S
+
+
 def certified_sum(L: Lattice, spec: TestFunctionSpec, v, t: float,
                   target_tol: float,
-                  node_budget: int = DEFAULT_NODE_BUDGET,
-                  radius: float | None = None) -> CertifiedSum:
+                  node_budget: int = DEFAULT_NODE_BUDGET) -> CertifiedSum:
     """Sum of f((lambda+v)/t) over the lattice, with certified remainder.
 
     Enumerates the points with ||(lambda+v)/t||_q <= R in the family's
     natural norm q, where R is grown (analytically, before any enumeration)
-    until the tail bound drops below target_tol relative to the sum.  Pass
-    radius= to pin R instead.
+    until the tail bound drops below target_tol relative to the sum.
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -189,34 +210,23 @@ def certified_sum(L: Lattice, spec: TestFunctionSpec, v, t: float,
     if v.shape != (L.dim,):
         raise ValueError(f"v must have shape ({L.dim},)")
 
-    n = L.dim
-    q = natural_norm_p(spec)
-    env = _envelope_for(spec)
-    reduced = lll_reduce(L)
-    cell = _cell_shape(reduced.basis, q)
-    beta_eff = env.beta / t ** q
-    logtail = lambda S: _log_tail(n, L.covolume, env, beta_eff, cell, S)
-
-    if radius is None:
+    def log_target(reduced):
         # positive lower bound for the eventual partial: the origin term and
         # the term at the rounded (Babai) point nearest -v
         c0 = np.round(reduced.coefficients(-v))
-        cand = np.vstack([np.zeros(n), c0 @ reduced.basis])
-        log_lower = float(np.max(log_f(spec, (cand + v) / t)))
-        s_floor = (2.0 * cell) ** (1.0 / q) if q <= 1.0 else 2.5 * cell
-        S = _presolve_radius(math.log(target_tol) + log_lower,
-                             max(s_floor, 1e-3), logtail)
-    else:
-        S = float(radius) * t
-        if not math.isfinite(logtail(S)):
-            raise ValueError(f"radius {radius} too small for a certified tail")
+        cand = np.vstack([np.zeros(L.dim), c0 @ reduced.basis])
+        return (math.log(target_tol)
+                + float(np.max(log_f(spec, (cand + v) / t))))
 
-    _, emb = enumerate_arrays(L, v, S, q, node_budget)
+    env = _envelope_for(spec)
+    emb, tail, S = _truncated(L, env, env.beta / t ** env.q, v, log_target,
+                              node_budget)
     vals = np.exp(log_f(spec, (emb + v) / t))
     partial, slack = _stable_sum(vals)
-    rem = math.exp(min(logtail(S), 700.0)) * (1 + _SAFETY) + slack
-    return CertifiedSum(partial=float(partial), remainder_bound=float(rem),
-                        truncation_radius=S / t, norm_p=q, npoints=vals.size)
+    return CertifiedSum(partial=float(partial),
+                        remainder_bound=float(tail + slack),
+                        truncation_radius=S / t, norm_p=env.q,
+                        npoints=vals.size)
 
 
 # ---------------------------------------------------------------------------
@@ -233,51 +243,29 @@ def _diag_entries(L):
     return np.abs(np.diag(B)).astype(float)
 
 
-def _sum1d_rational(a, shift, theta, tol_abs, grid_budget=DEFAULT_GRID_BUDGET):
-    """sum_k 2/(1 + 4 pi^2 (a k + shift)^2) cos(2 pi theta k), certified.
+def _sum1d_rational(a, theta, tol_abs, grid_budget=DEFAULT_GRID_BUDGET):
+    """(sum_k 2/(1 + 4 pi^2 a^2 k^2) cos(2 pi theta k), certified error).
 
     The tail past |k| = K is bounded term-by-term through the quadratic
     envelope; quadratic decay means K ~ 1/tol, so this is the expensive path
     and callers should split tolerances accordingly.
     """
     a = abs(float(a))
-    s = abs(float(shift)) / a
-    K = int(math.ceil(s + 1.0 / (math.pi ** 2 * a ** 2 * tol_abs))) + 2
+    K = int(math.ceil(1.0 / (math.pi ** 2 * a ** 2 * tol_abs))) + 2
     if 2 * K + 1 > grid_budget:
         raise ToleranceUnreachedError(tol_abs, 1.0 / (math.pi ** 2 * a ** 2
-                                                      * (grid_budget / 2 - s)),
+                                                      * (grid_budget / 2)),
                                       where="rational 1d sum")
     k = np.arange(-K, K + 1, dtype=float)
-    y = a * k + shift
+    y = a * k
     terms = 2.0 / (1.0 + 4 * math.pi ** 2 * y * y)
     if theta:
         terms = terms * np.cos(2 * math.pi * theta * k)
     partial, slack = _stable_sum(terms)
-    rem = 1.0 / (math.pi ** 2 * a ** 2 * (K - s)) * (1 + _SAFETY) + slack
-    return partial, rem, K * a + abs(shift)
+    return partial, 1.0 / (math.pi ** 2 * a ** 2 * K) * (1 + _SAFETY) + slack
 
 
-def _sum1d_gauss_exact(a, shift, theta, tol_abs):
-    """sum_k sqrt(pi) e^{-pi^2 (a k + shift)^2} cos(2 pi theta k), certified."""
-    a = abs(float(a))
-    s = abs(float(shift)) / a
-    c = math.pi ** 2 * a ** 2
-    # both half-tails under 2 sqrt(pi) e^{-c (K-s)^2} / (1 - e^{-c})
-    K = int(math.ceil(s + math.sqrt(max(
-        (math.log(2.0 * math.sqrt(math.pi) / tol_abs)
-         - math.log1p(-math.exp(-c))) / c, 1.0)))) + 2
-    k = np.arange(-K, K + 1, dtype=float)
-    y = a * k + shift
-    terms = math.sqrt(math.pi) * np.exp(-math.pi ** 2 * y * y)
-    if theta:
-        terms = terms * np.cos(2 * math.pi * theta * k)
-    partial, slack = _stable_sum(terms)
-    rem = (2.0 * math.sqrt(math.pi) * math.exp(-c * (K - s) ** 2)
-           / -math.expm1(-c) * (1 + _SAFETY) + slack)
-    return partial, rem, K * a + abs(shift)
-
-
-def _sum1d_table(table, a, shift, theta, tol_abs, grid_budget=DEFAULT_GRID_BUDGET):
+def _sum1d_table(table, a, theta, tol_abs, grid_budget=DEFAULT_GRID_BUDGET):
     """Tabulated-transform analogue of _sum1d_rational, with interpolation slop.
 
     The power-law envelope on fhat_p is only certified past the last table
@@ -288,34 +276,32 @@ def _sum1d_table(table, a, shift, theta, tol_abs, grid_budget=DEFAULT_GRID_BUDGE
     """
     p = table.p
     a = abs(float(a))
-    s = abs(float(shift)) / a
     ctail = 2.0 * abs(table.tail_exponent_coeff)
     if ctail == 0.0:  # p = 2: the transform is an exact gaussian
         raise ValueError("use the exact gaussian path for p = 2")
     per_point = 10.0 * table.tol
-    K = int(math.ceil(table.r_max / a + s)) + 1
+    K = int(math.ceil(table.r_max / a)) + 1
     if 2 * K + 1 > grid_budget:
         raise ToleranceUnreachedError(
             tol_abs, math.inf, where=f"table 1d sum (p={p:g}): spacing {a:g} "
             "needs more terms than the grid budget")
     k = np.arange(-K, K + 1, dtype=float)
-    y = a * k + shift
+    y = a * k
     terms = table.eval(y)
     ay = np.abs(y)
     far = ay > table.r_max  # beyond the nodes: |truth - eval| <= envelope + eval
     slop = per_point * float(np.sum(~far))
     if np.any(far):
         slop += float(np.sum(terms[far] + table.tail_envelope(ay[far])))
-    # omitted |k| > K have |y| >= a(K-s) >= r_max, where the envelope holds
-    tail = 2.0 * ctail * a ** (-p - 1) * (K - s) ** (-p) / p
+    # omitted |k| > K have |y| >= a K >= r_max, where the envelope holds
+    tail = 2.0 * ctail * a ** (-p - 1) * K ** (-p) / p
     if tail + slop > tol_abs:
         raise ToleranceUnreachedError(tol_abs, tail + slop,
                                       where=f"table 1d sum (p={p:g})")
     if theta:
         terms = terms * np.cos(2 * math.pi * theta * k)
     partial, slack = _stable_sum(terms)
-    rem = tail * (1 + _SAFETY) + slop + slack
-    return partial, rem, K * a + abs(shift)
+    return partial, tail * (1 + _SAFETY) + slop + slack
 
 
 def _product_interval(parts):
@@ -333,88 +319,60 @@ def _product_interval(parts):
     return value, err
 
 
-def _product_fhat_sum(diag, spec, t, v, theta, tol_abs, table=None):
-    """Certified sum over a diagonal lattice of prod_j fhat_1d(t d_j k_j + v_j),
-    optionally phase-weighted by cos(2 pi sum theta_j k_j) via factorization."""
+def _product_fhat_sum(diag, spec, t, theta, tol_abs, table=None):
+    """Certified sum over a diagonal lattice of prod_j fhat_1d(t d_j k_j),
+    phase-weighted by cos(2 pi sum theta_j k_j) via factorization."""
     fam = spec.family
     n = len(diag)
     if fam in ("exp_l1",) or (fam == "supergaussian" and abs(spec.p - 1.0) < 1e-12):
         one_d = _sum1d_rational
-    elif fam == "supergaussian" and abs(spec.p - 2.0) < 1e-12:
-        one_d = _sum1d_gauss_exact
     elif fam == "supergaussian":
         if table is None or abs(table.p - spec.p) > 1e-12:
             raise ValueError("supergaussian dual sums need the matching transform table")
-        one_d = lambda a, sh, th, tl: _sum1d_table(table, a, sh, th, tl)
+        one_d = lambda a, th, tl: _sum1d_table(table, a, th, tl)
     else:
         raise ValueError(f"no product transform path for {fam!r}")
 
-    # the cosine-only 1d sums rely on the sin part cancelling over the
-    # symmetric index range, which needs either the shift or the phase to
-    # vanish in each coordinate
-    if any(v[j] and theta[j] for j in range(n)):
-        raise InvariantError("a coordinate has both a shift and a phase")
     # first pass at loose tolerance to size the factors, then split the
     # absolute budget so the propagated product error stays under tol_abs
-    rough = [one_d(t * diag[j], v[j], theta[j], 1e-3) for j in range(n)]
-    mags = [abs(val) + err for val, err, _ in rough]
+    rough = [one_d(t * diag[j], theta[j], 1e-3) for j in range(n)]
+    mags = [abs(val) + err for val, err in rough]
     full = 1.0
     for m in mags:
         full *= max(m, 1e-3)
     parts = []
-    radius = 0.0
     for j in range(n):
         other = full / max(mags[j], 1e-3)
         tol_j = tol_abs / (n * max(other, 1e-12))
-        val, err, reach = one_d(t * diag[j], v[j], theta[j], tol_j)
-        parts.append((val, err))
-        radius = max(radius, reach)
-    value, err = _product_interval(parts)
-    return value, err, radius
+        parts.append(one_d(t * diag[j], theta[j], tol_j))
+    return _product_interval(parts)
 
 
 def dual_fhat_sum(L: Lattice, spec: TestFunctionSpec, v, target_tol: float,
-                  node_budget: int = DEFAULT_NODE_BUDGET,
-                  table=None) -> CertifiedSum:
-    """Certified sum of fhat(mu + v) over the dual lattice.
+                  node_budget: int = DEFAULT_NODE_BUDGET) -> CertifiedSum:
+    """Certified sum of fhat(mu + v) over the dual lattice, for any family
+    and any basis, by Poisson summation on the primal side:
 
-    Self-dual families reduce to certified_sum on the dual; the supergaussian
-    p=2 transform is an exact rescaled gaussian; the remaining transforms
-    decay too slowly for the cell-tiling envelope and are summed coordinate
-    by coordinate, which requires a diagonal basis.
+        sum_{L*} fhat(mu + v)  =  covol(L) sum_L f(lambda) cos(2 pi lambda.v),
+
+    which holds because every family is even.  The right-hand side is
+    truncated where certified_sum(L, spec, 0, 1, target_tol) truncates, so
+    target_tol is relative to the unshifted sum, and its tail is at most
+    that sum's tail bound, since |cos| <= 1.  The terms are signed, so the
+    interval [covol (partial - rem), covol (partial + rem)] is symmetric.
     """
     v = np.asarray(v, dtype=float)
-    fam = spec.family
-    if is_self_dual(fam):
-        return certified_sum(dual(L), spec, v, 1.0, target_tol, node_budget)
-    if fam == "supergaussian" and abs(spec.p - 2.0) < 1e-12:
-        # fhat(xi) = pi^{n/2} e^{-pi^2 ||xi||^2} = pi^{n/2} g(sqrt(pi) xi)
-        rt = math.sqrt(math.pi)
-        scaled = Lattice(dual(L).basis * rt)
-        g = TestFunctionSpec("gaussian", L.dim)
-        inner = certified_sum(scaled, g, rt * v, 1.0, target_tol, node_budget)
-        amp = math.pi ** (L.dim / 2)
-        return CertifiedSum(partial=amp * inner.partial,
-                            remainder_bound=amp * inner.remainder_bound,
-                            truncation_radius=inner.truncation_radius / rt,
-                            norm_p=2.0, npoints=inner.npoints)
-
-    Ld = dual(L)
-    diag = _diag_entries(Ld)
-    if diag is None:
-        raise ValueError(
-            f"{fam!r} dual sums decay too slowly for a general basis; "
-            "only diagonal lattices are supported")
-    # rough positive scale for converting the relative tolerance
-    probe = _product_fhat_sum(diag, spec, 1.0, v, np.zeros(L.dim), 1e-3,
-                              table=table)[0]
-    tol_abs = target_tol * max(abs(probe), 1e-6)
-    value, err, radius = _product_fhat_sum(diag, spec, 1.0, v,
-                                           np.zeros(L.dim), tol_abs,
-                                           table=table)
-    # the summation region is a box, i.e. an l^inf ball
-    return CertifiedSum(partial=float(value - err), remainder_bound=float(2 * err),
-                        truncation_radius=float(radius), norm_p=math.inf)
+    origin = np.zeros(L.dim)
+    env = _envelope_for(spec)
+    log_target = lambda _: math.log(target_tol) + log_f(spec, origin)
+    emb, tail, S = _truncated(L, env, env.beta, origin, log_target,
+                              node_budget)
+    vals = np.exp(log_f(spec, emb)) * np.cos(2 * math.pi * (emb @ v))
+    partial, slack = _stable_sum(vals)
+    rem = tail + slack
+    lo, hi = L.covolume * (partial - rem), L.covolume * (partial + rem)
+    return CertifiedSum(partial=lo, remainder_bound=hi - lo,
+                        truncation_radius=S, norm_p=env.q, npoints=vals.size)
 
 
 def _weighted_dual_partial(L, spec, v, t, tol_abs, node_budget):
@@ -436,14 +394,9 @@ def _weighted_dual_partial(L, spec, v, t, tol_abs, node_budget):
     else:
         raise ValueError(f"no enumerable dual envelope for {fam!r}")
 
-    Ld = dual(L)
-    reduced = lll_reduce(Ld)
-    cell = _cell_shape(reduced.basis, env.q)
-    beta_eff = env.beta * t ** env.q
-    logtail = lambda S: _log_tail(n, Ld.covolume, env, beta_eff, cell, S)
-    s_floor = (2.0 * cell) ** (1.0 / env.q) if env.q <= 1.0 else 2.5 * cell
-    S = _presolve_radius(math.log(tol_abs), max(s_floor, 1e-3), logtail)
-    _, emb = enumerate_arrays(Ld, np.zeros(n), S, env.q, node_budget)
+    emb, tail, _ = _truncated(dual(L), env, env.beta * t ** env.q,
+                              np.zeros(n), lambda _: math.log(tol_abs),
+                              node_budget)
     vals = np.exp(log_terms(emb))
     phase = 2 * math.pi * (emb @ v)
     cos_part, slack_c = _stable_sum(vals * np.cos(phase))
@@ -451,8 +404,7 @@ def _weighted_dual_partial(L, spec, v, t, tol_abs, node_budget):
     if not abs(sin_part) <= 1e-12 * max(1.0, abs(cos_part)):
         raise InvariantError(
             "sin pairing failed to cancel over the symmetric point set")
-    rem = math.exp(min(logtail(S), 700.0)) * (1 + _SAFETY) + slack_c
-    return cos_part, rem
+    return cos_part, tail + slack_c
 
 
 def psf_residual(L: Lattice, spec: TestFunctionSpec, v, t: float,
@@ -485,8 +437,8 @@ def psf_residual(L: Lattice, spec: TestFunctionSpec, v, t: float,
                 "only diagonal lattices are supported")
         # cos(2 pi mu . v) factorizes over the coordinates of a diagonal dual
         theta = diag * v
-        dsum, _, _ = _product_fhat_sum(diag, spec, t, np.zeros(n), theta,
-                                       tol_abs, table=table)
+        dsum, _ = _product_fhat_sum(diag, spec, t, theta, tol_abs,
+                                    table=table)
     rhs = factor * dsum
     return abs(lhs.partial - rhs) / abs(rhs)
 
@@ -621,11 +573,16 @@ def check_tail_inequality(L: Lattice, spec: TestFunctionSpec, K: BodySpec,
 
 def check_part3(L: Lattice, spec: TestFunctionSpec, K: BodySpec, v,
                 nu: NuBound, tol: float = 1e-9,
-                node_budget: int = DEFAULT_NODE_BUDGET, table=None) -> dict:
+                node_budget: int = DEFAULT_NODE_BUDGET) -> dict:
     """Check sum_{L*} fhat(mu+v) >= (1 - 2 nu) sum_{L*} fhat(mu).
 
     Requires that K contain no nonzero lattice vector; that is verified by
     exact enumeration first, and a violation is an error naming the vector.
+    Both dual sums come from dual_fhat_sum, so the check rests on Poisson
+    summation (a theorem, not the inequality under test) and works for any
+    family and basis.  Their terms are signed, so each interval is
+    symmetric about its point estimate, and tol is relative to the
+    unshifted sum.
     """
     v = np.asarray(v, dtype=float)
     coords, emb = enumerate_arrays(L, np.zeros(L.dim), K.radius, K.p,
@@ -637,9 +594,9 @@ def check_part3(L: Lattice, spec: TestFunctionSpec, K: BodySpec, v,
             f"K (l^{K.p:g} ball, radius {K.radius:g}) contains the nonzero "
             f"lattice vector {np.round(witness, 12).tolist()}")
     coeff = 1.0 - 2.0 * nu.value
-    rhs_sum = dual_fhat_sum(L, spec, np.zeros(L.dim), tol, node_budget, table)
+    rhs_sum = dual_fhat_sum(L, spec, np.zeros(L.dim), tol, node_budget)
     lhs = (rhs_sum if not np.any(v)
-           else dual_fhat_sum(L, spec, v, tol, node_budget, table))
+           else dual_fhat_sum(L, spec, v, tol, node_budget))
     rhs_iv = ((coeff * rhs_sum.lower, coeff * rhs_sum.upper) if coeff >= 0
               else (coeff * rhs_sum.upper, coeff * rhs_sum.lower))
     # the claim is rhs <= lhs

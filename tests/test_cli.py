@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+import latbounds.cli as cli
 from latbounds.cli import _fmt, _write_plot_csv, main, plan_manifest
 from latbounds.errors import BudgetExceededError
 from latbounds.lattice import integer_lattice, save_lattice
@@ -259,6 +260,26 @@ def test_plot_csv_sweep_keeps_manifest_node_budget(tmp_path, z2):
     with pytest.raises(BudgetExceededError) as exc:
         _write_plot_csv(tmp_path / "curves.csv", plans)
     assert exc.value.budget == 3
+
+
+def test_part3_needs_no_transform_table(tmp_path, monkeypatch):
+    # part3 sums its dual side on the primal lattice, so a fractional-p
+    # supergaussian plans and runs without building or caching a table
+    def no_table(*args, **kwargs):
+        raise AssertionError("part3 built a transform table")
+    monkeypatch.setattr(cli, "cached_transform_table", no_table)
+    tables = tmp_path / "tables"
+    tables.mkdir()
+    man = {"seed": 3, "table_dir": str(tables),
+           "checks": [{"check_name": "part3",
+                       "params": {"family": "supergaussian", "p": 1.5,
+                                  "radius": 1.9, "v": "random",
+                                  "lattice": {"kind": "basis",
+                                              "basis": [[2.0, 0.0], [0.0, 2.0]],
+                                              "name": "2Z^2"}}}]}
+    records = [run() for run in plan_manifest(man, str(tmp_path))]
+    assert records[0]["verdict"] == "PASS"
+    assert list(tmp_path.rglob("*")) == [tables]
 
 
 def test_main_callable_in_process(capsys, z1):

@@ -1,7 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from latbounds.bounds import NuBound, cosh_nu_bound
 from latbounds.enumeration import BodySpec
@@ -119,26 +122,91 @@ def test_dual_sum_supergaussian_p2_self_consistent():
     assert abs(prim.partial - ds.partial) <= tol
 
 
-def test_dual_sum_table_path(table15):
-    L = integer_lattice(1)
-    spec = FnSpec("supergaussian", 1, p=1.5)
-    prim = certified_sum(L, spec, np.zeros(1), 1.0, 1e-9)
-    ds = dual_fhat_sum(L, spec, np.zeros(1), 1e-4, table=table15)
-    assert abs(prim.partial - ds.partial) <= \
-        prim.remainder_bound + ds.remainder_bound
+def test_dual_sum_table_path():
+    # fractional p needs no transform table, and reaches tol 1e-9 on a
+    # sheared basis of Z^2 (whose dual is Z^2 again)
+    L = random_unimodular_lattice(2, 5)
+    spec = FnSpec("supergaussian", 2, p=1.5)
+    v = np.array([0.3, -0.15])
+    ds = dual_fhat_sum(L, spec, v, 1e-9)
+    exact = _oracle("supergaussian", 1.5, [1.0, 1.0], v)
+    full = _oracle("supergaussian", 1.5, [1.0, 1.0], [0.0, 0.0])
+    assert _contains(ds.interval(), exact)
+    assert ds.remainder_bound <= 2e-9 * full
 
 
-def test_dual_sum_rejects_non_diagonal():
+def test_dual_sum_sheared_basis_exp_l1():
+    # [[1, 1], [0, 1]] spans Z^2: the Poisson-kernel closed form per axis
     L = Lattice(np.array([[1.0, 1.0], [0.0, 1.0]]))
-    with pytest.raises(ValueError, match="diagonal"):
-        dual_fhat_sum(L, FnSpec("exp_l1", 2), np.zeros(2), 1e-6)
+    v = np.array([0.2, -0.35])
+    ds = dual_fhat_sum(L, FnSpec("exp_l1", 2), v, 1e-6)
+    assert _contains(ds.interval(), _oracle("exp_l1", None, [1.0, 1.0], v))
 
 
 def test_dual_sum_honest_tolerance_failure():
+    # psf sums the exp_l1 dual side directly; its rational 1-D series
+    # cannot reach 1e-12 within the grid budget and says so
     with pytest.raises(ToleranceUnreachedError) as ei:
-        dual_fhat_sum(integer_lattice(1), FnSpec("exp_l1", 1),
-                      np.zeros(1), 1e-12)
+        psf_residual(integer_lattice(1), FnSpec("exp_l1", 1),
+                     np.zeros(1), 1.0, 1e-12)
     assert ei.value.achieved > ei.value.requested
+
+
+# Room at the lower end of an interval only, as in the benchmark's oracles:
+# the program charges nothing for the rounding of its float terms (exp,
+# cos, the embedding), so a lower end may sit a few ulps above the exact
+# value.  16 ulp is 3.6e-15 relative, orders of magnitude below the widths
+# here, so it cannot hide a missed point or a short tail bound.
+_ROOM = 16 * 2.0 ** -52
+
+
+def _contains(interval, exact):
+    lo, hi = interval
+    with mpmath.workdps(30):
+        return (mpmath.mpf(lo) <= exact * (1 + _ROOM)
+                and exact <= mpmath.mpf(hi))
+
+
+def _oracle_1d(family, p, d, x):
+    """sum over the dual of dZ of fhat(mu + x): jtheta for the gaussian,
+    the Poisson kernel for exp_l1, nsum of the primal series
+    d sum_k f(d k) cos(2 pi d k x) for a supergaussian."""
+    d, x = mpmath.mpf(d), mpmath.mpf(x)
+    if family == "gaussian":
+        return d * mpmath.jtheta(3, mpmath.pi * d * x,
+                                 mpmath.exp(-mpmath.pi * d * d))
+    if family == "exp_l1":
+        r = mpmath.exp(-d)
+        return d * (1 - r * r) / (1 - 2 * r * mpmath.cos(2 * mpmath.pi * d * x)
+                                  + r * r)
+    return d * mpmath.nsum(lambda k: mpmath.exp(-abs(d * k) ** p)
+                           * mpmath.cos(2 * mpmath.pi * d * k * x),
+                           [-mpmath.inf, mpmath.inf])
+
+
+def _oracle(family, p, diag, v):
+    """The dual sum over diag(diag) at shift v, a product of 1-D series,
+    to 30 digits."""
+    with mpmath.workdps(30):
+        return mpmath.fprod(_oracle_1d(family, p, d, x)
+                            for d, x in zip(diag, v))
+
+
+@given(fam=st.sampled_from([("gaussian", None), ("exp_l1", None),
+                            ("supergaussian", 1.5), ("supergaussian", 2.0)]),
+       diag=st.lists(st.sampled_from([0.75, 1.0, 1.25, 2.0, 3.0]),
+                     min_size=1, max_size=3),
+       tol=st.sampled_from([1e-6, 1e-9]), data=st.data())
+def test_dual_sum_contains_mpmath_oracle(fam, diag, tol, data):
+    family, p = fam
+    n = len(diag)
+    v = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n,
+                                    max_size=n)))
+    ds = dual_fhat_sum(Lattice(np.diag(diag)), FnSpec(family, n, p=p), v, tol)
+    exact = _oracle(family, p, diag, v)
+    full = _oracle(family, p, diag, [0.0] * n)
+    assert _contains(ds.interval(), exact)
+    assert ds.remainder_bound <= 2 * tol * full
 
 
 @pytest.mark.parametrize("fam,lat,t,v,cap", [
@@ -335,14 +403,6 @@ def test_transference_z2_l1():
 def test_transference_rejects_other_p():
     with pytest.raises(ValueError):
         transference_check(integer_lattice(2), 1.5)
-
-
-def test_product_fhat_sum_rejects_shift_with_phase():
-    # no public caller passes both; the cosine-only 1-D sums would be wrong
-    with pytest.raises(InvariantError, match="shift and a phase"):
-        verify._product_fhat_sum(np.ones(2), FnSpec("exp_l1", 2), 1.0,
-                                 np.array([0.1, 0.0]), np.array([0.2, 0.0]),
-                                 1e-6)
 
 
 def test_psf_raises_when_sin_pairing_does_not_cancel(monkeypatch):
