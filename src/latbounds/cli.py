@@ -540,7 +540,9 @@ def _build_parser():
     common(p, tfun=False)
     p.add_argument("--p", type=float, required=True, help="1 or 2")
     p.add_argument("--resolution", type=int, default=64)
-    p.add_argument("--grid-budget", type=int, default=DEFAULT_GRID_BUDGET)
+    p.add_argument("--grid-budget", type=int, default=DEFAULT_GRID_BUDGET,
+                   help="cap on the cube centres the covering-radius search "
+                        "evaluates; past it the check stops with an error")
     p.set_defaults(func=cmd_check, check="transference")
 
     p = sub.add_parser("kissing", help="short vector census vs cap")

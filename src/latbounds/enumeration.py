@@ -11,6 +11,12 @@ interval.  Each leaf of the search is therefore stored as an interval
 expanded into one (m, n) int64 array in a single numpy pass at the end.
 l^p balls for p != 2 are handled by enumerating the circumscribed l^2 ball
 and filtering, with the norm-comparison factor max(1, n^(1/2 - 1/p)).
+
+The covering radius is bracketed by a second, geometric branch-and-bound:
+dyadic cubes of the reduced basis's coefficient space are split only while
+their Lipschitz upper bound can still exceed the best centre distance by
+more than the requested width, so the work follows the shape of the
+distance function rather than a uniform resolution^n grid.
 """
 
 from __future__ import annotations
@@ -21,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError, InvariantError
-from .lattice import Lattice, _gso, lll_reduce, lp_norm
+from .lattice import (Lattice, _gso, distortion_bound, lll_reduce, lp_norm,
+                      rational, rational_matmul, rational_solve)
 
 DEFAULT_NODE_BUDGET = 100_000_000
 DEFAULT_GRID_BUDGET = 10_000_000
@@ -183,61 +190,94 @@ def shortest_vector(L: Lattice, p: float = 2,
     return float(sigma), coords[nonzero][norms <= sigma * (1 + 1e-9)]
 
 
-def _fundamental_cell_data(L, p):
-    reduced = lll_reduce(L)
-    B = reduced.basis
-    row_norms = lp_norm(B, p)
-    d_cell = float(row_norms.sum())  # l^p diameter bound of the basis cell
-    return reduced, B, d_cell
+# relative outward rounding of a transported bracket: its two quotients,
+# and the float evaluation of the distances it came from, cost a few ulp
+_OUTWARD = 4 * 2.0 ** -52
+
+
+def transport_bracket(lo, hi, eps):
+    """Covering-radius bracket of lattice(A) from one of lattice(A @ T).
+
+    With ||T - I|| <= eps < 1, rho(A @ T) <= (1 + eps) rho(A) and rho(A) <=
+    rho(A @ T) / (1 - eps), so rho(A) lies in [lo/(1+eps), hi/(1-eps)].
+    Both ends are rounded outward by a few ulp.
+    """
+    if not eps < 1:
+        raise InvariantError(f"basis distortion {eps} is not below 1")
+    return lo / (1 + eps) * (1 - _OUTWARD), hi / (1 - eps) * (1 + _OUTWARD)
 
 
 def covering_radius_estimate(L: Lattice, p: float = 2, resolution: int = 64,
                              grid_budget: int = DEFAULT_GRID_BUDGET,
                              node_budget: int = DEFAULT_NODE_BUDGET):
-    """Certified bracket (lower, upper) for the l^p covering radius.
+    """Bracket (lower, upper) for the l^p covering radius of L, p >= 1.
 
-    Sweeps a resolution^dim grid over the fundamental cell of the reduced
-    basis, takes the exact CVP distance at every grid point (lower bound),
-    and pads by the grid-cell diameter (upper bound): the distance function
-    is 1-Lipschitz, so no point of the cell can beat the padded maximum.
+    Branch-and-bound over dyadic cubes in the coefficient space of the
+    LLL-reduced basis, starting from the whole cell [0,1)^n.  Level k
+    evaluates the exact CVP distance at the centres of all its cubes (side
+    2^-k) in one batch, the largest so far being the lower end; a cube's
+    upper bound is that distance plus half its diameter, d_cell * 2^-(k+1),
+    since the distance is 1-Lipschitz.  A cube whose upper bound is at most best + d_cell /
+    resolution is dropped, every other one splits into its 2^n children, and
+    the upper end is the largest upper bound of any dropped cube.  So
+    upper - lower <= d_cell / resolution, as for a resolution^n grid, where
+    d_cell is the sum of the reduced rows' l^p norms.
+
+    grid_budget caps the number of centres evaluated; past it the search
+    raises BudgetExceededError.  The bracket is for the lattice spanned
+    exactly by L.basis: when the float LLL moved the lattice, the move is
+    bounded exactly (``distortion_bound``) and undone by
+    ``transport_bracket``.  The distances themselves are float values, a few
+    ulp from exact; a caller that needs certified ends rounds them outward,
+    as ``transference_check`` does.
     """
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
+    if not p >= 1:
+        raise ValueError(f"the covering bracket needs a norm, p >= 1, got {p}")
     n = L.dim
-    total = resolution ** n
-    if total > grid_budget:
-        raise BudgetExceededError(grid_budget, total)
-
-    reduced, B, d_cell = _fundamental_cell_data(L, p)
+    reduced, U = lll_reduce(L, return_transform=True)
+    B = reduced.basis
+    d_cell = float(lp_norm(B, p).sum())  # l^p diameter bound of the basis cell
     centroid = 0.5 * B.sum(axis=0)
-    # Every grid point is within d_cell/2 of the centroid, and its nearest
-    # lattice point is within d_cell/2 of it (round the coefficients), so a
-    # ball of radius d_cell around the centroid certifiably contains every
-    # nearest neighbour of every grid point.
+    # Every point of the cell is within d_cell/2 of the centroid, and its
+    # nearest lattice point is within d_cell/2 of it (round the
+    # coefficients), so a ball of radius d_cell around the centroid
+    # certifiably contains every nearest neighbour of every centre.
     _, S = enumerate_arrays(reduced, -centroid, d_cell, p=p,
                             node_budget=node_budget)
     if not len(S):
         raise InvariantError("candidate set for covering radius is empty")
 
-    best = 0.0
-    if p == 2:
-        # matmul distance expansion: far cheaper than the broadcast path
-        chunk = max(1, int(20_000_000 / max(1, len(S))))
-        S_sq = (S * S).sum(axis=1)
-    else:
-        chunk = max(1, int(4_000_000 / max(1, len(S) * n)))
     babai_bound = d_cell / 2 + 1e-9 * max(1.0, d_cell)
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total))
-        K = np.array(np.unravel_index(idx, (resolution,) * n)).T
-        G = (K / resolution) @ B
-        if p == 2:
-            d2 = (G * G).sum(axis=1)[:, None] - 2.0 * (G @ S.T) + S_sq[None, :]
-            dists = np.sqrt(np.maximum(d2.min(axis=1), 0.0))
-        else:
-            dists = lp_norm(G[:, None, :] - S[None, :, :], p).min(axis=1)
+    chunk = max(1, 4_000_000 // (len(S) * n))
+    children = np.indices((2,) * n).reshape(n, -1).T - 0.5
+    K = np.full((1, n), 0.5)  # cube centres, in coefficients
+    half = 0.5                # half the cubes' side
+    best = upper_end = 0.0
+    evaluated = 1
+    while len(K):
+        if evaluated > grid_budget:
+            raise BudgetExceededError(grid_budget, evaluated)
+        G = K @ B
+        dists = np.concatenate([
+            lp_norm(G[i:i + chunk, None, :] - S[None, :, :], p).min(axis=1)
+            for i in range(0, len(G), chunk)])
         if not dists.max() <= babai_bound:
             raise InvariantError("candidate ball missed a nearest point")
         best = max(best, float(dists.max()))
+        upper = dists + d_cell * half
+        done = upper <= best + d_cell / resolution
+        upper_end = float(np.max(upper, where=done, initial=upper_end))
+        K = K[~done]
+        evaluated += len(K) << n
+        if evaluated <= grid_budget:  # else the loop raises, nothing built
+            K = (K[:, None, :] + half * children).reshape(-1, n)
+        half /= 2
 
-    return best, best + d_cell / resolution
+    # reduced.basis = (U @ L.basis) @ drift exactly, U unimodular
+    drift = rational_solve(rational_matmul(rational(U), rational(L.basis)),
+                           rational(B))
+    eps = distortion_bound(drift, p)
+    return (best, upper_end) if eps == 0 else \
+        transport_bracket(best, upper_end, eps)

@@ -17,7 +17,7 @@ class IllConditionedBasisError(LatticeError):
 
 
 class BudgetExceededError(LatticeError):
-    """An enumeration or grid sweep ran past its node/sample budget.
+    """An enumeration or covering search ran past its node/centre budget.
 
     Carries how far the computation got, so callers can report partial
     progress instead of silently truncating.

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -163,6 +164,61 @@ def same_lattice(L1: Lattice, L2: Lattice, tol: float = 1e-9) -> bool:
         if not np.allclose(C, np.round(C), atol=tol):
             return False
     return True
+
+
+def rational(A):
+    """Exact copy of a float or integer matrix as lists of Fractions (every
+    float is a dyadic rational)."""
+    return [[Fraction(x) for x in row] for row in np.asarray(A).tolist()]
+
+
+def rational_matmul(A, C):
+    return [[sum(a * c for a, c in zip(row, col)) for col in zip(*C)]
+            for row in A]
+
+
+def rational_solve(A, C):
+    """The exact X with A @ X == C, by Gauss-Jordan elimination."""
+    n = len(A)
+    M = [list(a) + list(c) for a, c in zip(A, C)]
+    for k in range(n):
+        piv = next((i for i in range(k, n) if M[i][k] != 0), None)
+        if piv is None:
+            raise InvariantError("exactly singular basis")
+        M[k], M[piv] = M[piv], M[k]
+        pk = M[k][k]
+        M[k] = [x / pk for x in M[k]]
+        for i in range(n):
+            f = M[i][k]
+            if i != k and f != 0:
+                M[i] = [x - f * y for x, y in zip(M[i], M[k])]
+    return [row[n:] for row in M]
+
+
+def _float_above(q):
+    x = float(q)
+    return x if Fraction(x) >= q else math.nextafter(x, math.inf)
+
+
+def distortion_bound(T, p) -> float:
+    """A float eps >= ||T - I|| for an exact rational T, where ||.|| is the
+    l^p operator norm of x -> x @ T on row vectors, p >= 1.
+
+    p=1: the largest row sum of |T - I|; p=2: its Frobenius norm; any other
+    p: the larger of the largest row and column sums (Riesz-Thorin).
+    """
+    E = [[abs(t - int(i == j)) for j, t in enumerate(row)]
+         for i, row in enumerate(T)]
+    if p == 2:
+        q = sum(e * e for row in E for e in row)
+        eps = math.sqrt(_float_above(q))
+        while Fraction(eps) ** 2 < q:
+            eps = math.nextafter(eps, math.inf)
+        return eps
+    s = max(sum(row) for row in E)
+    if p != 1:
+        s = max(s, max(sum(col) for col in zip(*E)))
+    return _float_above(s)
 
 
 def random_unimodular_lattice(dim: int, seed: int, shears: int | None = None) -> Lattice:

@@ -30,10 +30,11 @@ from .bounds import (NuBound, cosh_nu_bound, cstar, gaussian_nu_closed_form,
                      transference_bound_l1, transference_bound_l2)
 from .enumeration import (DEFAULT_GRID_BUDGET, DEFAULT_NODE_BUDGET, BodySpec,
                           covering_radius_estimate, enumerate_arrays,
-                          shortest_vector)
+                          shortest_vector, transport_bracket)
 from .errors import InvariantError, ToleranceUnreachedError
 from .functions import TestFunctionSpec, is_self_dual, log_f
-from .lattice import Lattice, dual, lll_reduce, lp_norm
+from .lattice import (Lattice, distortion_bound, dual, lll_reduce, lp_norm,
+                      rational, rational_matmul)
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -660,14 +661,25 @@ class TransferenceReport:
 def transference_check(L: Lattice, p: float, resolution: int = 64,
                        node_budget: int = DEFAULT_NODE_BUDGET,
                        grid_budget: int = DEFAULT_GRID_BUDGET) -> TransferenceReport:
-    """sigma_p(L) * rho_p(dual L) against the dimension bound, p in {1, 2}."""
+    """sigma_p(L) * rho_p(dual L) against the dimension bound, p in {1, 2}.
+
+    The covering bracket is certified for the exact dual lattice, not for
+    the float inverse of L's basis that the search runs on.
+    """
     if p not in (1, 2):
         raise ValueError("transference bounds are implemented for p in {1, 2}")
     n = L.dim
     sigma, _ = shortest_vector(L, p)
-    rho_lo, rho_hi = covering_radius_estimate(dual(L), p, resolution,
-                                              grid_budget=grid_budget,
-                                              node_budget=node_budget)
+    # The search runs on Ld, whose basis is the float inverse of L's.  As
+    # exact rationals Ld.basis = B^-T @ M with M = B^T @ Ld.basis, so the
+    # exact dual's radius follows from the bracket and ||M - I||; the
+    # transport also rounds out the float error of the distances.
+    Ld = dual(L)
+    M = rational_matmul(rational(L.basis.T), rational(Ld.basis))
+    rho_lo, rho_hi = transport_bracket(
+        *covering_radius_estimate(Ld, p, resolution, grid_budget=grid_budget,
+                                  node_budget=node_budget),
+        distortion_bound(M, p))
     bound = transference_bound_l2(n) if p == 2 else transference_bound_l1(n).value
     product = sigma * rho_hi
     margin, verdict = _verdict((sigma * rho_lo, product), (bound, bound))

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import assume, given, strategies as st
 
 import latbounds.enumeration as enumeration
 from latbounds.enumeration import (covering_radius_estimate, enumerate_arrays,
-                                   l2_circumscribe_factor, shortest_vector)
+                                   l2_circumscribe_factor, shortest_vector,
+                                   transport_bracket)
 from latbounds.errors import BudgetExceededError, InvariantError
 from latbounds.lattice import (Lattice, integer_lattice, lp_norm, lll_reduce,
                                random_unimodular_lattice)
@@ -141,9 +143,70 @@ def test_covering_radius_skewed_basis_same_bracket():
 
 
 def test_covering_radius_budget():
+    # the budget caps centre evaluations (Z^3 at resolution 512 needs 777)
     with pytest.raises(BudgetExceededError):
         covering_radius_estimate(integer_lattice(3), resolution=512,
-                                 grid_budget=10 ** 6)
+                                 grid_budget=100)
+    # Z^4 at resolution 32: 1,553 centres, not a 32^4 grid
+    lo, hi = covering_radius_estimate(integer_lattice(4), 2, 32,
+                                      grid_budget=5000)
+    assert lo <= 1.0 <= hi
+    assert hi - lo <= 4 / 32
+
+
+@pytest.mark.parametrize("resolution", [3, 16, 64])
+def test_covering_radius_hexagonal_needs_refinement(resolution):
+    # A_2's deep hole, at distance 1/sqrt(3), is no cube centre of this basis
+    B = np.array([[1.0, 0.0], [0.5, math.sqrt(3) / 2]])
+    lo, hi = covering_radius_estimate(Lattice(B), 2, resolution)
+    rho = 1 / math.sqrt(3)
+    assert lo <= rho * (1 + 1e-12) and rho <= hi * (1 + 1e-12)
+    assert hi - lo <= 2 / resolution  # d_cell = 2
+
+
+def _exact_rho2_squared(B):
+    """Squared l^2 covering radius of the 2-D lattice spanned exactly by the
+    float rows of B: Gauss-reduce in Fractions, then the circumradius of the
+    non-obtuse triangle (0, u, v)."""
+    u, v = ([Fraction(x) for x in row] for row in B.tolist())
+    dot = lambda a, b: a[0] * b[0] + a[1] * b[1]
+    while True:
+        if dot(v, v) < dot(u, u):
+            u, v = v, u
+        q = round(dot(u, v) / dot(u, u))
+        if q == 0:
+            break
+        v = [v[0] - q * u[0], v[1] - q * u[1]]
+    if dot(u, v) < 0:
+        v = [-v[0], -v[1]]
+    w = [u[0] - v[0], u[1] - v[1]]
+    cross = u[0] * v[1] - u[1] * v[0]
+    return dot(u, u) * dot(v, v) * dot(w, w) / (4 * cross * cross)
+
+
+@given(a=st.floats(0.2, 1.0), b=st.floats(0.2, 1.0), s=st.floats(0.5, 2.0),
+       k=st.integers(10 ** 3, 10 ** 7))
+def test_covering_radius_holds_through_lll_drift(a, b, s, k):
+    # a rectangular lattice behind a long float shear: undoing the shear in
+    # floats moves the lattice by ~1e-10, far more than rounding the ends
+    B = np.array([[a, b], [-b * s + k * a, a * s + k * b]])
+    lo, hi = covering_radius_estimate(Lattice(B), 2, 16)
+    rho2 = _exact_rho2_squared(B)
+    # the distances are floats, a few ulp from exact
+    assert Fraction(lo) ** 2 <= rho2 * (1 + Fraction(1, 10 ** 14))
+    assert rho2 <= Fraction(hi) ** 2
+
+
+def test_transport_bracket():
+    assert transport_bracket(1.0, 2.0, 0.5)[0] <= 1.0 / 1.5
+    assert transport_bracket(1.0, 2.0, 0.5)[1] >= 2.0 / 0.5
+    with pytest.raises(InvariantError, match="distortion"):
+        transport_bracket(1.0, 2.0, 1.0)
+
+
+def test_covering_radius_rejects_quasi_norm():
+    with pytest.raises(ValueError, match="p >= 1"):
+        covering_radius_estimate(integer_lattice(2), p=0.5)
 
 
 @pytest.mark.parametrize("check, coords, emb, match", [

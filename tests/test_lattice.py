@@ -1,14 +1,16 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import latbounds.lattice as lattice
 from latbounds.errors import InvariantError
-from latbounds.lattice import (Lattice, dual, integer_lattice, lll_reduce,
-                               load_lattice, lp_norm,
-                               random_unimodular_lattice, same_lattice,
+from latbounds.lattice import (Lattice, distortion_bound, dual,
+                               integer_lattice, lll_reduce, load_lattice,
+                               lp_norm, random_unimodular_lattice, rational,
+                               rational_matmul, rational_solve, same_lattice,
                                save_lattice)
 
 
@@ -120,3 +122,37 @@ def test_unimodular_raises_when_determinant_is_lost(monkeypatch):
     monkeypatch.setattr(lattice.np.linalg, "det", lambda a: 2.0)
     with pytest.raises(InvariantError, match="determinant"):
         random_unimodular_lattice(3, seed=1)
+
+
+def test_rational_solve_is_exact():
+    L = random_unimodular_lattice(3, 7)
+    A, C = rational(dual(L).basis), rational(np.eye(3) / 3)
+    X = rational_solve(A, C)
+    assert rational_matmul(A, X) == C
+    with pytest.raises(InvariantError, match="singular"):
+        rational_solve(rational([[1.0, 2.0], [0.5, 1.0]]), C[:2])
+
+
+def test_distortion_bound_rounds_up():
+    third = Fraction(1, 3)
+    T = [[1 + third, third], [Fraction(0), Fraction(1)]]
+    assert distortion_bound(rational(np.eye(2)), 2) == 0.0
+    # p=1: the largest row sum of |T - I|, 2/3; p=2: Frobenius sqrt(2)/3
+    eps1, eps2 = distortion_bound(T, 1), distortion_bound(T, 2)
+    assert Fraction(eps1) >= 2 * third and eps1 - 2 / 3 <= 2e-16
+    assert Fraction(eps2) ** 2 >= 2 * third ** 2
+    assert eps2 - math.sqrt(2) / 3 <= 2e-16
+    # other p: the larger of the row and column sums
+    T = [[Fraction(1), Fraction(1, 2)], [Fraction(1, 4), Fraction(1)]]
+    assert distortion_bound(T, 1) == 0.5
+    assert distortion_bound(T, math.inf) == 0.5
+
+
+def test_float_dual_is_near_the_exact_dual():
+    # B^T @ dual(L).basis is I up to the float inverse's error
+    L = random_unimodular_lattice(2, 218)
+    M = rational_matmul(rational(L.basis.T), rational(dual(L).basis))
+    assert 0 < distortion_bound(M, 2) < 1e-9
+    Z = integer_lattice(3)
+    M = rational_matmul(rational(Z.basis.T), rational(dual(Z).basis))
+    assert distortion_bound(M, 1) == 0.0

@@ -1,9 +1,10 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from latbounds.bounds import NuBound, cosh_nu_bound
@@ -11,8 +12,8 @@ from latbounds.enumeration import BodySpec
 import latbounds.verify as verify
 from latbounds.errors import InvariantError, ToleranceUnreachedError
 from latbounds.functions import TestFunctionSpec as FnSpec
-from latbounds.lattice import Lattice, integer_lattice, lll_reduce, \
-    random_unimodular_lattice
+from latbounds.lattice import Lattice, dual, integer_lattice, lll_reduce, \
+    lp_norm, random_unimodular_lattice
 from latbounds.verify import (FAIL, INCONCLUSIVE, PASS, CertifiedSum,
                               _verdict, certified_sum, check_part1, check_part3,
                               check_tail_inequality, dual_fhat_sum,
@@ -398,6 +399,25 @@ def test_transference_z2_l1():
     rep = transference_check(integer_lattice(2), 1.0, resolution=64)
     assert rep.verdict == PASS
     assert abs(rep.rho_bracket[0] - 1.0) < 1e-15
+
+
+@given(n=st.integers(1, 3), seed=st.integers(0, 10 ** 6),
+       p=st.sampled_from([1.0, 2.0]),
+       resolution=st.sampled_from([1, 2, 5, 16, 32]))
+@example(n=2, seed=158, p=1.0, resolution=32)
+@example(n=2, seed=334, p=1.0, resolution=32)
+@example(n=2, seed=454, p=1.0, resolution=32)
+def test_transference_bracket_holds_exact_radius(n, seed, p, resolution):
+    # the dual of a sheared Z^n is Z^n: rho_2 = sqrt(n)/2, rho_1 = n/2
+    L = random_unimodular_lattice(n, seed)
+    rep = transference_check(L, p, resolution=resolution)
+    lo, hi = (Fraction(x) for x in rep.rho_bracket)
+    if p == 2:
+        assert lo * lo <= Fraction(n, 4) <= hi * hi
+    else:
+        assert lo <= Fraction(n, 2) <= hi
+    d_cell = lp_norm(lll_reduce(dual(L)).basis, p).sum()
+    assert hi - lo <= d_cell / resolution * (1 + 1e-9)
 
 
 def test_transference_rejects_other_p():
