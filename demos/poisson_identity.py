@@ -1,9 +1,12 @@
 """Poisson summation as a cross-check: primal sum vs dual sum.
 
 covol(L) * sum_L f(lambda + v) must equal sum_{L*} fhat(mu) e(mu . v).
-Both sides are computed independently with certified remainders, so the
-residual is a hard consistency test of enumeration, transforms and duals
-all at once.
+The left side is certified_sum over L; for the families whose transform
+decays exponentially the right side is dual_fhat_sum (part 3's kernel) over
+t L*, itself a cos-weighted sum over that lattice.  Both carry certified
+remainders, so the residual is a consistency test of enumeration, duals and
+part 3's Poisson kernel at once.  exp_l1 and fractional p sum the dual
+directly, as products of 1-D series.
 """
 
 import numpy as np

@@ -15,7 +15,8 @@ The package has three layers:
 
 Every reported verdict is backed by interval arithmetic: sums carry
 rigorous truncation remainders and comparisons are made pessimistically,
-so a PASS never rests on an uncertified digit.
+so a PASS never rests on an uncertified digit — except for psf, whose
+residual still compares the point estimates of its two certified sums.
 """
 
 from .bounds import (L1TransferenceBound, NuBound, cosh_nu_bound, cstar,

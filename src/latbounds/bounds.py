@@ -118,7 +118,7 @@ def supergaussian_mu_closed_form(p: float, r: float, n: int) -> NuBound:
     return NuBound(value=float(value), method="closed_form", u_star=1.0 / t)
 
 
-def cstar(tol: float = 1e-12) -> float:
+def cstar() -> float:
     """max over z >= 0 of z - z tanh(z) / (1 + sech(z)/2), about 0.42479.
 
     Deterministic: coarse scan to bracket the single interior maximum, then
@@ -130,7 +130,7 @@ def cstar(tol: float = 1e-12) -> float:
     i = max(range(len(zs)), key=vals.__getitem__)
     lo = zs[max(i - 2, 0)]
     hi = zs[min(i + 2, len(zs) - 1)]
-    _, best = golden_section_max(h, lo, hi, tol=tol)
+    _, best = golden_section_max(h, lo, hi, tol=1e-12)
     return best
 
 

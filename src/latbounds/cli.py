@@ -36,8 +36,8 @@ import sys
 
 import numpy as np
 
-from .bounds import (cstar, handshake_bound, transference_bound_l1,
-                     transference_bound_l2)
+from .bounds import (cstar, handshake_bound, kalpha_radius,
+                     transference_bound_l1, transference_bound_l2)
 from .enumeration import (DEFAULT_GRID_BUDGET, DEFAULT_NODE_BUDGET, BodySpec,
                           enumerate_arrays)
 from .errors import (BudgetExceededError, MissingTableError,
@@ -160,7 +160,7 @@ def _body_from(params, spec, n):
     else:
         if spec.family != "inv_cosh_product":
             raise ManifestError("alpha parametrizes inv_cosh_product bodies")
-        radius = (1 + cstar()) * val * n
+        radius = kalpha_radius(val, n)
         body_p = 1.0
     return BodySpec(p=body_p, radius=radius)
 
@@ -189,8 +189,6 @@ def read_manifest(path):
     for key in budgets:
         if key not in ("nodes", "grid"):
             raise ManifestError(f"{path}: unknown budget {key!r}")
-        if not isinstance(budgets[key], int) or budgets[key] <= 0:
-            raise ManifestError(f"{path}: budget {key!r} must be a positive integer")
     return data
 
 
@@ -199,10 +197,25 @@ _CHECK_NAMES = ("theta", "part1", "tail_inequality", "part3", "psf",
 
 
 def _budgets(manifest):
-    """(nodes, grid): the manifest's budgets, defaulted."""
+    """(nodes, grid): the manifest's budgets, defaulted and validated."""
     budgets = manifest.get("budgets", {})
-    return (int(budgets.get("nodes", DEFAULT_NODE_BUDGET)),
-            int(budgets.get("grid", DEFAULT_GRID_BUDGET)))
+    out = (budgets.get("nodes", DEFAULT_NODE_BUDGET),
+           budgets.get("grid", DEFAULT_GRID_BUDGET))
+    for key, val in zip(("nodes", "grid"), out):
+        # bool is an int subclass, but true is no budget
+        if type(val) is not int or val <= 0:
+            raise ManifestError(f"budget {key!r} must be a positive integer")
+    return out
+
+
+def _has_nan(obj):
+    if isinstance(obj, float):
+        return math.isnan(obj)
+    if isinstance(obj, dict):
+        return any(_has_nan(x) for x in obj.values())
+    if isinstance(obj, list):
+        return any(_has_nan(x) for x in obj)
+    return False
 
 
 def plan_manifest(manifest, base_dir):
@@ -240,6 +253,9 @@ def _plan_one(entry, base_dir, default_lattice, seed, nodes, grid, table_dir):
     params = entry.get("params", {})
     if not isinstance(params, dict):
         raise ManifestError("'params' must be an object")
+    if _has_nan(params):
+        # json reads NaN, and NaN passes every range check
+        raise ManifestError("params must not contain NaN")
     rng = np.random.default_rng(seed)
 
     if name == "hypotheses":

@@ -138,23 +138,11 @@ class CheckStats:
 
 @dataclass
 class HypothesisReport:
-    spec: TestFunctionSpec
-    seed: int
-    samples: int
     checks: dict = field(default_factory=dict)
 
     @property
     def ok(self):
         return all(st.violations == 0 for st in self.checks.values())
-
-    def summary(self):
-        lines = [f"{self.spec.label} dim={self.spec.dim} seed={self.seed}"]
-        for name, st in self.checks.items():
-            lines.append(
-                f"  {name}: {st.violations}/{st.evaluated} violations,"
-                f" worst margin {st.worst_margin:.3e}"
-            )
-        return "\n".join(lines)
 
 
 def check_hypotheses(spec: TestFunctionSpec, samples: int = 10000, seed: int = 0,
@@ -170,7 +158,7 @@ def check_hypotheses(spec: TestFunctionSpec, samples: int = 10000, seed: int = 0
     margin are counted and reported as data, never raised.
     """
     rng = np.random.default_rng(seed)
-    rep = HypothesisReport(spec=spec, seed=seed, samples=samples)
+    rep = HypothesisReport()
     n = spec.dim
 
     x = rng.normal(0.0, 1.5, size=(samples, n))

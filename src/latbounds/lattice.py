@@ -56,12 +56,8 @@ class Lattice:
     def __repr__(self):
         return f"Lattice({self.name}, dim={self.dim}, covolume={self.covolume:.6g})"
 
-    def embed(self, coords):
-        """Map integer coefficient vectors (rows) to ambient coordinates."""
-        return np.asarray(coords, dtype=float) @ self.basis
-
     def coefficients(self, points):
-        """Inverse of :meth:`embed`: ambient points -> real coefficient rows."""
+        """Ambient points -> real coefficient rows in this basis."""
         _check_condition(self.basis)
         return np.asarray(points, dtype=float) @ np.linalg.inv(self.basis)
 
@@ -221,18 +217,16 @@ def distortion_bound(T, p) -> float:
     return _float_above(s)
 
 
-def random_unimodular_lattice(dim: int, seed: int, shears: int | None = None) -> Lattice:
+def random_unimodular_lattice(dim: int, seed: int) -> Lattice:
     """Seeded integer lattice with determinant exactly 1.
 
-    Built as a product of elementary shear matrices (add an integer multiple
-    in [-3, 3] of one row to another), so the determinant is 1 by
+    Built as a product of 3 dim elementary shear matrices (add an integer
+    multiple in [-3, 3] of one row to another), so the determinant is 1 by
     construction and the entries stay desk-sized.
     """
     rng = np.random.default_rng(seed)
     M = np.eye(dim, dtype=np.int64)
-    if shears is None:
-        shears = 3 * dim
-    for _ in range(shears):
+    for _ in range(3 * dim):
         if dim == 1:
             break
         i, j = rng.choice(dim, size=2, replace=False)

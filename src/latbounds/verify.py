@@ -12,8 +12,9 @@ INCONCLUSIVE; an interval straddling the boundary is never coerced.
 Sums of fhat over the dual lattice (part 3) are taken on the primal side by
 Poisson summation, as covol(L) times a cos-weighted sum of f over L; their
 terms are signed, so those intervals are symmetric, [partial - rem,
-partial + rem].  The psf check sums the dual side directly instead, so it
-stays an independent test of the numerics.
+partial + rem].  The psf check sets the two ends of Poisson summation
+against each other, certified_sum over L and dual_fhat_sum over t L*, so it
+also tests part 3's kernel.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from .enumeration import (DEFAULT_GRID_BUDGET, DEFAULT_NODE_BUDGET, BodySpec,
                           covering_radius_estimate, enumerate_arrays,
                           shortest_vector, transport_bracket)
 from .errors import InvariantError, ToleranceUnreachedError
-from .functions import TestFunctionSpec, is_self_dual, log_f
+from .functions import (_2PI_OVER_SQRT3, TestFunctionSpec, is_self_dual,
+                        log_f)
 from .lattice import (Lattice, distortion_bound, dual, lll_reduce, lp_norm,
                       rational, rational_matmul)
 
@@ -74,9 +76,6 @@ class _Envelope(NamedTuple):
     loga: float  # per-coordinate log prefactor: f(x) <= e^{n loga - beta ||x||_q^q}
     beta: float
     q: float
-
-
-_2PI_OVER_SQRT3 = 2 * math.pi / math.sqrt(3.0)
 
 
 def _envelope_for(spec: TestFunctionSpec) -> _Envelope:
@@ -360,7 +359,8 @@ def dual_fhat_sum(L: Lattice, spec: TestFunctionSpec, v, target_tol: float,
     truncated where certified_sum(L, spec, 0, 1, target_tol) truncates, so
     target_tol is relative to the unshifted sum, and its tail is at most
     that sum's tail bound, since |cos| <= 1.  The terms are signed, so the
-    interval [covol (partial - rem), covol (partial + rem)] is symmetric.
+    interval [covol (partial - rem), covol (partial + rem)] is symmetric,
+    and the sin part of the phase must cancel over the symmetric point set.
     """
     v = np.asarray(v, dtype=float)
     origin = np.zeros(L.dim)
@@ -368,44 +368,18 @@ def dual_fhat_sum(L: Lattice, spec: TestFunctionSpec, v, target_tol: float,
     log_target = lambda _: math.log(target_tol) + log_f(spec, origin)
     emb, tail, S = _truncated(L, env, env.beta, origin, log_target,
                               node_budget)
-    vals = np.exp(log_f(spec, emb)) * np.cos(2 * math.pi * (emb @ v))
-    partial, slack = _stable_sum(vals)
+    vals = np.exp(log_f(spec, emb))
+    phase = 2 * math.pi * (emb @ v)
+    partial, slack = _stable_sum(vals * np.cos(phase))
+    # the point set is symmetric, so the sin pairing must cancel
+    sin_part, _ = _stable_sum(vals * np.sin(phase))
+    if not abs(sin_part) <= 1e-12 * max(1.0, abs(partial)):
+        raise InvariantError(
+            "sin pairing failed to cancel over the symmetric point set")
     rem = tail + slack
     lo, hi = L.covolume * (partial - rem), L.covolume * (partial + rem)
     return CertifiedSum(partial=lo, remainder_bound=hi - lo,
                         truncation_radius=S, norm_p=env.q, npoints=vals.size)
-
-
-def _weighted_dual_partial(L, spec, v, t, tol_abs, node_budget):
-    """(value, errbound) for sum_mu fhat(t mu) cos(2 pi mu . v) over the dual.
-
-    Only for families whose fhat admits an exponential envelope (the
-    self-dual ones, plus supergaussian p=2 exactly).  The sin pairing over
-    the symmetric point set must cancel; it is checked below 1e-12.
-    """
-    n = L.dim
-    fam = spec.family
-    if is_self_dual(fam):
-        env = _envelope_for(spec)
-        log_terms = lambda emb: log_f(spec, t * emb)
-    elif fam == "supergaussian" and abs(spec.p - 2.0) < 1e-12:
-        env = _Envelope(0.5 * math.log(math.pi), math.pi ** 2, 2.0)
-        log_terms = lambda emb: (n * 0.5 * math.log(math.pi)
-                                 - math.pi ** 2 * np.sum((t * emb) ** 2, axis=-1))
-    else:
-        raise ValueError(f"no enumerable dual envelope for {fam!r}")
-
-    emb, tail, _ = _truncated(dual(L), env, env.beta * t ** env.q,
-                              np.zeros(n), lambda _: math.log(tol_abs),
-                              node_budget)
-    vals = np.exp(log_terms(emb))
-    phase = 2 * math.pi * (emb @ v)
-    cos_part, slack_c = _stable_sum(vals * np.cos(phase))
-    sin_part, _ = _stable_sum(vals * np.sin(phase))
-    if not abs(sin_part) <= 1e-12 * max(1.0, abs(cos_part)):
-        raise InvariantError(
-            "sin pairing failed to cancel over the symmetric point set")
-    return cos_part, tail + slack_c
 
 
 def psf_residual(L: Lattice, spec: TestFunctionSpec, v, t: float,
@@ -415,20 +389,32 @@ def psf_residual(L: Lattice, spec: TestFunctionSpec, v, t: float,
 
         sum_L f((lambda+v)/t)  =  (t^n/covol) sum_{L*} fhat(t mu) cos(2 pi mu.v),
 
-    with both sides summed independently to remainder <= tol relative.
+    the two ends of Poisson summation, each summed to an absolute error of
+    at most tol times the left side: certified_sum over L, and (where fhat
+    has an exponential envelope) part3's dual_fhat_sum over M = s L*.  With
+    x = s mu the right side is covol(M) sum_M g(x) cos(2 pi x.v/s): s = t
+    and g = f for a self-dual f; s = sqrt(pi) t and g the gaussian for
+    supergaussian p=2, whose fhat(y) = pi^{n/2} g(sqrt(pi) y).  exp_l1 and
+    fractional p sum a diagonal dual as products of 1-D series.  The
+    residual compares point estimates: lhs.partial, the right's midpoint.
     """
     if t <= 0:
         raise ValueError("t must be positive")
     v = np.asarray(v, dtype=float)
     lhs = certified_sum(L, spec, v, t, tol, node_budget)
     n = L.dim
-    factor = t ** n / L.covolume
-    tol_abs = tol * max(lhs.partial, 1e-12) / factor
+    budget = tol * max(lhs.partial, 1e-12)  # absolute error allowed the RHS
 
     fam = spec.family
     if is_self_dual(fam) or (fam == "supergaussian"
                              and abs(spec.p - 2.0) < 1e-12):
-        dsum, _ = _weighted_dual_partial(L, spec, v, t, tol_abs, node_budget)
+        s, g = ((t, spec) if is_self_dual(fam)
+                else (math.sqrt(math.pi) * t, TestFunctionSpec("gaussian", n)))
+        M = Lattice(s * dual(L).basis)
+        # dual_fhat_sum's error is covol(M) g(0) target_tol
+        target_tol = budget / (M.covolume * math.exp(log_f(g, np.zeros(n))))
+        rhs_sum = dual_fhat_sum(M, g, v / s, target_tol, node_budget)
+        rhs = 0.5 * (rhs_sum.lower + rhs_sum.upper)
     else:
         Ld = dual(L)
         diag = _diag_entries(Ld)
@@ -436,11 +422,12 @@ def psf_residual(L: Lattice, spec: TestFunctionSpec, v, t: float,
             raise ValueError(
                 f"{fam!r} dual sums decay too slowly for a general basis; "
                 "only diagonal lattices are supported")
+        factor = t ** n / L.covolume
         # cos(2 pi mu . v) factorizes over the coordinates of a diagonal dual
         theta = diag * v
-        dsum, _ = _product_fhat_sum(diag, spec, t, theta, tol_abs,
+        dsum, _ = _product_fhat_sum(diag, spec, t, theta, budget / factor,
                                     table=table)
-    rhs = factor * dsum
+        rhs = factor * dsum
     return abs(lhs.partial - rhs) / abs(rhs)
 
 

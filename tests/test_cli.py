@@ -239,6 +239,27 @@ def test_verify_budget_exhaustion_exits_four(run_cli, tmp_path, z2):
     assert "budget" in err.lower()
 
 
+def _manifest_argv(tmp_path, z2, budgets, params):
+    man = {"lattice_file": z2, "budgets": budgets,
+           "checks": [{"check_name": "theta",
+                       "params": {"family": "gaussian", **params}}]}
+    return ["verify", _write_manifest(tmp_path / "man.json", man)]
+
+
+@pytest.mark.parametrize("argv", [
+    lambda tmp, z2: ["theta", z2, "--family", "gaussian",
+                     "--node-budget", "0"],
+    lambda tmp, z2: ["transference", z2, "--p", "2", "--grid-budget", "-1"],
+    lambda tmp, z2: _manifest_argv(tmp, z2, {"nodes": True}, {}),
+    lambda tmp, z2: _manifest_argv(tmp, z2, {}, {"t": float("nan")}),
+], ids=["zero-node-budget", "negative-grid-budget", "bool-budget", "nan-t"])
+def test_malformed_budgets_and_nan_are_usage_errors(run_cli, tmp_path, z2,
+                                                    argv):
+    code, _, err = run_cli(*argv(tmp_path, z2))
+    assert code == 3
+    assert "Traceback" not in err
+
+
 def test_verify_plot_csv(run_cli, tmp_path, z2):
     man = {"lattice_file": z2,
            "checks": [{"check_name": "tail_inequality",

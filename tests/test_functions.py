@@ -116,7 +116,7 @@ def test_fhat_table_route(table15):
 def test_hypotheses_clean_families(fam, p):
     spec = FnSpec(fam, 2, p=p)
     rep = check_hypotheses(spec, samples=2000, seed=3)
-    assert rep.ok, rep.summary()
+    assert rep.ok, rep.checks
     assert set(rep.checks) == {"fhat_nonneg", "fhat_ray_monotone",
                                "ratio_concave"}
 
@@ -125,7 +125,7 @@ def test_hypotheses_table_families(table15, table05):
     for p, table in ((1.5, table15), (0.5, table05)):
         spec = FnSpec("supergaussian", 2, p=p)
         rep = check_hypotheses(spec, samples=2000, seed=3, table=table)
-        assert rep.ok, rep.summary()
+        assert rep.ok, rep.checks
 
 
 def test_hypotheses_deterministic():

@@ -26,8 +26,7 @@ def test_lattice_basics():
     L = Lattice(np.array([[2.0, 0.0], [1.0, 1.0]]), name="sheared")
     assert L.dim == 2
     assert abs(L.covolume - 2.0) < 1e-12
-    assert np.allclose(L.embed(np.array([1, -1])), [1.0, -1.0])
-    # coefficients inverts embed
+    # (3, 1) = 1 * (2, 0) + 1 * (1, 1)
     c = L.coefficients(np.array([3.0, 1.0]))
     assert np.allclose(c, [1.0, 1.0])
 

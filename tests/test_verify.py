@@ -215,9 +215,12 @@ def test_dual_sum_contains_mpmath_oracle(fam, diag, tol, data):
     ("sech_product", integer_lattice(1), 1.0, [0.0], 1e-8),
     ("inv_cosh_product",
      Lattice(np.array([[1.0, 1.0], [0.0, 1.0]])), 1.0, [0.1, -0.3], 1e-8),
+    # p=2: the gaussian on sqrt(pi) t L*, here a non-diagonal dual
+    ("supergaussian", random_unimodular_lattice(2, 2), 1.5, [0.3, -0.2],
+     1e-10),
 ])
 def test_psf_residual_fast_families(fam, lat, t, v, cap):
-    spec = FnSpec(fam, lat.dim)
+    spec = FnSpec(fam, lat.dim, p=2.0 if fam == "supergaussian" else None)
     res = psf_residual(lat, spec, np.array(v), t, 1e-9)
     assert res <= cap
 
@@ -425,15 +428,18 @@ def test_transference_rejects_other_p():
         transference_check(integer_lattice(2), 1.5)
 
 
-def test_psf_raises_when_sin_pairing_does_not_cancel(monkeypatch):
-    # a lopsided point set: the dual phase sum keeps a sin part
+@pytest.mark.parametrize("run", [
+    lambda L, spec, v: psf_residual(L, spec, v, 1.0, 1e-6),
+    lambda L, spec, v: dual_fhat_sum(L, spec, v, 1e-6),
+], ids=["psf_residual", "dual_fhat_sum"])
+def test_psf_raises_when_sin_pairing_does_not_cancel(monkeypatch, run):
+    # a lopsided point set: the phase sum keeps a sin part
     monkeypatch.setattr(verify, "enumerate_arrays",
                         lambda L, *args, **kwargs: (
                             np.array([[1, 0]], dtype=np.int64),
                             np.array([[1.0, 0.0]])))
     with pytest.raises(InvariantError, match="sin pairing"):
-        psf_residual(integer_lattice(2), FnSpec("gaussian", 2),
-                     np.array([0.25, 0.0]), 1.0, 1e-6)
+        run(integer_lattice(2), FnSpec("gaussian", 2), np.array([0.25, 0.0]))
 
 
 def test_certified_sum_interval_type():
