@@ -48,7 +48,6 @@ class NuBound:
 
     value: float
     method: str  # closed_form | norm_optimizer | shrink_ratio
-    u_star: float | None = None
 
     def __post_init__(self):
         if self.method not in ("closed_form", "norm_optimizer", "shrink_ratio"):
@@ -80,9 +79,9 @@ def mu_norm(spec, r: float, n: int) -> NuBound:
     g = _radial_profile(spec)
     # log-domain objective; unimodal on (0, 1] for both profiles
     obj = lambda u: n * math.log(u) + math.log(g(u * r))
-    u_star, log_best = golden_section_max(obj, 1e-12, 1.0)
+    _, log_best = golden_section_max(obj, 1e-12, 1.0)
     value = g(r) / math.exp(log_best)
-    return NuBound(value=float(value), method="norm_optimizer", u_star=float(u_star))
+    return NuBound(value=float(value), method="norm_optimizer")
 
 
 def gaussian_nu_closed_form(tau: float, n: int) -> NuBound:
@@ -96,8 +95,7 @@ def gaussian_nu_closed_form(tau: float, n: int) -> NuBound:
     if n < 1:
         raise ValueError("n must be >= 1")
     value = (2 * math.exp(1 - 2 * tau) * tau) ** (n / 2)
-    u_star = math.sqrt(1.0 / (2 * tau))
-    return NuBound(value=float(value), method="closed_form", u_star=u_star)
+    return NuBound(value=float(value), method="closed_form")
 
 
 def supergaussian_mu_closed_form(p: float, r: float, n: int) -> NuBound:
@@ -115,7 +113,7 @@ def supergaussian_mu_closed_form(p: float, r: float, n: int) -> NuBound:
         raise ValueError(f"r must be >= (n/p)^(1/p), got t = {t}")
     tp = t ** p
     value = (math.e * tp * math.exp(-tp)) ** (n / p)
-    return NuBound(value=float(value), method="closed_form", u_star=1.0 / t)
+    return NuBound(value=float(value), method="closed_form")
 
 
 def cstar() -> float:
@@ -148,7 +146,7 @@ def cosh_nu_bound(alpha: float, n: int) -> NuBound:
     x = alpha / SQRT3_OVER_2PI  # = 2 pi alpha / sqrt 3 > 1
     value = x ** n * math.exp(-(x - 1) * n)
     # the coefficient is the mass ratio at the fixed shrink factor u = 1/x
-    return NuBound(value=float(value), method="shrink_ratio", u_star=1.0 / x)
+    return NuBound(value=float(value), method="shrink_ratio")
 
 
 def kalpha_radius(alpha: float, n: int) -> float:

@@ -42,8 +42,8 @@ from .enumeration import (DEFAULT_GRID_BUDGET, DEFAULT_NODE_BUDGET, BodySpec,
                           enumerate_arrays)
 from .errors import (BudgetExceededError, MissingTableError,
                      ToleranceUnreachedError)
-from .functions import (TestFunctionSpec, check_hypotheses, log_f,
-                        natural_norm_p)
+from .functions import (TestFunctionSpec, check_hypotheses, fhat_route,
+                        log_f, natural_norm_p)
 from .lattice import (Lattice, integer_lattice, load_lattice,
                       random_unimodular_lattice)
 from .transform import cached_transform_table
@@ -166,7 +166,7 @@ def _body_from(params, spec, n):
 
 
 def _table_for(spec, table_dir):
-    if spec.family != "supergaussian" or spec.p in (1.0, 2.0):
+    if fhat_route(spec) != "table":
         return None
     return cached_transform_table(spec.p, tol=1e-8, directory=table_dir,
                                   r_max=96.0)

@@ -59,9 +59,28 @@ def natural_norm_p(spec: TestFunctionSpec) -> float:
     return 1.0
 
 
-def is_self_dual(family: str) -> bool:
-    """True when fhat = f pointwise (gaussian and the two cosh products)."""
-    return family in _SELF_DUAL
+def fhat_route(spec: TestFunctionSpec) -> str:
+    """How fhat is computed, decided here only: 'self_dual' (fhat = f),
+    'rational_product' (exp_l1 and supergaussian p=1), 'gaussian_rescale'
+    (supergaussian p=2) or 'table' (fractional p: a 1-D transform table).
+    A p within 1e-12 of 1 or 2 takes the exact route."""
+    if spec.family in _SELF_DUAL:
+        return "self_dual"
+    if spec.family == "exp_l1" or abs(spec.p - 1.0) < 1e-12:
+        return "rational_product"
+    if abs(spec.p - 2.0) < 1e-12:
+        return "gaussian_rescale"
+    return "table"
+
+
+def matching_table(spec: TestFunctionSpec, table):
+    """table, once checked to be the 1-D transform table for spec's p."""
+    if table is None:
+        raise MissingTableError(
+            f"supergaussian p={spec.p} needs a Transform1DTable")
+    if abs(table.p - spec.p) > 1e-12:
+        raise ValueError(f"table is for p={table.p}, spec has p={spec.p}")
+    return table
 
 
 def log_f(spec: TestFunctionSpec, x):
@@ -95,31 +114,22 @@ def eval_f(spec: TestFunctionSpec, x):
 def eval_fhat(spec: TestFunctionSpec, x, table=None):
     """Fourier transform of f (convention fhat(y) = int f e^{-2 pi i <x,y>}).
 
-    Nonnegative for every family.  Supergaussian transforms are exact at
-    p = 1 (rational product) and p = 2 (rescaled gaussian); every other p
-    needs a prepared 1-D table for the matching exponent.
+    Nonnegative for every family; fhat_route picks the formula, and a
+    fractional-p supergaussian needs the 1-D table for its exponent.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[-1] != spec.dim:
         raise ValueError(f"points must have {spec.dim} coordinates")
-    fam = spec.family
-    if fam in _SELF_DUAL:
+    route = fhat_route(spec)
+    if route == "self_dual":
         return eval_f(spec, x)
-    if fam == "exp_l1" or (fam == "supergaussian" and abs(spec.p - 1.0) < 1e-12):
+    if route == "rational_product":
         out = (2.0 / (1.0 + 4 * math.pi ** 2 * x * x)).prod(axis=-1)
-        return out if out.size > 1 else float(out[0])
-    if fam == "supergaussian" and abs(spec.p - 2.0) < 1e-12:
+    elif route == "gaussian_rescale":
         out = (math.pi ** (spec.dim / 2.0)
                * np.exp(-math.pi ** 2 * (x * x).sum(axis=-1)))
-        return out if out.size > 1 else float(out[0])
-    # supergaussian, fractional p: numeric table only
-    if table is None:
-        raise MissingTableError(
-            f"supergaussian transform needs a Transform1DTable for p={spec.p}"
-        )
-    if abs(table.p - spec.p) > 1e-12:
-        raise ValueError(f"table is for p={table.p}, spec has p={spec.p}")
-    out = table.eval(x).prod(axis=-1)
+    else:
+        out = matching_table(spec, table).eval(x).prod(axis=-1)
     return out if out.size > 1 else float(out[0])
 
 

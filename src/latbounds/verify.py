@@ -32,9 +32,10 @@ from .bounds import (NuBound, cosh_nu_bound, cstar, gaussian_nu_closed_form,
 from .enumeration import (DEFAULT_GRID_BUDGET, DEFAULT_NODE_BUDGET, BodySpec,
                           covering_radius_estimate, enumerate_arrays,
                           shortest_vector, transport_bracket)
-from .errors import InvariantError, ToleranceUnreachedError
-from .functions import (_2PI_OVER_SQRT3, TestFunctionSpec, is_self_dual,
-                        log_f)
+from .errors import (BudgetExceededError, InvariantError,
+                     ToleranceUnreachedError)
+from .functions import (_2PI_OVER_SQRT3, TestFunctionSpec, fhat_route, log_f,
+                        matching_table)
 from .lattice import (Lattice, distortion_bound, dual, lll_reduce, lp_norm,
                       rational, rational_matmul)
 
@@ -51,13 +52,12 @@ class CertifiedSum:
     """A truncated lattice sum with a certified bound on the omitted tail.
 
     The true sum lies in [partial, partial + remainder_bound].
-    truncation_radius is measured on (lambda + v)/t in the norm norm_p.
+    truncation_radius is measured on (lambda + v)/t in the family's norm.
     """
 
     partial: float
     remainder_bound: float
     truncation_radius: float
-    norm_p: float
     npoints: int = 0
 
     @property
@@ -225,8 +225,7 @@ def certified_sum(L: Lattice, spec: TestFunctionSpec, v, t: float,
     partial, slack = _stable_sum(vals)
     return CertifiedSum(partial=float(partial),
                         remainder_bound=float(tail + slack),
-                        truncation_radius=S / t, norm_p=env.q,
-                        npoints=vals.size)
+                        truncation_radius=S / t, npoints=vals.size)
 
 
 # ---------------------------------------------------------------------------
@@ -243,48 +242,41 @@ def _diag_entries(L):
     return np.abs(np.diag(B)).astype(float)
 
 
-def _sum1d_rational(a, theta, tol_abs, grid_budget=DEFAULT_GRID_BUDGET):
+def _sum1d_rational(a, theta):
     """(sum_k 2/(1 + 4 pi^2 a^2 k^2) cos(2 pi theta k), certified error).
 
-    The tail past |k| = K is bounded term-by-term through the quadratic
-    envelope; quadratic decay means K ~ 1/tol, so this is the expensive path
-    and callers should split tolerances accordingly.
+    By Poisson summation the series is (1/a) sum_m e^{-|m + x|/a}, x = theta
+    mod 1, two geometric series (Gradshteyn-Ryzhik 1.445) with the closed
+    form (e^{-x/a} + e^{-(1-x)/a}) / (a (1 - e^{-1/a})).  Rounding (Higham,
+    ch. 3): x, 1 - x and their quotients by a are off by at most 3u/a,
+    which exp turns into a relative error; exp, expm1 (1 ulp each) and four
+    more operations add 8u, so 10 (1 + 1/a) u value bounds the error, plus
+    the least subnormal per exponential that underflows.
     """
     a = abs(float(a))
-    K = int(math.ceil(1.0 / (math.pi ** 2 * a ** 2 * tol_abs))) + 2
-    if 2 * K + 1 > grid_budget:
-        raise ToleranceUnreachedError(tol_abs, 1.0 / (math.pi ** 2 * a ** 2
-                                                      * (grid_budget / 2)),
-                                      where="rational 1d sum")
-    k = np.arange(-K, K + 1, dtype=float)
-    y = a * k
-    terms = 2.0 / (1.0 + 4 * math.pi ** 2 * y * y)
-    if theta:
-        terms = terms * np.cos(2 * math.pi * theta * k)
-    partial, slack = _stable_sum(terms)
-    return partial, 1.0 / (math.pi ** 2 * a ** 2 * K) * (1 + _SAFETY) + slack
+    x = theta - math.floor(theta)
+    den = -a * math.expm1(-1.0 / a)
+    value = (math.exp(-x / a) + math.exp(-(1.0 - x) / a)) / den
+    u = 2.0 ** -53
+    return value, 10.0 * (1.0 + 1.0 / a) * u * value + 2 * math.ulp(0.0) / den
 
 
-def _sum1d_table(table, a, theta, tol_abs, grid_budget=DEFAULT_GRID_BUDGET):
+def _sum1d_table(table, a, theta):
     """Tabulated-transform analogue of _sum1d_rational, with interpolation slop.
 
     The power-law envelope on fhat_p is only certified past the last table
     node, so every index whose argument lands inside the table is summed and
     charged 10x the table tolerance; the few points past the edge are charged
-    their envelope.  The reachable absolute error therefore has a floor set
-    by the table extent and the lattice spacing, reported honestly.
+    their envelope.  The error therefore has a floor set by the table extent
+    and the lattice spacing, which the caller compares with its tolerance.
     """
     p = table.p
     a = abs(float(a))
     ctail = 2.0 * abs(table.tail_exponent_coeff)
-    if ctail == 0.0:  # p = 2: the transform is an exact gaussian
-        raise ValueError("use the exact gaussian path for p = 2")
     per_point = 10.0 * table.tol
     K = int(math.ceil(table.r_max / a)) + 1
-    if 2 * K + 1 > grid_budget:
-        raise ToleranceUnreachedError(
-            tol_abs, math.inf, where=f"table 1d sum (p={p:g}): spacing {a:g} "
-            "needs more terms than the grid budget")
+    if 2 * K + 1 > DEFAULT_GRID_BUDGET:
+        raise BudgetExceededError(DEFAULT_GRID_BUDGET, 2 * K + 1)
     k = np.arange(-K, K + 1, dtype=float)
     y = a * k
     terms = table.eval(y)
@@ -295,9 +287,6 @@ def _sum1d_table(table, a, theta, tol_abs, grid_budget=DEFAULT_GRID_BUDGET):
         slop += float(np.sum(terms[far] + table.tail_envelope(ay[far])))
     # omitted |k| > K have |y| >= a K >= r_max, where the envelope holds
     tail = 2.0 * ctail * a ** (-p - 1) * K ** (-p) / p
-    if tail + slop > tol_abs:
-        raise ToleranceUnreachedError(tol_abs, tail + slop,
-                                      where=f"table 1d sum (p={p:g})")
     if theta:
         terms = terms * np.cos(2 * math.pi * theta * k)
     partial, slack = _stable_sum(terms)
@@ -320,32 +309,24 @@ def _product_interval(parts):
 
 
 def _product_fhat_sum(diag, spec, t, theta, tol_abs, table=None):
-    """Certified sum over a diagonal lattice of prod_j fhat_1d(t d_j k_j),
-    phase-weighted by cos(2 pi sum theta_j k_j) via factorization."""
-    fam = spec.family
-    n = len(diag)
-    if fam in ("exp_l1",) or (fam == "supergaussian" and abs(spec.p - 1.0) < 1e-12):
+    """(value, certified error) of sum_k prod_j fhat_1d(t d_j k_j)
+    cos(2 pi theta_j k_j) over Z^n, one 1-D series per coordinate, each
+    evaluated once; raises ToleranceUnreachedError when the product's
+    error exceeds tol_abs, as a table factor's floor can make it."""
+    route = fhat_route(spec)
+    if route == "rational_product":
         one_d = _sum1d_rational
-    elif fam == "supergaussian":
-        if table is None or abs(table.p - spec.p) > 1e-12:
-            raise ValueError("supergaussian dual sums need the matching transform table")
-        one_d = lambda a, th, tl: _sum1d_table(table, a, th, tl)
+    elif route == "table":
+        table = matching_table(spec, table)
+        one_d = lambda a, th: _sum1d_table(table, a, th)
     else:
-        raise ValueError(f"no product transform path for {fam!r}")
-
-    # first pass at loose tolerance to size the factors, then split the
-    # absolute budget so the propagated product error stays under tol_abs
-    rough = [one_d(t * diag[j], theta[j], 1e-3) for j in range(n)]
-    mags = [abs(val) + err for val, err in rough]
-    full = 1.0
-    for m in mags:
-        full *= max(m, 1e-3)
-    parts = []
-    for j in range(n):
-        other = full / max(mags[j], 1e-3)
-        tol_j = tol_abs / (n * max(other, 1e-12))
-        parts.append(one_d(t * diag[j], theta[j], tol_j))
-    return _product_interval(parts)
+        raise ValueError(f"no product transform path for {spec.family!r}")
+    value, err = _product_interval([one_d(t * d, th)
+                                    for d, th in zip(diag, theta)])
+    if err > tol_abs:
+        raise ToleranceUnreachedError(tol_abs, err,
+                                      where=f"{spec.label} dual product")
+    return value, err
 
 
 def dual_fhat_sum(L: Lattice, spec: TestFunctionSpec, v, target_tol: float,
@@ -379,7 +360,7 @@ def dual_fhat_sum(L: Lattice, spec: TestFunctionSpec, v, target_tol: float,
     rem = tail + slack
     lo, hi = L.covolume * (partial - rem), L.covolume * (partial + rem)
     return CertifiedSum(partial=lo, remainder_bound=hi - lo,
-                        truncation_radius=S, norm_p=env.q, npoints=vals.size)
+                        truncation_radius=S, npoints=vals.size)
 
 
 def psf_residual(L: Lattice, spec: TestFunctionSpec, v, t: float,
@@ -395,8 +376,10 @@ def psf_residual(L: Lattice, spec: TestFunctionSpec, v, t: float,
     x = s mu the right side is covol(M) sum_M g(x) cos(2 pi x.v/s): s = t
     and g = f for a self-dual f; s = sqrt(pi) t and g the gaussian for
     supergaussian p=2, whose fhat(y) = pi^{n/2} g(sqrt(pi) y).  exp_l1 and
-    fractional p sum a diagonal dual as products of 1-D series.  The
-    residual compares point estimates: lhs.partial, the right's midpoint.
+    fractional p sum a diagonal dual as a product of 1-D series, exp_l1's in
+    closed form and fractional p's from the table, whose error has a floor.
+    The residual compares point estimates: lhs.partial against the right's
+    midpoint or product value.
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -405,10 +388,9 @@ def psf_residual(L: Lattice, spec: TestFunctionSpec, v, t: float,
     n = L.dim
     budget = tol * max(lhs.partial, 1e-12)  # absolute error allowed the RHS
 
-    fam = spec.family
-    if is_self_dual(fam) or (fam == "supergaussian"
-                             and abs(spec.p - 2.0) < 1e-12):
-        s, g = ((t, spec) if is_self_dual(fam)
+    route = fhat_route(spec)
+    if route in ("self_dual", "gaussian_rescale"):
+        s, g = ((t, spec) if route == "self_dual"
                 else (math.sqrt(math.pi) * t, TestFunctionSpec("gaussian", n)))
         M = Lattice(s * dual(L).basis)
         # dual_fhat_sum's error is covol(M) g(0) target_tol
@@ -420,7 +402,7 @@ def psf_residual(L: Lattice, spec: TestFunctionSpec, v, t: float,
         diag = _diag_entries(Ld)
         if diag is None:
             raise ValueError(
-                f"{fam!r} dual sums decay too slowly for a general basis; "
+                f"{spec.family!r} dual sums decay too slowly for a general basis; "
                 "only diagonal lattices are supported")
         factor = t ** n / L.covolume
         # cos(2 pi mu . v) factorizes over the coordinates of a diagonal dual

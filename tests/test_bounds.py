@@ -51,7 +51,6 @@ def test_gaussian_closed_form_values():
     nb = gaussian_nu_closed_form(1.0, 4)
     assert abs(nb.value - (2 / math.e) ** 2) < 1e-15
     assert nb.method == "closed_form"
-    assert abs(nb.u_star - math.sqrt(0.5)) < 1e-15
     # boundary tau = 1/2 gives exactly 1
     assert gaussian_nu_closed_form(0.5, 3).value == 1.0
     with pytest.raises(ValueError):
@@ -91,7 +90,6 @@ def test_mu_norm_below_inflection_saturates():
     # small radius: the best shrink is u = 1 and the coefficient is 1
     nb = mu_norm(FnSpec("gaussian", 2), 0.2, 2)
     assert abs(nb.value - 1.0) < 1e-9
-    assert nb.u_star > 0.999
 
 
 def test_cosh_nu_values():

@@ -303,6 +303,26 @@ def test_part3_needs_no_transform_table(tmp_path, monkeypatch):
     assert list(tmp_path.rglob("*")) == [tables]
 
 
+def test_exact_route_near_p1_builds_no_table(tmp_path, monkeypatch):
+    # a p within 1e-12 of 1 takes the rational route in eval_fhat and psf,
+    # so planning must not build a table that nothing would read
+    def no_table(*args, **kwargs):
+        raise AssertionError("built a transform table nothing reads")
+    monkeypatch.setattr(cli, "cached_transform_table", no_table)
+    p = 1.0 + 1e-13
+    man = {"seed": 3,
+           "checks": [{"check_name": "psf",
+                       "params": {"family": "supergaussian", "p": p,
+                                  "t": 1.5, "v": "random", "tol": 1e-9,
+                                  "max_residual": 1e-8,
+                                  "lattice": {"kind": "integer", "dim": 2}}},
+                      {"check_name": "hypotheses",
+                       "params": {"family": "supergaussian", "p": p,
+                                  "dim": 2, "samples": 500}}]}
+    records = [run() for run in plan_manifest(man, str(tmp_path))]
+    assert [rec["verdict"] for rec in records] == ["PASS", "PASS"]
+
+
 def test_main_callable_in_process(capsys, z1):
     # the entry point returns exit codes rather than raising SystemExit
     code = main(["theta", z1, "--family", "gaussian"])

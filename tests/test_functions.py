@@ -5,7 +5,7 @@ import pytest
 
 from latbounds.errors import MissingTableError
 from latbounds.functions import (FAMILIES, check_hypotheses, eval_f,
-                                 eval_fhat, is_self_dual, log_f,
+                                 eval_fhat, fhat_route, log_f,
                                  natural_norm_p)
 from latbounds.functions import TestFunctionSpec as FnSpec
 
@@ -14,8 +14,13 @@ def test_family_catalog():
     assert set(FAMILIES) == {"gaussian", "supergaussian", "exp_l1",
                              "sech_product", "inv_cosh_product"}
     for fam in ("gaussian", "sech_product", "inv_cosh_product"):
-        assert is_self_dual(fam)
-    assert not is_self_dual("exp_l1")
+        assert fhat_route(FnSpec(fam, 2)) == "self_dual"
+    assert fhat_route(FnSpec("exp_l1", 2)) == "rational_product"
+    # a p within 1e-12 of 1 or 2 takes the exact route
+    for p, route in ((1.0, "rational_product"), (1 + 1e-13, "rational_product"),
+                     (2.0, "gaussian_rescale"), (2 - 1e-13, "gaussian_rescale"),
+                     (1.5, "table"), (0.5, "table"), (1 + 1e-9, "table")):
+        assert fhat_route(FnSpec("supergaussian", 2, p=p)) == route
 
 
 def test_spec_validation():

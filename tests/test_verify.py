@@ -144,13 +144,59 @@ def test_dual_sum_sheared_basis_exp_l1():
     assert _contains(ds.interval(), _oracle("exp_l1", None, [1.0, 1.0], v))
 
 
-def test_dual_sum_honest_tolerance_failure():
-    # psf sums the exp_l1 dual side directly; its rational 1-D series
-    # cannot reach 1e-12 within the grid budget and says so
+def test_psf_exp_l1_reaches_tight_tolerance():
+    # exp_l1's 1-D dual factor is summed in closed form, so psf reaches a
+    # tolerance the truncated series could not
+    res = psf_residual(integer_lattice(1), FnSpec("exp_l1", 1),
+                       np.zeros(1), 1.0, 1e-12)
+    assert res <= 1e-11
+
+
+def test_psf_table_route_honest_tolerance_failure(table15):
+    # a table's interpolation charge floors the dual product's error
+    # (about 7.5e-5 at spacing 1); psf says so rather than truncating
     with pytest.raises(ToleranceUnreachedError) as ei:
-        psf_residual(integer_lattice(1), FnSpec("exp_l1", 1),
-                     np.zeros(1), 1.0, 1e-12)
+        psf_residual(integer_lattice(1), FnSpec("supergaussian", 1, p=1.5),
+                     np.zeros(1), 1.0, 1e-6, table=table15)
     assert ei.value.achieved > ei.value.requested
+
+
+def _kernel_series(a, theta, J=16, N=150):
+    """sum_k 2/(1 + 4 pi^2 a^2 k^2) cos(2 pi theta k) to 30 digits, by
+    Kummer's acceleration rather than the geometric closed form: with y =
+    4 pi^2 a^2 k^2, 1/(1+y) = sum_{j=1}^J (-1)^{j-1} y^{-j} + (-1)^J
+    y^{-J}/(1+y); the first J cos-sums are Bernoulli polynomials,
+    sum_{k>=1} cos(2 pi k x)/k^{2j} = (-1)^{j+1} (2 pi)^{2j} B_{2j}(x) /
+    (2 (2j)!) for x = theta mod 1, and the rest, whose terms fall like
+    k^{-2J-2}, is summed to N.  Returns (value, bound on the omitted
+    tail)."""
+    with mpmath.workdps(75):
+        a, x = mpmath.mpf(a), mpmath.mpf(theta) - mpmath.floor(theta)
+        c = (2 * mpmath.pi * a) ** 2
+        head = mpmath.fsum(mpmath.bernpoly(2 * j, x)
+                           / (mpmath.factorial(2 * j) * a ** (2 * j))
+                           for j in range(1, J + 1))
+        rest = mpmath.fsum(2 * mpmath.cos(2 * mpmath.pi * x * k)
+                           / (c ** J * k ** (2 * J) * (1 + c * k * k))
+                           for k in range(1, N + 1))
+        tail = 4 / (c ** (J + 1) * (2 * J + 1) * N ** (2 * J + 1))
+        return 2 + 2 * (head + (-1) ** J * rest), tail
+
+
+@given(a=st.floats(0.02, 50.0), theta=st.floats(-2.0, 2.0))
+@example(a=0.02, theta=0.5)
+@example(a=1.0, theta=0.0)
+@example(a=0.3, theta=-2.0)
+@example(a=50.0, theta=1.0)
+@example(a=0.7, theta=0.5)
+def test_sum1d_rational_contains_series(a, theta):
+    value, err = verify._sum1d_rational(a, theta)
+    exact, tail = _kernel_series(a, theta)
+    with mpmath.workdps(40):
+        assert tail <= 1e-30 * exact
+        assert value - err <= exact <= value + err
+        # the bound is a few hundred ulp at most, not a free pass
+        assert err <= 1e-13 * value
 
 
 # Room at the lower end of an interval only, as in the benchmark's oracles:
@@ -444,6 +490,6 @@ def test_psf_raises_when_sin_pairing_does_not_cancel(monkeypatch, run):
 
 def test_certified_sum_interval_type():
     cs = CertifiedSum(partial=1.0, remainder_bound=0.25,
-                      truncation_radius=3.0, norm_p=2.0)
+                      truncation_radius=3.0)
     assert cs.interval() == (1.0, 1.25)
     assert INCONCLUSIVE == "INCONCLUSIVE"
