@@ -402,8 +402,8 @@ def psf_residual(L: Lattice, spec: TestFunctionSpec, v, t: float,
         diag = _diag_entries(Ld)
         if diag is None:
             raise ValueError(
-                f"{spec.family!r} dual sums decay too slowly for a general basis; "
-                "only diagonal lattices are supported")
+                f"{spec.family!r} dual sums decay too slowly for a general "
+                "basis; only diagonal lattices are supported")
         factor = t ** n / L.covolume
         # cos(2 pi mu . v) factorizes over the coordinates of a diagonal dual
         theta = diag * v

@@ -145,8 +145,8 @@ def test_dual_sum_sheared_basis_exp_l1():
 
 
 def test_psf_exp_l1_reaches_tight_tolerance():
-    # exp_l1's 1-D dual factor is summed in closed form, so psf reaches a
-    # tolerance the truncated series could not
+    # exp_l1's 1-D dual factor is exact to a few hundred ulp, so psf
+    # reaches tol 1e-12
     res = psf_residual(integer_lattice(1), FnSpec("exp_l1", 1),
                        np.zeros(1), 1.0, 1e-12)
     assert res <= 1e-11
