@@ -50,7 +50,7 @@ from .transform import cached_transform_table
 from .verify import (FAIL, INCONCLUSIVE, PASS, _record, _spec_params,
                      _verdict, certified_sum, check_part1, check_part3,
                      check_tail_inequality, handshake_census, nu_for_body,
-                     psf_residual, transference_check)
+                     psf_product_diagonal, psf_residual, transference_check)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -339,6 +339,7 @@ def _plan_one(entry, base_dir, default_lattice, seed, nodes, grid, table_dir):
         if t <= 0:
             raise ManifestError("psf needs t > 0")
         max_residual = float(params["max_residual"])
+        psf_product_diagonal(L, spec)  # refuse a general basis before any table
         table = _table_for(spec, table_dir)
 
         def run_psf():

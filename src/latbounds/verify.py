@@ -2,10 +2,12 @@
 
 Every sum over a lattice is reported as an interval [partial, partial +
 remainder_bound] whose remainder comes from a cell-tiling comparison with an
-exponential envelope: assign to each point y of the shifted lattice the
-centred fundamental cell of an LLL-reduced basis, so the cells of the points
-beyond the truncation radius tile a region where the envelope can be
-integrated in closed form (an incomplete-gamma expression).  Inequality
+exponential envelope: assign to each point y of the shifted lattice a
+centred cell that tiles space, so the cells of the points beyond the
+truncation radius tile a region where the envelope can be integrated in
+closed form (an incomplete-gamma expression).  The cell is the parallelepiped
+or the Gram-Schmidt box of an LLL-reduced basis, whichever bound on its
+reach is smaller; the truncation radius pays that reach twice.  Inequality
 checks compare such intervals pessimistically and return PASS / FAIL /
 INCONCLUSIVE; an interval straddling the boundary is never coerced.
 
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -36,8 +39,8 @@ from .errors import (BudgetExceededError, InvariantError,
                      ToleranceUnreachedError)
 from .functions import (_2PI_OVER_SQRT3, TestFunctionSpec, fhat_route, log_f,
                         matching_table)
-from .lattice import (Lattice, distortion_bound, dual, lll_reduce, lp_norm,
-                      rational, rational_matmul)
+from .lattice import (Lattice, _gso, distortion_bound, dual, lll_reduce,
+                      lp_norm, rational, rational_matmul)
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -45,6 +48,7 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 _SAFETY = 1e-10        # relative headroom folded into analytic remainders
 _FSUM_LIMIT = 500_000  # above this, pairwise numpy sum + certified slack
+_U = 2.0 ** -53        # unit roundoff of float64
 
 
 @dataclass(frozen=True)
@@ -112,16 +116,33 @@ def _log_upper_gamma(a, x):
 
 
 def _cell_shape(reduced_basis, q):
-    """Reach of the centred fundamental cell in the l^q norm.
+    """Bound on the l^q reach, the largest ||c||_q over the cell, of a
+    centred cell that tiles space by lattice translates: the smaller of the
+    bounds for two such cells.
 
-    For q >= 1 this is the half-diameter sum(||b_i||_q)/2 (triangle
-    inequality); for q < 1 the norm is only power-subadditive, so the reach
-    is measured as sum((||b_i||_q / 2)^q) in the q-th power.
+    The parallelepiped {sum c_i b_i : |c_i| <= 1/2} reaches
+    sum(||b_i||_q)/2 (triangle inequality).  The Gram-Schmidt box
+    {sum c_i b*_i : |c_i| <= 1/2}, the cell of Babai's nearest-plane
+    rounding, reaches R2 = sqrt(sum ||b*_i||^2)/2 in l^2, so
+    max(1, n^{1/q - 1/2}) R2 in l^q; on Z^n that is sqrt(n)/2 against n/2
+    for q = 2.  For q < 1 the norm is only power-subadditive, so the reach
+    is measured in the q-th power: sum((||b_i||_q / 2)^q) and
+    n^{1 - q/2} R2^q.  sum ||b*_i||^2 is padded by 8 n u sum ||b_i||^2, a
+    margin for the float rounding of the Gram-Schmidt norms, and the result
+    is rounded up.
     """
-    norms = lp_norm(np.asarray(reduced_basis, dtype=float), q)
+    B = np.asarray(reduced_basis, dtype=float)
+    n = B.shape[0]
+    norms = lp_norm(B, q)
+    _, norms2, _ = _gso(B)
+    box2 = 0.25 * float(np.sum(norms2) + 8 * n * _U * np.sum(B * B))
     if q <= 1.0:
-        return float(np.sum((0.5 * norms) ** q))
-    return float(0.5 * np.sum(norms))
+        reach = min(float(np.sum((0.5 * norms) ** q)),
+                    n ** (1 - q / 2) * box2 ** (q / 2))
+    else:
+        reach = min(float(0.5 * np.sum(norms)),
+                    max(1.0, n ** (1 / q - 0.5)) * math.sqrt(box2))
+    return math.nextafter(reach, math.inf)
 
 
 def _log_tail(n, covol, env, beta_eff, cell, S):
@@ -232,13 +253,20 @@ def certified_sum(L: Lattice, spec: TestFunctionSpec, v, t: float,
 # dual-side sums
 
 
-def _diag_entries(L):
-    """|diagonal| of the basis if it is diagonal, else None."""
-    B = L.basis
+def psf_product_diagonal(L, spec):
+    """|diagonal| of L*'s basis, which psf's product routes (exp_l1 and
+    fractional p) sum over one coordinate at a time; None for the other
+    routes.  Raises ValueError when L* is not diagonal, so a plan can
+    refuse the check before it builds a table."""
+    if fhat_route(spec) not in ("rational_product", "table"):
+        return None
+    B = dual(L).basis
     scale = float(np.max(np.abs(B)))
     off = B - np.diag(np.diag(B))
     if float(np.max(np.abs(off))) > 1e-12 * max(scale, 1.0):
-        return None
+        raise ValueError(
+            f"{spec.family!r} dual sums decay too slowly for a general "
+            "basis; only diagonal lattices are supported")
     return np.abs(np.diag(B)).astype(float)
 
 
@@ -257,8 +285,7 @@ def _sum1d_rational(a, theta):
     x = theta - math.floor(theta)
     den = -a * math.expm1(-1.0 / a)
     value = (math.exp(-x / a) + math.exp(-(1.0 - x) / a)) / den
-    u = 2.0 ** -53
-    return value, 10.0 * (1.0 + 1.0 / a) * u * value + 2 * math.ulp(0.0) / den
+    return value, 10.0 * (1.0 + 1.0 / a) * _U * value + 2 * math.ulp(0.0) / den
 
 
 def _sum1d_table(table, a, theta):
@@ -341,7 +368,8 @@ def dual_fhat_sum(L: Lattice, spec: TestFunctionSpec, v, target_tol: float,
     target_tol is relative to the unshifted sum, and its tail is at most
     that sum's tail bound, since |cos| <= 1.  The terms are signed, so the
     interval [covol (partial - rem), covol (partial + rem)] is symmetric,
-    and the sin part of the phase must cancel over the symmetric point set.
+    rounded outward, and the sin part of the phase must cancel over the
+    symmetric point set.
     """
     v = np.asarray(v, dtype=float)
     origin = np.zeros(L.dim)
@@ -357,10 +385,30 @@ def dual_fhat_sum(L: Lattice, spec: TestFunctionSpec, v, target_tol: float,
     if not abs(sin_part) <= 1e-12 * max(1.0, abs(partial)):
         raise InvariantError(
             "sin pairing failed to cancel over the symmetric point set")
-    rem = tail + slack
-    lo, hi = L.covolume * (partial - rem), L.covolume * (partial + rem)
-    return CertifiedSum(partial=lo, remainder_bound=hi - lo,
+    lo, width = _scaled_outward(L.covolume, partial, tail, slack)
+    return CertifiedSum(partial=lo, remainder_bound=width,
                         truncation_radius=S, npoints=vals.size)
+
+
+def _round_toward(x: Fraction, up: bool) -> float:
+    """The float next to the exact rational x on the given side."""
+    f = float(x)
+    if up and Fraction(f) < x:
+        return math.nextafter(f, math.inf)
+    if not up and Fraction(f) > x:
+        return math.nextafter(f, -math.inf)
+    return f
+
+
+def _scaled_outward(c, partial, *rems):
+    """(lo, width) in floats with [lo, lo + width] holding the exact
+    c [partial - rem, partial + rem], rem = sum(rems): both ends are
+    rounded outward in exact arithmetic, and the width up, so lo + width
+    rounds to at least the upper end."""
+    c, p, r = Fraction(c), Fraction(partial), sum(map(Fraction, rems))
+    lo = _round_toward(c * (p - r), up=False)
+    hi = _round_toward(c * (p + r), up=True)
+    return lo, _round_toward(Fraction(hi) - Fraction(lo), up=True)
 
 
 def psf_residual(L: Lattice, spec: TestFunctionSpec, v, t: float,
@@ -384,6 +432,7 @@ def psf_residual(L: Lattice, spec: TestFunctionSpec, v, t: float,
     if t <= 0:
         raise ValueError("t must be positive")
     v = np.asarray(v, dtype=float)
+    diag = psf_product_diagonal(L, spec)
     lhs = certified_sum(L, spec, v, t, tol, node_budget)
     n = L.dim
     budget = tol * max(lhs.partial, 1e-12)  # absolute error allowed the RHS
@@ -398,12 +447,6 @@ def psf_residual(L: Lattice, spec: TestFunctionSpec, v, t: float,
         rhs_sum = dual_fhat_sum(M, g, v / s, target_tol, node_budget)
         rhs = 0.5 * (rhs_sum.lower + rhs_sum.upper)
     else:
-        Ld = dual(L)
-        diag = _diag_entries(Ld)
-        if diag is None:
-            raise ValueError(
-                f"{spec.family!r} dual sums decay too slowly for a general "
-                "basis; only diagonal lattices are supported")
         factor = t ** n / L.covolume
         # cos(2 pi mu . v) factorizes over the coordinates of a diagonal dual
         theta = diag * v

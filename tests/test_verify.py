@@ -1,10 +1,11 @@
+import itertools
 import math
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from latbounds.bounds import NuBound, cosh_nu_bound
@@ -12,8 +13,8 @@ from latbounds.enumeration import BodySpec
 import latbounds.verify as verify
 from latbounds.errors import InvariantError, ToleranceUnreachedError
 from latbounds.functions import TestFunctionSpec as FnSpec
-from latbounds.lattice import Lattice, dual, integer_lattice, lll_reduce, \
-    lp_norm, random_unimodular_lattice
+from latbounds.lattice import Lattice, _gso, dual, integer_lattice, \
+    lll_reduce, lp_norm, random_unimodular_lattice
 from latbounds.verify import (FAIL, INCONCLUSIVE, PASS, CertifiedSum,
                               _verdict, certified_sum, check_part1, check_part3,
                               check_tail_inequality, dual_fhat_sum,
@@ -101,6 +102,62 @@ def test_exp_l1_z1_exact():
     cs = certified_sum(integer_lattice(1), FnSpec("exp_l1", 1),
                        np.zeros(1), 1.0, 1e-10)
     assert abs(cs.partial - (1 + 2 / (math.e - 1))) <= cs.remainder_bound + 1e-12
+
+
+def _q_size(x, q):
+    """||x||_q row-wise, or its q-th power for q < 1, as the cell reach is
+    measured."""
+    return np.sum(np.abs(x) ** q, axis=-1) if q < 1 else lp_norm(x, q)
+
+
+def _cell_reaches(basis, q, rng):
+    """Largest _q_size over the Gram-Schmidt box and over the
+    parallelepiped of the basis: at the vertices, and for q < 1, where
+    sum |x_i|^q is not convex, at random interior points too."""
+    n = basis.shape[0]
+    coeffs = np.array(list(itertools.product([-0.5, 0.5], repeat=n)))
+    if q < 1:
+        coeffs = np.vstack([coeffs, rng.uniform(-0.5, 0.5, (200, n))])
+    _, _, ortho = _gso(basis)
+    return (float(np.max(_q_size(coeffs @ ortho, q))),
+            float(np.max(_q_size(coeffs @ basis, q))))
+
+
+@given(n=st.integers(1, 5), q=st.sampled_from([0.5, 1.0, 1.5, 2.0]),
+       seed=st.integers(0, 10_000), real=st.booleans())
+def test_cell_reach_holds_a_tiling_cell(n, q, seed, real):
+    rng = np.random.default_rng(seed)
+    if real:
+        B = rng.uniform(-3.0, 3.0, (n, n))
+        assume(abs(np.linalg.det(B)) > 1e-3)
+        L = Lattice(B)
+    else:
+        L = random_unimodular_lattice(n, seed)
+    R = lll_reduce(L).basis
+    reach = verify._cell_shape(R, q)
+    box, para = _cell_reaches(R, q, rng)
+    norms = lp_norm(R, q)
+    para_bound = (float(np.sum((0.5 * norms) ** q)) if q <= 1
+                  else float(0.5 * np.sum(norms)))
+    # never longer than the parallelepiped's bound
+    assert reach <= math.nextafter(para_bound, math.inf)
+    # the cell whose bound was the smaller one lies within reach; the other
+    # may reach further, as the Gram-Schmidt box can for q < 2 when the
+    # parallelepiped is used.  For q = 2 the box's bound is always the
+    # smaller.
+    assert (box if reach < para_bound else para) <= reach
+    if q == 2:
+        assert box <= reach
+
+
+def test_gram_schmidt_box_shortens_zn_truncation():
+    # the box reaches sqrt(5)/2 on Z^5, the parallelepiped 5/2; with the
+    # parallelepiped this sum took 188,062 points and radius 8.13
+    cs = certified_sum(integer_lattice(5), FnSpec("gaussian", 5),
+                       np.full(5, 0.3), 1.0, 1e-9)
+    assert cs.npoints <= 25_000
+    assert cs.truncation_radius <= 5.3
+    assert cs.remainder_bound <= 1e-9 * cs.partial
 
 
 # ---------------------------------------------------------------------------
@@ -207,10 +264,10 @@ def test_sum1d_rational_contains_series(a, theta):
 _ROOM = 16 * 2.0 ** -52
 
 
-def _contains(interval, exact):
+def _contains(interval, exact, room=_ROOM):
     lo, hi = interval
     with mpmath.workdps(30):
-        return (mpmath.mpf(lo) <= exact * (1 + _ROOM)
+        return (mpmath.mpf(lo) <= exact * (1 + room)
                 and exact <= mpmath.mpf(hi))
 
 
@@ -254,6 +311,68 @@ def test_dual_sum_contains_mpmath_oracle(fam, diag, tol, data):
     full = _oracle(family, p, diag, [0.0] * n)
     assert _contains(ds.interval(), exact)
     assert ds.remainder_bound <= 2 * tol * full
+
+
+_PRIMAL_1D = {
+    "gaussian": lambda x: mpmath.exp(-mpmath.pi * x * x),
+    "exp_l1": lambda x: mpmath.exp(-abs(x)),
+    "sech_product": lambda x: mpmath.sech(mpmath.pi * x),
+    "supergaussian": lambda x: mpmath.exp(-abs(x) ** mpmath.mpf(1.5)),
+}
+# t per family, so that a 5-D ball stays near 1e5 points: the l^1 and
+# l^1.5 families enumerate a filtered l^2 ball and decay slowly
+_PRIMAL_T = {"gaussian": [0.5, 1.0, 1.5], "supergaussian": [0.25, 0.5],
+             "sech_product": [0.2, 0.3], "exp_l1": [0.1, 0.15]}
+
+
+@given(family=st.sampled_from(sorted(_PRIMAL_1D)),
+       diag=st.lists(st.sampled_from([1.0, 1.25, 1.5, 2.0]),
+                     min_size=1, max_size=5),
+       tol=st.sampled_from([1e-6, 1e-9]), data=st.data())
+def test_certified_sum_contains_mpmath_oracle(family, diag, tol, data):
+    n = len(diag)
+    t = data.draw(st.sampled_from(_PRIMAL_T[family]))
+    v = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+    p = 1.5 if family == "supergaussian" else None
+    cs = certified_sum(Lattice(np.diag(diag)), FnSpec(family, n, p=p),
+                       np.array(v), t, tol)
+    term = _PRIMAL_1D[family]
+    with mpmath.workdps(30):
+        exact = mpmath.fprod(
+            mpmath.nsum(lambda k: term((d * k + x) / t),
+                        [-mpmath.inf, mpmath.inf])
+            for d, x in zip(map(mpmath.mpf, diag), map(mpmath.mpf, v)))
+    # The room at the lower end is _ROOM's, for the same reason, scaled by
+    # the size of the exponents: an exponent phi computed in floats is off
+    # by a few ulp of phi, and the terms that dominate a sum have phi near
+    # log(sum).  A 4-D gaussian sum of 2e-8 (t = 0.5) sits 16.5 ulp above.
+    # The upper end, where a short tail bound would show, has no room.
+    room = _ROOM * (1 + abs(float(mpmath.log(exact))))
+    assert _contains(cs.interval(), exact, room)
+
+
+@pytest.mark.parametrize("lat", [integer_lattice(2),
+                                 Lattice(np.diag([0.5, 2.0])),
+                                 random_unimodular_lattice(3, 4), D4])
+def test_dual_sum_ends_round_outward(lat, monkeypatch):
+    # the ends hold covol (partial -+ rem) computed exactly, and
+    # lo + width reaches the upper end in floats
+    seen = []
+    scaled = verify._scaled_outward
+
+    def spy(*args):
+        seen.append((args, scaled(*args)))
+        return seen[-1][1]
+    monkeypatch.setattr(verify, "_scaled_outward", spy)
+    ds = dual_fhat_sum(lat, FnSpec("gaussian", lat.dim),
+                       np.full(lat.dim, 0.15), 1e-9)
+    (c, partial, *rems), (lo, width) = seen[0]
+    c, partial = Fraction(c), Fraction(partial)
+    rem = sum(map(Fraction, rems))
+    assert (ds.partial, ds.remainder_bound) == (lo, width)
+    assert Fraction(ds.lower) <= c * (partial - rem)
+    assert Fraction(ds.upper) >= c * (partial + rem)
+    assert Fraction(lo) + Fraction(width) >= c * (partial + rem)
 
 
 @pytest.mark.parametrize("fam,lat,t,v,cap", [
