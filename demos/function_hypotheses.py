@@ -23,7 +23,7 @@ for fam, p in (("gaussian", None), ("sech_product", None),
     print(f"{label:22s} ok = {rep.ok}, worst margin {worst:+.2e}")
 
 print()
-print("== fractional p: build a certified 1-d transform table first ==")
+print("== fractional p: build a 1-d transform table first (Zolotarev's integral) ==")
 table = build_transform_table(1.5, tol=1e-8, r_max=48.0)
 print(f"p = 1.5 table: {len(table.nodes)} nodes out to r = {table.r_max:g}, "
       f"tolerance {table.tol:.1e}")

@@ -165,13 +165,6 @@ def _body_from(params, spec, n):
     return BodySpec(p=body_p, radius=radius)
 
 
-def _table_for(spec, table_dir):
-    if fhat_route(spec) != "table":
-        return None
-    return cached_transform_table(spec.p, tol=1e-8, directory=table_dir,
-                                  r_max=96.0)
-
-
 def read_manifest(path):
     with open(path) as fh:
         try:
@@ -231,19 +224,28 @@ def plan_manifest(manifest, base_dir):
     table_dir = manifest.get("table_dir")
     if table_dir is not None and not os.path.isabs(table_dir):
         table_dir = os.path.join(base_dir, table_dir)
+    tables = {}  # one table per p: table_dir is the manifest's
+
+    def table_for(spec):
+        if fhat_route(spec) != "table":
+            return None
+        if spec.p not in tables:
+            tables[spec.p] = cached_transform_table(
+                spec.p, tol=1e-8, directory=table_dir, r_max=96.0)
+        return tables[spec.p]
 
     plans = []
     for idx, entry in enumerate(manifest["checks"]):
         label = f"checks[{idx}]"
         try:
             plans.append(_plan_one(entry, base_dir, default_lattice,
-                                   seed + idx, nodes, grid, table_dir))
+                                   seed + idx, nodes, grid, table_for))
         except (ManifestError, ValueError, KeyError, TypeError) as exc:
             raise ManifestError(f"{label}: {exc}")
     return plans
 
 
-def _plan_one(entry, base_dir, default_lattice, seed, nodes, grid, table_dir):
+def _plan_one(entry, base_dir, default_lattice, seed, nodes, grid, table_for):
     if not isinstance(entry, dict) or "check_name" not in entry:
         raise ManifestError("entry must be an object with 'check_name'")
     name = entry["check_name"]
@@ -263,7 +265,7 @@ def _plan_one(entry, base_dir, default_lattice, seed, nodes, grid, table_dir):
                                 params.get("p"))
         samples = int(params.get("samples", 10000))
         hseed = int(params.get("seed", seed))
-        table = _table_for(spec, table_dir)
+        table = table_for(spec)
 
         def run_hyp():
             rep = check_hypotheses(spec, samples=samples, seed=hseed,
@@ -340,7 +342,7 @@ def _plan_one(entry, base_dir, default_lattice, seed, nodes, grid, table_dir):
             raise ManifestError("psf needs t > 0")
         max_residual = float(params["max_residual"])
         psf_product_diagonal(L, spec)  # refuse a general basis before any table
-        table = _table_for(spec, table_dir)
+        table = table_for(spec)
 
         def run_psf():
             res = psf_residual(L, spec, v, t, tol, node_budget=nodes,

@@ -1,15 +1,21 @@
-"""Certified 1-D Fourier transforms of exp(-|t|^p) on 0 < p <= 2.
+"""1-D Fourier transforms of exp(-|t|^p) on 0 < p <= 2.
 
-There is no closed form between p=1 and p=2, so we tabulate
+fhat_p(r) = integral exp(-|t|^p) cos(2 pi r t) dt is 2 pi f_p(2 pi r), with
+f_p the density of the symmetric p-stable law.  For x > 0 and p != 1,
+Zolotarev's integral (Zolotarev 1986; Nolan 1997) gives
+f_p(x) = p / (pi |p-1| x) * integral_0^{pi/2} h e^-h dtheta, where
+h = x^c (cos theta / sin p theta)^c cos((p-1) theta) / cos theta, c = p/(p-1):
+positive, not oscillating, h monotone in theta.  `fourier_1d` integrates it
+on u = log(theta / (pi/2 - theta)), in 20-node Gauss-Legendre panels between
+the points where the integrand has fallen by 0.5, 2, 4.5, 8, ... below its
+value at h = 1, halving a panel whose estimate is poor.  Its error is a
+checked estimate, not a proven bound: the top Legendre coefficients of each
+panel, a bound on the mass past the outer panels, and a rounding allowance.
+p = 1, p = 2 and r = 0 have closed forms.
 
-    fhat_p(r) = integral exp(-|t|^p) cos(2 pi r t) dt
-
-on an adaptive node set (oscillatory-weight quadrature, absolute error
-certified <= tol per node) and continue past the last node with the
-power-law asymptote  C_p * r^(-p-1).  The asymptote is rescaled to meet the
-last tabulated value exactly, so evaluation is continuous at the junction;
-the switch radius is pushed out until the raw asymptote agrees with
-quadrature to 5% relative, which keeps the rescaling factor near 1.
+Tables hold fhat_p on adaptive nodes, built breadth-first (one batched call
+per level), and continue past the last node with C_p r^(-p-1), rescaled to
+meet the last value, from where the raw asymptote is within 5% of fhat_p.
 """
 
 from __future__ import annotations
@@ -20,11 +26,19 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma, gammaincc
 
 from .errors import ToleranceUnreachedError
 
 _RMAX_CAP = 192.0
+_HALF_PI = 0.5 * math.pi
+_U_MAX = 60.0                     # theta within e^-60 of 0 or pi/2
+_DROPS = np.array([0.5, 2.0, 4.5, 8.0, 14.0, 22.0, 32.0, 46.0])
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(20)
+# maps the values at the nodes to the interpolant's P_18 and P_19 coefficients
+_TOP = (np.polynomial.legendre.legvander(_NODES, 19)[:, 18:]
+        * _WEIGHTS[:, None] * [18.5, 19.5])
+_BLOCK = 512                      # radii per batch, to bound memory
+_EPS = float(np.finfo(float).eps)
 
 
 def transform_tail_coefficient(p: float) -> float:
@@ -36,76 +50,104 @@ def transform_tail_coefficient(p: float) -> float:
         raise ValueError("p must be in (0, 2]")
     if p == 2:
         return 0.0
-    return float(-math.pi ** (-p - 0.5) * gamma((p + 1) / 2) / gamma(-p / 2))
+    return -math.pi ** (-p - 0.5) * math.gamma((p + 1) / 2) / math.gamma(-p / 2)
 
 
-def _cutoff(p, tol):
-    """T with a certified bound int_T^inf exp(-t^p) dt <= tol/8."""
-    T = math.log(16.0 / tol) ** (1.0 / p)
-    for _ in range(200):
-        tail = gamma(1.0 / p) * float(gammaincc(1.0 / p, T ** p)) / p
-        if tail <= tol / 8:
-            return T, tail
-        T *= 1.15
-    raise ToleranceUnreachedError(tol / 8, tail, where="tail cutoff")
+def _integrand(p, logx, u):
+    """(log G, log h) at u, where G = h e^-h dtheta/du.  h falls with u for
+    p > 1 and rises for p < 1."""
+    c = p / (p - 1)
+    e_lo, e_hi = np.exp(np.minimum(u, 0.0)), np.exp(-np.maximum(u, 0.0))
+    d = _HALF_PI / (1 + e_lo * e_hi)
+    theta, psi = d * e_lo, d * e_hi  # psi = pi/2 - theta, to full relative accuracy
+    # sin(p theta) = sin(pi - p theta), whose argument keeps its relative
+    # accuracy where p theta nears pi
+    arg = np.minimum(p * theta, math.pi * (1 - 0.5 * p) + p * psi)
+    log_h = (c * logx + (c - 1) * np.log(np.sin(psi)) - c * np.log(np.sin(arg))
+             + np.log(np.cos((p - 1) * theta)))
+    h = np.exp(np.minimum(log_h, 700.0))
+    return log_h - h + np.log(theta * psi / _HALF_PI), log_h
 
 
-def fourier_1d(p: float, r: float, tol: float = 1e-10):
-    """(value, error_bound) for fhat_p(r) with certified absolute error.
+def _bisect(lo, hi, above, steps):
+    """Elementwise, where `above` turns from True (at lo) to False (at hi)."""
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        keep = above(mid)
+        lo, hi = np.where(keep, mid, lo), np.where(keep, hi, mid)
+    return 0.5 * (lo + hi)
 
-    Splits off the integrand tail analytically and runs oscillatory-weight
-    quadrature on the rest.  A single QAGS/QAWO error estimate is not
-    trusted: the routine is run at two tolerances and the results must agree,
-    with the observed discrepancy folded into the reported bound.  Raises if
-    the requested tolerance cannot be certified.
-    """
-    # scipy.integrate is most of the package's import time; only here needs it
-    from scipy.integrate import quad
 
+def _zolotarev(p, r):
+    """(value, error estimate) of fhat_p at radii r > 0; p not 1 or 2."""
+    logx = np.log(2 * math.pi * r)[:, None]
+    span = np.full_like(logx, _U_MAX)
+    # the peak of h e^-h, where h = 1; near p = 1 it is ~|p-1| wide
+    peak = _bisect(-span, span, lambda u: (_integrand(p, logx, u)[1] > 0) == (p > 1), 48)
+    log_g, log_h = _integrand(p, logx, peak)
+    # edges where log G has dropped by _DROPS, bisecting log distances
+    side = np.repeat([-1.0, 1.0], _DROPS.size)
+    target = log_g - np.tile(_DROPS, 2)
+    log_dist = _bisect(np.full(target.shape, math.log(1e-12)),
+                       np.full(target.shape, math.log(_U_MAX)),
+                       lambda t: _integrand(p, logx, peak + side * np.exp(t))[0] > target, 10)
+    edges = np.sort(np.hstack([peak + side * np.exp(log_dist), peak]), axis=1)
+    row = np.repeat(np.arange(r.size), edges.shape[1] - 1)
+    a, b = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    total, gap, first = np.zeros(r.size), np.zeros(r.size), None
+    # halve a panel whose estimate exceeds 1e-12 of the first pass's sum: a
+    # shelf in h near p = 2 can leave one too wide for the rule
+    for rounds in range(6, -1, -1):
+        half = 0.5 * (b - a)
+        g = np.exp(_integrand(p, logx[row], a[:, None] + half[:, None] * (1 + _NODES))[0])
+        q, e = (g @ _WEIGHTS) * half, np.abs(g @ _TOP).sum(axis=1) * half
+        first = np.bincount(row, q, r.size) if first is None else first
+        split = (e > 1e-12 * first[row]) & (rounds > 0)
+        total += np.bincount(row[~split], q[~split], r.size)
+        gap += np.bincount(row[~split], e[~split], r.size)
+        mid = 0.5 * (a + b)[split]
+        a, b, row = np.r_[a[split], mid], np.r_[mid, b[split]], np.r_[row[split], row[split]]
+    # past an outer edge h is monotone, so h e^-h is at most its value at the
+    # edge (or its maximum 1/e, if the peak lies beyond) times the angle left
+    ends = edges[:, [0, -1]]
+    h = np.exp(np.minimum(_integrand(p, logx, ends)[1], 700.0))
+    beyond = np.where([p > 1, p < 1], h < 1, h > 1)     # is h = 1 past the end?
+    angle = _HALF_PI / (1 + np.exp(ends * [-1.0, 1.0]))
+    tail = (np.where(beyond, 1 / math.e, h * np.exp(-h)) * angle).sum(axis=1)
+    scale = p / (math.pi * abs(p - 1) * r)
+    # float exponents carry about |c| (1 + |log x|) ulps into the integrand
+    rounding = 16 * _EPS * (1 + abs(p / (p - 1)) * (1 + np.abs(logx[:, 0])))
+    return scale * total, np.where(np.abs(log_h[:, 0]) > 1, np.inf,  # h = 1 not found
+                                   scale * (gap + tail + rounding * total))
+
+
+def _evaluate(p, r):
+    if p in (1, 2):
+        value = (2.0 / (1.0 + (2 * math.pi * r) ** 2) if p == 1
+                 else math.sqrt(math.pi) * np.exp(-(math.pi * r) ** 2))
+        return value, 4 * _EPS * value
+    value = np.full_like(r, 2 * math.gamma(1 + 1 / p))
+    err = (16 + 1 / p) * _EPS * value  # math.gamma, and 1/p's rounding
+    value[r > 0], err[r > 0] = _zolotarev(p, r[r > 0])
+    return value, err
+
+
+def fourier_1d(p: float, r, tol: float = 1e-10):
+    """(value, error) of fhat_p at r, a radius or an array of radii, from
+    Zolotarev's integral in batches; the error is a checked estimate (see
+    the module docstring).  Raises if it exceeds `tol` at any radius."""
     if not 0 < p <= 2:
         raise ValueError("p must be in (0, 2]")
-    r = abs(float(r))
-    T, tailbound = _cutoff(p, tol)
-    integrand = lambda t: math.exp(-t ** p)
-    fewcycles = r * T < 4.0
-    w = 2 * math.pi * r
-    if fewcycles:
-        # few cycles: QAWO is overkill, and handing QAGS the whole range
-        # invites its extrapolation to stall on a pseudo-limit (seen in the
-        # wild: errors 100x the estimate on smooth data).  Integrating
-        # between the cosine zeros keeps every panel extrapolation-free.
-        edges = [0.0]
-        z = 0.25 * math.pi / w if w > 0 else T
-        while z < T:
-            edges.append(z)
-            z += 0.5 * math.pi / w
-        edges.append(T)
-
-    def attempt(epsabs):
-        if fewcycles:
-            tot = errtot = 0.0
-            per = epsabs / len(edges)
-            for a, b in zip(edges[:-1], edges[1:]):
-                val, err = quad(lambda t: math.exp(-t ** p) * math.cos(w * t),
-                                a, b, epsabs=per, epsrel=1e-12, limit=200)
-                tot += val
-                errtot += err
-            return tot, errtot
-        return quad(integrand, 0.0, T, weight="cos", wvar=w,
-                    epsabs=epsabs, epsrel=1e-13, limit=4000)
-
-    prev = None
-    total_err = math.inf
-    for epsabs in (tol / 4, tol / 40, tol / 400):
-        val, err = attempt(epsabs)
-        if not np.isfinite(val):
-            continue
-        if prev is not None:
-            total_err = 2 * err + 2 * abs(val - prev) + 2 * tailbound
-            if total_err <= tol:
-                return 2 * val, total_err
-        prev = val
-    raise ToleranceUnreachedError(tol, total_err, where=f"fhat_{p}({r})")
+    radii = np.abs(np.asarray(r, dtype=float))
+    flat = radii.ravel()
+    value, err = np.empty_like(flat), np.empty_like(flat)
+    for i in range(0, flat.size, _BLOCK):
+        value[i:i + _BLOCK], err[i:i + _BLOCK] = _evaluate(p, flat[i:i + _BLOCK])
+    if flat.size and not err.max() <= tol:  # also catches NaN
+        raise ToleranceUnreachedError(tol, err.max(), where=f"fhat_{p}({flat[err.argmax()]:g})")
+    if radii.ndim == 0:
+        return float(value[0]), float(err[0])
+    return value.reshape(radii.shape), err.reshape(radii.shape)
 
 
 @dataclass
@@ -146,53 +188,38 @@ class Transform1DTable:
         return 2.0 * self.tail_exponent_coeff * r ** (-self.p - 1)
 
     def to_dict(self):
-        return {
-            "p": self.p,
-            "nodes": [float(v) for v in self.nodes],
-            "values": [float(v) for v in self.values],
-            "tail_exponent_coeff": self.tail_exponent_coeff,
-            "tail_scale": self.tail_scale,
-            "tol": self.tol,
-        }
+        return {**vars(self), "nodes": self.nodes.tolist(), "values": self.values.tolist()}
 
     @classmethod
     def from_dict(cls, d):
-        return cls(p=float(d["p"]),
-                   nodes=np.asarray(d["nodes"], dtype=float),
-                   values=np.asarray(d["values"], dtype=float),
-                   tail_exponent_coeff=float(d["tail_exponent_coeff"]),
-                   tail_scale=float(d["tail_scale"]),
-                   tol=float(d["tol"]))
+        arrays = {k: np.asarray(d[k], dtype=float) for k in ("nodes", "values")}
+        return cls(**{k: float(v) for k, v in d.items() if k not in arrays}, **arrays)
+
+
+def _asymptotic(p, r, values, tol):
+    """Where the values at r are below tol or within 5% of C_p r^(-p-1)."""
+    C = transform_tail_coefficient(p)
+    return (values <= tol) | ((C > 0) & (abs(C * r ** (-p - 1) - values) <= 0.05 * abs(values)))
 
 
 def _pick_r_max(p, tol):
-    """Smallest radius (in steps of 2) where the asymptote is trustworthy.
-
-    Trustworthy means 5% relative agreement with quadrature, or the value
-    itself has decayed below tol (the p=2 route, where C_p = 0).
-    """
-    C = transform_tail_coefficient(p)
-    r = 4.0
-    while r <= _RMAX_CAP:
-        val, _ = fourier_1d(p, r, tol)
-        if val <= tol:
-            return r
-        if C > 0 and abs(C * r ** (-p - 1) - val) <= 0.05 * abs(val):
-            return r
-        r += 2.0
-    raise ToleranceUnreachedError(0.05, math.inf,
-                                  where=f"asymptote switch for p={p}")
+    """Smallest radius in 4, 6, ..., 192 where the asymptote is trustworthy."""
+    radii = np.arange(4.0, _RMAX_CAP + 1.0, 2.0)
+    ok = _asymptotic(p, radii, fourier_1d(p, radii, tol)[0], tol)
+    if not ok.any():
+        raise ToleranceUnreachedError(0.05, math.inf, where=f"asymptote switch for p={p}")
+    return float(radii[np.argmax(ok)])
 
 
 def build_transform_table(p: float, r_max: float | None = None,
                           tol: float = 1e-8) -> Transform1DTable:
     """Adaptive table of fhat_p on [0, r_max].
 
-    Nodes are refined until the midpoint of every interval interpolates to
-    within 5*tol of quadrature, which keeps the piecewise-linear error below
-    the documented 10*tol.  Values are clamped to be nonnegative and
-    non-increasing (the true transform is both); clamps beyond 4*tol would
-    mean broken quadrature and raise.
+    Of 64 equal intervals, each whose midpoint value misses the average of
+    its ends by more than 5*tol is halved, and so on level by level, which
+    keeps the piecewise-linear error below the documented 10*tol.  Values
+    are clamped to be nonnegative and non-increasing (the true transform is
+    both); clamps beyond 4*tol would mean a broken evaluator and raise.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -201,53 +228,41 @@ def build_transform_table(p: float, r_max: float | None = None,
         r_max = _pick_r_max(p, tol)
     else:
         r_max = float(r_max)
-        val, _ = fourier_1d(p, r_max, tol)
-        ok = val <= tol or (C > 0 and abs(C * r_max ** (-p - 1) - val) <= 0.05 * abs(val))
-        if not ok:
+        if not _asymptotic(p, r_max, fourier_1d(p, r_max, tol)[0], tol):
             raise ValueError(
                 f"r_max={r_max} is inside the pre-asymptotic region for p={p}; "
                 f"pass r_max=None to extend automatically")
 
-    pts = {}
-
-    def value(r):
-        if r not in pts:
-            pts[r] = fourier_1d(p, r, tol)[0]
-        return pts[r]
-
-    def refine(r0, r1, depth):
-        rm = 0.5 * (r0 + r1)
-        vm = value(rm)
-        if abs(vm - 0.5 * (value(r0) + value(r1))) <= 5 * tol:
-            return
-        if depth > 40 or (r1 - r0) < 1e-9 * max(1.0, r_max):
-            raise ToleranceUnreachedError(
-                5 * tol, abs(vm - 0.5 * (value(r0) + value(r1))),
-                where=f"node refinement near r={rm:.4g}")
-        refine(r0, rm, depth + 1)
-        refine(rm, r1, depth + 1)
-
-    coarse = np.linspace(0.0, r_max, 65)
-    for a, b in zip(coarse[:-1], coarse[1:]):
-        refine(float(a), float(b), 0)
-
-    nodes = np.array(sorted(pts))
-    values = np.array([pts[r] for r in nodes])
+    lo = np.linspace(0.0, r_max, 65)
+    nodes, values = [lo], [fourier_1d(p, lo, tol)[0]]
+    lo, hi, vlo, vhi = lo[:-1], lo[1:], values[0][:-1], values[0][1:]
+    while lo.size:
+        mid = 0.5 * (lo + hi)
+        vmid = fourier_1d(p, mid, tol)[0]
+        nodes.append(mid)
+        values.append(vmid)
+        miss = np.abs(vmid - 0.5 * (vlo + vhi))
+        split = miss > 5 * tol
+        if (hi - lo)[split].min(initial=np.inf) < 1e-9 * max(1.0, r_max):
+            raise ToleranceUnreachedError(5 * tol, miss.max(), where=(
+                f"node refinement near r={mid[np.argmax(miss)]:.4g}"))
+        lo, hi = np.r_[lo[split], mid[split]], np.r_[mid[split], hi[split]]
+        vlo, vhi = np.r_[vlo[split], vmid[split]], np.r_[vmid[split], vhi[split]]
+    order = np.argsort(np.concatenate(nodes))
+    nodes, values = np.concatenate(nodes)[order], np.concatenate(values)[order]
 
     # impose the structure the true transform is known to have
-    clamped = np.maximum(values, 0.0)
-    clamped = np.minimum.accumulate(clamped)
+    clamped = np.minimum.accumulate(np.maximum(values, 0.0))
     worst = float(abs(clamped - values).max())
     if worst > 4 * tol:
         raise ToleranceUnreachedError(4 * tol, worst, where="monotone clamp")
-    values = clamped
 
     if C > 0:
         raw_tail = C * nodes[-1] ** (-p - 1)
-        tail_scale = float(values[-1] / raw_tail) if raw_tail > 0 else 1.0
+        tail_scale = float(clamped[-1] / raw_tail) if raw_tail > 0 else 1.0
     else:
         tail_scale = 0.0
-    return Transform1DTable(p=float(p), nodes=nodes, values=values,
+    return Transform1DTable(p=float(p), nodes=nodes, values=clamped,
                             tail_exponent_coeff=C, tail_scale=tail_scale,
                             tol=float(tol))
 
@@ -256,36 +271,21 @@ def table_cache_key(p, r_max, tol):
     return f"transform_p{p:g}_rmax{r_max:g}_tol{tol:g}.json"
 
 
-def save_table(table: Transform1DTable, directory):
-    os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory,
-                        table_cache_key(table.p, table.r_max, table.tol))
-    with open(path, "w") as fh:
-        json.dump(table.to_dict(), fh)
-    return path
-
-
-def load_table(path) -> Transform1DTable:
-    with open(path) as fh:
-        return Transform1DTable.from_dict(json.load(fh))
-
-
 def cached_transform_table(p, tol=1e-8, directory=None,
                            r_max=None) -> Transform1DTable:
-    """Build a table, or reload a previously saved one from `directory`.
-
-    The default extent is the asymptote switch radius, the shortest
-    certifiable table.  Lattice summation wants a longer one (the tail
-    envelope is only certified past the last node), so pass r_max explicitly
-    there.
-    """
-    if directory is not None:
-        if r_max is None:
-            r_max = _pick_r_max(p, tol)
-        path = os.path.join(directory, table_cache_key(p, r_max, tol))
-        if os.path.exists(path):
-            return load_table(path)
-        table = build_transform_table(p, r_max=r_max, tol=tol)
-        save_table(table, directory)
-        return table
-    return build_transform_table(p, r_max=r_max, tol=tol)
+    """Build a table, or reload one saved in `directory`.  The default extent
+    is the asymptote switch radius; lattice summation wants a longer table
+    (the tail envelope holds only past the last node), so passes r_max."""
+    if directory is None:
+        return build_transform_table(p, r_max=r_max, tol=tol)
+    if r_max is None:
+        r_max = _pick_r_max(p, tol)
+    path = os.path.join(directory, table_cache_key(p, r_max, tol))
+    if os.path.exists(path):
+        with open(path) as fh:
+            return Transform1DTable.from_dict(json.load(fh))
+    table = build_transform_table(p, r_max=r_max, tol=tol)
+    os.makedirs(directory, exist_ok=True)
+    with open(path, "w") as fh:
+        json.dump(table.to_dict(), fh)
+    return table

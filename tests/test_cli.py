@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import latbounds.cli as cli
+import latbounds.transform as transform
 from latbounds.cli import _fmt, _write_plot_csv, main, plan_manifest
 from latbounds.errors import BudgetExceededError
 from latbounds.lattice import integer_lattice, save_lattice
@@ -321,6 +322,23 @@ def test_exact_route_near_p1_builds_no_table(tmp_path, monkeypatch):
                                   "dim": 2, "samples": 500}}]}
     records = [run() for run in plan_manifest(man, str(tmp_path))]
     assert [rec["verdict"] for rec in records] == ["PASS", "PASS"]
+
+
+def test_manifest_builds_each_table_once(tmp_path, monkeypatch):
+    # a psf and a hypotheses entry with the same p read the same table
+    built = []
+    monkeypatch.setattr(transform, "build_transform_table",
+                        lambda p, **kwargs: built.append(p) or object())
+    man = {"seed": 3,
+           "checks": [{"check_name": "psf",
+                       "params": {"family": "supergaussian", "p": 1.5,
+                                  "max_residual": 1e-6,
+                                  "lattice": {"kind": "integer", "dim": 1}}},
+                      {"check_name": "hypotheses",
+                       "params": {"family": "supergaussian", "p": 1.5,
+                                  "dim": 3}}]}
+    assert len(plan_manifest(man, str(tmp_path))) == 2
+    assert built == [1.5]
 
 
 @pytest.mark.parametrize("family, p", [("supergaussian", 1.5),

@@ -1,12 +1,55 @@
+import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from latbounds import transform
 from latbounds.errors import ToleranceUnreachedError
 from latbounds.transform import (Transform1DTable, build_transform_table,
                                  cached_transform_table, fourier_1d,
                                  table_cache_key, transform_tail_coefficient)
+
+
+@functools.lru_cache(maxsize=None)
+def _reference(p, r, dps=30):
+    """fhat_p(r) to dps digits: 2 Gamma(1 + 1/p) at r = 0, else mpmath.quad
+    (tanh-sinh) of Zolotarev's integral on theta itself, split at its peak."""
+    with mpmath.workdps(dps):
+        p, r = mpmath.mpf(p), mpmath.mpf(r)
+        if r == 0:
+            return 2 * mpmath.gamma(1 + 1 / p)
+        c = p / (p - 1)
+        scale = (2 * mpmath.pi * r) ** c
+
+        def h(th):
+            return (scale * (mpmath.cos(th) / mpmath.sin(p * th)) ** c
+                    * mpmath.cos((p - 1) * th) / mpmath.cos(th))
+
+        lo, hi = mpmath.mpf(0), mpmath.pi / 2
+        for _ in range(100):  # h falls through 1 for p > 1, rises for p < 1
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if (h(mid) > 1) == (p > 1) else (lo, mid)
+        integral = mpmath.quad(lambda th: (lambda v: v * mpmath.exp(-v))(h(th)),
+                               [0, lo, mpmath.pi / 2])
+        return p / (mpmath.pi * abs(p - 1) * r) * integral
+
+
+_ORACLE_P = (0.3, 0.5, 0.9, 0.99, 1.01, 1.1, 1.5, 1.9, 1.99)
+
+
+@settings(max_examples=3)
+@given(st.lists(st.floats(-3.0, math.log10(192.0)), min_size=len(_ORACLE_P),
+                max_size=len(_ORACLE_P)))
+def test_fourier_within_its_error_of_mpmath(log_radii):
+    # one radius per p and example, and r = 0 for each p
+    for p, log_r in zip(_ORACLE_P, log_radii):
+        for r in (0.0, 10.0 ** log_r):
+            val, err = fourier_1d(p, r, tol=1e-10)
+            assert err <= 1e-10
+            assert abs(mpmath.mpf(val) - _reference(p, r)) <= err
 
 
 def test_fourier_matches_exact_p1():
@@ -35,8 +78,9 @@ def test_fourier_zero_frequency_is_mass():
 
 
 def test_fourier_error_honest_spot():
+    # 50-digit power series (2/p) sum_k (-1)^k Gamma((2k+1)/p) pi^2k / (2k)!
     val, err = fourier_1d(1.5, 0.5, tol=1e-10)
-    assert abs(val - 0.17383583111594372) <= err + 1e-12
+    assert abs(val - 0.17383583111371357) <= err + 1e-12
     assert err <= 1e-10
 
 
@@ -62,6 +106,24 @@ def test_table_build_and_eval(table15):
     out = t.eval(np.array([0.1, 50.0, 200.0]))
     assert out.shape == (3,)
     assert (out >= 0).all()
+
+
+def test_table_is_built_in_batches(monkeypatch):
+    # one fourier_1d call per refinement level, not one per node
+    calls = []
+
+    def spy(p, r, tol=1e-10):
+        calls.append(np.size(r))
+        return fourier_1d(p, r, tol)
+    monkeypatch.setattr(transform, "fourier_1d", spy)
+    t = build_transform_table(1.5, r_max=96.0, tol=1e-8)
+    assert len(calls) <= 64
+    assert sum(calls) >= len(t.nodes)
+    assert t.nodes[0] == 0.0 and t.nodes[-1] == 96.0
+    assert (np.diff(t.nodes) > 0).all()
+    for r in np.random.default_rng(11).uniform(0.0, 96.0, 20):
+        approx = np.interp(r, t.nodes, t.values)
+        assert abs(approx - float(_reference(1.5, r, dps=15))) <= 10 * t.tol
 
 
 def test_table_tail_envelope_dominates(table15):
