@@ -263,7 +263,10 @@ def _plan_one(entry, base_dir, default_lattice, seed, nodes, grid, table_for):
     if name == "hypotheses":
         spec = TestFunctionSpec(params["family"], int(params["dim"]),
                                 params.get("p"))
-        samples = int(params.get("samples", 10000))
+        samples = params.get("samples", 10000)
+        if type(samples) is not int or samples <= 0:
+            raise ManifestError("hypotheses 'samples' must be a positive "
+                                "integer")
         hseed = int(params.get("seed", seed))
         table = table_for(spec)
 

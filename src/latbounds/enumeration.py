@@ -1,16 +1,15 @@
 """Exact lattice point enumeration in l^p balls, shortest vectors, covering radii.
 
 One primitive, ``enumerate_arrays``, does all enumeration; shortest vectors
-and the covering-radius candidate sets are built on it.  It
-runs a Fincke-Pohst branch-and-bound over the Gram-Schmidt coordinates of an
-LLL-reduced basis, with a node budget.  At the bottom level the admissible
-c0 are exactly those with D[0] * (c0 + shift[0] + s[0])^2 within the
-remaining budget; that cost is convex in c0, so they form one integer
-interval.  Each leaf of the search is therefore stored as an interval
-(lo, length, higher coefficients), never point by point, and all leaves are
-expanded into one (m, n) int64 array in a single numpy pass at the end.
-l^p balls for p != 2 are handled by enumerating the circumscribed l^2 ball
-and filtering, with the norm-comparison factor max(1, n^(1/2 - 1/p)).
+and the covering-radius candidate sets are built on it.  It runs a
+Fincke-Pohst search over the Gram-Schmidt coordinates of an LLL-reduced
+basis, level by level on numpy blocks of nodes, within a node budget.  The
+bottom-level c0 that fit form one integer interval (the cost
+D[0] * (c0 + shift[0] + s[0])^2 is convex), so leaves are stored as
+intervals and expanded in one numpy pass at the end.  Coefficients are
+counted in floats, so an interval end at 2^52 or beyond raises ValueError.
+l^p balls for p != 2 are the circumscribed l^2 ball, filtered, with the
+factor max(1, n^(1/2 - 1/p)).
 
 The covering radius is bracketed by a second, geometric branch-and-bound:
 dyadic cubes of the reduced basis's coefficient space are split only while
@@ -64,82 +63,78 @@ def l2_circumscribe_factor(p: float, n: int) -> float:
     return 1.0
 
 
-class _Counter:
-    __slots__ = ("visited", "budget", "found")
-
-    def __init__(self, budget):
-        self.visited = 0
-        self.budget = int(budget)
-        self.found = 0
-
-    def spend(self, k):
-        self.visited += int(k)
-        if self.visited > self.budget:
-            raise BudgetExceededError(self.budget, self.visited,
-                                      partial_count=self.found)
+# rows in one block of search nodes: children are built and searched this
+# many at a time, depth first, so memory is O(n * _BLOCK) plus the leaves
+_BLOCK = 1 << 16
 
 
-def _enum_l2_coeffs(basis, shift, r2, counter):
+def _spread(lo, counts):
+    """Expand integer intervals [lo, lo + counts): (parent row, integer)."""
+    parent = np.arange(len(counts)).repeat(counts)
+    first = counts.cumsum() - counts
+    return parent, (lo - first).repeat(counts) + np.arange(len(parent))
+
+
+def _enum_l2_coeffs(basis, shift, r2, node_budget):
     """(m, n) int64 rows c with ||(c + shift) @ basis||_2 <= r2, unordered.
 
-    shift is the real coefficient vector of the translation.  Levels are
-    searched highest first; every bottom-level interval is kept as a leaf
-    (lo, length, prefix) and all leaves are expanded together at the end.
+    shift is the real coefficient vector of the translation.  A level-k
+    node holds c_>k, its offsets s and its remaining squared radius.  Each
+    block's intervals are charged to node_budget before any child is built,
+    and the leaves come out in the order of a node-by-node search.
     """
     n = basis.shape[0]
     mu, D, _ = _gso(basis)
-    mu, D, shift = mu.tolist(), D.tolist(), shift.tolist()
-    bound2 = r2 * r2 * (1 + 1e-9) + 1e-300
-    los, lens, prefixes = [], [], []
+    leaves = [(np.zeros(0), np.zeros(0, np.int64), np.zeros((0, n), np.int64))]
+    visited = 0
 
-    def descend(k, s, rem2, prefix):
-        # s[j] = sum over fixed i>k of (c_i + shift_i) * mu[i][j]
-        if rem2 < 0:
-            return
-        w2 = rem2 / D[k]
-        if w2 < 0 or not math.isfinite(w2):
-            return
-        w = math.sqrt(w2)
-        center = -shift[k] - s[k]
-        cmin = math.ceil(center - w - 1e-12)
-        cmax = math.floor(center + w + 1e-12)
-        if cmax < cmin:
-            return
-        counter.spend(cmax - cmin + 1)
-        limit = rem2 * (1 + 1e-9) + 1e-300
+    def search(k, s, rem, coef):
+        nonlocal visited
+        w = np.sqrt(rem / D[k])
+        center = -shift[k] - s[:, k]
+        lo = np.ceil(center - w - 1e-12)
+        hi = np.floor(center + w + 1e-12)
+        # lo <= hi + 1, so these bound every end and no count is negative
+        if not (lo.min(initial=0) > -2**52 and hi.max(initial=0) < 2**52):
+            raise ValueError("coefficients reach 2^52: too large to count")
+        counts = (hi - lo + 1).astype(np.int64)
+        visited += int(counts.sum())
+        if visited > node_budget:
+            raise BudgetExceededError(node_budget, visited)
         if k == 0:
-            a, b, d = shift[0], s[0], D[0]
-            lo, hi = cmin, cmax
-            while lo <= hi and not d * (lo + a + b) * (lo + a + b) <= limit:
-                lo += 1
-            while hi > lo and not d * (hi + a + b) * (hi + a + b) <= limit:
-                hi -= 1
-            if lo <= hi:
-                los.append(lo)
-                lens.append(hi - lo + 1)
-                prefixes.append(prefix)
-                counter.found += hi - lo + 1
+            limit = rem * (1 + 1e-9) + 1e-300
+            def fits(c):
+                y = c + shift[0] + s[:, 0]
+                return D[0] * y * y <= limit
+            while True:  # step each end inward past the integers that miss
+                bad_lo = (lo <= hi) & ~fits(lo)
+                bad_hi = (hi > lo) & ~fits(hi)
+                if not (bad_lo.any() or bad_hi.any()):
+                    break
+                lo += bad_lo
+                hi -= bad_hi
+            leaves.append((lo, (hi - lo + 1).astype(np.int64), coef))
             return
-        row, sk, tk, dk = mu[k], s[k], shift[k], D[k]
-        for c in range(cmin, cmax + 1):
-            y = c + tk + sk
-            cost = dk * y * y
-            if cost <= limit:
-                t = c + tk
-                descend(k - 1, [s[j] + t * row[j] for j in range(k)],
-                        rem2 - cost, (c,) + prefix)
+        parent, cs = _spread(lo, counts)
+        for a in range(0, len(parent), _BLOCK):
+            p, c = parent[a:a + _BLOCK], cs[a:a + _BLOCK]
+            t = c + shift[k]
+            y = t + s[:, k].take(p)
+            rest = rem.take(p) - D[k] * y * y
+            keep = rest >= 0  # a child with rest < 0 would charge nothing
+            p = p[keep]
+            child = coef.take(p, axis=0)
+            child[:, k] = c[keep]
+            s_child = s[:, :k].take(p, axis=0) + t[keep, None] * mu[k, :k]
+            search(k - 1, s_child, rest[keep], child)
 
-    descend(n - 1, [0.0] * n, bound2, ())
-    counts = np.array(lens, dtype=np.int64)
-    m = int(counts.sum())
-    first = np.cumsum(counts) - counts
-    coeffs = np.empty((m, n), dtype=np.int64)
-    coeffs[:, 0] = np.repeat(np.array(los, dtype=np.int64) - first, counts) \
-        + np.arange(m)
-    coeffs[:, 1:] = np.repeat(
-        np.array(prefixes, dtype=np.int64).reshape(len(lens), n - 1),
-        counts, axis=0)
-    return coeffs
+    search(n - 1, np.zeros((1, n)), np.array([r2 * r2 * (1 + 1e-9) + 1e-300]),
+           np.zeros((1, n), dtype=np.int64))
+    lo, counts, coef = map(np.concatenate, zip(*leaves))
+    parent, c0 = _spread(lo, counts)
+    coef = coef.take(parent, axis=0)
+    coef[:, 0] = c0
+    return coef
 
 
 def enumerate_arrays(L: Lattice, v, r: float, p: float = 2,
@@ -152,7 +147,7 @@ def enumerate_arrays(L: Lattice, v, r: float, p: float = 2,
     1e-12 relative).  Raises BudgetExceededError when the branch-and-bound
     tree outgrows node_budget.
     """
-    if r < 0:
+    if not r >= 0:
         raise ValueError("radius must be nonnegative")
     v = np.asarray(v, dtype=float)
     if v.shape != (L.dim,):
@@ -160,10 +155,7 @@ def enumerate_arrays(L: Lattice, v, r: float, p: float = 2,
     reduced, U = lll_reduce(L, return_transform=True)
     shift = reduced.coefficients(v)
     r2 = r * l2_circumscribe_factor(p, L.dim)
-    cred = _enum_l2_coeffs(reduced.basis, shift, r2, _Counter(node_budget))
-    if not len(cred):
-        return (np.zeros((0, L.dim), dtype=np.int64),
-                np.zeros((0, L.dim), dtype=float))
+    cred = _enum_l2_coeffs(reduced.basis, shift, r2, node_budget)
     keep = lp_norm(cred @ reduced.basis + v, p) <= r * (1 + _BOUNDARY_SLACK)
     orig = cred[keep] @ U
     orig = orig[np.lexsort(orig.T[::-1])]

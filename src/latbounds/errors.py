@@ -19,18 +19,16 @@ class IllConditionedBasisError(LatticeError):
 class BudgetExceededError(LatticeError):
     """An enumeration or covering search ran past its node/centre budget.
 
-    Carries how far the computation got, so callers can report partial
-    progress instead of silently truncating.
+    Raised only when the whole search would exceed the budget.  visited is
+    the count charged when the search stopped; the enumeration charges a
+    block of nodes at a time, so it may pass the budget by up to one block.
     """
 
-    def __init__(self, budget, visited, partial_count=None):
+    def __init__(self, budget, visited):
         self.budget = int(budget)
         self.visited = int(visited)
-        self.partial_count = partial_count
-        msg = f"budget {self.budget} exceeded after {self.visited} nodes"
-        if partial_count is not None:
-            msg += f" ({partial_count} points found so far)"
-        super().__init__(msg)
+        super().__init__(
+            f"budget {self.budget} exceeded after {self.visited} nodes")
 
 
 class MissingTableError(LatticeError):

@@ -103,7 +103,7 @@ def log_f(spec: TestFunctionSpec, x):
         z = _2PI_OVER_SQRT3 * abs(x)
         # log(1 + 2 cosh z) = z + log1p(e^{-z} + e^{-2z})
         out = -(z + np.log1p(np.exp(-z) + np.exp(-2 * z))).sum(axis=-1)
-    return out if out.size > 1 else float(out[0])
+    return out if out.size != 1 else float(out[0])
 
 
 def eval_f(spec: TestFunctionSpec, x):
@@ -130,7 +130,7 @@ def eval_fhat(spec: TestFunctionSpec, x, table=None):
                * np.exp(-math.pi ** 2 * (x * x).sum(axis=-1)))
     else:
         out = matching_table(spec, table).eval(x).prod(axis=-1)
-    return out if out.size > 1 else float(out[0])
+    return out if out.size != 1 else float(out[0])
 
 
 @dataclass

@@ -274,6 +274,51 @@ def test_verify_plot_csv(run_cli, tmp_path, z2):
     assert len(lines) == 25  # 24 radii for the single tail check
 
 
+def test_plot_csv_with_an_empty_sweep_ball(run_cli, tmp_path, z2):
+    # the sweep ball, radius 1.75 * 0.1 around (1/2, 1/2), holds no point
+    man = {"lattice_file": z2,
+           "checks": [{"check_name": "tail_inequality",
+                       "params": {"family": "gaussian", "radius": 0.1,
+                                  "v": [0.5, 0.5]}}]}
+    csv = tmp_path / "curves.csv"
+    code, _, _ = run_cli("verify", _write_manifest(tmp_path / "man.json", man),
+                         "--plot-csv", str(csv))
+    assert code == 0
+    assert len(csv.read_text().splitlines()) == 25
+
+
+@pytest.mark.parametrize("samples", [0, -3, 2.5, True])
+def test_hypotheses_samples_checked_before_running(run_cli, tmp_path, z2,
+                                                   samples):
+    man = {"lattice_file": z2,
+           "checks": [{"check_name": "theta", "params": {"family": "gaussian"}},
+                      {"check_name": "hypotheses",
+                       "params": {"family": "gaussian", "dim": 2,
+                                  "samples": samples}}]}
+    code, out, err = run_cli("verify", _write_manifest(tmp_path / "man.json",
+                                                       man))
+    assert code == 3
+    assert "checks[1]" in err and "samples" in err
+    assert out == ""  # nothing executed
+
+
+def test_far_shift_is_refused(run_cli, z2):
+    # floats near 1e17 are 16 apart: the coefficients cannot be counted
+    code, _, err = run_cli("theta", z2, "--family", "gaussian",
+                           "--v", "1e17,0.5")
+    assert code == 3
+    assert "2^52" in err
+
+
+def test_huge_shift_exits_three_without_traceback(z2):
+    # a subprocess: log_f overflows at this shift, and the RuntimeWarning
+    # stays a warning there
+    code, _, err = run_module("theta", z2, "--family", "gaussian",
+                              "--v", "1e308,1e308")
+    assert code == 3
+    assert "Traceback" not in err and "2^52" in err
+
+
 def test_plot_csv_sweep_keeps_manifest_node_budget(tmp_path, z2):
     man = {"lattice_file": z2, "budgets": {"nodes": 3},
            "checks": [{"check_name": "tail_inequality",
