@@ -133,6 +133,12 @@ def _check_v(params, L, rng):
     if v.shape != (L.dim,):
         raise ManifestError(f"v has shape {v.shape}, the lattice needs "
                             f"{L.dim} coordinates")
+    if not np.all(np.isfinite(v)):
+        raise ManifestError("v must be finite")
+    # the enumeration counts coefficients in floats; refusing here keeps
+    # the test function from being evaluated (and overflowing) that far out
+    if not np.all(np.abs(np.linalg.solve(L.basis.T, v)) < 2.0 ** 52):
+        raise ManifestError("v's coefficients reach 2^52: too large to count")
     return v
 
 

@@ -152,6 +152,8 @@ def enumerate_arrays(L: Lattice, v, r: float, p: float = 2,
     v = np.asarray(v, dtype=float)
     if v.shape != (L.dim,):
         raise ValueError(f"v must have shape ({L.dim},)")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("v must be finite")
     reduced, U = lll_reduce(L, return_transform=True)
     shift = reduced.coefficients(v)
     r2 = r * l2_circumscribe_factor(p, L.dim)

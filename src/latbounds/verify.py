@@ -5,11 +5,14 @@ remainder_bound] whose remainder comes from a cell-tiling comparison with an
 exponential envelope: assign to each point y of the shifted lattice a
 centred cell that tiles space, so the cells of the points beyond the
 truncation radius tile a region where the envelope can be integrated in
-closed form (an incomplete-gamma expression).  The cell is the parallelepiped
-or the Gram-Schmidt box of an LLL-reduced basis, whichever bound on its
-reach is smaller; the truncation radius pays that reach twice.  Inequality
-checks compare such intervals pessimistically and return PASS / FAIL /
-INCONCLUSIVE; an interval straddling the boundary is never coerced.
+closed form, as an upper incomplete gamma function.  That function is
+bounded from above by integration by parts, evaluated in floats with a
+derived rounding allowance; no special-function library is used.  The cell
+is the parallelepiped or the Gram-Schmidt box of an LLL-reduced basis,
+whichever bound on its reach is smaller; the truncation radius pays that
+reach twice.  Inequality checks compare such intervals pessimistically and
+return PASS / FAIL / INCONCLUSIVE; an interval straddling the boundary is
+never coerced.
 
 Sums of fhat over the dual lattice (part 3) are taken on the primal side by
 Poisson summation, as covol(L) times a cos-weighted sum of f over L; their
@@ -27,7 +30,6 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaincc, gammaln
 
 from .bounds import (NuBound, cosh_nu_bound, cstar, gaussian_nu_closed_form,
                      handshake_bound, mu_norm, supergaussian_mu_closed_form,
@@ -100,19 +102,45 @@ def _envelope_for(spec: TestFunctionSpec) -> _Envelope:
 
 
 def _log_ball_vol(n, q):
-    return n * (math.log(2.0) + gammaln(1 + 1 / q)) - gammaln(1 + n / q)
+    return n * (math.log(2.0) + math.lgamma(1 + 1 / q)) - math.lgamma(1 + n / q)
 
 
 def _log_upper_gamma(a, x):
-    """log of the unnormalized upper incomplete gamma, as an upper bound."""
-    qv = float(gammaincc(a, x))
-    if qv > 0.0:
-        return float(gammaln(a)) + math.log(qv) + 1e-12
-    # gammaincc underflowed; integration by parts gives
-    # Gamma(a, x) <= 2 x^{a-1} e^{-x} once x >= 2(a-1)
-    if x < 2.0 * max(a - 1.0, 1.0):
-        raise ArithmeticError("incomplete-gamma underflow outside envelope range")
-    return (a - 1.0) * math.log(x) - x + math.log(2.0)
+    """An upper bound on log Gamma(a, x), the unnormalized upper incomplete
+    gamma function, for a > 0; +inf when x <= 0.
+
+    Integrating by parts N = max(0, ceil(a - 1)) times (DLMF 8.8.2),
+
+        Gamma(a, x) = sum_{k<N} c_k x^{a-1-k} e^{-x} + c_N Gamma(a - N, x),
+
+    with c_k = (a-1)(a-2)...(a-k) > 0.  As 0 < a - N <= 1, t^{a-N-1} <=
+    x^{a-N-1} for t >= x, so Gamma(a - N, x) <= x^{a-N-1} e^{-x} and
+
+        log Gamma(a, x) <= (a-1) log x - x + log s,  s = sum_{k<=N} c_k / x^k,
+
+    with equality for integer a.  Every term is positive, and the log form
+    cannot underflow; s overflowing to +inf gives the trivial bound +inf.
+
+    Rounding (Higham, ch. 3; u the unit roundoff, log within one ulp): a - k
+    is exact (a and k are multiples of ulp(a)), so each of the N Horner
+    steps for s rounds three times, and the computed s is s (1 + theta)
+    with |theta| <= gamma_{3N}: log s is off by at most 3.1 N u, plus 2u
+    log s for the log itself.  (a-1) log x is off by at most
+    gamma_3 |a-1| |log x|, and the two additions by u each on a magnitude
+    of at most |a-1| |log x| + x + log s.  So the computed value is within
+    6u (x + |a-1| |log x| + log s + N) of the formula; the allowance added
+    to it is 8u times that sum, which also pays for the allowance's own
+    rounding and for the final addition.
+    """
+    if not x > 0:
+        return math.inf
+    n_parts = max(0, math.ceil(a - 1))
+    s = 1.0
+    for k in range(n_parts, 0, -1):
+        s = 1.0 + s * (a - k) / x
+    log_s, log_x = math.log(s), math.log(x)
+    value = (a - 1) * log_x - x + log_s
+    return value + 8 * _U * (x + abs(a - 1) * abs(log_x) + log_s + n_parts)
 
 
 def _cell_shape(reduced_basis, q):
@@ -148,7 +176,14 @@ def _cell_shape(reduced_basis, q):
 def _log_tail(n, covol, env, beta_eff, cell, S):
     """log of the certified bound on sum_{y in v+L, ||y||_q >= S} e^{n loga - beta_eff ||y||_q^q}.
 
-    Returns +inf when S is too small for the tiling argument to apply.
+    The cells of those points tile a region outside a smaller l^q ball, of
+    radius r0, so the sum is at most the envelope's integral over that
+    region, divided by covol and multiplied by a factor that pays for the
+    cell's reach.  In polar form the integral is (n V_q / q) e^{n loga}
+    beta_eff^{-n/q} Gamma(n/q, beta_eff r0^q), V_q the volume of the unit
+    l^q ball, and _log_upper_gamma bounds the incomplete gamma function
+    from above.  Returns +inf when S is too small for the tiling argument
+    to apply.
     """
     q = env.q
     base = (n * env.loga + math.log(n) + _log_ball_vol(n, q) - math.log(q)
@@ -230,6 +265,8 @@ def certified_sum(L: Lattice, spec: TestFunctionSpec, v, t: float,
     v = np.asarray(v, dtype=float)
     if v.shape != (L.dim,):
         raise ValueError(f"v must have shape ({L.dim},)")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("v must be finite")
 
     def log_target(reduced):
         # positive lower bound for the eventual partial: the origin term and
@@ -372,6 +409,8 @@ def dual_fhat_sum(L: Lattice, spec: TestFunctionSpec, v, target_tol: float,
     symmetric point set.
     """
     v = np.asarray(v, dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise ValueError("v must be finite")
     origin = np.zeros(L.dim)
     env = _envelope_for(spec)
     log_target = lambda _: math.log(target_tol) + log_f(spec, origin)

@@ -253,7 +253,9 @@ def _manifest_argv(tmp_path, z2, budgets, params):
     lambda tmp, z2: ["transference", z2, "--p", "2", "--grid-budget", "-1"],
     lambda tmp, z2: _manifest_argv(tmp, z2, {"nodes": True}, {}),
     lambda tmp, z2: _manifest_argv(tmp, z2, {}, {"t": float("nan")}),
-], ids=["zero-node-budget", "negative-grid-budget", "bool-budget", "nan-t"])
+    lambda tmp, z2: _manifest_argv(tmp, z2, {}, {"v": [float("inf"), 0.0]}),
+], ids=["zero-node-budget", "negative-grid-budget", "bool-budget", "nan-t",
+        "infinite-v"])
 def test_malformed_budgets_and_nan_are_usage_errors(run_cli, tmp_path, z2,
                                                     argv):
     code, _, err = run_cli(*argv(tmp_path, z2))
@@ -317,6 +319,35 @@ def test_huge_shift_exits_three_without_traceback(z2):
                               "--v", "1e308,1e308")
     assert code == 3
     assert "Traceback" not in err and "2^52" in err
+    # refused when planned, before log_f can overflow and warn
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("v", ["inf,0", "1e200,0"])
+def test_bad_shift_is_refused_before_any_evaluation(z2, v):
+    # a subprocess, so that a RuntimeWarning would show on stderr
+    code, out, err = run_module("theta", z2, "--family", "gaussian",
+                                f"--v={v}")
+    assert code == 3
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_a_check_loads_no_scipy(z2):
+    # the certified tail needs no special-function library, so neither the
+    # import nor a check may load one
+    script = ("import sys\n"
+              "import latbounds.cli\n"
+              "code = latbounds.cli.main(['theta', sys.argv[1], '--family', "
+              "'gaussian', '--v', '0.2,-0.1'])\n"
+              "assert code == 0, code\n"
+              "print(sorted(m for m in sys.modules "
+              "if m.split('.')[0] == 'scipy'))\n")
+    cp = subprocess.run([sys.executable, "-c", script, z2],
+                        capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout.splitlines()[-1] == "[]"
 
 
 def test_plot_csv_sweep_keeps_manifest_node_budget(tmp_path, z2):

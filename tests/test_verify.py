@@ -9,7 +9,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from latbounds.bounds import NuBound, cosh_nu_bound
-from latbounds.enumeration import BodySpec
+from latbounds.enumeration import BodySpec, enumerate_arrays
 import latbounds.verify as verify
 from latbounds.errors import InvariantError, ToleranceUnreachedError
 from latbounds.functions import TestFunctionSpec as FnSpec
@@ -158,6 +158,49 @@ def test_gram_schmidt_box_shortens_zn_truncation():
     assert cs.npoints <= 25_000
     assert cs.truncation_radius <= 5.3
     assert cs.remainder_bound <= 1e-9 * cs.partial
+
+
+# a = n/q of the tails: gaussians (q = 2) on Z^1 to Z^8, and l^1, l^1.5,
+# l^0.5 and l^(4/3) envelopes
+_GAMMA_A = [0.5, 0.75, 1.0, 4 / 3, 1.5, 2.0, 2.5, 3.0, 10 / 3, 4.0, 16 / 3,
+            8.0, 16.0]
+_GAMMA_X = [10.0 ** (e / 8) for e in range(-48, 27)] + [2000.0]
+
+
+@pytest.mark.parametrize("a", _GAMMA_A)
+def test_log_upper_gamma_bounds_the_incomplete_gamma(a):
+    u = 2.0 ** -53
+    n_parts = max(0, math.ceil(a - 1))
+    with mpmath.workdps(40):
+        for x in _GAMMA_X:
+            bound = verify._log_upper_gamma(a, x)
+            exact = mpmath.log(mpmath.gammainc(mpmath.mpf(a), mpmath.mpf(x)))
+            assert mpmath.mpf(bound) >= exact, (a, x)
+            if a == int(a):
+                # exact in real arithmetic: only the rounding and its
+                # allowance separate the two, each at most the allowance
+                log_x = math.log(x)
+                log_s = float(exact - (a - 1) * mpmath.log(x) + x)
+                allowance = 8 * u * (x + abs(a - 1) * abs(log_x) + log_s
+                                     + n_parts)
+                assert mpmath.mpf(bound) - exact <= 2 * allowance, (a, x)
+
+
+def test_log_upper_gamma_is_a_bound_where_it_cannot_be_evaluated():
+    # x = 0 from an underflowed argument, and a sum that overflows
+    assert verify._log_upper_gamma(2.5, 0.0) == math.inf
+    assert verify._log_upper_gamma(16.0, 1e-300) == math.inf
+
+
+def test_non_finite_shifts_are_refused():
+    L, spec = integer_lattice(2), FnSpec("gaussian", 2)
+    for v in ([math.inf, 0.0], [0.0, -math.inf], [math.nan, 0.0]):
+        with pytest.raises(ValueError, match="finite"):
+            certified_sum(L, spec, v, 1.0, 1e-9)
+        with pytest.raises(ValueError, match="finite"):
+            dual_fhat_sum(L, spec, v, 1e-9)
+        with pytest.raises(ValueError, match="finite"):
+            enumerate_arrays(L, v, 2.0)
 
 
 # ---------------------------------------------------------------------------
