@@ -12,7 +12,7 @@ fractional p's from a transform table.
 
 import numpy as np
 
-from latbounds import (Lattice, TestFunctionSpec, cached_transform_table,
+from latbounds import (Lattice, TestFunctionSpec, build_transform_table,
                        integer_lattice, psf_residual, random_unimodular_lattice)
 
 rng = np.random.default_rng(99)
@@ -33,7 +33,7 @@ print(f"exp_l1 on Z^2: residual {res:.2e}")
 
 print()
 print("== fractional p goes through a prepared 1-d transform table ==")
-table = cached_transform_table(1.5, tol=1e-8, r_max=96.0)
+table = build_transform_table(1.5, r_max=96.0, tol=1e-8)
 spec = TestFunctionSpec("supergaussian", 1, p=1.5)
 res = psf_residual(integer_lattice(1), spec, np.zeros(1), 1.0, 1e-3,
                    table=table)

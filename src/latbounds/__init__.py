@@ -32,8 +32,7 @@ from .functions import (FAMILIES, TestFunctionSpec, check_hypotheses, eval_f,
                         eval_fhat)
 from .lattice import (Lattice, dual, integer_lattice, lll_reduce,
                       load_lattice, random_unimodular_lattice, save_lattice)
-from .transform import (Transform1DTable, build_transform_table,
-                        cached_transform_table, fourier_1d)
+from .transform import Transform1DTable, build_transform_table, fourier_1d
 from .verify import (CertifiedSum, TransferenceReport, certified_sum,
                      check_part1, check_part3, check_tail_inequality,
                      dual_fhat_sum, handshake_census, nu_for_body,
@@ -46,7 +45,7 @@ __all__ = [
     "IllConditionedBasisError", "InvariantError", "L1TransferenceBound",
     "Lattice", "LatticeError", "MissingTableError", "NuBound",
     "TestFunctionSpec", "ToleranceUnreachedError", "Transform1DTable",
-    "TransferenceReport", "build_transform_table", "cached_transform_table",
+    "TransferenceReport", "build_transform_table",
     "certified_sum", "check_hypotheses", "check_part1", "check_part3",
     "check_tail_inequality", "cosh_nu_bound", "covering_radius_estimate",
     "cstar", "dual", "dual_fhat_sum", "enumerate_arrays", "eval_f",

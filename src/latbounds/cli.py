@@ -46,7 +46,7 @@ from .functions import (TestFunctionSpec, check_hypotheses, fhat_route,
                         log_f, natural_norm_p)
 from .lattice import (Lattice, integer_lattice, load_lattice,
                       random_unimodular_lattice)
-from .transform import cached_transform_table
+from .transform import build_transform_table
 from .verify import (FAIL, INCONCLUSIVE, PASS, _record, _spec_params,
                      _verdict, certified_sum, check_part1, check_part3,
                      check_tail_inequality, handshake_census, nu_for_body,
@@ -227,17 +227,13 @@ def plan_manifest(manifest, base_dir):
     seed = int(manifest.get("seed", 0))
     nodes, grid = _budgets(manifest)
     default_lattice = manifest.get("lattice_file")
-    table_dir = manifest.get("table_dir")
-    if table_dir is not None and not os.path.isabs(table_dir):
-        table_dir = os.path.join(base_dir, table_dir)
-    tables = {}  # one table per p: table_dir is the manifest's
+    tables = {}  # one table per p
 
     def table_for(spec):
         if fhat_route(spec) != "table":
             return None
         if spec.p not in tables:
-            tables[spec.p] = cached_transform_table(
-                spec.p, tol=1e-8, directory=table_dir, r_max=96.0)
+            tables[spec.p] = build_transform_table(spec.p, r_max=96.0, tol=1e-8)
         return tables[spec.p]
 
     plans = []
@@ -458,7 +454,6 @@ def cmd_check(args):
     manifest = {"budgets": {"nodes": args.node_budget,
                             "grid": getattr(args, "grid_budget",
                                             DEFAULT_GRID_BUDGET)},
-                "table_dir": getattr(args, "table_dir", None),
                 "checks": [{"check_name": args.check, "params": params}]}
     report = run_manifest(manifest, os.getcwd())
     rec = report["records"][0]
@@ -551,8 +546,6 @@ def _build_parser():
     common(p)
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--max-residual", type=float, default=math.inf)
-    p.add_argument("--table-dir", default=None,
-                   help="transform table cache directory")
     p.set_defaults(func=cmd_check, check="psf")
 
     p = sub.add_parser("tail", help="mass outside a body vs certified bound")

@@ -5,13 +5,17 @@ f_p the density of the symmetric p-stable law.  For x > 0 and p != 1,
 Zolotarev's integral (Zolotarev 1986; Nolan 1997) gives
 f_p(x) = p / (pi |p-1| x) * integral_0^{pi/2} h e^-h dtheta, where
 h = x^c (cos theta / sin p theta)^c cos((p-1) theta) / cos theta, c = p/(p-1):
-positive, not oscillating, h monotone in theta.  `fourier_1d` integrates it
-on u = log(theta / (pi/2 - theta)), in 20-node Gauss-Legendre panels between
-the points where the integrand has fallen by 0.5, 2, 4.5, 8, ... below its
-value at h = 1, halving a panel whose estimate is poor.  Its error is a
-checked estimate, not a proven bound: the top Legendre coefficients of each
-panel, a bound on the mass past the outer panels, and a rounding allowance.
-p = 1, p = 2 and r = 0 have closed forms.
+positive, not oscillating, h monotone in theta.  On u = log(theta / (pi/2 -
+theta)), log h = c log x + H(u), and neither H nor dtheta/du depends on x:
+`fourier_1d` evaluates them once per batch of radii, on one grid, and each
+radius pays two exps a point of its window.  The integrand is analytic and
+decays at both ends, so the trapezoid rule converges geometrically
+(Trefethen and Weideman, SIAM Review 56, 2014).  The error is a checked
+estimate, not yet a bound: |T_2h - T_h| on nested grids (h halved where it
+exceeds 1e-12 of the sum and the rounding), the mass past the window's ends
+(h is monotone), and a rounding allowance summed point by point.  Their
+strip-of-analyticity bound is the route to a proven bound.  p = 1, p = 2
+and r = 0 have closed forms.
 
 Tables hold fhat_p on adaptive nodes, built breadth-first (one batched call
 per level), and continue past the last node with C_p r^(-p-1), rescaled to
@@ -20,32 +24,24 @@ meet the last value, from where the raw asymptote is within 5% of fhat_p.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ToleranceUnreachedError
 
-_RMAX_CAP = 192.0
 _HALF_PI = 0.5 * math.pi
 _U_MAX = 60.0                     # theta within e^-60 of 0 or pi/2
-_DROPS = np.array([0.5, 2.0, 4.5, 8.0, 14.0, 22.0, 32.0, 46.0])
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(20)
-# maps the values at the nodes to the interpolant's P_18 and P_19 coefficients
-_TOP = (np.polynomial.legendre.legvander(_NODES, 19)[:, 18:]
-        * _WEIGHTS[:, None] * [18.5, 19.5])
+_STEP = 0.15                      # the grid step, times max(1, |c|, |c - 1|)
+_LOW = 32.0                       # log(1e14), the mass past a window against the sum
+_LOG_M = math.log(100.0)          # windows reach h = 100, where h e^-h < 4e-42
 _BLOCK = 512                      # radii per batch, to bound memory
 _EPS = float(np.finfo(float).eps)
 
 
 def transform_tail_coefficient(p: float) -> float:
-    """Leading coefficient of the |r| -> inf expansion, fhat ~ C * r^(-p-1).
-
-    Vanishes at p=2 where the transform decays faster than any power.
-    """
+    """C in fhat ~ C r^(-p-1) as |r| -> inf; 0 at p=2 (faster than any power)."""
     if not 0 < p <= 2:
         raise ValueError("p must be in (0, 2]")
     if p == 2:
@@ -53,72 +49,102 @@ def transform_tail_coefficient(p: float) -> float:
     return -math.pi ** (-p - 0.5) * math.gamma((p + 1) / 2) / math.gamma(-p / 2)
 
 
-def _integrand(p, logx, u):
-    """(log G, log h) at u, where G = h e^-h dtheta/du.  h falls with u for
-    p > 1 and rises for p < 1."""
-    c = p / (p - 1)
-    e_lo, e_hi = np.exp(np.minimum(u, 0.0)), np.exp(-np.maximum(u, 0.0))
-    d = _HALF_PI / (1 + e_lo * e_hi)
-    theta, psi = d * e_lo, d * e_hi  # psi = pi/2 - theta, to full relative accuracy
-    # sin(p theta) = sin(pi - p theta), whose argument keeps its relative
-    # accuracy where p theta nears pi
+def _grid(p, k, step):
+    """[k, s H, left, right, J, E] at u = k step, no radius needed: s = sign(1 - p)
+    makes s H rise; windows start on left and end on right, t = s H + s log(angle)
+    and s H (angle = theta, p < 1) or s H and t (pi/2 - theta); E bounds H's ulps."""
+    u = k * step
+    c, s = p / (p - 1), (1.0 if p < 1 else -1.0)
+    e = np.exp(-np.abs(u))
+    d, log_d = _HALF_PI / (1 + e), math.log(_HALF_PI) - np.log1p(e)
+    # theta and psi = pi/2 - theta, each to full relative accuracy
+    theta, psi = np.where(u < 0, d * e, d), np.where(u < 0, d, d * e)
+    log_theta, log_psi = log_d + np.minimum(u, 0.0), log_d - np.maximum(u, 0.0)
+    # sin(p theta) = sin(pi - p theta) and cos((p - 1) theta) = sin(pi/2 -
+    # |p - 1| theta), on arguments that keep their relative accuracy
     arg = np.minimum(p * theta, math.pi * (1 - 0.5 * p) + p * psi)
-    log_h = (c * logx + (c - 1) * np.log(np.sin(psi)) - c * np.log(np.sin(arg))
-             + np.log(np.cos((p - 1) * theta)))
-    h = np.exp(np.minimum(log_h, 700.0))
-    return log_h - h + np.log(theta * psi / _HALF_PI), log_h
+    a, b = (c - 1) * np.log(np.sin(psi)), c * np.log(np.sin(arg))
+    cos = np.sin(min(p, 2 - p) * _HALF_PI + abs(p - 1) * psi)
+    # theta, psi, the arguments and log sin of them are |u| + 11 ulps off (u
+    # is rounded); logs, products and sums add their own size
+    err = ((abs(c) + abs(c - 1) + 1) * (np.abs(u) + 11) + 8 * (np.abs(a) + np.abs(b))
+           - 4 * math.log(math.sin(min(p, 2 - p) * _HALF_PI)) + 2)
+    sh = s * (a - b + np.log(cos))
+    t = sh + (log_theta if s > 0 else -log_psi)
+    return [k, sh, *((t, sh) if s > 0 else (sh, t)), log_theta + log_psi - math.log(_HALF_PI), err]
 
 
-def _bisect(lo, hi, above, steps):
-    """Elementwise, where `above` turns from True (at lo) to False (at hi)."""
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        keep = above(mid)
-        lo, hi = np.where(keep, mid, lo), np.where(keep, hi, mid)
-    return 0.5 * (lo + hi)
+def _window_sums(s, q, lo, hi, grid):
+    """Sums of G = h e^-h dtheta/du, |1 - h| G, |1 - h| G E and G at even k
+    over each radius' window, the grid points from where h e^-h angle (p < 1)
+    or h e^-h reaches e^lo to where the other falls to e^-hi; and its ends."""
+    k, sh, left, right, jac, err = grid
+    i0, i1 = np.searchsorted(left, q + lo), np.searchsorted(right, q + hi, "right")
+    j = np.arange((i1 - i0).max(initial=0))
+    idx = np.minimum(i0[:, None] + j, i1[:, None] - 1)
+    log_h = s * (sh[idx] - q[:, None])
+    h = np.exp(np.minimum(log_h, 700.0))  # an empty window pads with a point outside it
+    g = np.exp(log_h - h + jac[idx]) * (i0[:, None] + j < i1[:, None])
+    w = g * np.abs(1 - h)
+    halves = g[:, ::2].sum(axis=1), g[:, 1::2].sum(axis=1)
+    return (halves[0] + halves[1], w.sum(axis=1), (w * err[idx]).sum(axis=1),
+            np.where(k[i0.clip(max=k.size - 1)] % 2, *halves[::-1])), i0, i1
 
 
 def _zolotarev(p, r):
     """(value, error estimate) of fhat_p at radii r > 0; p not 1 or 2."""
-    logx = np.log(2 * math.pi * r)[:, None]
-    span = np.full_like(logx, _U_MAX)
-    # the peak of h e^-h, where h = 1; near p = 1 it is ~|p-1| wide
-    peak = _bisect(-span, span, lambda u: (_integrand(p, logx, u)[1] > 0) == (p > 1), 48)
-    log_g, log_h = _integrand(p, logx, peak)
-    # edges where log G has dropped by _DROPS, bisecting log distances
-    side = np.repeat([-1.0, 1.0], _DROPS.size)
-    target = log_g - np.tile(_DROPS, 2)
-    log_dist = _bisect(np.full(target.shape, math.log(1e-12)),
-                       np.full(target.shape, math.log(_U_MAX)),
-                       lambda t: _integrand(p, logx, peak + side * np.exp(t))[0] > target, 10)
-    edges = np.sort(np.hstack([peak + side * np.exp(log_dist), peak]), axis=1)
-    row = np.repeat(np.arange(r.size), edges.shape[1] - 1)
-    a, b = edges[:, :-1].ravel(), edges[:, 1:].ravel()
-    total, gap, first = np.zeros(r.size), np.zeros(r.size), None
-    # halve a panel whose estimate exceeds 1e-12 of the first pass's sum: a
-    # shelf in h near p = 2 can leave one too wide for the rule
-    for rounds in range(6, -1, -1):
-        half = 0.5 * (b - a)
-        g = np.exp(_integrand(p, logx[row], a[:, None] + half[:, None] * (1 + _NODES))[0])
-        q, e = (g @ _WEIGHTS) * half, np.abs(g @ _TOP).sum(axis=1) * half
-        first = np.bincount(row, q, r.size) if first is None else first
-        split = (e > 1e-12 * first[row]) & (rounds > 0)
-        total += np.bincount(row[~split], q[~split], r.size)
-        gap += np.bincount(row[~split], e[~split], r.size)
-        mid = 0.5 * (a + b)[split]
-        a, b, row = np.r_[a[split], mid], np.r_[mid, b[split]], np.r_[row[split], row[split]]
-    # past an outer edge h is monotone, so h e^-h is at most its value at the
-    # edge (or its maximum 1/e, if the peak lies beyond) times the angle left
-    ends = edges[:, [0, -1]]
-    h = np.exp(np.minimum(_integrand(p, logx, ends)[1], 700.0))
-    beyond = np.where([p > 1, p < 1], h < 1, h > 1)     # is h = 1 past the end?
-    angle = _HALF_PI / (1 + np.exp(ends * [-1.0, 1.0]))
-    tail = (np.where(beyond, 1 / math.e, h * np.exp(-h)) * angle).sum(axis=1)
-    scale = p / (math.pi * abs(p - 1) * r)
-    # float exponents carry about |c| (1 + |log x|) ulps into the integrand
-    rounding = 16 * _EPS * (1 + abs(p / (p - 1)) * (1 + np.abs(logx[:, 0])))
-    return scale * total, np.where(np.abs(log_h[:, 0]) > 1, np.inf,  # h = 1 not found
-                                   scale * (gap + tail + rounding * total))
+    c, s = p / (p - 1), (1.0 if p < 1 else -1.0)
+    q = -s * c * np.log(2 * math.pi * r)     # s H where h = 1
+    step = _STEP / max(1.0, abs(c), abs(c - 1))
+    levels = math.floor(math.log(1 / step, 16))
+    top = step * 16 ** levels
+    grid = _grid(p, np.arange(-math.floor(_U_MAX / top), math.floor(_U_MAX / top) + 1), top)
+    found = (grid[1][0] <= q) & (q <= grid[1][-1])  # else h = 1 is out of reach: error inf
+    q = q.clip(grid[1][0], grid[1][-1])
+    # windows reach h e^-h angle = e^-low: the mass past them < 1e-14 step e^J(peak)
+    i = np.searchsorted(grid[1], q).clip(1, grid[0].size - 1)
+    low = _LOW - math.log(step) - np.minimum(grid[4][i - 1], grid[4][i])
+    lo, hi = (-low, np.full_like(q, _LOG_M)) if s > 0 else (np.full_like(q, -_LOG_M), low)
+    starts, ends = np.sort(q + lo), np.sort(q + hi)
+    for level in range(levels - 1, -1, -1):
+        # split sixteenfold the cells that meet some radius' window
+        k, _, left, right = grid[:4]
+        meets = ((np.searchsorted(starts, left[1:], "right") > np.searchsorted(ends, right[:-1]))
+                 & (np.diff(k) == 1))
+        k = (16 * k[:-1][meets, None] + np.arange(17)).ravel()
+        grid = _grid(p, k[np.diff(k, prepend=k[:1] - 1) > 0], step * 16 ** level)
+    sums, i0, i1 = _window_sums(s, q, lo, hi, grid)
+    total, sens, sens_e, even = (step * x for x in sums)
+    gap, count = np.abs(total - 2 * even), i1 - i0
+    # past a window end h e^-h is at most its value there (h is monotone) and
+    # dtheta/du at most the angle left, so left-out points add step times that
+    k, sh = grid[:2]
+    ends = np.stack([i0, i1 - 1], axis=1).clip(0, k.size - 1)
+    h = np.exp(np.minimum(s * (sh[ends] - q[:, None]), 700.0))
+    angle = _HALF_PI / (1 + np.exp(k[ends] * step * [-1.0, 1.0]))
+    tail = (h * np.exp(-h) * angle).sum(axis=1) * (1 + step)
+    # rounding, in ulps: log h is off by E and |q| terms, and G by |1 - h| times
+    # that (sens); the sum adds one a term; exp, J and the exponent's sums add
+    # |log h| + 3h + 2|J| + ..., bounded through low and the window's reach
+    shift = 2 * abs(c) + 4 * np.abs(q) + low + 3
+    reach = step * np.abs(k[ends]).max(axis=1)
+    todo = np.arange(q.size)
+    for rounds in range(1, 8):
+        rounding = _EPS * (sens_e + shift * sens + (count + 2 * low + 4 * reach + 32) * total)
+        # halve the step where the estimate exceeds 1e-12 of the sum and the rounding
+        todo = todo[gap[todo] > np.maximum(1e-12 * total[todo], rounding[todo])]
+        if rounds == 7 or not todo.size:
+            break
+        step /= 2
+        inside = np.cumsum(np.bincount(i0[todo], minlength=k.size + 1)
+                           - np.bincount(i1[todo], minlength=k.size + 1))[:-1] > 0
+        mid = (2 ** rounds * k[inside, None] + np.arange(1, 2 ** rounds, 2)).ravel()
+        sums, m0, m1 = _window_sums(s, q[todo], lo[todo], hi[todo], _grid(p, mid, step))
+        gap[todo], count[todo] = np.abs(0.5 * total[todo] - step * sums[0]), count[todo] + m1 - m0
+        for acc, more in zip((total, sens, sens_e), sums):
+            acc[todo] = 0.5 * acc[todo] + step * more
+    scale = p / (math.pi * abs(p - 1) * np.where(found, r, 1.0))
+    return scale * total, np.where(found & (i1 > i0), scale * (gap + tail + rounding), np.inf)
 
 
 def _evaluate(p, r):
@@ -126,8 +152,8 @@ def _evaluate(p, r):
         value = (2.0 / (1.0 + (2 * math.pi * r) ** 2) if p == 1
                  else math.sqrt(math.pi) * np.exp(-(math.pi * r) ** 2))
         return value, 4 * _EPS * value
-    value = np.full_like(r, 2 * math.gamma(1 + 1 / p))
-    err = (16 + 1 / p) * _EPS * value  # math.gamma, and 1/p's rounding
+    value = np.full_like(r, 2 * math.gamma(1 + 1 / p) if p > 1 / 170 else math.inf)
+    err = (16 + 1 / p) * _EPS * value  # math.gamma, and 1/p's rounding; inf past 2^1024
     value[r > 0], err[r > 0] = _zolotarev(p, r[r > 0])
     return value, err
 
@@ -175,8 +201,7 @@ class Transform1DTable:
                 out = np.where(far, 0.0, out)
             else:
                 rsafe = np.where(far, r, 1.0)  # keep 0**(-p-1) out of the unused branch
-                tail = (self.tail_scale * self.tail_exponent_coeff
-                        * rsafe ** (-self.p - 1))
+                tail = self.tail_scale * self.tail_exponent_coeff * rsafe ** (-self.p - 1)
                 out = np.where(far, tail, out)
         return out if out.ndim else float(out)
 
@@ -204,7 +229,7 @@ def _asymptotic(p, r, values, tol):
 
 def _pick_r_max(p, tol):
     """Smallest radius in 4, 6, ..., 192 where the asymptote is trustworthy."""
-    radii = np.arange(4.0, _RMAX_CAP + 1.0, 2.0)
+    radii = np.arange(4.0, 193.0, 2.0)
     ok = _asymptotic(p, radii, fourier_1d(p, radii, tol)[0], tol)
     if not ok.any():
         raise ToleranceUnreachedError(0.05, math.inf, where=f"asymptote switch for p={p}")
@@ -262,30 +287,5 @@ def build_transform_table(p: float, r_max: float | None = None,
         tail_scale = float(clamped[-1] / raw_tail) if raw_tail > 0 else 1.0
     else:
         tail_scale = 0.0
-    return Transform1DTable(p=float(p), nodes=nodes, values=clamped,
-                            tail_exponent_coeff=C, tail_scale=tail_scale,
-                            tol=float(tol))
-
-
-def table_cache_key(p, r_max, tol):
-    return f"transform_p{p:g}_rmax{r_max:g}_tol{tol:g}.json"
-
-
-def cached_transform_table(p, tol=1e-8, directory=None,
-                           r_max=None) -> Transform1DTable:
-    """Build a table, or reload one saved in `directory`.  The default extent
-    is the asymptote switch radius; lattice summation wants a longer table
-    (the tail envelope holds only past the last node), so passes r_max."""
-    if directory is None:
-        return build_transform_table(p, r_max=r_max, tol=tol)
-    if r_max is None:
-        r_max = _pick_r_max(p, tol)
-    path = os.path.join(directory, table_cache_key(p, r_max, tol))
-    if os.path.exists(path):
-        with open(path) as fh:
-            return Transform1DTable.from_dict(json.load(fh))
-    table = build_transform_table(p, r_max=r_max, tol=tol)
-    os.makedirs(directory, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(table.to_dict(), fh)
-    return table
+    return Transform1DTable(p=float(p), nodes=nodes, values=clamped, tail_exponent_coeff=C,
+                            tail_scale=tail_scale, tol=float(tol))

@@ -203,7 +203,7 @@ def _log_tail(n, covol, env, beta_eff, cell, S):
 def _presolve_radius(log_target, s0, log_tail_fn):
     S = s0
     for _ in range(400):
-        if log_tail_fn(S) <= log_target:
+        if S < math.inf and log_tail_fn(S) <= log_target:
             break
         S *= 1.4
     else:
@@ -241,7 +241,10 @@ def _truncated(L, env, beta_eff, v, log_target, node_budget):
     reduced = lll_reduce(L)
     cell = _cell_shape(reduced.basis, env.q)
     logtail = lambda S: _log_tail(L.dim, L.covolume, env, beta_eff, cell, S)
-    s_floor = (2.0 * cell) ** (1.0 / env.q) if env.q <= 1.0 else 2.5 * cell
+    try:
+        s_floor = (2.0 * cell) ** (1.0 / env.q) if env.q <= 1.0 else 2.5 * cell
+    except OverflowError:  # a tiny q: no finite radius, which the presolve refuses
+        s_floor = math.inf
     S = _presolve_radius(log_target(reduced), max(s_floor, 1e-3), logtail)
     _, emb = enumerate_arrays(L, v, S, env.q, node_budget)
     return emb, math.exp(min(logtail(S), 700.0)) * (1 + _SAFETY), S

@@ -3,7 +3,7 @@ import pathlib
 import pytest
 from hypothesis import settings
 
-from latbounds.transform import cached_transform_table
+from latbounds.transform import build_transform_table
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -14,19 +14,14 @@ settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")
-def table_dir(tmp_path_factory):
-    return str(tmp_path_factory.mktemp("tables"))
-
-
-@pytest.fixture(scope="session")
-def table15(table_dir):
+def table15():
     # long table: lattice summation needs the asymptote pushed far out
-    return cached_transform_table(1.5, tol=1e-8, directory=table_dir, r_max=96.0)
+    return build_transform_table(1.5, r_max=96.0, tol=1e-8)
 
 
 @pytest.fixture(scope="session")
-def table05(table_dir):
-    return cached_transform_table(0.5, tol=1e-8, directory=table_dir)
+def table05():
+    return build_transform_table(0.5, tol=1e-8)
 
 
 @pytest.fixture(scope="session")

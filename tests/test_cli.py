@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import latbounds.cli as cli
-import latbounds.transform as transform
 from latbounds.cli import _fmt, _write_plot_csv, main, plan_manifest
 from latbounds.errors import BudgetExceededError
 from latbounds.lattice import integer_lattice, save_lattice
@@ -323,6 +322,30 @@ def test_huge_shift_exits_three_without_traceback(z2):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("p", ["3e-4", "1e-5"])
+def test_tiny_p_is_refused_without_traceback(z2, p):
+    # e^{-|x|^p} decays too slowly for any finite truncation radius: the
+    # tail presolve refuses it with one line (exit 4), as at p = 0.01
+    code, out, err = run_module("theta", z2, "--family", "supergaussian",
+                                "--p", p)
+    assert code == 4
+    assert out == ""
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and "tail presolve" in lines[0]
+
+
+def test_tiny_p_table_is_refused_without_traceback(z2):
+    # 2 Gamma(1 + 1/p), fhat_p(0), overflows a float below p = 1/170: the
+    # table's r_max check refuses it (exit 3), as at p = 0.01
+    code, out, err = run_module("psf", z2, "--family", "supergaussian",
+                                "--p", "1e-3")
+    assert code == 3
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and "pre-asymptotic" in lines[0]
+
+
 @pytest.mark.parametrize("v", ["inf,0", "1e200,0"])
 def test_bad_shift_is_refused_before_any_evaluation(z2, v):
     # a subprocess, so that a RuntimeWarning would show on stderr
@@ -362,13 +385,11 @@ def test_plot_csv_sweep_keeps_manifest_node_budget(tmp_path, z2):
 
 def test_part3_needs_no_transform_table(tmp_path, monkeypatch):
     # part3 sums its dual side on the primal lattice, so a fractional-p
-    # supergaussian plans and runs without building or caching a table
+    # supergaussian plans and runs without building a table
     def no_table(*args, **kwargs):
         raise AssertionError("part3 built a transform table")
-    monkeypatch.setattr(cli, "cached_transform_table", no_table)
-    tables = tmp_path / "tables"
-    tables.mkdir()
-    man = {"seed": 3, "table_dir": str(tables),
+    monkeypatch.setattr(cli, "build_transform_table", no_table)
+    man = {"seed": 3,
            "checks": [{"check_name": "part3",
                        "params": {"family": "supergaussian", "p": 1.5,
                                   "radius": 1.9, "v": "random",
@@ -377,7 +398,6 @@ def test_part3_needs_no_transform_table(tmp_path, monkeypatch):
                                               "name": "2Z^2"}}}]}
     records = [run() for run in plan_manifest(man, str(tmp_path))]
     assert records[0]["verdict"] == "PASS"
-    assert list(tmp_path.rglob("*")) == [tables]
 
 
 def test_exact_route_near_p1_builds_no_table(tmp_path, monkeypatch):
@@ -385,7 +405,7 @@ def test_exact_route_near_p1_builds_no_table(tmp_path, monkeypatch):
     # so planning must not build a table that nothing would read
     def no_table(*args, **kwargs):
         raise AssertionError("built a transform table nothing reads")
-    monkeypatch.setattr(cli, "cached_transform_table", no_table)
+    monkeypatch.setattr(cli, "build_transform_table", no_table)
     p = 1.0 + 1e-13
     man = {"seed": 3,
            "checks": [{"check_name": "psf",
@@ -403,7 +423,7 @@ def test_exact_route_near_p1_builds_no_table(tmp_path, monkeypatch):
 def test_manifest_builds_each_table_once(tmp_path, monkeypatch):
     # a psf and a hypotheses entry with the same p read the same table
     built = []
-    monkeypatch.setattr(transform, "build_transform_table",
+    monkeypatch.setattr(cli, "build_transform_table",
                         lambda p, **kwargs: built.append(p) or object())
     man = {"seed": 3,
            "checks": [{"check_name": "psf",
@@ -425,7 +445,7 @@ def test_psf_product_route_refuses_general_basis_at_plan_time(
     # before it builds a table the check could never read
     def no_table(*args, **kwargs):
         raise AssertionError("built a transform table nothing reads")
-    monkeypatch.setattr(cli, "cached_transform_table", no_table)
+    monkeypatch.setattr(cli, "build_transform_table", no_table)
     params = {"family": family, "t": 1.5, "v": "random", "tol": 1e-6,
               "max_residual": 1e-3,
               "lattice": {"kind": "unimodular", "dim": 2, "seed": 3}}

@@ -9,14 +9,18 @@ from hypothesis import given, settings, strategies as st
 from latbounds import transform
 from latbounds.errors import ToleranceUnreachedError
 from latbounds.transform import (Transform1DTable, build_transform_table,
-                                 cached_transform_table, fourier_1d,
-                                 table_cache_key, transform_tail_coefficient)
+                                 fourier_1d, transform_tail_coefficient)
 
 
 @functools.lru_cache(maxsize=None)
 def _reference(p, r, dps=30):
     """fhat_p(r) to dps digits: 2 Gamma(1 + 1/p) at r = 0, else mpmath.quad
-    (tanh-sinh) of Zolotarev's integral on theta itself, split at its peak."""
+    (tanh-sinh) of Zolotarev's integral on theta itself, split at its peak.
+
+    Not used below r = 1e-3, where the peak, at theta ~ 2 pi r, is narrow
+    against its distance from 0: at p = 0.999, r = 1e-6 this is 1.95e-9 off
+    the power series, against 3.1e-13 for fourier_1d.  _series serves
+    there."""
     with mpmath.workdps(dps):
         p, r = mpmath.mpf(p), mpmath.mpf(r)
         if r == 0:
@@ -50,6 +54,65 @@ def test_fourier_within_its_error_of_mpmath(log_radii):
             val, err = fourier_1d(p, r, tol=1e-10)
             assert err <= 1e-10
             assert abs(mpmath.mpf(val) - _reference(p, r)) <= err
+
+
+def _series(p, r):
+    """The power series (2/p) sum_k (-1)^k Gamma((2k+1)/p) (2 pi r)^2k / (2k)!
+    of fhat_p(r) to three terms, to 40 digits, and the size of the fourth,
+    which bounds the rest: at these radii the terms alternate and shrink."""
+    with mpmath.workdps(40):
+        p, x = mpmath.mpf(p), 2 * mpmath.pi * mpmath.mpf(r)
+        terms = [2 / p * (-1) ** k * mpmath.gamma((2 * k + 1) / p) * x ** (2 * k)
+                 / mpmath.factorial(2 * k) for k in range(4)]
+        return sum(terms[:3]), abs(terms[3])
+
+
+@pytest.mark.parametrize("p", [0.5, 0.9, 0.999, 1.001, 1.5, 1.99])
+def test_fourier_at_tiny_radii_within_its_error_of_the_series(p):
+    # the peak of h e^-h sits at theta ~ 2 pi r, near the window's edge
+    for r in (1e-6, 1e-5):
+        val, err = fourier_1d(p, r, tol=1e-10)
+        want, rest = _series(p, r)
+        assert abs(mpmath.mpf(val) - want) + rest <= err
+
+
+# _reference(p, r) at r = 1e-3, 0.1, 1, 10 and 96, kept as printed to 25
+# digits: near p = 1 tanh-sinh takes about 2 s a radius
+_NEAR_ONE = {
+    0.999: ("2.000767988389094445307493", "1.4333473617575894582374",
+            "0.04945439367402301802689661", "0.0005083374710782178069218445",
+            "0.000005529944302419138588185004"),
+    1.001: ("1.999077440763218796278139", "1.43447773966580985526042",
+            "0.04936363782939798366658837", "0.0005046235265430907762089308",
+            "0.000005464263415424944776167281"),
+}
+
+
+@pytest.mark.parametrize("p", [0.999, 1.001, 1.999])
+def test_fourier_near_the_ends_of_p_within_its_error(p):
+    # near p = 1 the window is ~|p - 1| wide and the rounding of c log x
+    # large; near p = 2 h has a shelf where sin(p theta) is small
+    radii = (1e-3, 0.1, 1.0, 10.0, 96.0)
+    want = _NEAR_ONE.get(p) or [_reference(p, r) for r in radii]
+    val, err = fourier_1d(p, np.array(radii), tol=1e-10)
+    for v, e, w in zip(val, err, want):
+        assert abs(mpmath.mpf(v) - mpmath.mpf(w)) <= e
+
+
+def test_halved_steps_stay_within_their_error(monkeypatch):
+    # four times the grid step leaves the first-pass estimates far above
+    # 1e-12 of the sum, so each radius halves its step at least twice
+    steps = []
+    grid = transform._grid
+    monkeypatch.setattr(transform, "_STEP", 4 * transform._STEP)
+    monkeypatch.setattr(transform, "_grid",
+                        lambda p, k, step: steps.append(step) or grid(p, k, step))
+    for p, r in ((0.5, 2.0), (1.5, 0.37), (1.99, 1.0)):
+        steps.clear()
+        val, err = fourier_1d(p, r, tol=1e-10)
+        first = transform._STEP / max(1, abs(p / (p - 1)), abs(1 / (p - 1)))
+        assert min(steps) <= first / 4
+        assert abs(mpmath.mpf(val) - _reference(p, r)) <= err
 
 
 def test_fourier_matches_exact_p1():
@@ -146,17 +209,6 @@ def test_table_round_trip(table15):
     assert np.array_equal(back.nodes, table15.nodes)
     assert np.array_equal(back.values, table15.values)
     assert back.tail_scale == table15.tail_scale
-
-
-def test_cache_key_distinguishes_r_max():
-    assert table_cache_key(1.5, 96.0, 1e-8) != table_cache_key(1.5, 4.0, 1e-8)
-
-
-def test_cached_table_reload(tmp_path):
-    a = cached_transform_table(1.5, tol=1e-6, directory=str(tmp_path))
-    b = cached_transform_table(1.5, tol=1e-6, directory=str(tmp_path))
-    assert np.array_equal(a.values, b.values)
-    assert list(tmp_path.glob("*.json")), "cache file expected on disk"
 
 
 def test_tolerance_unreached_is_honest():
