@@ -144,7 +144,12 @@ def cosh_nu_bound(alpha: float, n: int) -> NuBound:
     if n < 1:
         raise ValueError("n must be >= 1")
     x = alpha / SQRT3_OVER_2PI  # = 2 pi alpha / sqrt 3 > 1
-    value = x ** n * math.exp(-(x - 1) * n)
+    try:
+        value = x ** n * math.exp(-(x - 1) * n)
+    except OverflowError:
+        value = 0.0
+    if value == 0.0:  # x^n or e^{-(x-1) n} past the floats: the log form
+        value = math.exp(n * (math.log(x) + 1 - x))
     # the coefficient is the mass ratio at the fixed shrink factor u = 1/x
     return NuBound(value=float(value), method="shrink_ratio")
 
@@ -196,6 +201,9 @@ def handshake_bound(n: int, p: float, u: float) -> float:
         raise ValueError("p must be in (0, 2]")
     if u < 1:
         raise ValueError(f"u must be >= 1, got {u}")
-    up = u ** p
-    return 10.0 * (math.exp(up) * n / p) * math.exp(up * n / p)
+    try:
+        up = u ** p
+        return 10.0 * (math.exp(up) * n / p) * math.exp(up * n / p)
+    except OverflowError:  # a cap past the floats caps nothing
+        return math.inf
 

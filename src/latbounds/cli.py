@@ -40,8 +40,7 @@ from .bounds import (cstar, handshake_bound, kalpha_radius,
                      transference_bound_l1, transference_bound_l2)
 from .enumeration import (DEFAULT_GRID_BUDGET, DEFAULT_NODE_BUDGET, BodySpec,
                           enumerate_arrays)
-from .errors import (BudgetExceededError, MissingTableError,
-                     ToleranceUnreachedError)
+from .errors import BudgetExceededError, ToleranceUnreachedError
 from .functions import (TestFunctionSpec, check_hypotheses, fhat_route,
                         log_f, natural_norm_p)
 from .lattice import (Lattice, integer_lattice, load_lattice,
@@ -96,6 +95,15 @@ def _parse_vec(text):
 # manifest handling
 
 
+def _integer(value, what, low=None):
+    """value if it is a JSON integer (at least low, if given); bool is an
+    int subclass, but true is no count."""
+    if type(value) is not int or (low is not None and value < low):
+        raise ManifestError(f"{what} must be an integer"
+                            + (f" >= {low}" if low is not None else ""))
+    return value
+
+
 def _resolve_lattice(ref, base_dir, default_path):
     """A lattice reference: an explicit path, an inline generator, or None
     for the manifest's lattice_file."""
@@ -112,9 +120,10 @@ def _resolve_lattice(ref, base_dir, default_path):
                             f"with 'kind', got {ref!r}")
     kind = ref["kind"]
     if kind == "integer":
-        return integer_lattice(int(ref["dim"]))
+        return integer_lattice(_integer(ref["dim"], "lattice 'dim'"))
     if kind == "unimodular":
-        return random_unimodular_lattice(int(ref["dim"]), int(ref["seed"]))
+        return random_unimodular_lattice(_integer(ref["dim"], "lattice 'dim'"),
+                                         _integer(ref["seed"], "lattice 'seed'"))
     if kind == "basis":
         return Lattice(np.array(ref["basis"], dtype=float),
                        name=ref.get("name"))
@@ -201,9 +210,7 @@ def _budgets(manifest):
     out = (budgets.get("nodes", DEFAULT_NODE_BUDGET),
            budgets.get("grid", DEFAULT_GRID_BUDGET))
     for key, val in zip(("nodes", "grid"), out):
-        # bool is an int subclass, but true is no budget
-        if type(val) is not int or val <= 0:
-            raise ManifestError(f"budget {key!r} must be a positive integer")
+        _integer(val, f"budget {key!r}", low=1)
     return out
 
 
@@ -224,10 +231,10 @@ def plan_manifest(manifest, base_dir):
     All parameter and lattice validation happens here, before any check
     executes; a bad entry aborts the whole run with a message naming it.
     """
-    seed = int(manifest.get("seed", 0))
+    seed = _integer(manifest.get("seed", 0), "manifest 'seed'")
     nodes, grid = _budgets(manifest)
     default_lattice = manifest.get("lattice_file")
-    tables = {}  # one table per p
+    tables = {}  # one table per p, for the hypotheses entries
 
     def table_for(spec):
         if fhat_route(spec) != "table":
@@ -263,13 +270,11 @@ def _plan_one(entry, base_dir, default_lattice, seed, nodes, grid, table_for):
     rng = np.random.default_rng(seed)
 
     if name == "hypotheses":
-        spec = TestFunctionSpec(params["family"], int(params["dim"]),
-                                params.get("p"))
-        samples = params.get("samples", 10000)
-        if type(samples) is not int or samples <= 0:
-            raise ManifestError("hypotheses 'samples' must be a positive "
-                                "integer")
-        hseed = int(params.get("seed", seed))
+        dim = _integer(params["dim"], "hypotheses 'dim'")
+        spec = TestFunctionSpec(params["family"], dim, params.get("p"))
+        samples = _integer(params.get("samples", 10000),
+                           "hypotheses 'samples'", low=1)
+        hseed = _integer(params.get("seed", seed), "hypotheses 'seed'")
         table = table_for(spec)
 
         def run_hyp():
@@ -289,11 +294,9 @@ def _plan_one(entry, base_dir, default_lattice, seed, nodes, grid, table_for):
 
     if name == "transference":
         p = float(params["p"])
-        resolution = int(params.get("resolution", 64))
+        resolution = _integer(params.get("resolution", 64), "resolution", 1)
         if p not in (1, 2):
             raise ManifestError("transference needs p in {1, 2}")
-        if resolution < 1:
-            raise ManifestError("resolution must be >= 1")
         return lambda: transference_check(L, p, resolution=resolution,
                                           node_budget=nodes,
                                           grid_budget=grid).record()
@@ -346,12 +349,10 @@ def _plan_one(entry, base_dir, default_lattice, seed, nodes, grid, table_for):
         if t <= 0:
             raise ManifestError("psf needs t > 0")
         max_residual = float(params["max_residual"])
-        psf_product_diagonal(L, spec)  # refuse a general basis before any table
-        table = table_for(spec)
+        psf_product_diagonal(L, spec)  # refuse what the product route cannot sum
 
         def run_psf():
-            res = psf_residual(L, spec, v, t, tol, node_budget=nodes,
-                               table=table)
+            res = psf_residual(L, spec, v, t, tol, node_budget=nodes)
             _, verdict = _verdict((res, res), (max_residual, max_residual))
             return _record("psf", L.name,
                            _spec_params(spec, t=t, tol=tol,
@@ -382,7 +383,7 @@ def run_manifest(manifest, base_dir, plot_csv=None):
         counts[rec["verdict"]] += 1
     nodes, grid = _budgets(manifest)
     report = {
-        "seed": int(manifest.get("seed", 0)),
+        "seed": manifest.get("seed", 0),
         "budgets": {"nodes": nodes, "grid": grid},
         "records": records,
         "summary": {"checks": len(records), "pass": counts[PASS],
@@ -599,9 +600,6 @@ def main(argv=None) -> int:
     except ToleranceUnreachedError as exc:
         print(f"tolerance unreachable: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except MissingTableError as exc:
-        print(f"missing table: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (ManifestError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -62,7 +62,8 @@ def natural_norm_p(spec: TestFunctionSpec) -> float:
 def fhat_route(spec: TestFunctionSpec) -> str:
     """How fhat is computed, decided here only: 'self_dual' (fhat = f),
     'rational_product' (exp_l1 and supergaussian p=1), 'gaussian_rescale'
-    (supergaussian p=2) or 'table' (fractional p: a 1-D transform table).
+    (supergaussian p=2) or 'table' (fractional p: transform.fourier_1d,
+    which eval_fhat reads from a 1-D transform table).
     A p within 1e-12 of 1 or 2 takes the exact route."""
     if spec.family in _SELF_DUAL:
         return "self_dual"
@@ -71,16 +72,6 @@ def fhat_route(spec: TestFunctionSpec) -> str:
     if abs(spec.p - 2.0) < 1e-12:
         return "gaussian_rescale"
     return "table"
-
-
-def matching_table(spec: TestFunctionSpec, table):
-    """table, once checked to be the 1-D transform table for spec's p."""
-    if table is None:
-        raise MissingTableError(
-            f"supergaussian p={spec.p} needs a Transform1DTable")
-    if abs(table.p - spec.p) > 1e-12:
-        raise ValueError(f"table is for p={table.p}, spec has p={spec.p}")
-    return table
 
 
 def log_f(spec: TestFunctionSpec, x):
@@ -129,7 +120,12 @@ def eval_fhat(spec: TestFunctionSpec, x, table=None):
         out = (math.pi ** (spec.dim / 2.0)
                * np.exp(-math.pi ** 2 * (x * x).sum(axis=-1)))
     else:
-        out = matching_table(spec, table).eval(x).prod(axis=-1)
+        if table is None:
+            raise MissingTableError(
+                f"supergaussian p={spec.p} needs a Transform1DTable")
+        if abs(table.p - spec.p) > 1e-12:
+            raise ValueError(f"table is for p={table.p}, spec has p={spec.p}")
+        out = table.eval(x).prod(axis=-1)
     return out if out.size != 1 else float(out[0])
 
 

@@ -205,20 +205,8 @@ class Transform1DTable:
                 out = np.where(far, tail, out)
         return out if out.ndim else float(out)
 
-    def tail_envelope(self, r):
-        """Upper bound on fhat_p(|r|) for r >= r_max (factor-2 head room)."""
-        r = abs(np.asarray(r, dtype=float))
-        if self.tail_exponent_coeff == 0.0:
-            return np.full_like(r, float(self.values[-1]) + self.tol)
-        return 2.0 * self.tail_exponent_coeff * r ** (-self.p - 1)
-
     def to_dict(self):
         return {**vars(self), "nodes": self.nodes.tolist(), "values": self.values.tolist()}
-
-    @classmethod
-    def from_dict(cls, d):
-        arrays = {k: np.asarray(d[k], dtype=float) for k in ("nodes", "values")}
-        return cls(**{k: float(v) for k, v in d.items() if k not in arrays}, **arrays)
 
 
 def _asymptotic(p, r, values, tol):

@@ -19,11 +19,14 @@ Poisson summation, as covol(L) times a cos-weighted sum of f over L; their
 terms are signed, so those intervals are symmetric, [partial - rem,
 partial + rem].  The psf check sets the two ends of Poisson summation
 against each other, certified_sum over L and dual_fhat_sum over t L*, so it
-also tests part 3's kernel.
+also tests part 3's kernel.  Where fhat has no exponential envelope, psf
+sums a diagonal dual as 1-D series: exp_l1's in closed form, fractional p's
+from fhat_p at the exact points (fourier_1d), with a tail past r = 96.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,10 +42,10 @@ from .enumeration import (DEFAULT_GRID_BUDGET, DEFAULT_NODE_BUDGET, BodySpec,
                           shortest_vector, transport_bracket)
 from .errors import (BudgetExceededError, InvariantError,
                      ToleranceUnreachedError)
-from .functions import (_2PI_OVER_SQRT3, TestFunctionSpec, fhat_route, log_f,
-                        matching_table)
+from .functions import _2PI_OVER_SQRT3, TestFunctionSpec, fhat_route, log_f
 from .lattice import (Lattice, _gso, distortion_bound, dual, lll_reduce,
                       lp_norm, rational, rational_matmul)
+from .transform import _asymptotic, fourier_1d, transform_tail_coefficient
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -51,6 +54,7 @@ INCONCLUSIVE = "INCONCLUSIVE"
 _SAFETY = 1e-10        # relative headroom folded into analytic remainders
 _FSUM_LIMIT = 500_000  # above this, pairwise numpy sum + certified slack
 _U = 2.0 ** -53        # unit roundoff of float64
+_R_TAIL = 96.0         # fractional-p psf: fhat_p's power-law tail from here
 
 
 @dataclass(frozen=True)
@@ -296,9 +300,11 @@ def certified_sum(L: Lattice, spec: TestFunctionSpec, v, t: float,
 def psf_product_diagonal(L, spec):
     """|diagonal| of L*'s basis, which psf's product routes (exp_l1 and
     fractional p) sum over one coordinate at a time; None for the other
-    routes.  Raises ValueError when L* is not diagonal, so a plan can
-    refuse the check before it builds a table."""
-    if fhat_route(spec) not in ("rational_product", "table"):
+    routes.  Raises ValueError when L* is not diagonal, or when fhat_p is
+    not yet within 5% of its asymptote at _R_TAIL, where the fractional-p
+    series' tail starts, so a plan can refuse the check before it runs."""
+    route = fhat_route(spec)
+    if route not in ("rational_product", "table"):
         return None
     B = dual(L).basis
     scale = float(np.max(np.abs(B)))
@@ -307,6 +313,10 @@ def psf_product_diagonal(L, spec):
         raise ValueError(
             f"{spec.family!r} dual sums decay too slowly for a general "
             "basis; only diagonal lattices are supported")
+    if route == "table" and not _asymptotic(
+            spec.p, _R_TAIL, fourier_1d(spec.p, _R_TAIL, 1e-8)[0], 1e-8):
+        raise ValueError(f"r={_R_TAIL:g} is inside the pre-asymptotic region "
+                         f"for p={spec.p}, where the dual series' tail starts")
     return np.abs(np.diag(B)).astype(float)
 
 
@@ -328,36 +338,36 @@ def _sum1d_rational(a, theta):
     return value, 10.0 * (1.0 + 1.0 / a) * _U * value + 2 * math.ulp(0.0) / den
 
 
-def _sum1d_table(table, a, theta):
-    """Tabulated-transform analogue of _sum1d_rational, with interpolation slop.
+def _sum1d_fractional(p, a, theta):
+    """(sum_k fhat_p(a k) cos(2 pi theta k), error) for fractional p.
 
-    The power-law envelope on fhat_p is only certified past the last table
-    node, so every index whose argument lands inside the table is summed and
-    charged 10x the table tolerance; the few points past the edge are charged
-    their envelope.  The error therefore has a floor set by the table extent
-    and the lattice spacing, which the caller compares with its tolerance.
+    fourier_1d evaluates fhat_p at the exact points a k, |k| <= K = ceil(R/a)
+    + 1, R = _R_TAIL; fhat_p is even, so k >= 0 are summed, k > 0 twice.
+    The error charges each point its estimate times |cos|, and a rounding
+    allowance: the phase, reduced to x = theta mod 1, is off by 6 pi u x k
+    and cos by u, and fl(a k) by u a k, which moves fhat_p by at most u
+    times |r fhat_p'(r)| <= fhat_p(r) + fhat_p(0) (differentiate (1/r) int
+    e^{-|s/r|^p} cos(2 pi s) ds).  The omitted |k| > K lie past R, where
+    fhat_p is taken to be below twice its asymptote |C_p| r^{-p-1} (checked
+    within 5% at R by psf_product_diagonal, not proven), so they add at
+    most 4 |C_p| a^{-p-1} K^{-p} / p.
     """
-    p = table.p
     a = abs(float(a))
-    ctail = 2.0 * abs(table.tail_exponent_coeff)
-    per_point = 10.0 * table.tol
-    K = int(math.ceil(table.r_max / a)) + 1
+    K = int(math.ceil(_R_TAIL / a)) + 1
     if 2 * K + 1 > DEFAULT_GRID_BUDGET:
         raise BudgetExceededError(DEFAULT_GRID_BUDGET, 2 * K + 1)
-    k = np.arange(-K, K + 1, dtype=float)
-    y = a * k
-    terms = table.eval(y)
-    ay = np.abs(y)
-    far = ay > table.r_max  # beyond the nodes: |truth - eval| <= envelope + eval
-    slop = per_point * float(np.sum(~far))
-    if np.any(far):
-        slop += float(np.sum(terms[far] + table.tail_envelope(ay[far])))
-    # omitted |k| > K have |y| >= a K >= r_max, where the envelope holds
-    tail = 2.0 * ctail * a ** (-p - 1) * K ** (-p) / p
-    if theta:
-        terms = terms * np.cos(2 * math.pi * theta * k)
-    partial, slack = _stable_sum(terms)
-    return partial, tail * (1 + _SAFETY) + slop + slack
+    k = np.arange(K + 1, dtype=float)
+    value, err = fourier_1d(p, a * k, tol=math.inf)
+    x = theta - math.floor(theta)
+    cos = np.cos(2 * math.pi * x * k)
+    w = np.where(k > 0, 2.0, 1.0)
+    partial, slack = _stable_sum(w * value * cos)
+    top = value + err
+    rounding = _U * float(np.sum(w * (top * (3 + 20 * x * k) + top[0])))
+    C = abs(transform_tail_coefficient(p))
+    tail = 4.0 * C * a ** (-p - 1) * K ** (-p) / p
+    return partial, (float(np.sum(w * err * np.abs(cos))) + rounding
+                     + tail) * (1 + _SAFETY) + slack
 
 
 def _product_interval(parts):
@@ -375,17 +385,16 @@ def _product_interval(parts):
     return value, err
 
 
-def _product_fhat_sum(diag, spec, t, theta, tol_abs, table=None):
-    """(value, certified error) of sum_k prod_j fhat_1d(t d_j k_j)
+def _product_fhat_sum(diag, spec, t, theta, tol_abs):
+    """(value, error) of sum_k prod_j fhat_1d(t d_j k_j)
     cos(2 pi theta_j k_j) over Z^n, one 1-D series per coordinate, each
     evaluated once; raises ToleranceUnreachedError when the product's
-    error exceeds tol_abs, as a table factor's floor can make it."""
+    error exceeds tol_abs, as a fractional-p factor's tail can make it."""
     route = fhat_route(spec)
     if route == "rational_product":
         one_d = _sum1d_rational
     elif route == "table":
-        table = matching_table(spec, table)
-        one_d = lambda a, th: _sum1d_table(table, a, th)
+        one_d = functools.partial(_sum1d_fractional, spec.p)
     else:
         raise ValueError(f"no product transform path for {spec.family!r}")
     value, err = _product_interval([one_d(t * d, th)
@@ -454,8 +463,7 @@ def _scaled_outward(c, partial, *rems):
 
 
 def psf_residual(L: Lattice, spec: TestFunctionSpec, v, t: float,
-                 tol: float, node_budget: int = DEFAULT_NODE_BUDGET,
-                 table=None) -> float:
+                 tol: float, node_budget: int = DEFAULT_NODE_BUDGET) -> float:
     """|LHS - RHS| / |RHS| for the summation identity
 
         sum_L f((lambda+v)/t)  =  (t^n/covol) sum_{L*} fhat(t mu) cos(2 pi mu.v),
@@ -467,7 +475,8 @@ def psf_residual(L: Lattice, spec: TestFunctionSpec, v, t: float,
     and g = f for a self-dual f; s = sqrt(pi) t and g the gaussian for
     supergaussian p=2, whose fhat(y) = pi^{n/2} g(sqrt(pi) y).  exp_l1 and
     fractional p sum a diagonal dual as a product of 1-D series, exp_l1's in
-    closed form and fractional p's from the table, whose error has a floor.
+    closed form and fractional p's from fhat_p at the exact points, with a
+    power-law tail past r = 96 as the error's floor.
     The residual compares point estimates: lhs.partial against the right's
     midpoint or product value.
     """
@@ -492,8 +501,7 @@ def psf_residual(L: Lattice, spec: TestFunctionSpec, v, t: float,
         factor = t ** n / L.covolume
         # cos(2 pi mu . v) factorizes over the coordinates of a diagonal dual
         theta = diag * v
-        dsum, _ = _product_fhat_sum(diag, spec, t, theta, budget / factor,
-                                    table=table)
+        dsum, _ = _product_fhat_sum(diag, spec, t, theta, budget / factor)
         rhs = factor * dsum
     return abs(lhs.partial - rhs) / abs(rhs)
 

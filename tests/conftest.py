@@ -15,7 +15,7 @@ settings.load_profile("tier1")
 
 @pytest.fixture(scope="session")
 def table15():
-    # long table: lattice summation needs the asymptote pushed far out
+    # the table the CLI builds for a p=1.5 hypotheses entry
     return build_transform_table(1.5, r_max=96.0, tol=1e-8)
 
 

@@ -101,6 +101,17 @@ def test_cosh_nu_values():
         cosh_nu_bound(0.27, 2)
 
 
+@pytest.mark.parametrize("alpha, n", [(0.524, 1000), (0.6, 1000),
+                                      (1e160, 2)])
+def test_cosh_nu_past_the_floats_takes_the_log_form(alpha, n):
+    # where x^n overflows or e^{-(x-1) n} underflows, the coefficient is
+    # (x e^{1-x})^n, not an error and not a 0.0 below a representable value
+    x = alpha / bounds.SQRT3_OVER_2PI
+    exact = math.exp(n * (math.log(x) + 1 - x))
+    assert cosh_nu_bound(alpha, n).value == exact
+    assert (exact > 0) == (alpha < 1)
+
+
 def test_kalpha_radius():
     assert abs(kalpha_radius(0.5, 2) - (1 + CSTAR) * 1.0) < 1e-12
 

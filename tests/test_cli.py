@@ -303,6 +303,58 @@ def test_hypotheses_samples_checked_before_running(run_cli, tmp_path, z2,
     assert out == ""  # nothing executed
 
 
+def _entry(check_name, **params):
+    return {"check_name": check_name, "params": params}
+
+
+@pytest.mark.parametrize("what, top, entry", [
+    ("manifest 'seed'", {"seed": 3.5}, _entry("theta", family="gaussian")),
+    ("lattice 'dim'", {}, _entry("theta", family="gaussian",
+                                 lattice={"kind": "integer", "dim": 2.7})),
+    ("lattice 'dim'", {}, _entry("theta", family="gaussian",
+                                 lattice={"kind": "integer", "dim": True})),
+    ("lattice 'seed'", {}, _entry("theta", family="gaussian",
+                                  lattice={"kind": "unimodular", "dim": 2,
+                                           "seed": 3.5})),
+    ("hypotheses 'dim'", {}, _entry("hypotheses", family="gaussian",
+                                    dim=2.0)),
+    ("hypotheses 'seed'", {}, _entry("hypotheses", family="gaussian", dim=2,
+                                     seed=3.5)),
+    ("resolution", {}, _entry("transference", p=2, resolution=8.9)),
+], ids=["manifest-seed", "float-dim", "bool-dim", "lattice-seed",
+        "hypotheses-dim", "hypotheses-seed", "resolution"])
+def test_non_integer_manifest_integers_are_refused(run_cli, tmp_path, z2,
+                                                   what, top, entry):
+    # a float or a bool where the manifest needs an integer is refused, not
+    # truncated, before any check runs
+    man = {"lattice_file": z2, **top, "checks": [entry]}
+    code, out, err = run_cli("verify", _write_manifest(tmp_path / "man.json",
+                                                       man))
+    assert code == 3
+    assert out == ""
+    assert f"{what} must be an integer" in err
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("kissing", "{z2}", "--p", "2", "--u", "30"), 0),
+    (("constants", "--u", "30"), 0),
+    (("tail", "{z2}", "--family", "inv_cosh_product", "--alpha", "1e160"), 3),
+], ids=["kissing", "constants", "tail"])
+def test_overflowing_bounds_exit_without_traceback(z2, argv, expected):
+    # a cap past the floats is +inf and the tail coefficient underflows to
+    # 0.0, so neither raises; a ball that large is then refused in tail
+    code, out, err = run_module(*(a.format(z2=z2) for a in argv))
+    assert code == expected
+    assert "Traceback" not in err
+    if argv[0] == "kissing":
+        assert get_field(out, "bound") == "inf"
+    if argv[0] == "constants":
+        assert out.splitlines()[-1].endswith(" inf")
+    if argv[0] == "tail":
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_far_shift_is_refused(run_cli, z2):
     # floats near 1e17 are 16 apart: the coefficients cannot be counted
     code, _, err = run_cli("theta", z2, "--family", "gaussian",
@@ -421,20 +473,35 @@ def test_exact_route_near_p1_builds_no_table(tmp_path, monkeypatch):
 
 
 def test_manifest_builds_each_table_once(tmp_path, monkeypatch):
-    # a psf and a hypotheses entry with the same p read the same table
+    # two hypotheses entries with the same p read the same table
     built = []
     monkeypatch.setattr(cli, "build_transform_table",
                         lambda p, **kwargs: built.append(p) or object())
     man = {"seed": 3,
-           "checks": [{"check_name": "psf",
+           "checks": [{"check_name": "hypotheses",
                        "params": {"family": "supergaussian", "p": 1.5,
-                                  "max_residual": 1e-6,
-                                  "lattice": {"kind": "integer", "dim": 1}}},
+                                  "dim": 2}},
                       {"check_name": "hypotheses",
                        "params": {"family": "supergaussian", "p": 1.5,
                                   "dim": 3}}]}
     assert len(plan_manifest(man, str(tmp_path))) == 2
     assert built == [1.5]
+
+
+def test_fractional_psf_builds_no_table(tmp_path, monkeypatch):
+    # psf evaluates fhat_p at the exact dual points, so neither its plan
+    # nor its run builds a table
+    def no_table(*args, **kwargs):
+        raise AssertionError("psf built a transform table")
+    monkeypatch.setattr(cli, "build_transform_table", no_table)
+    man = {"seed": 3,
+           "checks": [{"check_name": "psf",
+                       "params": {"family": "supergaussian", "p": 1.5,
+                                  "v": "random", "tol": 1e-3,
+                                  "max_residual": 1e-3,
+                                  "lattice": {"kind": "integer", "dim": 2}}}]}
+    records = [run() for run in plan_manifest(man, str(tmp_path))]
+    assert records[0]["verdict"] == "PASS"
 
 
 @pytest.mark.parametrize("family, p", [("supergaussian", 1.5),

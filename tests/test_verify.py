@@ -15,6 +15,7 @@ from latbounds.errors import InvariantError, ToleranceUnreachedError
 from latbounds.functions import TestFunctionSpec as FnSpec
 from latbounds.lattice import Lattice, _gso, dual, integer_lattice, \
     lll_reduce, lp_norm, random_unimodular_lattice
+from latbounds.transform import transform_tail_coefficient
 from latbounds.verify import (FAIL, INCONCLUSIVE, PASS, CertifiedSum,
                               _verdict, certified_sum, check_part1, check_part3,
                               check_tail_inequality, dual_fhat_sum,
@@ -85,7 +86,7 @@ def test_certified_sum_validation():
         certified_sum(L, FnSpec("gaussian", 3), np.zeros(2), 1.0, 1e-9)
 
 
-def test_certified_sum_all_families_z2(table15):
+def test_certified_sum_all_families_z2():
     # every family's primal path sums cleanly on a small lattice
     v = np.array([0.25, -0.4])
     for fam, p in (("gaussian", None), ("sech_product", None),
@@ -252,13 +253,46 @@ def test_psf_exp_l1_reaches_tight_tolerance():
     assert res <= 1e-11
 
 
-def test_psf_table_route_honest_tolerance_failure(table15):
-    # a table's interpolation charge floors the dual product's error
-    # (about 7.5e-5 at spacing 1); psf says so rather than truncating
+def test_psf_table_route_honest_tolerance_failure():
+    # the power-law tail past r = 96 floors the fractional-p dual product's
+    # error (about 5.3e-5 at spacing 1); psf says so rather than truncating
     with pytest.raises(ToleranceUnreachedError) as ei:
         psf_residual(integer_lattice(1), FnSpec("supergaussian", 1, p=1.5),
-                     np.zeros(1), 1.0, 1e-6, table=table15)
+                     np.zeros(1), 1.0, 1e-6)
     assert ei.value.achieved > ei.value.requested
+
+
+def test_psf_fractional_p_reaches_its_tail_floor():
+    # at p = 1.9 the tail past r = 96 is about 9.8e-7 at spacing 1, so tol
+    # 1e-5 is reached; an interpolation charge of 10 tol per point gave 2e-5
+    res = psf_residual(integer_lattice(1), FnSpec("supergaussian", 1, p=1.9),
+                       np.zeros(1), 1.0, 1e-5)
+    assert res <= 1e-5
+
+
+def _poisson_dual_1d(p, a, theta):
+    """sum_k fhat_p(a k) cos(2 pi theta k) to 30 digits, by Poisson
+    summation on the primal side: (1/a) sum_m e^{-|(m + theta)/a|^p}, whose
+    terms past |m + theta| = a 80^{1/p} are below e^{-80}."""
+    with mpmath.workdps(30):
+        a, theta = mpmath.mpf(a), mpmath.mpf(theta)
+        M = int(a * 80 ** (1 / p)) + 2
+        return mpmath.fsum(mpmath.exp(-abs((m + theta) / a) ** p)
+                           for m in range(-M, M + 1)) / a
+
+
+@pytest.mark.parametrize("p", [1.2, 1.5, 1.9])
+@pytest.mark.parametrize("a", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize("theta", [0.0, 0.3])
+def test_sum1d_fractional_contains_poisson_dual(p, a, theta):
+    value, err = verify._sum1d_fractional(p, a, theta)
+    exact = _poisson_dual_1d(p, a, theta)
+    with mpmath.workdps(30):
+        assert value - err <= exact <= value + err
+    # the exact points leave the tail past r = 96 as the whole floor
+    K = math.ceil(96 / a) + 1
+    tail = 4 * abs(transform_tail_coefficient(p)) * a ** (-p - 1) * K ** -p / p
+    assert tail <= err <= 1.01 * tail
 
 
 def _kernel_series(a, theta, J=16, N=150):
@@ -439,12 +473,12 @@ def test_psf_residual_exp_l1():
     assert res <= 1e-6
 
 
-def test_psf_residual_supergaussian_exact_and_table(table15):
+def test_psf_residual_supergaussian_exact_and_table():
     res = psf_residual(integer_lattice(2), FnSpec("supergaussian", 2, p=2.0),
                        np.array([0.3, 0.0]), 1.5, 1e-9)
     assert res <= 1e-10
     res = psf_residual(integer_lattice(1), FnSpec("supergaussian", 1, p=1.5),
-                       np.zeros(1), 1.0, 1e-3, table=table15)
+                       np.zeros(1), 1.0, 1e-3)
     assert res <= 1e-3
 
 
