@@ -12,6 +12,7 @@ deterministic and derivative-free.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -116,11 +117,12 @@ def supergaussian_mu_closed_form(p: float, r: float, n: int) -> NuBound:
     return NuBound(value=float(value), method="closed_form")
 
 
+@functools.cache
 def cstar() -> float:
     """max over z >= 0 of z - z tanh(z) / (1 + sech(z)/2), about 0.42479.
 
     Deterministic: coarse scan to bracket the single interior maximum, then
-    golden-section refinement.
+    golden-section refinement, computed once per process.
     """
     h = lambda z: z - z * math.tanh(z) / (1.0 + 0.5 / math.cosh(z))
     zs = [i * 0.01 for i in range(1001)]

@@ -13,9 +13,15 @@ factor max(1, n^(1/2 - 1/p)).
 
 The covering radius is bracketed by a second, geometric branch-and-bound:
 dyadic cubes of the reduced basis's coefficient space are split only while
-their Lipschitz upper bound can still exceed the best centre distance by
-more than the requested width, so the work follows the shape of the
-distance function rather than a uniform resolution^n grid.
+their upper bound, the centre distance plus the cube's own reach, can still
+exceed the best centre distance by more than the requested width, so the
+work follows the shape of the distance function rather than a uniform
+resolution^n grid.  A cube's reach is its half-side times the cell's l^p
+diameter, the largest ||s @ B||_p over sign rows s (sqrt(n) on Z^n at p = 2,
+not the triangle bound n); past dimension 12 the triangle bound is used.
+The nearest lattice points of all centres are drawn from one candidate
+ball around the cell's centroid, of radius half the diameter plus a proven
+bound on the covering radius, the reach of a tiling cell (``_cell_shape``).
 """
 
 from __future__ import annotations
@@ -184,9 +190,14 @@ def shortest_vector(L: Lattice, p: float = 2,
     return float(sigma), coords[nonzero][norms <= sigma * (1 + 1e-9)]
 
 
+_U = 2.0 ** -53  # unit roundoff of float64
+
 # relative outward rounding of a transported bracket: its two quotients,
 # and the float evaluation of the distances it came from, cost a few ulp
 _OUTWARD = 4 * 2.0 ** -52
+
+# largest dimension whose cell diameter is taken over the 2^n sign rows
+_VERTEX_DIM = 12
 
 
 def transport_bracket(lo, hi, eps):
@@ -201,21 +212,79 @@ def transport_bracket(lo, hi, eps):
     return lo / (1 + eps) * (1 - _OUTWARD), hi / (1 - eps) * (1 + _OUTWARD)
 
 
+def _cell_shape(reduced_basis, q):
+    """Bound on the l^q reach, the largest ||c||_q over the cell, of a
+    centred cell that tiles space by lattice translates: the smaller of the
+    bounds for two such cells.
+
+    The parallelepiped {sum c_i b_i : |c_i| <= 1/2} reaches
+    sum(||b_i||_q)/2 (triangle inequality).  The Gram-Schmidt box
+    {sum c_i b*_i : |c_i| <= 1/2}, the cell of Babai's nearest-plane
+    rounding, reaches R2 = sqrt(sum ||b*_i||^2)/2 in l^2, so
+    max(1, n^{1/q - 1/2}) R2 in l^q; on Z^n that is sqrt(n)/2 against n/2
+    for q = 2.  For q < 1 the norm is only power-subadditive, so the reach
+    is measured in the q-th power: sum((||b_i||_q / 2)^q) and
+    n^{1 - q/2} R2^q.  sum ||b*_i||^2 is padded by 8 n u sum ||b_i||^2, a
+    margin for the float rounding of the Gram-Schmidt norms, and the result
+    is rounded up.
+    """
+    B = np.asarray(reduced_basis, dtype=float)
+    n = B.shape[0]
+    norms = lp_norm(B, q)
+    _, norms2, _ = _gso(B)
+    box2 = 0.25 * float(np.sum(norms2) + 8 * n * _U * np.sum(B * B))
+    if q <= 1.0:
+        reach = min(float(np.sum((0.5 * norms) ** q)),
+                    n ** (1 - q / 2) * box2 ** (q / 2))
+    else:
+        reach = min(float(0.5 * np.sum(norms)),
+                    max(1.0, n ** (1 / q - 0.5)) * math.sqrt(box2))
+    return math.nextafter(reach, math.inf)
+
+
+def _cell_diameter(B, p, d_cell):
+    """l^p diameter of the cell {c @ B : c in [0, 1]^n}, rounded up, <= d_cell.
+
+    Two cell points differ by t @ B with t in [-1, 1]^n, and ||t @ B||_p is
+    convex in t, so it peaks at a vertex: the diameter is the largest
+    ||s @ B||_p over sign rows s in {-1, 1}^n, sqrt(n) on Z^n at p = 2
+    against the triangle bound d_cell = n.  Each entry of s @ B is off by
+    at most n u sum_i |b_ij|, a vector whose l^p norm is at most n u d_cell,
+    and the norm adds a few (n + 2) u relative; both are padded twice over.
+    Past _VERTEX_DIM the 2^n rows cost too much and d_cell is returned.
+    """
+    n = B.shape[0]
+    if n > _VERTEX_DIM:
+        return d_cell
+    signs = 2.0 * np.indices((2,) * n).reshape(n, -1).T - 1
+    diam = float(lp_norm(signs @ B, p).max())
+    diam = diam * (1 + 4 * (n + 2) * _U) + 2 * n * _U * d_cell
+    return min(d_cell, math.nextafter(diam, math.inf))
+
+
 def covering_radius_estimate(L: Lattice, p: float = 2, resolution: int = 64,
                              grid_budget: int = DEFAULT_GRID_BUDGET,
                              node_budget: int = DEFAULT_NODE_BUDGET):
     """Bracket (lower, upper) for the l^p covering radius of L, p >= 1.
 
     Branch-and-bound over dyadic cubes in the coefficient space of the
-    LLL-reduced basis, starting from the whole cell [0,1)^n.  Level k
+    LLL-reduced basis B, starting from the whole cell [0,1)^n.  Level k
     evaluates the exact CVP distance at the centres of all its cubes (side
-    2^-k) in one batch, the largest so far being the lower end; a cube's
-    upper bound is that distance plus half its diameter, d_cell * 2^-(k+1),
-    since the distance is 1-Lipschitz.  A cube whose upper bound is at most best + d_cell /
-    resolution is dropped, every other one splits into its 2^n children, and
-    the upper end is the largest upper bound of any dropped cube.  So
-    upper - lower <= d_cell / resolution, as for a resolution^n grid, where
-    d_cell is the sum of the reduced rows' l^p norms.
+    2^-k) in one batch, the largest so far being the lower end.  The
+    distance is 1-Lipschitz, so a cube's upper bound is that distance plus
+    its reach from the centre, diam * 2^-(k+1): diam, the cell's l^p
+    diameter, is the largest ||s @ B||_p over s in {-1, 1}^n (a convex
+    function peaks at a vertex), rounded up and at most d_cell, the sum of
+    the reduced rows' l^p norms; past n = 12 it is d_cell.  A cube whose
+    upper bound is at most best + d_cell / resolution is dropped, every
+    other one splits into its 2^n children, and the upper end is the largest
+    upper bound of any dropped cube.  So upper - lower <= d_cell /
+    resolution, as for a resolution^n grid.
+
+    Each centre's nearest lattice point is sought among the candidates in
+    the ball of radius diam/2 + reach around the centroid: the centre lies
+    within diam/2 of the centroid, and its nearest point within reach of
+    it, where reach (``_cell_shape``) bounds the covering radius from above.
 
     grid_budget caps the number of centres evaluated; past it the search
     raises BudgetExceededError.  The bracket is for the lattice spanned
@@ -232,18 +301,20 @@ def covering_radius_estimate(L: Lattice, p: float = 2, resolution: int = 64,
     n = L.dim
     reduced, U = lll_reduce(L, return_transform=True)
     B = reduced.basis
-    d_cell = float(lp_norm(B, p).sum())  # l^p diameter bound of the basis cell
+    d_cell = float(lp_norm(B, p).sum())  # triangle bound on the diameter
+    diam = _cell_diameter(B, p, d_cell)
+    reach = _cell_shape(B, p)  # every point is within reach of the lattice
     centroid = 0.5 * B.sum(axis=0)
-    # Every point of the cell is within d_cell/2 of the centroid, and its
-    # nearest lattice point is within d_cell/2 of it (round the
-    # coefficients), so a ball of radius d_cell around the centroid
-    # certifiably contains every nearest neighbour of every centre.
-    _, S = enumerate_arrays(reduced, -centroid, d_cell, p=p,
+    # Every point of the cell is within diam/2 of the centroid, and its
+    # nearest lattice point is within reach of it, so a ball of radius
+    # diam/2 + reach around the centroid certifiably contains every nearest
+    # neighbour of every centre.
+    _, S = enumerate_arrays(reduced, -centroid, diam / 2 + reach, p=p,
                             node_budget=node_budget)
     if not len(S):
         raise InvariantError("candidate set for covering radius is empty")
 
-    babai_bound = d_cell / 2 + 1e-9 * max(1.0, d_cell)
+    babai_bound = reach + 1e-9 * max(1.0, d_cell)
     chunk = max(1, 4_000_000 // (len(S) * n))
     children = np.indices((2,) * n).reshape(n, -1).T - 0.5
     K = np.full((1, n), 0.5)  # cube centres, in coefficients
@@ -260,7 +331,7 @@ def covering_radius_estimate(L: Lattice, p: float = 2, resolution: int = 64,
         if not dists.max() <= babai_bound:
             raise InvariantError("candidate ball missed a nearest point")
         best = max(best, float(dists.max()))
-        upper = dists + d_cell * half
+        upper = dists + diam * half
         done = upper <= best + d_cell / resolution
         upper_end = float(np.max(upper, where=done, initial=upper_end))
         K = K[~done]

@@ -37,14 +37,14 @@ import numpy as np
 from .bounds import (NuBound, cosh_nu_bound, cstar, gaussian_nu_closed_form,
                      handshake_bound, mu_norm, supergaussian_mu_closed_form,
                      transference_bound_l1, transference_bound_l2)
-from .enumeration import (DEFAULT_GRID_BUDGET, DEFAULT_NODE_BUDGET, BodySpec,
-                          covering_radius_estimate, enumerate_arrays,
-                          shortest_vector, transport_bracket)
+from .enumeration import (_U, DEFAULT_GRID_BUDGET, DEFAULT_NODE_BUDGET,
+                          BodySpec, _cell_shape, covering_radius_estimate,
+                          enumerate_arrays, shortest_vector, transport_bracket)
 from .errors import (BudgetExceededError, InvariantError,
                      ToleranceUnreachedError)
 from .functions import _2PI_OVER_SQRT3, TestFunctionSpec, fhat_route, log_f
-from .lattice import (Lattice, _gso, distortion_bound, dual, lll_reduce,
-                      lp_norm, rational, rational_matmul)
+from .lattice import (Lattice, distortion_bound, dual, lll_reduce, rational,
+                      rational_matmul)
 from .transform import _asymptotic, fourier_1d, transform_tail_coefficient
 
 PASS = "PASS"
@@ -53,7 +53,6 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 _SAFETY = 1e-10        # relative headroom folded into analytic remainders
 _FSUM_LIMIT = 500_000  # above this, pairwise numpy sum + certified slack
-_U = 2.0 ** -53        # unit roundoff of float64
 _R_TAIL = 96.0         # fractional-p psf: fhat_p's power-law tail from here
 
 
@@ -145,36 +144,6 @@ def _log_upper_gamma(a, x):
     log_s, log_x = math.log(s), math.log(x)
     value = (a - 1) * log_x - x + log_s
     return value + 8 * _U * (x + abs(a - 1) * abs(log_x) + log_s + n_parts)
-
-
-def _cell_shape(reduced_basis, q):
-    """Bound on the l^q reach, the largest ||c||_q over the cell, of a
-    centred cell that tiles space by lattice translates: the smaller of the
-    bounds for two such cells.
-
-    The parallelepiped {sum c_i b_i : |c_i| <= 1/2} reaches
-    sum(||b_i||_q)/2 (triangle inequality).  The Gram-Schmidt box
-    {sum c_i b*_i : |c_i| <= 1/2}, the cell of Babai's nearest-plane
-    rounding, reaches R2 = sqrt(sum ||b*_i||^2)/2 in l^2, so
-    max(1, n^{1/q - 1/2}) R2 in l^q; on Z^n that is sqrt(n)/2 against n/2
-    for q = 2.  For q < 1 the norm is only power-subadditive, so the reach
-    is measured in the q-th power: sum((||b_i||_q / 2)^q) and
-    n^{1 - q/2} R2^q.  sum ||b*_i||^2 is padded by 8 n u sum ||b_i||^2, a
-    margin for the float rounding of the Gram-Schmidt norms, and the result
-    is rounded up.
-    """
-    B = np.asarray(reduced_basis, dtype=float)
-    n = B.shape[0]
-    norms = lp_norm(B, q)
-    _, norms2, _ = _gso(B)
-    box2 = 0.25 * float(np.sum(norms2) + 8 * n * _U * np.sum(B * B))
-    if q <= 1.0:
-        reach = min(float(np.sum((0.5 * norms) ** q)),
-                    n ** (1 - q / 2) * box2 ** (q / 2))
-    else:
-        reach = min(float(0.5 * np.sum(norms)),
-                    max(1.0, n ** (1 / q - 0.5)) * math.sqrt(box2))
-    return math.nextafter(reach, math.inf)
 
 
 def _log_tail(n, covol, env, beta_eff, cell, S):

@@ -389,7 +389,8 @@ def test_tiny_p_is_refused_without_traceback(z2, p):
 
 def test_tiny_p_table_is_refused_without_traceback(z2):
     # 2 Gamma(1 + 1/p), fhat_p(0), overflows a float below p = 1/170: the
-    # table's r_max check refuses it (exit 3), as at p = 0.01
+    # asymptote check of psf_product_diagonal refuses it (exit 3), as at
+    # p = 0.01
     code, out, err = run_module("psf", z2, "--family", "supergaussian",
                                 "--p", "1e-3")
     assert code == 3

@@ -215,11 +215,15 @@ def test_covering_radius_skewed_basis_same_bracket():
 
 
 def test_covering_radius_budget():
-    # the budget caps centre evaluations (Z^3 at resolution 512 needs 777)
+    # the budget caps centre evaluations: A_2's deep hole is no cube centre,
+    # and at resolution 512 its search evaluates 245 of them
+    A2 = Lattice(np.array([[1.0, 0.0], [0.5, math.sqrt(3) / 2]]))
     with pytest.raises(BudgetExceededError):
-        covering_radius_estimate(integer_lattice(3), resolution=512,
-                                 grid_budget=100)
-    # Z^4 at resolution 32: 1,553 centres, not a 32^4 grid
+        covering_radius_estimate(A2, resolution=512, grid_budget=100)
+    lo, hi = covering_radius_estimate(A2, resolution=512, grid_budget=1000)
+    rho = 1 / math.sqrt(3)
+    assert lo <= rho * (1 + 1e-12) and rho <= hi * (1 + 1e-12)
+    # Z^4 at resolution 32: 17 centres, not a 32^4 grid
     lo, hi = covering_radius_estimate(integer_lattice(4), 2, 32,
                                       grid_budget=5000)
     assert lo <= 1.0 <= hi
@@ -234,6 +238,56 @@ def test_covering_radius_hexagonal_needs_refinement(resolution):
     rho = 1 / math.sqrt(3)
     assert lo <= rho * (1 + 1e-12) and rho <= hi * (1 + 1e-12)
     assert hi - lo <= 2 / resolution  # d_cell = 2
+
+
+@pytest.mark.parametrize("n, p, rho", [
+    (5, 2, math.sqrt(5) / 2), (6, 2, math.sqrt(6) / 2), (5, 1, 2.5)])
+def test_covering_radius_zn_bracket_is_tight(n, p, rho):
+    # a cube of half-side h reaches h sqrt(n) at p = 2, not h n, so the
+    # cubes next to the deep hole close at once; bounded by h n, Z^5 gave
+    # [1.1180, 1.2416]
+    lo, hi = covering_radius_estimate(integer_lattice(n), p, 32)
+    assert abs(lo - rho) <= 1e-9 and abs(hi - rho) <= 1e-9
+
+
+@given(n=st.integers(2, 4), p=st.sampled_from([1.0, 2.0]),
+       seed=st.integers(0, 10 ** 6), real=st.booleans())
+def test_covering_candidates_and_cube_reach(n, p, seed, real):
+    rng = np.random.default_rng(seed)
+    if real:
+        B = rng.uniform(-3.0, 3.0, (n, n))
+        assume(abs(np.linalg.det(B)) > 1e-3)
+        L = Lattice(B)
+    else:
+        L = random_unimodular_lattice(n, seed)
+    R = lll_reduce(L)
+    B = R.basis
+    d_cell = float(lp_norm(B, p).sum())
+    diam = enumeration._cell_diameter(B, p, d_cell)
+    reach = enumeration._cell_shape(B, p)
+    assert diam <= d_cell
+    # the nearest lattice point of a point of the cell, searched for in the
+    # ball of radius d_cell, lies within reach of it, so within diam/2 +
+    # reach of the centroid
+    centroid = 0.5 * B.sum(axis=0)
+    _, S = enumerate_arrays(R, -centroid, d_cell, p=p)
+    X = rng.uniform(0.0, 1.0, (100, n)) @ B
+    nearest = S[lp_norm(X[:, None, :] - S[None, :, :], p).argmin(axis=1)]
+    assert np.all(lp_norm(X - nearest, p) <= reach)
+    assert np.all(lp_norm(nearest - centroid, p) <= diam / 2 + reach)
+    # a cube of half-side h reaches at most h * diam from its centre, with
+    # equality, up to rounding, at a vertex
+    h = rng.uniform(0.01, 0.5)
+    signs = 2.0 * np.array(list(itertools.product((0, 1), repeat=n))) - 1
+    delta = np.vstack([rng.uniform(-h, h, (300, n)), h * signs])
+    assert np.all(lp_norm(delta @ B, p) <= h * diam)
+
+
+def test_cell_diameter_uses_the_sign_rows_up_to_dimension_12():
+    assert math.sqrt(12) <= enumeration._cell_diameter(np.eye(12), 2, 12.0) \
+        <= math.sqrt(12) * (1 + 1e-12)
+    # past that, the 2^n rows are not formed and the triangle bound is used
+    assert enumeration._cell_diameter(np.eye(13), 2, 13.0) == 13.0
 
 
 def _exact_rho2_squared(B):
