@@ -18,7 +18,7 @@ exceed the best centre distance by more than the requested width, so the
 work follows the shape of the distance function rather than a uniform
 resolution^n grid.  A cube's reach is its half-side times the cell's l^p
 diameter, the largest ||s @ B||_p over sign rows s (sqrt(n) on Z^n at p = 2,
-not the triangle bound n); past dimension 12 the triangle bound is used.
+not the triangle bound n).
 The nearest lattice points of all centres are drawn from one candidate
 ball around the cell's centroid, of radius half the diameter plus a proven
 bound on the covering radius, the reach of a tiling cell (``_cell_shape``).
@@ -196,9 +196,6 @@ _U = 2.0 ** -53  # unit roundoff of float64
 # and the float evaluation of the distances it came from, cost a few ulp
 _OUTWARD = 4 * 2.0 ** -52
 
-# largest dimension whose cell diameter is taken over the 2^n sign rows
-_VERTEX_DIM = 12
-
 
 def transport_bracket(lo, hi, eps):
     """Covering-radius bracket of lattice(A) from one of lattice(A @ T).
@@ -242,22 +239,20 @@ def _cell_shape(reduced_basis, q):
     return math.nextafter(reach, math.inf)
 
 
-def _cell_diameter(B, p, d_cell):
+def _cell_diameter(V, p, d_cell):
     """l^p diameter of the cell {c @ B : c in [0, 1]^n}, rounded up, <= d_cell.
 
-    Two cell points differ by t @ B with t in [-1, 1]^n, and ||t @ B||_p is
-    convex in t, so it peaks at a vertex: the diameter is the largest
-    ||s @ B||_p over sign rows s in {-1, 1}^n, sqrt(n) on Z^n at p = 2
-    against the triangle bound d_cell = n.  Each entry of s @ B is off by
-    at most n u sum_i |b_ij|, a vector whose l^p norm is at most n u d_cell,
-    and the norm adds a few (n + 2) u relative; both are padded twice over.
-    Past _VERTEX_DIM the 2^n rows cost too much and d_cell is returned.
+    V holds the rows s/2 @ B over the sign rows s in {-1, 1}^n, the cell's
+    2^n vertices about its centroid.  Two cell points differ by t @ B with
+    t in [-1, 1]^n, and ||t @ B||_p is convex in t, so it peaks at a vertex:
+    the diameter is the largest ||s @ B||_p = 2 ||s/2 @ B||_p, sqrt(n) on
+    Z^n at p = 2 against the triangle bound d_cell = n.  Each entry of
+    s @ B is off by at most n u sum_i |b_ij|, a vector whose l^p norm is at
+    most n u d_cell, and the norm adds a few (n + 2) u relative; both are
+    padded twice over.
     """
-    n = B.shape[0]
-    if n > _VERTEX_DIM:
-        return d_cell
-    signs = 2.0 * np.indices((2,) * n).reshape(n, -1).T - 1
-    diam = float(lp_norm(signs @ B, p).max())
+    n = V.shape[1]
+    diam = 2 * float(lp_norm(V, p).max())
     diam = diam * (1 + 4 * (n + 2) * _U) + 2 * n * _U * d_cell
     return min(d_cell, math.nextafter(diam, math.inf))
 
@@ -275,11 +270,11 @@ def covering_radius_estimate(L: Lattice, p: float = 2, resolution: int = 64,
     its reach from the centre, diam * 2^-(k+1): diam, the cell's l^p
     diameter, is the largest ||s @ B||_p over s in {-1, 1}^n (a convex
     function peaks at a vertex), rounded up and at most d_cell, the sum of
-    the reduced rows' l^p norms; past n = 12 it is d_cell.  A cube whose
-    upper bound is at most best + d_cell / resolution is dropped, every
-    other one splits into its 2^n children, and the upper end is the largest
-    upper bound of any dropped cube.  So upper - lower <= d_cell /
-    resolution, as for a resolution^n grid.
+    the reduced rows' l^p norms.  A cube whose upper bound is at most
+    best + d_cell / resolution is dropped, every other one splits into its
+    2^n children, and the upper end is the largest upper bound of any
+    dropped cube.  So upper - lower <= d_cell / resolution, as for a
+    resolution^n grid.
 
     Each centre's nearest lattice point is sought among the candidates in
     the ball of radius diam/2 + reach around the centroid: the centre lies
@@ -302,7 +297,8 @@ def covering_radius_estimate(L: Lattice, p: float = 2, resolution: int = 64,
     reduced, U = lll_reduce(L, return_transform=True)
     B = reduced.basis
     d_cell = float(lp_norm(B, p).sum())  # triangle bound on the diameter
-    diam = _cell_diameter(B, p, d_cell)
+    children = np.indices((2,) * n).reshape(n, -1).T - 0.5
+    diam = _cell_diameter(children @ B, p, d_cell)
     reach = _cell_shape(B, p)  # every point is within reach of the lattice
     centroid = 0.5 * B.sum(axis=0)
     # Every point of the cell is within diam/2 of the centroid, and its
@@ -316,7 +312,6 @@ def covering_radius_estimate(L: Lattice, p: float = 2, resolution: int = 64,
 
     babai_bound = reach + 1e-9 * max(1.0, d_cell)
     chunk = max(1, 4_000_000 // (len(S) * n))
-    children = np.indices((2,) * n).reshape(n, -1).T - 0.5
     K = np.full((1, n), 0.5)  # cube centres, in coefficients
     half = 0.5                # half the cubes' side
     best = upper_end = 0.0

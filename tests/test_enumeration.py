@@ -263,7 +263,8 @@ def test_covering_candidates_and_cube_reach(n, p, seed, real):
     R = lll_reduce(L)
     B = R.basis
     d_cell = float(lp_norm(B, p).sum())
-    diam = enumeration._cell_diameter(B, p, d_cell)
+    signs = 2.0 * np.array(list(itertools.product((0, 1), repeat=n))) - 1
+    diam = enumeration._cell_diameter(signs / 2 @ B, p, d_cell)
     reach = enumeration._cell_shape(B, p)
     assert diam <= d_cell
     # the nearest lattice point of a point of the cell, searched for in the
@@ -278,16 +279,8 @@ def test_covering_candidates_and_cube_reach(n, p, seed, real):
     # a cube of half-side h reaches at most h * diam from its centre, with
     # equality, up to rounding, at a vertex
     h = rng.uniform(0.01, 0.5)
-    signs = 2.0 * np.array(list(itertools.product((0, 1), repeat=n))) - 1
     delta = np.vstack([rng.uniform(-h, h, (300, n)), h * signs])
     assert np.all(lp_norm(delta @ B, p) <= h * diam)
-
-
-def test_cell_diameter_uses_the_sign_rows_up_to_dimension_12():
-    assert math.sqrt(12) <= enumeration._cell_diameter(np.eye(12), 2, 12.0) \
-        <= math.sqrt(12) * (1 + 1e-12)
-    # past that, the 2^n rows are not formed and the triangle bound is used
-    assert enumeration._cell_diameter(np.eye(13), 2, 13.0) == 13.0
 
 
 def _exact_rho2_squared(B):
