@@ -39,5 +39,5 @@ print(f"fhat_1(0.5) for e^-|x|:      {fourier_1d(1.0, 0.5)[0]:.12f}  "
       f"(exact 2/(1+4 pi^2 y^2))")
 print(f"fhat_1(0.5) for e^-|x|^1.5:  {fourier_1d(1.5, 0.5)[0]:.12f}")
 spec = TestFunctionSpec("supergaussian", 1, p=2.0)
-print(f"fhat(0.5) at p = 2:          {eval_fhat(spec, [[0.5]]):.12f}  "
+print(f"fhat(0.5) at p = 2:          {eval_fhat(spec, [0.5]):.12f}  "
       f"(exact sqrt(pi) e^(-pi^2/4))")

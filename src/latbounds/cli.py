@@ -43,7 +43,7 @@ from .enumeration import (DEFAULT_GRID_BUDGET, DEFAULT_NODE_BUDGET, BodySpec,
 from .errors import BudgetExceededError, ToleranceUnreachedError
 from .functions import (TestFunctionSpec, check_hypotheses, fhat_route,
                         log_f, natural_norm_p)
-from .lattice import (Lattice, integer_lattice, load_lattice,
+from .lattice import (Lattice, integer_lattice, load_lattice, lp_norm,
                       random_unimodular_lattice)
 from .transform import build_transform_table
 from .verify import (FAIL, INCONCLUSIVE, PASS, _record, _spec_params,
@@ -407,9 +407,8 @@ def _write_plot_csv(path, plans):
                    else full)
         r_hi = 1.75 * body.radius
         _, emb = enumerate_arrays(L, v, r_hi, body.p, nodes)
-        norms = (np.abs(emb + v) ** body.p).sum(axis=1) ** (1.0 / body.p) \
-            if np.isfinite(body.p) else np.abs(emb + v).max(axis=1)
-        vals = np.atleast_1d(np.exp(log_f(spec, emb + v)))
+        norms = lp_norm(emb + v, body.p)
+        vals = np.exp(log_f(spec, emb + v))
         order = np.argsort(norms, kind="stable")
         norms, vals = norms[order], np.cumsum(vals[order])
         for radius in np.linspace(0.25 * body.radius, r_hi, 24):

@@ -1,12 +1,13 @@
 """Exact lattice point enumeration in l^p balls, shortest vectors, covering radii.
 
-One primitive, ``enumerate_arrays``, does all enumeration; shortest vectors
-and the covering-radius candidate sets are built on it.  It runs a
-Fincke-Pohst search over the Gram-Schmidt coordinates of an LLL-reduced
-basis, level by level on numpy blocks of nodes, within a node budget.  The
-bottom-level c0 that fit form one integer interval (the cost
-D[0] * (c0 + shift[0] + s[0])^2 is convex), so leaves are stored as
-intervals and expanded in one numpy pass at the end.  Coefficients are
+One search, ``ball_blocks``, does all enumeration: a Fincke-Pohst search
+over the Gram-Schmidt coordinates of an LLL-reduced basis, level by level
+on numpy blocks of nodes, within a node budget.  The bottom-level c0 that
+fit form one integer interval (the cost D[0] * (c0 + shift[0] + s[0])^2 is
+convex), so each bottom block of nodes is one block of leaves, expanded and
+handed out as it is formed; no caller holds the whole tree.  Sums stream
+these blocks; ``enumerate_arrays`` concatenates and sorts them, for
+shortest vectors and the covering-radius candidate sets.  Coefficients are
 counted in floats, so an interval end at 2^52 or beyond raises ValueError.
 l^p balls for p != 2 are the circumscribed l^2 ball, filtered, with the
 factor max(1, n^(1/2 - 1/p)).
@@ -69,8 +70,8 @@ def l2_circumscribe_factor(p: float, n: int) -> float:
     return 1.0
 
 
-# rows in one block of search nodes: children are built and searched this
-# many at a time, depth first, so memory is O(n * _BLOCK) plus the leaves
+# rows in one block of search nodes or of leaves: built, searched depth first
+# and handed out this many at a time, so memory is O(n * _BLOCK)
 _BLOCK = 1 << 16
 
 
@@ -82,7 +83,8 @@ def _spread(lo, counts):
 
 
 def _enum_l2_coeffs(basis, shift, r2, node_budget):
-    """(m, n) int64 rows c with ||(c + shift) @ basis||_2 <= r2, unordered.
+    """Yield int64 blocks, of at most _BLOCK rows, of the rows c with
+    ||(c + shift) @ basis||_2 <= r2, each row once, in no particular order.
 
     shift is the real coefficient vector of the translation.  A level-k
     node holds c_>k, its offsets s and its remaining squared radius.  Each
@@ -91,7 +93,6 @@ def _enum_l2_coeffs(basis, shift, r2, node_budget):
     """
     n = basis.shape[0]
     mu, D, _ = _gso(basis)
-    leaves = [(np.zeros(0), np.zeros(0, np.int64), np.zeros((0, n), np.int64))]
     visited = 0
 
     def search(k, s, rem, coef):
@@ -119,7 +120,11 @@ def _enum_l2_coeffs(basis, shift, r2, node_budget):
                     break
                 lo += bad_lo
                 hi -= bad_hi
-            leaves.append((lo, (hi - lo + 1).astype(np.int64), coef))
+            parent, c0 = _spread(lo, (hi - lo + 1).astype(np.int64))
+            for a in range(0, len(parent), _BLOCK):
+                leaves = coef.take(parent[a:a + _BLOCK], axis=0)
+                leaves[:, 0] = c0[a:a + _BLOCK]
+                yield leaves
             return
         parent, cs = _spread(lo, counts)
         for a in range(0, len(parent), _BLOCK):
@@ -132,26 +137,28 @@ def _enum_l2_coeffs(basis, shift, r2, node_budget):
             child = coef.take(p, axis=0)
             child[:, k] = c[keep]
             s_child = s[:, :k].take(p, axis=0) + t[keep, None] * mu[k, :k]
-            search(k - 1, s_child, rest[keep], child)
+            yield from search(k - 1, s_child, rest[keep], child)
 
-    search(n - 1, np.zeros((1, n)), np.array([r2 * r2 * (1 + 1e-9) + 1e-300]),
-           np.zeros((1, n), dtype=np.int64))
-    lo, counts, coef = map(np.concatenate, zip(*leaves))
-    parent, c0 = _spread(lo, counts)
-    coef = coef.take(parent, axis=0)
-    coef[:, 0] = c0
-    return coef
+    yield from search(n - 1, np.zeros((1, n)),
+                      np.array([r2 * r2 * (1 + 1e-9) + 1e-300]),
+                      np.zeros((1, n), dtype=np.int64))
 
 
-def enumerate_arrays(L: Lattice, v, r: float, p: float = 2,
-                     node_budget: int = DEFAULT_NODE_BUDGET):
-    """Points x in L with ||x + v||_p <= r, as (coords, embeddings) arrays.
+def _block_matmul(a, b):
+    """a @ b for a block of rows, rounded as those rows of any larger product
+    are: BLAS takes a one-row product down its matrix-vector path, which
+    sums in another order, so a lone row is multiplied as two."""
+    return a @ b if len(a) != 1 else (a.repeat(2, axis=0) @ b)[:1]
 
-    coords is (m, n) int64 in the basis of L, embeddings is coords @ basis;
-    rows sorted lexicographically by coords.  Exact: no point of the ball
-    is missed and none outside is returned (boundary ties resolved within
-    1e-12 relative).  Raises BudgetExceededError when the branch-and-bound
-    tree outgrows node_budget.
+
+def ball_blocks(L: Lattice, v, r: float, p: float = 2,
+                node_budget: int = DEFAULT_NODE_BUDGET):
+    """Yield (coords, embeddings) blocks of the points x in L with
+    ||x + v||_p <= r, each once, unordered: coords (m, n) int64 in the basis
+    of L, embeddings coords @ basis, rounded as in one product over all
+    points.  Exact: no point of the ball is missed and none outside is
+    returned (boundary ties resolved within 1e-12 relative).  Raises
+    BudgetExceededError once the search tree outgrows node_budget.
     """
     if not r >= 0:
         raise ValueError("radius must be nonnegative")
@@ -163,11 +170,23 @@ def enumerate_arrays(L: Lattice, v, r: float, p: float = 2,
     reduced, U = lll_reduce(L, return_transform=True)
     shift = reduced.coefficients(v)
     r2 = r * l2_circumscribe_factor(p, L.dim)
-    cred = _enum_l2_coeffs(reduced.basis, shift, r2, node_budget)
-    keep = lp_norm(cred @ reduced.basis + v, p) <= r * (1 + _BOUNDARY_SLACK)
-    orig = cred[keep] @ U
-    orig = orig[np.lexsort(orig.T[::-1])]
-    return orig, orig.astype(float) @ L.basis
+    for cred in _enum_l2_coeffs(reduced.basis, shift, r2, node_budget):
+        y = _block_matmul(cred, reduced.basis) + v
+        orig = cred[lp_norm(y, p) <= r * (1 + _BOUNDARY_SLACK)] @ U
+        if len(orig):
+            yield orig, _block_matmul(orig.astype(float), L.basis)
+
+
+def enumerate_arrays(L: Lattice, v, r: float, p: float = 2,
+                     node_budget: int = DEFAULT_NODE_BUDGET):
+    """Points x in L with ||x + v||_p <= r, as (coords, embeddings) arrays:
+    the blocks of ``ball_blocks``, with rows sorted lexicographically by
+    coords."""
+    empty = (np.zeros((0, L.dim), np.int64), np.zeros((0, L.dim)))
+    blocks = ball_blocks(L, v, r, p, node_budget)
+    coords, emb = map(np.concatenate, zip(empty, *blocks))
+    order = np.lexsort(coords.T[::-1])
+    return coords[order], emb[order]
 
 
 def shortest_vector(L: Lattice, p: float = 2,

@@ -75,8 +75,8 @@ def fhat_route(spec: TestFunctionSpec) -> str:
 
 
 def log_f(spec: TestFunctionSpec, x):
-    """log f at one point or row-wise; stable for large arguments."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    """log f at one point (a float) or row-wise; stable for large arguments."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape[-1] != spec.dim:
         raise ValueError(f"points must have {spec.dim} coordinates")
     fam = spec.family
@@ -94,21 +94,22 @@ def log_f(spec: TestFunctionSpec, x):
         z = _2PI_OVER_SQRT3 * abs(x)
         # log(1 + 2 cosh z) = z + log1p(e^{-z} + e^{-2z})
         out = -(z + np.log1p(np.exp(-z) + np.exp(-2 * z))).sum(axis=-1)
-    return out if out.size != 1 else float(out[0])
+    return float(out) if x.ndim == 1 else out
 
 
 def eval_f(spec: TestFunctionSpec, x):
-    """f at one point or row-wise over a 2-D array.  Strictly positive."""
+    """f at one point (a float) or row-wise.  Strictly positive."""
     return np.exp(log_f(spec, x))
 
 
 def eval_fhat(spec: TestFunctionSpec, x, table=None):
     """Fourier transform of f (convention fhat(y) = int f e^{-2 pi i <x,y>}).
 
-    Nonnegative for every family; fhat_route picks the formula, and a
-    fractional-p supergaussian needs the 1-D table for its exponent.
+    At one point (a float) or row-wise; nonnegative for every family.
+    fhat_route picks the formula, and a fractional-p supergaussian needs
+    the 1-D table for its exponent.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape[-1] != spec.dim:
         raise ValueError(f"points must have {spec.dim} coordinates")
     route = fhat_route(spec)
@@ -126,7 +127,7 @@ def eval_fhat(spec: TestFunctionSpec, x, table=None):
         if abs(table.p - spec.p) > 1e-12:
             raise ValueError(f"table is for p={table.p}, spec has p={spec.p}")
         out = table.eval(x).prod(axis=-1)
-    return out if out.size != 1 else float(out[0])
+    return float(out) if x.ndim == 1 else out
 
 
 @dataclass
@@ -169,21 +170,21 @@ def check_hypotheses(spec: TestFunctionSpec, samples: int = 10000, seed: int = 0
 
     x = rng.normal(0.0, 1.5, size=(samples, n))
 
-    vals = np.atleast_1d(eval_fhat(spec, x, table=table))
+    vals = eval_fhat(spec, x, table=table)
     st = CheckStats()
     st.record(vals)
     rep.checks["fhat_nonneg"] = st
 
     t_up = 1.0 + rng.exponential(0.7, size=samples)
     f_x = vals
-    f_tx = np.atleast_1d(eval_fhat(spec, t_up[:, None] * x, table=table))
+    f_tx = eval_fhat(spec, t_up[:, None] * x, table=table)
     st = CheckStats()
     st.record((f_x - f_tx) / np.maximum(1.0, f_x))
     rep.checks["fhat_ray_monotone"] = st
 
     u = rng.uniform(0.02, 1.0, size=samples)
     t_dn = rng.uniform(0.02, 1.0, size=samples)
-    lf = lambda pts: np.atleast_1d(log_f(spec, pts))
+    lf = lambda pts: log_f(spec, pts)
     d = (lf(u[:, None] * x) - lf(x)) - (lf((u * t_dn)[:, None] * x) - lf(t_dn[:, None] * x))
     st = CheckStats()
     st.record(d)

@@ -191,7 +191,7 @@ def rational_solve(A, C):
     return [row[n:] for row in M]
 
 
-def _float_above(q):
+def _float_above(q):  # the least float >= the exact rational q
     x = float(q)
     return x if Fraction(x) >= q else math.nextafter(x, math.inf)
 

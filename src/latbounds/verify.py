@@ -1,18 +1,16 @@
 """Certified lattice sums and empirical checks of the implemented inequalities.
 
-Every sum over a lattice is reported as an interval [partial, partial +
-remainder_bound] whose remainder comes from a cell-tiling comparison with an
-exponential envelope: assign to each point y of the shifted lattice a
-centred cell that tiles space, so the cells of the points beyond the
-truncation radius tile a region where the envelope can be integrated in
-closed form, as an upper incomplete gamma function.  That function is
-bounded from above by integration by parts, evaluated in floats with a
-derived rounding allowance; no special-function library is used.  The cell
-is the parallelepiped or the Gram-Schmidt box of an LLL-reduced basis,
-whichever bound on its reach is smaller; the truncation radius pays that
-reach twice.  Inequality checks compare such intervals pessimistically and
-return PASS / FAIL / INCONCLUSIVE; an interval straddling the boundary is
-never coerced.
+Every sum over a lattice is an interval [partial, partial + remainder_bound].
+partial is one exactly rounded math.fsum of terms that ``_ball_sums``
+streams from the enumeration's blocks, holding no points.  The remainder
+rests on an exponential envelope: the centred cells, tiling space, of the
+points past the truncation radius tile a region where the envelope
+integrates to an upper incomplete gamma function, bounded by integration by
+parts with a derived rounding allowance.  The cell is the parallelepiped or
+the Gram-Schmidt box of an LLL-reduced basis, whichever bound on its reach
+is smaller; the radius pays that reach twice.  Inequality checks compare
+such intervals pessimistically and return PASS / FAIL / INCONCLUSIVE; an
+interval straddling the boundary is never coerced.
 
 Sums of fhat over the dual lattice (part 3) are taken on the primal side by
 Poisson summation, as covol(L) times a cos-weighted sum of f over L; their
@@ -27,6 +25,7 @@ from fhat_p at the exact points (fourier_1d), with a tail past r = 96.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,22 +37,22 @@ from .bounds import (NuBound, cosh_nu_bound, cstar, gaussian_nu_closed_form,
                      handshake_bound, mu_norm, supergaussian_mu_closed_form,
                      transference_bound_l1, transference_bound_l2)
 from .enumeration import (_U, DEFAULT_GRID_BUDGET, DEFAULT_NODE_BUDGET,
-                          BodySpec, _cell_shape, covering_radius_estimate,
-                          enumerate_arrays, shortest_vector, transport_bracket)
+                          BodySpec, _block_matmul, _cell_shape, ball_blocks,
+                          covering_radius_estimate, enumerate_arrays,
+                          shortest_vector, transport_bracket)
 from .errors import (BudgetExceededError, InvariantError,
                      ToleranceUnreachedError)
 from .functions import _2PI_OVER_SQRT3, TestFunctionSpec, fhat_route, log_f
-from .lattice import (Lattice, distortion_bound, dual, lll_reduce, rational,
-                      rational_matmul)
+from .lattice import (Lattice, _float_above, distortion_bound, dual,
+                      lll_reduce, rational, rational_matmul)
 from .transform import _asymptotic, fourier_1d, transform_tail_coefficient
 
 PASS = "PASS"
 FAIL = "FAIL"
 INCONCLUSIVE = "INCONCLUSIVE"
 
-_SAFETY = 1e-10        # relative headroom folded into analytic remainders
-_FSUM_LIMIT = 500_000  # above this, pairwise numpy sum + certified slack
-_R_TAIL = 96.0         # fractional-p psf: fhat_p's power-law tail from here
+_SAFETY = 1e-10  # relative headroom folded into analytic remainders
+_R_TAIL = 96.0   # fractional-p psf: fhat_p's power-law tail from here
 
 
 @dataclass(frozen=True)
@@ -173,54 +172,46 @@ def _log_tail(n, covol, env, beta_eff, cell, S):
             + _log_upper_gamma(n / q, beta_eff * s0 ** q))
 
 
-def _presolve_radius(log_target, s0, log_tail_fn):
-    S = s0
+def _ball_sums(L, v, r, p, node_budget, terms):
+    """([sum of each term], npoints) over the points of L in ||x + v||_p <= r.
+    terms maps a block of embeddings to a tuple of per-point arrays; only
+    they are held, and each term is one math.fsum, exactly rounded."""
+    held, npoints = [], 0
+    for _, emb in ball_blocks(L, v, r, p, node_budget):
+        held.append(terms(emb))
+        npoints += len(emb)
+    held = held or [terms(np.zeros((0, L.dim)))]  # an empty ball: zeros
+    return [math.fsum(itertools.chain.from_iterable(a.tolist() for a in col))
+            for col in zip(*held)], npoints
+
+
+def _truncated(L, env, beta_eff, log_target):
+    """(S, tail): the radius a certified sum truncates at, in the envelope's
+    norm q, and the certified bound on the mass of e^{n loga - beta_eff
+    ||y||_q^q} over the points y of v + L with ||y||_q >= S.  S grows by
+    steps of 1.4, then bisects to within 2%, until that bound drops below
+    e^{log_target(reduced)}, reduced the LLL basis of L."""
+    reduced = lll_reduce(L)
+    cell = _cell_shape(reduced.basis, env.q)
+    logtail = lambda S: _log_tail(L.dim, L.covolume, env, beta_eff, cell, S)
+    target = log_target(reduced)
+    try:
+        S = (2.0 * cell) ** (1.0 / env.q) if env.q <= 1.0 else 2.5 * cell
+    except OverflowError:  # a tiny q: no finite radius, which the presolve refuses
+        S = math.inf
+    S = max(S, 1e-3)
     for _ in range(400):
-        if S < math.inf and log_tail_fn(S) <= log_target:
+        if S < math.inf and logtail(S) <= target:
             break
         S *= 1.4
     else:
-        raise ToleranceUnreachedError(math.exp(min(log_target, 700.0)), math.inf,
+        raise ToleranceUnreachedError(math.exp(min(target, 700.0)), math.inf,
                                       where="tail presolve")
     lo, hi = S / 1.4, S
     while hi / lo > 1.02:
         mid = math.sqrt(lo * hi)
-        if log_tail_fn(mid) <= log_target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def _stable_sum(vals):
-    """(sum, certified roundoff slack); exactly rounded below _FSUM_LIMIT."""
-    vals = np.atleast_1d(vals)
-    if vals.size <= _FSUM_LIMIT:
-        return math.fsum(vals), 0.0
-    tot = float(np.sum(vals))
-    slack = 2.3e-16 * vals.size * float(np.sum(np.abs(vals)))
-    return tot, slack
-
-
-def _truncated(L, env, beta_eff, v, log_target, node_budget):
-    """The points of v + L that a certified sum keeps, and its tail bound.
-
-    Grows the radius S, in the envelope's norm q, until the certified bound
-    on the mass of e^{n loga - beta_eff ||y||_q^q} over the points y of
-    v + L with ||y||_q >= S drops below e^{log_target(reduced)}, where
-    reduced is the LLL basis of L.  Returns (embedded points inside S,
-    that tail bound, S).
-    """
-    reduced = lll_reduce(L)
-    cell = _cell_shape(reduced.basis, env.q)
-    logtail = lambda S: _log_tail(L.dim, L.covolume, env, beta_eff, cell, S)
-    try:
-        s_floor = (2.0 * cell) ** (1.0 / env.q) if env.q <= 1.0 else 2.5 * cell
-    except OverflowError:  # a tiny q: no finite radius, which the presolve refuses
-        s_floor = math.inf
-    S = _presolve_radius(log_target(reduced), max(s_floor, 1e-3), logtail)
-    _, emb = enumerate_arrays(L, v, S, env.q, node_budget)
-    return emb, math.exp(min(logtail(S), 700.0)) * (1 + _SAFETY), S
+        lo, hi = (lo, mid) if logtail(mid) <= target else (mid, hi)
+    return hi, math.exp(min(logtail(hi), 700.0)) * (1 + _SAFETY)
 
 
 def certified_sum(L: Lattice, spec: TestFunctionSpec, v, t: float,
@@ -228,9 +219,10 @@ def certified_sum(L: Lattice, spec: TestFunctionSpec, v, t: float,
                   node_budget: int = DEFAULT_NODE_BUDGET) -> CertifiedSum:
     """Sum of f((lambda+v)/t) over the lattice, with certified remainder.
 
-    Enumerates the points with ||(lambda+v)/t||_q <= R in the family's
+    Sums over the points with ||(lambda+v)/t||_q <= R in the family's
     natural norm q, where R is grown (analytically, before any enumeration)
-    until the tail bound drops below target_tol relative to the sum.
+    until the tail bound drops below target_tol relative to the sum.  The
+    terms stream from the enumeration into one exactly rounded sum.
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -253,13 +245,12 @@ def certified_sum(L: Lattice, spec: TestFunctionSpec, v, t: float,
                 + float(np.max(log_f(spec, (cand + v) / t))))
 
     env = _envelope_for(spec)
-    emb, tail, S = _truncated(L, env, env.beta / t ** env.q, v, log_target,
-                              node_budget)
-    vals = np.exp(log_f(spec, (emb + v) / t))
-    partial, slack = _stable_sum(vals)
-    return CertifiedSum(partial=float(partial),
-                        remainder_bound=float(tail + slack),
-                        truncation_radius=S / t, npoints=vals.size)
+    S, tail = _truncated(L, env, env.beta / t ** env.q, log_target)
+    (partial,), npoints = _ball_sums(
+        L, v, S, env.q, node_budget,
+        lambda emb: (np.exp(log_f(spec, (emb + v) / t)),))
+    return CertifiedSum(partial=partial, remainder_bound=tail,
+                        truncation_radius=S / t, npoints=npoints)
 
 
 # ---------------------------------------------------------------------------
@@ -330,13 +321,13 @@ def _sum1d_fractional(p, a, theta):
     x = theta - math.floor(theta)
     cos = np.cos(2 * math.pi * x * k)
     w = np.where(k > 0, 2.0, 1.0)
-    partial, slack = _stable_sum(w * value * cos)
+    partial = math.fsum(w * value * cos)
     top = value + err
     rounding = _U * float(np.sum(w * (top * (3 + 20 * x * k) + top[0])))
     C = abs(transform_tail_coefficient(p))
     tail = 4.0 * C * a ** (-p - 1) * K ** (-p) / p
     return partial, (float(np.sum(w * err * np.abs(cos))) + rounding
-                     + tail) * (1 + _SAFETY) + slack
+                     + tail) * (1 + _SAFETY)
 
 
 def _product_interval(parts):
@@ -395,40 +386,31 @@ def dual_fhat_sum(L: Lattice, spec: TestFunctionSpec, v, target_tol: float,
     origin = np.zeros(L.dim)
     env = _envelope_for(spec)
     log_target = lambda _: math.log(target_tol) + log_f(spec, origin)
-    emb, tail, S = _truncated(L, env, env.beta, origin, log_target,
-                              node_budget)
-    vals = np.exp(log_f(spec, emb))
-    phase = 2 * math.pi * (emb @ v)
-    partial, slack = _stable_sum(vals * np.cos(phase))
+    S, tail = _truncated(L, env, env.beta, log_target)
+    def terms(emb):
+        vals = np.exp(log_f(spec, emb))
+        phase = 2 * math.pi * _block_matmul(emb, v)
+        return vals * np.cos(phase), vals * np.sin(phase)
+    (partial, sin_part), npoints = _ball_sums(L, origin, S, env.q,
+                                              node_budget, terms)
     # the point set is symmetric, so the sin pairing must cancel
-    sin_part, _ = _stable_sum(vals * np.sin(phase))
     if not abs(sin_part) <= 1e-12 * max(1.0, abs(partial)):
         raise InvariantError(
             "sin pairing failed to cancel over the symmetric point set")
-    lo, width = _scaled_outward(L.covolume, partial, tail, slack)
+    lo, width = _scaled_outward(L.covolume, partial, tail)
     return CertifiedSum(partial=lo, remainder_bound=width,
-                        truncation_radius=S, npoints=vals.size)
+                        truncation_radius=S, npoints=npoints)
 
 
-def _round_toward(x: Fraction, up: bool) -> float:
-    """The float next to the exact rational x on the given side."""
-    f = float(x)
-    if up and Fraction(f) < x:
-        return math.nextafter(f, math.inf)
-    if not up and Fraction(f) > x:
-        return math.nextafter(f, -math.inf)
-    return f
-
-
-def _scaled_outward(c, partial, *rems):
+def _scaled_outward(c, partial, rem):
     """(lo, width) in floats with [lo, lo + width] holding the exact
-    c [partial - rem, partial + rem], rem = sum(rems): both ends are
-    rounded outward in exact arithmetic, and the width up, so lo + width
-    rounds to at least the upper end."""
-    c, p, r = Fraction(c), Fraction(partial), sum(map(Fraction, rems))
-    lo = _round_toward(c * (p - r), up=False)
-    hi = _round_toward(c * (p + r), up=True)
-    return lo, _round_toward(Fraction(hi) - Fraction(lo), up=True)
+    c [partial - rem, partial + rem]: both ends are rounded outward in
+    exact arithmetic, and the width up, so lo + width rounds to at least
+    the upper end."""
+    c, p, r = Fraction(c), Fraction(partial), Fraction(rem)
+    lo = -_float_above(c * (r - p))
+    hi = _float_above(c * (p + r))
+    return lo, _float_above(Fraction(hi) - Fraction(lo))
 
 
 def psf_residual(L: Lattice, spec: TestFunctionSpec, v, t: float,
@@ -589,9 +571,8 @@ def check_tail_inequality(L: Lattice, spec: TestFunctionSpec, K: BodySpec,
     full = certified_sum(L, spec, np.zeros(L.dim), 1.0, tol, node_budget)
     shifted = (full if not np.any(v)
                else certified_sum(L, spec, v, 1.0, tol, node_budget))
-    _, emb_in = enumerate_arrays(L, v, K.radius, K.p, node_budget)
-    inner = (math.fsum(np.atleast_1d(np.exp(log_f(spec, emb_in + v))))
-             if emb_in.size else 0.0)
+    (inner,), _ = _ball_sums(L, v, K.radius, K.p, node_budget,
+                             lambda emb: (np.exp(log_f(spec, emb + v)),))
     outside = shifted.partial - inner
     lhs_iv = (outside, outside + shifted.remainder_bound)
     rhs_iv = (nu.value * full.lower, nu.value * full.upper)

@@ -173,9 +173,9 @@ def test_bottom_interval_trimmed_by_the_end_test():
     # 5e-13 outside it; the end test drops it, and keeps it 5e-13 inside
     for shift, rows in ((1e-4 + 5e-13, []), (-1e-4 - 5e-13, []),
                         (1e-4 - 5e-13, [[0]])):
-        coeffs = enumeration._enum_l2_coeffs(np.eye(1), np.array([shift]),
+        blocks = enumeration._enum_l2_coeffs(np.eye(1), np.array([shift]),
                                              1e-4, 10)
-        assert coeffs.tolist() == rows
+        assert [row for block in blocks for row in block.tolist()] == rows
 
 
 def test_shortest_vector_zn():

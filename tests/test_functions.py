@@ -66,6 +66,8 @@ def test_log_f_scalar_and_rows():
     many = log_f(spec, np.array([[0.5, 0.5], [0.0, 0.0]]))
     assert many.shape == (2,)
     assert many[1] == 0.0
+    row = log_f(spec, np.array([[0.5, 0.5]]))  # one row stays an array
+    assert row.shape == (1,) and row[0] == one
 
 
 def test_fhat_exact_forms():

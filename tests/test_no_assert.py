@@ -6,6 +6,9 @@
 * One record builder: a report record is the only dict with a ``"verdict"``
   key, and ``verify._record`` is the only code that writes one, so every
   check's record has the same layout.
+* One search path: ``enumeration.ball_blocks`` is the only code that
+  names the search ``_enum_l2_coeffs``; sums and ``enumerate_arrays``
+  take their points from its blocks.
 """
 
 import ast
@@ -42,4 +45,22 @@ def test_only_verify_record_builds_a_record():
                   and any(isinstance(key, ast.Constant) and key.value == "verdict"
                           for key in node.keys)]
     assert not found, ("records built outside verify._record: "
+                       + ", ".join(found))
+
+
+def test_only_ball_blocks_runs_the_search():
+    found = []
+    for path, tree in _modules():
+        allowed = set()
+        if path.name == "enumeration.py":
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef) and node.name == "ball_blocks":
+                    allowed |= {id(sub) for sub in ast.walk(node)}
+        found += [f"{path.name}:{getattr(node, 'lineno', 0)}"
+                  for node in ast.walk(tree) if id(node) not in allowed
+                  and "_enum_l2_coeffs" in (getattr(node, "id", None),
+                                            getattr(node, "attr", None),
+                                            getattr(node, "name", None))
+                  and not isinstance(node, ast.FunctionDef)]
+    assert not found, ("the search is named outside ball_blocks: "
                        + ", ".join(found))

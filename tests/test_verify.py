@@ -9,6 +9,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from latbounds.bounds import NuBound, cosh_nu_bound
+import latbounds.enumeration as enumeration
 from latbounds.enumeration import BodySpec, enumerate_arrays
 import latbounds.verify as verify
 from latbounds.errors import InvariantError, ToleranceUnreachedError
@@ -96,6 +97,28 @@ def test_certified_sum_all_families_z2():
         cs = certified_sum(integer_lattice(2), spec, v, 1.0, 1e-8)
         assert cs.partial > 0
         assert cs.remainder_bound <= 1e-8 * cs.partial * (1 + 1e-6)
+
+
+def test_large_sum_meets_its_tolerance():
+    # 936k points: the tail bound alone is the remainder, with no roundoff
+    # slack that grows with the number of points
+    cs = certified_sum(integer_lattice(3), FnSpec("gaussian", 3),
+                       np.array([0.3, 0.1, -0.2]), 18.0, 1e-10)
+    assert cs.npoints > 500_000
+    assert cs.remainder_bound <= 1e-10 * cs.partial
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_block_size_does_not_change_the_sum(n, monkeypatch):
+    # on a sheared Z^n every product is exact, so the exactly rounded sum
+    # cannot depend on how the enumeration cuts its blocks
+    L, spec = random_unimodular_lattice(n, 3), FnSpec("gaussian", n)
+    v = np.linspace(0.3, -0.2, n)
+    want = certified_sum(L, spec, v, 1.0, 1e-4)
+    for block in (1, 2, 7):
+        monkeypatch.setattr(enumeration, "_BLOCK", block)
+        got = certified_sum(L, spec, v, 1.0, 1e-4)
+        assert (got.partial, got.npoints) == (want.partial, want.npoints)
 
 
 def test_exp_l1_z1_exact():
@@ -676,10 +699,10 @@ def test_transference_rejects_other_p():
 ], ids=["psf_residual", "dual_fhat_sum"])
 def test_psf_raises_when_sin_pairing_does_not_cancel(monkeypatch, run):
     # a lopsided point set: the phase sum keeps a sin part
-    monkeypatch.setattr(verify, "enumerate_arrays",
-                        lambda L, *args, **kwargs: (
+    monkeypatch.setattr(verify, "ball_blocks",
+                        lambda L, *args, **kwargs: iter([(
                             np.array([[1, 0]], dtype=np.int64),
-                            np.array([[1.0, 0.0]])))
+                            np.array([[1.0, 0.0]]))]))
     with pytest.raises(InvariantError, match="sin pairing"):
         run(integer_lattice(2), FnSpec("gaussian", 2), np.array([0.25, 0.0]))
 
