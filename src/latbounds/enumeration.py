@@ -9,8 +9,13 @@ handed out as it is formed; no caller holds the whole tree.  Sums stream
 these blocks; ``enumerate_arrays`` concatenates and sorts them, for
 shortest vectors and the covering-radius candidate sets.  Coefficients are
 counted in floats, so an interval end at 2^52 or beyond raises ValueError.
-l^p balls for p != 2 are the circumscribed l^2 ball, filtered, with the
-factor max(1, n^(1/2 - 1/p)).
+An l^p ball with p > 2 is searched as its circumscribed l^2 ball, of
+radius r n^(1/2 - 1/p).  For p < 2 each level's l^2 interval is also cut
+by a weak-duality bound on the next Gram-Schmidt coordinate, which holds
+the search to the l^p ball (for p < 1, to the l^1 ball of the same
+radius); the cut is exact for p <= 1 when those coordinates are the axes
+(Z^n, and a sheared Z^n once LLL-reduced), so an l^1 ball on Z^n searches
+no leaf outside it.  Every leaf is then filtered by its exact l^p norm.
 
 The covering radius is bracketed by a second, geometric branch-and-bound:
 dyadic cubes of the reduced basis's coefficient space are split only while
@@ -58,10 +63,12 @@ class BodySpec:
 
 
 def l2_circumscribe_factor(p: float, n: int) -> float:
-    """Radius inflation so the l^2 ball contains the l^p ball of radius 1.
+    """Radius inflation so the l^2 ball contains the l^p ball of radius 1:
+    the radius of the search's l^2 intervals.
 
     For p <= 2 the l^p ball already sits inside the l^2 ball of the same
-    radius; for p > 2 the corners stick out by n^(1/2 - 1/p).
+    radius (the search then cuts each level further by weak duality); for
+    p > 2 the corners stick out by n^(1/2 - 1/p).
     """
     if math.isinf(p):
         return math.sqrt(n)
@@ -74,6 +81,12 @@ def l2_circumscribe_factor(p: float, n: int) -> float:
 # and handed out this many at a time, so memory is O(n * _BLOCK)
 _BLOCK = 1 << 16
 
+# The duality cut costs a few dozen numpy calls a level, about 0.2 ms a
+# search, and saves only leaves: a ball whose l^2 volume over the covolume
+# is below this many points is searched without it.  The measured break-even
+# lies between 1,000 and 5,000 points for n = 2..6 (2-core x86, numpy 2.4).
+_CUT_MIN_POINTS = 4096
+
 
 def _spread(lo, counts):
     """Expand integer intervals [lo, lo + counts): (parent row, integer)."""
@@ -82,25 +95,68 @@ def _spread(lo, counts):
     return parent, (lo - first).repeat(counts) + np.arange(len(parent))
 
 
-def _enum_l2_coeffs(basis, shift, r2, node_budget):
-    """Yield int64 blocks, of at most _BLOCK rows, of the rows c with
-    ||(c + shift) @ basis||_2 <= r2, each row once, in no particular order.
+def _expected_points(r, D):
+    """Volume of the l^2 ball of radius r over the covolume sqrt(prod D):
+    about the number of lattice points in the ball."""
+    if not r > 0:
+        return 0.0
+    n = len(D)
+    log_points = (n * math.log(r) + n / 2 * math.log(math.pi)
+                  - math.lgamma(n / 2 + 1) - 0.5 * math.fsum(np.log(D)))
+    return math.exp(min(log_points, 700.0))
+
+
+def _enum_coeffs(basis, shift, r, p, node_budget):
+    """Yield int64 blocks, of at most _BLOCK rows, of candidate rows c, each
+    once, in no particular order: every c with ||(c + shift) @ basis||_p
+    <= r is among them, and the caller filters them by the exact norm.
 
     shift is the real coefficient vector of the translation.  A level-k
-    node holds c_>k, its offsets s and its remaining squared radius.  Each
-    block's intervals are charged to node_budget before any child is built,
-    and the leaves come out in the order of a node-by-node search.
+    node holds c_>k, its offsets s and its remaining squared radius of the
+    l^2 ball of radius r * l2_circumscribe_factor(p, n).  For p < 2, on a
+    ball of at least _CUT_MIN_POINTS expected points, each level's interval
+    is cut further by weak duality: with x = (c + shift) @ basis, u_j the
+    unit Gram-Schmidt rows and y_j = <x, u_j> fixed for j > k, Hoelder's
+    inequality gives, for every t,
+        +-<x, u_k> <= r ||+-u_k + t g||_q - t a,
+    with g = sum_j sign(y_j) u_j, a = sum_j |y_j| and q the dual exponent
+    of max(p, 1) (||x||_1 <= ||x||_p for p <= 1).  The smallest bound over
+    t in {0, 1/2, 1} is taken; when the u_j are coordinate axes and p <= 1
+    it is the exact r - a.  Such nodes also carry g and a, and the bound is
+    rounded outward, by 1e-9 relative on r and on a.  Each block's
+    intervals are charged to node_budget before any child is built, and the
+    leaves come out in the order of a node-by-node search.
     """
     n = basis.shape[0]
-    mu, D, _ = _gso(basis)
+    mu, D, ortho = _gso(basis)
+    r2 = r * l2_circumscribe_factor(p, n)
+    cut = p < 2 and _expected_points(r, D) >= _CUT_MIN_POINTS
+    if cut:
+        q = math.inf if p <= 1 else p / (p - 1)
+        root = np.sqrt(D)
+        u = ortho / root[:, None]
+        reach = r * (1 + 1e-9)
+        at_zero = reach * lp_norm(u, q)  # the bound at t = 0
+        signed_u = np.stack([u, -u], axis=1)[:, :, None, :]  # +-u_k rows
+        ts = np.array([0.5, 1.0])[:, None, None]
     visited = 0
 
-    def search(k, s, rem, coef):
+    def search(k, s, rem, coef, g=None, a=None):
         nonlocal visited
         w = np.sqrt(rem / D[k])
         center = -shift[k] - s[:, k]
-        lo = np.ceil(center - w - 1e-12)
-        hi = np.floor(center + w + 1e-12)
+        if g is None:
+            lo = np.ceil(center - w - 1e-12)
+            hi = np.floor(center + w + 1e-12)
+        else:
+            # at t = 1/2 and 1 for +u_k and -u_k: by_t[t][sign] is one row
+            by_t = reach * lp_norm(signed_u[k] + ts[..., None] * g, q) - ts * a
+            bound = np.minimum(np.minimum(*by_t), at_zero[k])
+            # pad for the rounding of u, y and the norms, as r * 1e-9 pads r
+            up, down = np.minimum(w, (bound + 1e-9 * (r + a)) / root[k])
+            lo = np.ceil(center - down - 1e-12)
+            # a cut can empty an interval: clamp it to hi = lo - 1
+            hi = np.maximum(np.floor(center + up + 1e-12), lo - 1)
         # lo <= hi + 1, so these bound every end and no count is negative
         if not (lo.min(initial=0) > -2**52 and hi.max(initial=0) < 2**52):
             raise ValueError("coefficients reach 2^52: too large to count")
@@ -121,27 +177,34 @@ def _enum_l2_coeffs(basis, shift, r2, node_budget):
                 lo += bad_lo
                 hi -= bad_hi
             parent, c0 = _spread(lo, (hi - lo + 1).astype(np.int64))
-            for a in range(0, len(parent), _BLOCK):
-                leaves = coef.take(parent[a:a + _BLOCK], axis=0)
-                leaves[:, 0] = c0[a:a + _BLOCK]
+            for b in range(0, len(parent), _BLOCK):
+                leaves = coef.take(parent[b:b + _BLOCK], axis=0)
+                leaves[:, 0] = c0[b:b + _BLOCK]
                 yield leaves
             return
         parent, cs = _spread(lo, counts)
-        for a in range(0, len(parent), _BLOCK):
-            p, c = parent[a:a + _BLOCK], cs[a:a + _BLOCK]
+        for b in range(0, len(parent), _BLOCK):
+            i, c = parent[b:b + _BLOCK], cs[b:b + _BLOCK]
             t = c + shift[k]
-            y = t + s[:, k].take(p)
-            rest = rem.take(p) - D[k] * y * y
+            y = t + s[:, k].take(i)
+            rest = rem.take(i) - D[k] * y * y
             keep = rest >= 0  # a child with rest < 0 would charge nothing
-            p = p[keep]
-            child = coef.take(p, axis=0)
+            i = i[keep]
+            child = coef.take(i, axis=0)
             child[:, k] = c[keep]
-            s_child = s[:, :k].take(p, axis=0) + t[keep, None] * mu[k, :k]
-            yield from search(k - 1, s_child, rest[keep], child)
+            s_child = s[:, :k].take(i, axis=0) + t[keep, None] * mu[k, :k]
+            if g is None:
+                yield from search(k - 1, s_child, rest[keep], child)
+            else:
+                y = y[keep]
+                g_child = g.take(i, axis=0) + np.sign(y)[:, None] * u[k]
+                yield from search(k - 1, s_child, rest[keep], child, g_child,
+                                  a.take(i) + root[k] * abs(y))
 
     yield from search(n - 1, np.zeros((1, n)),
                       np.array([r2 * r2 * (1 + 1e-9) + 1e-300]),
-                      np.zeros((1, n), dtype=np.int64))
+                      np.zeros((1, n), dtype=np.int64),
+                      *((np.zeros((1, n)), np.zeros(1)) if cut else ()))
 
 
 def _block_matmul(a, b):
@@ -169,10 +232,15 @@ def ball_blocks(L: Lattice, v, r: float, p: float = 2,
         raise ValueError("v must be finite")
     reduced, U = lll_reduce(L, return_transform=True)
     shift = reduced.coefficients(v)
-    r2 = r * l2_circumscribe_factor(p, L.dim)
-    for cred in _enum_l2_coeffs(reduced.basis, shift, r2, node_budget):
+    # U is the identity when its n nonzero entries are the diagonal's 1s
+    # (a cheaper test than a comparison with np.eye)
+    identity = (np.count_nonzero(U) == L.dim
+                and bool((U.diagonal() == 1).all()))
+    for cred in _enum_coeffs(reduced.basis, shift, r, p, node_budget):
         y = _block_matmul(cred, reduced.basis) + v
-        orig = cred[lp_norm(y, p) <= r * (1 + _BOUNDARY_SLACK)] @ U
+        orig = cred[lp_norm(y, p) <= r * (1 + _BOUNDARY_SLACK)]
+        if not identity:  # cred @ I is cred: skip the int64 product
+            orig = orig @ U
         if len(orig):
             yield orig, _block_matmul(orig.astype(float), L.basis)
 

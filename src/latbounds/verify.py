@@ -638,8 +638,8 @@ def handshake_census(L: Lattice, p: float, u: float,
     if u < 1:
         raise ValueError("u must be >= 1")
     sigma, _ = shortest_vector(L, p)
-    coords, _ = enumerate_arrays(L, np.zeros(L.dim), u * sigma, p, node_budget)
-    count = int(np.sum(np.any(coords != 0, axis=1)))
+    count = sum(int(np.any(coords != 0, axis=1).sum()) for coords, _ in
+                ball_blocks(L, np.zeros(L.dim), u * sigma, p, node_budget))
     bound = handshake_bound(L.dim, p, u)
     _, verdict = _verdict((count, count), (bound, bound))
     return HandshakeCensus(count=count, bound=bound, verdict=verdict)

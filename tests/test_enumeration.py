@@ -135,37 +135,78 @@ def test_block_size_does_not_change_the_points(ball):
 
 def reference_nodes(L, v, r, p):
     """Nodes charged by a node-by-node depth-first Fincke-Pohst search of
-    enumerate_arrays' ball: the length of every node's integer interval."""
+    enumerate_arrays' ball with the duality cut on every p < 2 ball: the
+    length of every node's integer interval, the l^2 interval cut, for
+    p < 2, by the weak-duality bound on the next Gram-Schmidt coordinate."""
     reduced = lll_reduce(L)
     shift = reduced.coefficients(v)
-    mu, D, _ = _gso(reduced.basis)
+    mu, D, ortho = _gso(reduced.basis)
+    root = np.sqrt(D)
+    u = ortho / root[:, None]
+    q = math.inf if p <= 1 else p / (p - 1) if p < 2 else None
 
-    def count(k, s, rem):
+    def count(k, s, rem, g, a):
         if rem < 0:
             return 0
         w = math.sqrt(rem / D[k])
         centre = -shift[k] - s[k]
         lo = math.ceil(centre - w - 1e-12)
         hi = math.floor(centre + w + 1e-12)
+        if q is not None:
+            up, down = (min(r * (1 + 1e-9) * lp_norm(sign * u[k] + t * g, q)
+                            - t * a for t in (0.0, 0.5, 1.0))
+                        + 1e-9 * (r + a) for sign in (1.0, -1.0))
+            lo = max(lo, math.ceil(centre - down / root[k] - 1e-12))
+            hi = min(hi, math.floor(centre + up / root[k] + 1e-12))
         total = max(hi - lo + 1, 0)
         for c in range(lo, hi + 1) if k else ():
             t = c + shift[k]
             y = t + s[k]
             total += count(k - 1, [s[j] + t * mu[k, j] for j in range(k)],
-                           rem - D[k] * y * y)
+                           rem - D[k] * y * y, g + np.sign(y) * u[k],
+                           a + root[k] * abs(y))
         return total
 
     r2 = r * l2_circumscribe_factor(p, L.dim)
-    return count(L.dim - 1, [0.0] * L.dim, r2 * r2 * (1 + 1e-9) + 1e-300)
+    return count(L.dim - 1, [0.0] * L.dim, r2 * r2 * (1 + 1e-9) + 1e-300,
+                 np.zeros(L.dim), 0.0)
 
 
 @given(ball=small_balls())
 def test_node_budget_is_the_whole_search_tree(ball):
     nodes = reference_nodes(*ball)
-    enumerate_arrays(*ball, node_budget=nodes)
-    if nodes:
-        with pytest.raises(BudgetExceededError):
-            enumerate_arrays(*ball, node_budget=nodes - 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(enumeration, "_CUT_MIN_POINTS", 0)  # cut every p < 2 ball
+        enumerate_arrays(*ball, node_budget=nodes)
+        if nodes:
+            with pytest.raises(BudgetExceededError):
+                enumerate_arrays(*ball, node_budget=nodes - 1)
+
+
+def test_small_lq_ball_is_searched_without_the_cut():
+    # 1051 nodes is the l^2 tree of this ball (test_enumerate_budget): its
+    # l^2 volume, 905 points, is below the cut's break-even, so the l^1
+    # search charges the same tree
+    Z3 = integer_lattice(3)
+    assert enumeration._CUT_MIN_POINTS > 905
+    enumerate_arrays(Z3, np.zeros(3), 6.0, 1.0, node_budget=1051)
+    with pytest.raises(BudgetExceededError):
+        enumerate_arrays(Z3, np.zeros(3), 6.0, 1.0, node_budget=1050)
+
+
+@given(ball=small_balls())
+def test_lq_search_keeps_the_lq_points_of_the_l2_search(ball):
+    # the l^2 search is tested against brute force, so it is the oracle
+    # for the weak-duality cut of the l^q search, q < 2
+    L, v, r, _ = ball
+    c2, e2 = enumerate_arrays(L, v, r, 2.0)
+    for q in (0.5, 1.0, 1.5):
+        inside = lp_norm(e2 + v, q) <= r * (1 + 1e-12)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(enumeration, "_CUT_MIN_POINTS", 0)  # cut every ball
+            coords, emb = enumerate_arrays(L, v, r, q)
+        assert np.array_equal(coords, c2[inside])
+        assert np.array_equal(emb, e2[inside])
 
 
 def test_bottom_interval_trimmed_by_the_end_test():
@@ -173,8 +214,8 @@ def test_bottom_interval_trimmed_by_the_end_test():
     # 5e-13 outside it; the end test drops it, and keeps it 5e-13 inside
     for shift, rows in ((1e-4 + 5e-13, []), (-1e-4 - 5e-13, []),
                         (1e-4 - 5e-13, [[0]])):
-        blocks = enumeration._enum_l2_coeffs(np.eye(1), np.array([shift]),
-                                             1e-4, 10)
+        blocks = enumeration._enum_coeffs(np.eye(1), np.array([shift]),
+                                          1e-4, 2.0, 10)
         assert [row for block in blocks for row in block.tolist()] == rows
 
 

@@ -7,8 +7,8 @@
   key, and ``verify._record`` is the only code that writes one, so every
   check's record has the same layout.
 * One search path: ``enumeration.ball_blocks`` is the only code that
-  names the search ``_enum_l2_coeffs``; sums and ``enumerate_arrays``
-  take their points from its blocks.
+  names the search ``_enum_coeffs``, which ``enumeration`` defines; sums
+  and ``enumerate_arrays`` take their points from its blocks.
 """
 
 import ast
@@ -49,18 +49,23 @@ def test_only_verify_record_builds_a_record():
 
 
 def test_only_ball_blocks_runs_the_search():
-    found = []
+    search = "_enum_coeffs"
+    found, defined = [], False
     for path, tree in _modules():
         allowed = set()
         if path.name == "enumeration.py":
             for node in ast.walk(tree):
                 if isinstance(node, ast.FunctionDef) and node.name == "ball_blocks":
                     allowed |= {id(sub) for sub in ast.walk(node)}
+            defined = any(isinstance(node, ast.FunctionDef)
+                          and node.name == search for node in tree.body)
         found += [f"{path.name}:{getattr(node, 'lineno', 0)}"
                   for node in ast.walk(tree) if id(node) not in allowed
-                  and "_enum_l2_coeffs" in (getattr(node, "id", None),
-                                            getattr(node, "attr", None),
-                                            getattr(node, "name", None))
+                  and search in (getattr(node, "id", None),
+                                 getattr(node, "attr", None),
+                                 getattr(node, "name", None))
                   and not isinstance(node, ast.FunctionDef)]
+    # a guard on a name that nothing defines would pass vacuously
+    assert defined, f"enumeration.py defines no search named {search}"
     assert not found, ("the search is named outside ball_blocks: "
                        + ", ".join(found))

@@ -108,6 +108,15 @@ def test_large_sum_meets_its_tolerance():
     assert cs.remainder_bound <= 1e-10 * cs.partial
 
 
+def test_l1_sum_searches_its_l1_ball_not_the_l2_ball():
+    # the l^1 ball of this sum holds 327,012 points and the l^2 ball of the
+    # same radius 20 times as many, so a node budget of twice the points
+    # passes only when the search cuts each level to the l^1 ball
+    cs = certified_sum(integer_lattice(5), FnSpec("sech_product", 5),
+                       np.full(5, 0.3), 1.0, 1e-9, node_budget=2 * 327_012)
+    assert cs.npoints == 327_012
+
+
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_block_size_does_not_change_the_sum(n, monkeypatch):
     # on a sheared Z^n every product is exact, so the exactly rounded sum
