@@ -234,7 +234,14 @@ def plan_manifest(manifest, base_dir):
     seed = _integer(manifest.get("seed", 0), "manifest 'seed'")
     nodes, grid = _budgets(manifest)
     default_lattice = manifest.get("lattice_file")
+    lattices = {}  # one Lattice per distinct reference, shared by its checks
     tables = {}  # one table per p, for the hypotheses entries
+
+    def lattice_for(ref):
+        key = json.dumps(ref, sort_keys=True)
+        if key not in lattices:
+            lattices[key] = _resolve_lattice(ref, base_dir, default_lattice)
+        return lattices[key]
 
     def table_for(spec):
         if fhat_route(spec) != "table":
@@ -247,14 +254,14 @@ def plan_manifest(manifest, base_dir):
     for idx, entry in enumerate(manifest["checks"]):
         label = f"checks[{idx}]"
         try:
-            plans.append(_plan_one(entry, base_dir, default_lattice,
-                                   seed + idx, nodes, grid, table_for))
+            plans.append(_plan_one(entry, lattice_for, seed + idx, nodes,
+                                   grid, table_for))
         except (ManifestError, ValueError, KeyError, TypeError) as exc:
             raise ManifestError(f"{label}: {exc}")
     return plans
 
 
-def _plan_one(entry, base_dir, default_lattice, seed, nodes, grid, table_for):
+def _plan_one(entry, lattice_for, seed, nodes, grid, table_for):
     if not isinstance(entry, dict) or "check_name" not in entry:
         raise ManifestError("entry must be an object with 'check_name'")
     name = entry["check_name"]
@@ -290,7 +297,7 @@ def _plan_one(entry, base_dir, default_lattice, seed, nodes, grid, table_for):
                            violations=total, worst_margin=worst)
         return run_hyp
 
-    L = _resolve_lattice(params.get("lattice"), base_dir, default_lattice)
+    L = lattice_for(params.get("lattice"))
 
     if name == "transference":
         p = float(params["p"])

@@ -3,6 +3,10 @@
 Row convention throughout: the lattice is the set of integer combinations of
 the *rows* of ``basis``.  The dual lattice uses the inverse-transpose basis,
 so ``dual(dual(L))`` spans the original lattice again.
+
+A ``Lattice`` computes its LLL reduction, its inverse basis and its dual
+once, on first use, and keeps them: every caller shares the same objects,
+so they are read-only (the bases and U are non-writeable arrays).
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -58,8 +63,25 @@ class Lattice:
 
     def coefficients(self, points):
         """Ambient points -> real coefficient rows in this basis."""
+        return np.asarray(points, dtype=float) @ self._inverse
+
+    @cached_property
+    def _inverse(self):
+        # a failed condition check raises and stores nothing
         _check_condition(self.basis)
-        return np.asarray(points, dtype=float) @ np.linalg.inv(self.basis)
+        inverse = np.linalg.inv(self.basis)
+        inverse.setflags(write=False)
+        return inverse
+
+    @cached_property
+    def _dual(self):
+        return Lattice(self._inverse.T, name=f"{self.name}*")
+
+    @cached_property
+    def _reduction(self):
+        reduced, U = _lll(self)
+        U.setflags(write=False)
+        return reduced, U
 
 
 def _check_condition(basis):
@@ -69,10 +91,9 @@ def _check_condition(basis):
 
 
 def dual(L: Lattice) -> Lattice:
-    """Dual lattice: all y with <y, x> in Z for every lattice vector x."""
-    _check_condition(L.basis)
-    dbasis = np.linalg.inv(L.basis).T
-    return Lattice(dbasis, name=f"{L.name}*")
+    """Dual lattice: all y with <y, x> in Z for every lattice vector x.
+    Computed once per Lattice."""
+    return L._dual
 
 
 def integer_lattice(n: int) -> Lattice:
@@ -102,8 +123,15 @@ def lll_reduce(L: Lattice, return_transform: bool = False):
     Lattice spanning the same points.
 
     With return_transform=True also returns the integer unimodular matrix U
-    with reduced.basis == U @ L.basis (up to float roundoff).
+    (read-only) with reduced.basis == U @ L.basis (up to float roundoff).
+    The reduction runs once per Lattice; later calls return the same objects.
     """
+    reduced, U = L._reduction
+    return (reduced, U) if return_transform else reduced
+
+
+def _lll(L: Lattice):
+    """(reduced Lattice, U): the LLL loop itself, run on every call."""
     b = L.basis.astype(float).copy()
     n = L.dim
     U = np.eye(n, dtype=np.int64)
@@ -140,9 +168,7 @@ def lll_reduce(L: Lattice, return_transform: bool = False):
     hadamard = float(np.prod(np.linalg.norm(L.basis, axis=1)))
     if not abs(reduced.covolume - L.covolume) <= 1e-12 * max(1.0, hadamard):
         raise InvariantError("LLL changed the covolume")
-    if return_transform:
-        return reduced, U
-    return reduced
+    return reduced, U
 
 
 def same_lattice(L1: Lattice, L2: Lattice, tol: float = 1e-9) -> bool:

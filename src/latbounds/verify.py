@@ -37,7 +37,7 @@ from .bounds import (NuBound, cosh_nu_bound, cstar, gaussian_nu_closed_form,
                      handshake_bound, mu_norm, supergaussian_mu_closed_form,
                      transference_bound_l1, transference_bound_l2)
 from .enumeration import (_U, DEFAULT_GRID_BUDGET, DEFAULT_NODE_BUDGET,
-                          BodySpec, _block_matmul, _cell_shape, ball_blocks,
+                          BodySpec, _cell_shape, ball_blocks,
                           covering_radius_estimate, enumerate_arrays,
                           shortest_vector, transport_bracket)
 from .errors import (BudgetExceededError, InvariantError,
@@ -389,7 +389,8 @@ def dual_fhat_sum(L: Lattice, spec: TestFunctionSpec, v, target_tol: float,
     S, tail = _truncated(L, env, env.beta, log_target)
     def terms(emb):
         vals = np.exp(log_f(spec, emb))
-        phase = 2 * math.pi * _block_matmul(emb, v)
+        # row by row, so a row's phase does not depend on its block
+        phase = 2 * math.pi * (emb * v).sum(axis=1)
         return vals * np.cos(phase), vals * np.sin(phase)
     (partial, sin_part), npoints = _ball_sums(L, origin, S, env.q,
                                               node_budget, terms)

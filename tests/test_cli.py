@@ -623,3 +623,26 @@ def test_psf_without_threshold_passes(run_cli, z2):
     assert get_field(out, "max_residual") == "inf"
     assert get_field(out, "verdict") == "PASS"
 
+
+def test_entries_naming_one_lattice_share_it(tmp_path, z2, monkeypatch):
+    # a transference plan hands its lattice to transference_check, so a
+    # stand-in whose record is that lattice shows which object each got
+    class Report:
+        def __init__(self, L, *args, **kwargs):
+            self.record = lambda: L
+    monkeypatch.setattr(cli, "transference_check", Report)
+    sheared = [[2.0, 0.0], [1.0, 1.0]]
+    refs = [None, z2, {"kind": "unimodular", "dim": 2, "seed": 3},
+            {"seed": 3, "dim": 2, "kind": "unimodular"},
+            {"kind": "basis", "basis": sheared, "name": "a"},
+            {"kind": "basis", "basis": sheared, "name": "b"}]
+    checks = [_entry("transference", p=2, **({"lattice": ref} if ref else {}))
+              for ref in refs for _ in range(2)]
+    plans = plan_manifest({"lattice_file": z2, "checks": checks},
+                          str(tmp_path))
+    got = [plan() for plan in plans]
+    assert all(L is twin for L, twin in zip(got[::2], got[1::2]))
+    default, path, uni, uni_reordered, a, b = got[::2]
+    assert uni is uni_reordered
+    assert (a.name, b.name) == ("a", "b")
+    assert len({id(L) for L in (default, path, uni, a, b)}) == 5

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 import latbounds.lattice as lattice
-from latbounds.errors import InvariantError
+from latbounds.errors import IllConditionedBasisError, InvariantError
+from latbounds.functions import TestFunctionSpec as FnSpec
 from latbounds.lattice import (Lattice, distortion_bound, dual,
                                integer_lattice, lll_reduce, load_lattice,
                                lp_norm, random_unimodular_lattice, rational,
                                rational_matmul, rational_solve, same_lattice,
                                save_lattice)
+from latbounds.verify import certified_sum, transference_check
 
 
 def test_lp_norm_values():
@@ -155,3 +157,54 @@ def test_float_dual_is_near_the_exact_dual():
     Z = integer_lattice(3)
     M = rational_matmul(rational(Z.basis.T), rational(dual(Z).basis))
     assert distortion_bound(M, 1) == 0.0
+
+
+def _count_reductions(monkeypatch):
+    """Every Lattice that the uncached LLL loop runs on, in call order."""
+    seen = []
+    lll = lattice._lll
+
+    def spy(L):
+        seen.append(L)
+        return lll(L)
+    monkeypatch.setattr(lattice, "_lll", spy)
+    return seen
+
+
+def test_transference_reduces_each_lattice_once(monkeypatch):
+    seen = _count_reductions(monkeypatch)
+    transference_check(random_unimodular_lattice(3, 5), 2, resolution=4)
+    # L, its dual and the dual's reduction (the covering search's lattice)
+    # are reduced, each once, though the check asks for them many times
+    assert len(set(map(id, seen))) == len(seen) >= 2
+
+
+def test_second_sum_on_a_lattice_reduces_nothing(monkeypatch):
+    seen = _count_reductions(monkeypatch)
+    L, spec = random_unimodular_lattice(3, 5), FnSpec("gaussian", 3)
+    first = certified_sum(L, spec, np.full(3, 0.2), 1.0, 1e-6)
+    assert seen == [L]
+    again = certified_sum(L, spec, np.full(3, 0.2), 1.0, 1e-6)
+    assert seen == [L]
+    assert again == first
+
+
+def test_stored_reduction_inverse_and_dual_are_shared_and_read_only():
+    L = random_unimodular_lattice(3, 10)
+    R, U = lll_reduce(L, return_transform=True)
+    assert lll_reduce(L) is R and lll_reduce(L, return_transform=True)[1] is U
+    assert dual(L) is dual(L)
+    assert R.name == f"{L.name}/lll"
+    for a in (R.basis, U, dual(L).basis, L._inverse):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 0
+
+
+def test_ill_conditioned_basis_raises_on_every_call():
+    L = Lattice(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]]))
+    for _ in range(2):
+        with pytest.raises(IllConditionedBasisError):
+            L.coefficients(np.zeros(2))
+        with pytest.raises(IllConditionedBasisError):
+            dual(L)

@@ -9,6 +9,9 @@
 * One search path: ``enumeration.ball_blocks`` is the only code that
   names the search ``_enum_coeffs``, which ``enumeration`` defines; sums
   and ``enumerate_arrays`` take their points from its blocks.
+* One LLL path: ``lattice.lll_reduce`` is the only code that reaches the
+  LLL loop ``_lll``, through the cached ``Lattice._reduction``, so a
+  lattice is reduced once however many checks ask for its reduction.
 """
 
 import ast
@@ -48,24 +51,45 @@ def test_only_verify_record_builds_a_record():
                        + ", ".join(found))
 
 
-def test_only_ball_blocks_runs_the_search():
-    search = "_enum_coeffs"
+def _named_outside(name, module, owner):
+    """Where the library names ``name`` outside the function ``owner`` of
+    ``module``, and whether ``module`` defines ``name``, at its top level or
+    in one of its classes.  A guard on a name that nothing defines would
+    pass vacuously, so each guard checks both."""
     found, defined = [], False
     for path, tree in _modules():
         allowed = set()
-        if path.name == "enumeration.py":
+        if path.name == module:
             for node in ast.walk(tree):
-                if isinstance(node, ast.FunctionDef) and node.name == "ball_blocks":
+                if isinstance(node, ast.FunctionDef) and node.name == owner:
                     allowed |= {id(sub) for sub in ast.walk(node)}
+            scopes = [tree] + [node for node in tree.body
+                               if isinstance(node, ast.ClassDef)]
             defined = any(isinstance(node, ast.FunctionDef)
-                          and node.name == search for node in tree.body)
+                          and node.name == name
+                          for scope in scopes for node in scope.body)
         found += [f"{path.name}:{getattr(node, 'lineno', 0)}"
                   for node in ast.walk(tree) if id(node) not in allowed
-                  and search in (getattr(node, "id", None),
-                                 getattr(node, "attr", None),
-                                 getattr(node, "name", None))
+                  and name in (getattr(node, "id", None),
+                               getattr(node, "attr", None),
+                               getattr(node, "name", None))
                   and not isinstance(node, ast.FunctionDef)]
-    # a guard on a name that nothing defines would pass vacuously
-    assert defined, f"enumeration.py defines no search named {search}"
+    return found, defined
+
+
+def test_only_ball_blocks_runs_the_search():
+    found, defined = _named_outside("_enum_coeffs", "enumeration.py",
+                                    "ball_blocks")
+    assert defined, "enumeration.py defines no search named _enum_coeffs"
     assert not found, ("the search is named outside ball_blocks: "
                        + ", ".join(found))
+
+
+def test_only_lll_reduce_reaches_the_lll_loop():
+    # the loop _lll runs only in the cached Lattice._reduction, which only
+    # lll_reduce reads, so each Lattice is reduced at most once
+    for name, owner in (("_lll", "_reduction"), ("_reduction", "lll_reduce")):
+        found, defined = _named_outside(name, "lattice.py", owner)
+        assert defined, f"lattice.py defines no {name}"
+        assert not found, (f"{name} is named outside {owner}: "
+                           + ", ".join(found))

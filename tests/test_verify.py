@@ -484,6 +484,29 @@ def test_dual_sum_ends_round_outward(lat, monkeypatch):
     assert Fraction(lo) + Fraction(width) >= c * (partial + rem)
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_dual_terms_do_not_depend_on_the_block(seed, monkeypatch):
+    # a row's phase is its own sum, not a BLAS matrix-vector product whose
+    # rounding at n = 8 depends on where the row sits in its block
+    L = random_unimodular_lattice(8, seed)
+    seen = []
+
+    def spy(*args):  # keep the term map, skip the sum
+        seen.append(args[-1])
+        return [0.0, 0.0], 0
+    monkeypatch.setattr(verify, "_ball_sums", spy)
+    v = np.random.default_rng(seed).uniform(-0.5, 0.5, 8)
+    dual_fhat_sum(L, FnSpec("gaussian", 8), v, 1e-3)
+    terms = seen[0]
+    _, emb = enumerate_arrays(L, np.zeros(8), 2.5)
+    whole = [a.tobytes() for a in terms(emb)]
+    rng = np.random.default_rng(seed)
+    for _ in range(10):
+        cuts = np.sort(rng.choice(np.arange(1, len(emb)), 40, replace=False))
+        parts = zip(*map(terms, np.split(emb, cuts)))
+        assert [np.concatenate(col).tobytes() for col in parts] == whole
+
+
 @pytest.mark.parametrize("fam,lat,t,v,cap", [
     ("gaussian", integer_lattice(2), 1.5, [0.2, 0.3], 1e-10),
     ("sech_product", integer_lattice(1), 1.0, [0.0], 1e-8),
