@@ -38,18 +38,19 @@ import numpy as np
 
 from .bounds import (cstar, handshake_bound, kalpha_radius,
                      transference_bound_l1, transference_bound_l2)
-from .enumeration import (DEFAULT_GRID_BUDGET, DEFAULT_NODE_BUDGET, BodySpec,
-                          enumerate_arrays)
+from .enumeration import (_BOUNDARY_SLACK, DEFAULT_GRID_BUDGET,
+                          DEFAULT_NODE_BUDGET, BodySpec)
 from .errors import BudgetExceededError, ToleranceUnreachedError
 from .functions import (TestFunctionSpec, check_hypotheses, fhat_route,
                         log_f, natural_norm_p)
 from .lattice import (Lattice, integer_lattice, load_lattice, lp_norm,
                       random_unimodular_lattice)
 from .transform import build_transform_table
-from .verify import (FAIL, INCONCLUSIVE, PASS, _record, _spec_params,
-                     _verdict, certified_sum, check_part1, check_part3,
-                     check_tail_inequality, handshake_census, nu_for_body,
-                     psf_product_diagonal, psf_residual, transference_check)
+from .verify import (FAIL, INCONCLUSIVE, PASS, _ball_sums, _record,
+                     _spec_params, _verdict, certified_sum, check_part1,
+                     check_part3, check_tail_inequality, handshake_census,
+                     nu_for_body, psf_product_diagonal, psf_residual,
+                     transference_check)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -82,13 +83,6 @@ class _Parser(argparse.ArgumentParser):
     # inconclusive verdicts, so route usage problems to 3
     def error(self, message):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _parse_vec(text):
-    try:
-        return [float(tok) for tok in text.split(",")]
-    except ValueError:
-        raise ValueError(f"v must be comma-separated numbers, got {text!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +250,8 @@ def plan_manifest(manifest, base_dir):
         try:
             plans.append(_plan_one(entry, lattice_for, seed + idx, nodes,
                                    grid, table_for))
-        except (ManifestError, ValueError, KeyError, TypeError) as exc:
+        except (ManifestError, ValueError, ArithmeticError, KeyError,
+                TypeError) as exc:  # ArithmeticError: a number past the floats
             raise ManifestError(f"{label}: {exc}")
     return plans
 
@@ -311,8 +306,8 @@ def _plan_one(entry, lattice_for, seed, nodes, grid, table_for):
     if name == "handshake":
         p = float(params["p"])
         u = float(params.get("u", 1.0))
-        if not 0 < p <= 2:
-            raise ManifestError("handshake needs 0 < p <= 2")
+        if not 0.01 <= p <= 2:  # below, lp_norm's error (n+2)u/p nears 1e-12
+            raise ManifestError("handshake needs 0.01 <= p <= 2")
         if u < 1:
             raise ManifestError("handshake needs u >= 1")
 
@@ -384,52 +379,49 @@ def run_manifest(manifest, base_dir, plot_csv=None):
     plans = plan_manifest(manifest, base_dir)
     records = [run() for run in plans]
     if plot_csv:
-        _write_plot_csv(plot_csv, plans)
+        _write_plot_csv(plot_csv, plans, records)
     counts = {PASS: 0, FAIL: 0, INCONCLUSIVE: 0}
     for rec in records:
         counts[rec["verdict"]] += 1
     nodes, grid = _budgets(manifest)
-    report = {
+    return {
         "seed": manifest.get("seed", 0),
         "budgets": {"nodes": nodes, "grid": grid},
         "records": records,
         "summary": {"checks": len(records), "pass": counts[PASS],
                     "fail": counts[FAIL], "inconclusive": counts[INCONCLUSIVE]},
     }
-    return report
 
 
-def _write_plot_csv(path, plans):
-    """Radius sweep for every tail_inequality plan: certified tail mass
-    outside each radius next to the bound coefficient times the full sum.
-    Each sweep takes its lattice, body, shift and budgets from its plan."""
+def _write_plot_csv(path, plans, records):
+    """Radius sweep for every tail_inequality check, read off its record:
+    the tail mass outside rho is at most the check's upper end plus the
+    exact mass between its body and rho, and the bound scales the check's
+    rhs by nu(rho)/nu.  Lattice, body, shift, nu and budget are the plan's."""
     rows = ["check_index,lattice_id,family,radius,tail_mass_upper,bound"]
-    for idx, plan in enumerate(plans):
+    for idx, (plan, rec) in enumerate(zip(plans, records)):
         if getattr(plan, "func", None) is not check_tail_inequality:
             continue
-        L, spec, body, v, _ = plan.args
-        tol, nodes = plan.keywords["tol"], plan.keywords["node_budget"]
-        full = certified_sum(L, spec, np.zeros(L.dim), 1.0, tol, nodes)
-        shifted = (certified_sum(L, spec, v, 1.0, tol, nodes) if np.any(v)
-                   else full)
-        r_hi = 1.75 * body.radius
-        _, emb = enumerate_arrays(L, v, r_hi, body.p, nodes)
-        norms = lp_norm(emb + v, body.p)
-        vals = np.exp(log_f(spec, emb + v))
-        order = np.argsort(norms, kind="stable")
-        norms, vals = norms[order], np.cumsum(vals[order])
-        for radius in np.linspace(0.25 * body.radius, r_hi, 24):
-            k = int(np.searchsorted(norms, radius, side="right"))
-            inside = float(vals[k - 1]) if k else 0.0
-            tail_upper = shifted.upper - inside
-            try:
-                bound = nu_for_body(spec, BodySpec(p=body.p, radius=float(radius)),
-                                    L.dim).value * full.partial
-                bound_txt = _fmt(bound)
-            except ValueError:
-                bound_txt = ""
-            rows.append(",".join([str(idx), L.name, spec.label,
-                                  _fmt(radius), _fmt(tail_upper), bound_txt]))
+        L, spec, body, v, nu = plan.args
+        radii = np.linspace(0.25 * body.radius, 1.75 * body.radius, 24)
+        # the body is cut as the check's inner sum is, ties included
+        cuts = [*radii, body.radius * (1 + _BOUNDARY_SLACK)]
+
+        def terms(emb):
+            y = emb + v
+            norms, vals = lp_norm(y, body.p), np.exp(log_f(spec, y))
+            return tuple(vals[norms <= cut] for cut in cuts)
+        (*inside, inner), _ = _ball_sums(L, v, radii[-1], body.p,
+                                         plan.keywords["node_budget"], terms)
+        for radius, mass in zip(radii, inside):
+            try:  # empty outside a closed form's domain, and where nu = 0
+                bound = _fmt(rec["rhs_interval"][0] / nu.value * nu_for_body(
+                    spec, BodySpec(body.p, float(radius)), L.dim).value)
+            except (ValueError, ArithmeticError):
+                bound = ""
+            rows.append(",".join([str(idx), L.name, spec.label, _fmt(radius),
+                                  _fmt(rec["lhs_interval"][1] + inner - mass),
+                                  bound]))
     with open(path, "w") as fh:
         fh.write("\n".join(rows) + "\n")
 
@@ -456,7 +448,7 @@ def cmd_check(args):
     params = {key: getattr(args, key) for key in _PARAM_DESTS
               if getattr(args, key, None) is not None}
     if "v" in params:
-        params["v"] = _parse_vec(params["v"])
+        params["v"] = _parse_list(params["v"], float, "v")
     params["lattice"] = args.lattice
     manifest = {"budgets": {"nodes": args.node_budget,
                             "grid": getattr(args, "grid_budget",

@@ -6,7 +6,7 @@ on numpy blocks of nodes, within a node budget.  The bottom-level c0 that
 fit form one integer interval (the cost D[0] * (c0 + shift[0] + s[0])^2 is
 convex), so each bottom block of nodes is one block of leaves, expanded and
 handed out as it is formed; no caller holds the whole tree.  Sums stream
-these blocks; ``enumerate_arrays`` concatenates and sorts them, for
+these blocks; ``enumerate_arrays`` concatenates them, unsorted, for
 shortest vectors and the covering-radius candidate sets.  Coefficients are
 counted in floats, so an interval end at 2^52 or beyond raises ValueError.
 An l^p ball with p > 2 is searched as its circumscribed l^2 ball, of
@@ -143,7 +143,8 @@ def _enum_coeffs(basis, shift, r, p, node_budget):
 
     def search(k, s, rem, coef, g=None, a=None):
         nonlocal visited
-        w = np.sqrt(rem / D[k])
+        with np.errstate(over="ignore"):  # an infinite w fails the 2^52 test
+            w = np.sqrt(rem / D[k])
         center = -shift[k] - s[:, k]
         if g is None:
             lo = np.ceil(center - w - 1e-12)
@@ -248,13 +249,11 @@ def ball_blocks(L: Lattice, v, r: float, p: float = 2,
 def enumerate_arrays(L: Lattice, v, r: float, p: float = 2,
                      node_budget: int = DEFAULT_NODE_BUDGET):
     """Points x in L with ||x + v||_p <= r, as (coords, embeddings) arrays:
-    the blocks of ``ball_blocks``, with rows sorted lexicographically by
-    coords."""
+    the blocks of ``ball_blocks`` concatenated, in the search's own order,
+    which is deterministic and does not depend on the block size."""
     empty = (np.zeros((0, L.dim), np.int64), np.zeros((0, L.dim)))
     blocks = ball_blocks(L, v, r, p, node_budget)
-    coords, emb = map(np.concatenate, zip(empty, *blocks))
-    order = np.lexsort(coords.T[::-1])
-    return coords[order], emb[order]
+    return tuple(map(np.concatenate, zip(empty, *blocks)))
 
 
 def shortest_vector(L: Lattice, p: float = 2,
@@ -263,7 +262,7 @@ def shortest_vector(L: Lattice, p: float = 2,
 
     Returns (sigma, minimizers); minimizers is the (m, n) int64 array of the
     coefficients of every nonzero point whose norm is within 1e-9 relative
-    of sigma, sorted lexicographically.
+    of sigma.
     """
     reduced = lll_reduce(L)
     r0 = min(lp_norm(row, p) for row in reduced.basis)

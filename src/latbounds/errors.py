@@ -5,8 +5,8 @@ class LatticeError(Exception):
     """Base class for errors raised by this package."""
 
 
-class IllConditionedBasisError(LatticeError):
-    """Basis too close to singular for a reliable dual / solve."""
+class IllConditionedBasisError(LatticeError, ValueError):
+    """Basis too close to singular for a reliable dual / solve (bad input)."""
 
     def __init__(self, cond, threshold):
         self.cond = float(cond)

@@ -37,7 +37,8 @@ def lp_norm(x, p):
         return np.sqrt((x * x).sum(axis=-1))
     if p == 1:
         return ax.sum(axis=-1)
-    return (ax ** p).sum(axis=-1) ** (1.0 / p)
+    with np.errstate(over="ignore"):  # past the floats, as at a tiny p: inf
+        return (ax ** p).sum(axis=-1) ** (1.0 / p)
 
 
 class Lattice:
@@ -49,9 +50,11 @@ class Lattice:
             raise ValueError(f"basis must be square, got shape {basis.shape}")
         if basis.shape[0] == 0:
             raise ValueError("dimension must be positive")
-        det = np.linalg.det(basis)
-        if det == 0 or not np.isfinite(det):
-            raise ValueError("basis is singular")
+        with np.errstate(over="ignore"):
+            det, norms2 = np.linalg.det(basis), (basis * basis).sum(axis=1)
+        if not (0 < abs(det) < math.inf
+                and 0 < norms2.min() <= norms2.max() < math.inf):
+            raise ValueError("basis is singular, or its scale is past the floats")
         basis.setflags(write=False)
         self.basis = basis
         self.dim = basis.shape[0]
@@ -68,7 +71,9 @@ class Lattice:
     @cached_property
     def _inverse(self):
         # a failed condition check raises and stores nothing
-        _check_condition(self.basis)
+        cond = np.linalg.cond(self.basis)
+        if not np.isfinite(cond) or cond > COND_THRESHOLD:
+            raise IllConditionedBasisError(cond, COND_THRESHOLD)
         inverse = np.linalg.inv(self.basis)
         inverse.setflags(write=False)
         return inverse
@@ -82,12 +87,6 @@ class Lattice:
         reduced, U = _lll(self)
         U.setflags(write=False)
         return reduced, U
-
-
-def _check_condition(basis):
-    cond = np.linalg.cond(basis)
-    if not np.isfinite(cond) or cond > COND_THRESHOLD:
-        raise IllConditionedBasisError(cond, COND_THRESHOLD)
 
 
 def dual(L: Lattice) -> Lattice:

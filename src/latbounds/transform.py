@@ -63,7 +63,8 @@ def _grid(p, k, step):
     # sin(p theta) = sin(pi - p theta) and cos((p - 1) theta) = sin(pi/2 -
     # |p - 1| theta), on arguments that keep their relative accuracy
     arg = np.minimum(p * theta, math.pi * (1 - 0.5 * p) + p * psi)
-    a, b = (c - 1) * np.log(np.sin(psi)), c * np.log(np.sin(arg))
+    with np.errstate(divide="ignore"):  # sin(arg) = 0 at a tiny p: E = inf
+        a, b = (c - 1) * np.log(np.sin(psi)), c * np.log(np.sin(arg))
     cos = np.sin(min(p, 2 - p) * _HALF_PI + abs(p - 1) * psi)
     # theta, psi, the arguments and log sin of them are |u| + 11 ulps off (u
     # is rounded); logs, products and sums add their own size

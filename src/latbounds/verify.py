@@ -168,8 +168,11 @@ def _log_tail(n, covol, env, beta_eff, cell, S):
     s0 = S - 2 * cell
     if s0 <= 0:
         return math.inf
-    return (base + (n - 1) * math.log1p(cell / s0)
-            + _log_upper_gamma(n / q, beta_eff * s0 ** q))
+    try:
+        x = beta_eff * s0 ** q
+    except OverflowError:  # a NaN bound, as for an overflowing product
+        x = math.inf
+    return base + (n - 1) * math.log1p(cell / s0) + _log_upper_gamma(n / q, x)
 
 
 def _ball_sums(L, v, r, p, node_budget, terms):
@@ -214,6 +217,17 @@ def _truncated(L, env, beta_eff, log_target):
     return hi, math.exp(min(logtail(hi), 700.0)) * (1 + _SAFETY)
 
 
+def _in_range(t, compute):
+    """compute(), if a positive float; else a ValueError naming the dilation t."""
+    try:
+        x = compute()
+    except ArithmeticError:
+        x = 0.0
+    if not 0 < x < math.inf:
+        raise ValueError(f"t = {t:g} is out of range: a scale leaves the floats")
+    return x
+
+
 def certified_sum(L: Lattice, spec: TestFunctionSpec, v, t: float,
                   target_tol: float,
                   node_budget: int = DEFAULT_NODE_BUDGET) -> CertifiedSum:
@@ -245,7 +259,8 @@ def certified_sum(L: Lattice, spec: TestFunctionSpec, v, t: float,
                 + float(np.max(log_f(spec, (cand + v) / t))))
 
     env = _envelope_for(spec)
-    S, tail = _truncated(L, env, env.beta / t ** env.q, log_target)
+    beta_eff = _in_range(t, lambda: env.beta / t ** env.q)
+    S, tail = _truncated(L, env, beta_eff, log_target)
     (partial,), npoints = _ball_sums(
         L, v, S, env.q, node_budget,
         lambda emb: (np.exp(log_f(spec, (emb + v) / t)),))
@@ -349,14 +364,10 @@ def _product_fhat_sum(diag, spec, t, theta, tol_abs):
     """(value, error) of sum_k prod_j fhat_1d(t d_j k_j)
     cos(2 pi theta_j k_j) over Z^n, one 1-D series per coordinate, each
     evaluated once; raises ToleranceUnreachedError when the product's
-    error exceeds tol_abs, as a fractional-p factor's tail can make it."""
-    route = fhat_route(spec)
-    if route == "rational_product":
-        one_d = _sum1d_rational
-    elif route == "table":
-        one_d = functools.partial(_sum1d_fractional, spec.p)
-    else:
-        raise ValueError(f"no product transform path for {spec.family!r}")
+    error exceeds tol_abs, as a fractional-p factor's tail can make it.
+    spec takes a product route: exp_l1's closed form, or fractional p."""
+    one_d = (_sum1d_rational if fhat_route(spec) == "rational_product"
+             else functools.partial(_sum1d_fractional, spec.p))
     value, err = _product_interval([one_d(t * d, th)
                                     for d, th in zip(diag, theta)])
     if err > tol_abs:
@@ -432,8 +443,6 @@ def psf_residual(L: Lattice, spec: TestFunctionSpec, v, t: float,
     The residual compares point estimates: lhs.partial against the right's
     midpoint or product value.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
     v = np.asarray(v, dtype=float)
     diag = psf_product_diagonal(L, spec)
     lhs = certified_sum(L, spec, v, t, tol, node_budget)
@@ -450,11 +459,12 @@ def psf_residual(L: Lattice, spec: TestFunctionSpec, v, t: float,
         rhs_sum = dual_fhat_sum(M, g, v / s, target_tol, node_budget)
         rhs = 0.5 * (rhs_sum.lower + rhs_sum.upper)
     else:
-        factor = t ** n / L.covolume
+        factor = _in_range(t, lambda: t ** n / L.covolume)
         # cos(2 pi mu . v) factorizes over the coordinates of a diagonal dual
         theta = diag * v
         dsum, _ = _product_fhat_sum(diag, spec, t, theta, budget / factor)
         rhs = factor * dsum
+    _in_range(t, lambda: abs(rhs))  # a positive sum: 0 if it underflowed
     return abs(lhs.partial - rhs) / abs(rhs)
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -6,9 +7,13 @@ import numpy as np
 import pytest
 
 import latbounds.cli as cli
+import latbounds.verify as verify
 from latbounds.cli import _fmt, _write_plot_csv, main, plan_manifest
+from latbounds.enumeration import BodySpec, enumerate_arrays
 from latbounds.errors import BudgetExceededError
-from latbounds.lattice import integer_lattice, save_lattice
+from latbounds.functions import log_f
+from latbounds.lattice import integer_lattice, lp_norm, save_lattice
+from latbounds.verify import nu_for_body
 
 
 def run_module(*args):
@@ -427,13 +432,75 @@ def test_a_check_loads_no_scipy(z2):
 
 
 def test_plot_csv_sweep_keeps_manifest_node_budget(tmp_path, z2):
-    man = {"lattice_file": z2, "budgets": {"nodes": 3},
+    man = {"lattice_file": z2,
            "checks": [{"check_name": "tail_inequality",
                        "params": {"family": "gaussian", "tau": 1.0}}]}
-    plans = plan_manifest(man, str(tmp_path))
+    records = [run() for run in plan_manifest(man, str(tmp_path))]
+    plans = plan_manifest({**man, "budgets": {"nodes": 3}}, str(tmp_path))
     with pytest.raises(BudgetExceededError) as exc:
-        _write_plot_csv(tmp_path / "curves.csv", plans)
+        _write_plot_csv(tmp_path / "curves.csv", plans, records)
     assert exc.value.budget == 3
+
+
+@pytest.mark.parametrize("params", [
+    {"family": "gaussian", "tau": 1.0,
+     "lattice": {"kind": "integer", "dim": 2}},
+    {"family": "gaussian", "tau": 1.2, "v": "random",
+     "lattice": {"kind": "unimodular", "dim": 3, "seed": 5}},
+    {"family": "supergaussian", "p": 1.0, "tscale": 1.3, "v": [0.2, -0.1],
+     "lattice": {"kind": "integer", "dim": 2}},
+], ids=["Z2", "sheared-Z3", "l1-supergaussian"])
+def test_plot_csv_sweep_reads_the_records(tmp_path, monkeypatch, params):
+    man = {"seed": 4, "checks": [{"check_name": "tail_inequality",
+                                  "params": params}]}
+    plans = plan_manifest(man, str(tmp_path))
+    records = [run() for run in plans]
+
+    def no_sum(*args, **kwargs):
+        raise AssertionError("the sweep re-ran a certified sum")
+    with monkeypatch.context() as mp:
+        for module in (cli, verify):
+            mp.setattr(module, "certified_sum", no_sum)
+        _write_plot_csv(tmp_path / "curves.csv", plans, records)
+    rows = [line.split(",") for line in
+            (tmp_path / "curves.csv").read_text().splitlines()[1:]]
+
+    # brute force: the shifted sum's upper end minus one fsum of the points
+    # inside each radius, and the coefficient there times the full sum
+    L, spec, body, v, _ = plans[0].args
+    shifted = verify.certified_sum(L, spec, v, 1.0, 1e-9)
+    full = verify.certified_sum(L, spec, np.zeros(L.dim), 1.0, 1e-9)
+    _, emb = enumerate_arrays(L, v, 1.75 * body.radius, body.p)
+    norms = lp_norm(emb + v, body.p)
+    vals = np.exp(log_f(spec, emb + v))
+    radii = np.linspace(0.25 * body.radius, 1.75 * body.radius, 24)
+    assert len(rows) == len(radii)
+    for row, radius in zip(rows, radii):
+        assert row[:4] == ["0", L.name, spec.label, _fmt(radius)]
+        tail = shifted.upper - math.fsum(vals[norms <= radius])
+        assert abs(float(row[4]) - tail) <= 1e-10 * max(abs(tail), 1e-3)
+        try:
+            nu = nu_for_body(spec, BodySpec(body.p, float(radius)), L.dim)
+        except ValueError:
+            assert row[5] == ""
+            continue
+        bound = nu.value * full.partial
+        assert abs(float(row[5]) - bound) <= 1e-11 * bound
+
+
+def test_plot_csv_with_a_zero_coefficient(run_cli, tmp_path, z1):
+    # nu underflows to 0 at tau = 1000 on Z^1, so the check's rhs is
+    # [0, 0] and no bound can be scaled from it
+    man = {"lattice_file": z1,
+           "checks": [{"check_name": "tail_inequality",
+                       "params": {"family": "gaussian", "tau": 1000.0}}]}
+    csv = tmp_path / "curves.csv"
+    code, _, err = run_cli("verify", _write_manifest(tmp_path / "man.json",
+                                                     man),
+                           "--plot-csv", str(csv))
+    assert code == 2 and err == ""
+    rows = csv.read_text().splitlines()[1:]
+    assert len(rows) == 24 and all(row.endswith(",") for row in rows)
 
 
 def test_part3_needs_no_transform_table(tmp_path, monkeypatch):
