@@ -112,7 +112,11 @@ def supergaussian_mu_closed_form(p: float, r: float, n: int) -> NuBound:
     t = r / (n / p) ** (1.0 / p)
     if t < 1:
         raise ValueError(f"r must be >= (n/p)^(1/p), got t = {t}")
-    tp = t ** p
+    try:
+        tp = t ** p
+    except OverflowError:
+        raise ValueError(f"radius r = {r:g} is out of range: t^p, t = "
+                         "r / (n/p)^(1/p), leaves the floats") from None
     value = (math.e * tp * math.exp(-tp)) ** (n / p)
     return NuBound(value=float(value), method="closed_form")
 

@@ -296,9 +296,18 @@ def transport_bracket(lo, hi, eps):
 
 
 def _cell_shape(reduced_basis, q):
-    """Bound on the l^q reach, the largest ||c||_q over the cell, of a
-    centred cell that tiles space by lattice translates: the smaller of the
-    bounds for two such cells.
+    """Bound on the l^q reach of a centred cell that tiles space by lattice
+    translates; see ``_cell_bounds``."""
+    return _cell_bounds(reduced_basis, q)[0]
+
+
+def _cell_bounds(reduced_basis, q):
+    """(reach, moment) of a centred cell P that tiles space by lattice
+    translates, the one of two such cells whose bound on the reach is the
+    smaller.  reach bounds the largest ||c||_q over P; moment bounds the
+    mean over P of ||c||_2^2 for q = 2, and of ||c||_q^q for q <= 1 (None
+    for other q).  Both are measured on the same cell, as the certified
+    tail (``verify._log_tail``) needs.
 
     The parallelepiped {sum c_i b_i : |c_i| <= 1/2} reaches
     sum(||b_i||_q)/2 (triangle inequality).  The Gram-Schmidt box
@@ -307,22 +316,45 @@ def _cell_shape(reduced_basis, q):
     max(1, n^{1/q - 1/2}) R2 in l^q; on Z^n that is sqrt(n)/2 against n/2
     for q = 2.  For q < 1 the norm is only power-subadditive, so the reach
     is measured in the q-th power: sum((||b_i||_q / 2)^q) and
-    n^{1 - q/2} R2^q.  sum ||b*_i||^2 is padded by 8 n u sum ||b_i||^2, a
-    margin for the float rounding of the Gram-Schmidt norms, and the result
-    is rounded up.
+    n^{1 - q/2} R2^q.
+
+    With c uniform on P the c_i are independent and uniform on [-1/2, 1/2],
+    so E c_i = 0, E c_i^2 = 1/12 and E|c_i|^q = 2^{-q}/(1 + q).  At q = 2
+    the mean of ||c||^2 is sum ||b_i||^2 / 12 on the parallelepiped and,
+    the b*_i being orthogonal, sum ||b*_i||^2 / 12 on the box.  For q <= 1,
+    ||c||_q^q <= sum |c_i|^q ||b_i||_q^q gives at most
+    2^{-q}/(1 + q) sum ||b_i||_q^q on the parallelepiped, and
+    ||c||_q^q <= n^{1 - q/2} ||c||_2^q with Jensen (t^{q/2} is concave)
+    gives at most n^{1 - q/2} (sum ||b*_i||^2 / 12)^{q/2} on the box.
+
+    Rounding: sum ||b*_i||^2 is padded by 8 n u sum ||b_i||^2, a margin for
+    the float rounding of the Gram-Schmidt norms, and the reach is rounded
+    up.  Each moment is then at most n^2 + 6 roundings from its formula,
+    each within 2u relative: n^2 powers or squares and the n^2 - 1
+    additions of their sum, or the few ulp of n^{1 - q/2} (an exponent off
+    by u/2 costs u log n / 2), and a power, a quotient and a product.  So
+    the computed moment times 1 + 2 (n^2 + 8) u, rounded up, is a bound.
     """
     B = np.asarray(reduced_basis, dtype=float)
     n = B.shape[0]
     norms = lp_norm(B, q)
     _, norms2, _ = _gso(B)
-    box2 = 0.25 * float(np.sum(norms2) + 8 * n * _U * np.sum(B * B))
+    gs2 = float(np.sum(norms2) + 8 * n * _U * np.sum(B * B))
+    box2 = 0.25 * gs2
     if q <= 1.0:
-        reach = min(float(np.sum((0.5 * norms) ** q)),
-                    n ** (1 - q / 2) * box2 ** (q / 2))
+        para = (float(np.sum((0.5 * norms) ** q)),
+                2.0 ** -q * float(np.sum(np.abs(B) ** q)) / (1 + q))
+        box = (n ** (1 - q / 2) * box2 ** (q / 2),
+               n ** (1 - q / 2) * (gs2 / 12) ** (q / 2))
     else:
-        reach = min(float(0.5 * np.sum(norms)),
-                    max(1.0, n ** (1 / q - 0.5)) * math.sqrt(box2))
-    return math.nextafter(reach, math.inf)
+        para = (float(0.5 * np.sum(norms)), float(np.sum(B * B)) / 12)
+        box = (max(1.0, n ** (1 / q - 0.5)) * math.sqrt(box2), gs2 / 12)
+    reach, moment = min(para, box)
+    if q <= 1.0 or q == 2.0:
+        moment = math.nextafter(moment * (1 + 2 * (n * n + 8) * _U), math.inf)
+    else:
+        moment = None
+    return math.nextafter(reach, math.inf), moment
 
 
 def _cell_diameter(V, p, d_cell):

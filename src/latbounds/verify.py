@@ -8,9 +8,12 @@ points past the truncation radius tile a region where the envelope
 integrates to an upper incomplete gamma function, bounded by integration by
 parts with a derived rounding allowance.  The cell is the parallelepiped or
 the Gram-Schmidt box of an LLL-reduced basis, whichever bound on its reach
-is smaller; the radius pays that reach twice.  Inequality checks compare
-such intervals pessimistically and return PASS / FAIL / INCONCLUSIVE; an
-interval straddling the boundary is never coerced.
+is smaller.  For the l^2 and l^q (q <= 1) envelopes, Jensen's inequality
+over the cell sets each term against the envelope's mean on its cell, so
+the radius pays the reach once and the cell's moment enters as a constant
+factor; for 1 < q < 2 the radius pays the reach twice.  Inequality checks
+compare such intervals pessimistically and return PASS / FAIL /
+INCONCLUSIVE; an interval straddling the boundary is never coerced.
 
 Sums of fhat over the dual lattice (part 3) are taken on the primal side by
 Poisson summation, as covol(L) times a cos-weighted sum of f over L; their
@@ -36,8 +39,9 @@ import numpy as np
 from .bounds import (NuBound, cosh_nu_bound, cstar, gaussian_nu_closed_form,
                      handshake_bound, mu_norm, supergaussian_mu_closed_form,
                      transference_bound_l1, transference_bound_l2)
+# _cell_shape is imported for the tests that read it from this module
 from .enumeration import (_U, DEFAULT_GRID_BUDGET, DEFAULT_NODE_BUDGET,
-                          BodySpec, _cell_shape, ball_blocks,
+                          BodySpec, _cell_bounds, _cell_shape, ball_blocks,
                           covering_radius_estimate, enumerate_arrays,
                           shortest_vector, transport_bracket)
 from .errors import (BudgetExceededError, InvariantError,
@@ -103,11 +107,7 @@ def _envelope_for(spec: TestFunctionSpec) -> _Envelope:
     raise ValueError(f"no decay envelope for {fam!r}")
 
 
-def _log_ball_vol(n, q):
-    return n * (math.log(2.0) + math.lgamma(1 + 1 / q)) - math.lgamma(1 + n / q)
-
-
-def _log_upper_gamma(a, x):
+def _log_upper_gamma(a, x, logs=None, drop=None):
     """An upper bound on log Gamma(a, x), the unnormalized upper incomplete
     gamma function, for a > 0; +inf when x <= 0.
 
@@ -123,56 +123,128 @@ def _log_upper_gamma(a, x):
     with equality for integer a.  Every term is positive, and the log form
     cannot underflow; s overflowing to +inf gives the trivial bound +inf.
 
+    x may be +inf, an argument past the floats, when logs, the terms whose
+    sum is log x, are given (default: log x itself).  drop, a float at most
+    x - m for some m >= 0, stands in the formula for x, so that the result
+    bounds m + log Gamma(a, x) (default m = 0); drop = +inf makes it -inf,
+    below the log of every float.
+
     Rounding (Higham, ch. 3; u the unit roundoff, log within one ulp): a - k
     is exact (a and k are multiples of ulp(a)), so each of the N Horner
     steps for s rounds three times, and the computed s is s (1 + theta)
     with |theta| <= gamma_{3N}: log s is off by at most 3.1 N u, plus 2u
-    log s for the log itself.  (a-1) log x is off by at most
-    gamma_3 |a-1| |log x|, and the two additions by u each on a magnitude
-    of at most |a-1| |log x| + x + log s.  So the computed value is within
-    6u (x + |a-1| |log x| + log s + N) of the formula; the allowance added
-    to it is 8u times that sum, which also pays for the allowance's own
-    rounding and for the final addition.
+    log s for the log itself.  A float x rounded from the exact argument
+    moves s by at most N u more.  log x, a sum of at most two logs (one
+    perhaps times q), is off by at most 4u sum |logs|, so (a-1) log x by at
+    most 5u |a-1| sum |logs|, and the two additions by u each on a
+    magnitude of at most |a-1| sum |logs| + |drop| + log s.  So the
+    computed value is within 7u (|drop| + |a-1| sum |logs| + log s + N) of
+    the formula; the allowance added to it is 8u times that sum, which also
+    pays for the allowance's own rounding and for the final addition.
     """
     if not x > 0:
         return math.inf
+    if drop is None:
+        drop = x
+    if drop == math.inf:
+        return -math.inf
+    if logs is None:
+        logs = (math.log(x),)
     n_parts = max(0, math.ceil(a - 1))
     s = 1.0
     for k in range(n_parts, 0, -1):
         s = 1.0 + s * (a - k) / x
-    log_s, log_x = math.log(s), math.log(x)
-    value = (a - 1) * log_x - x + log_s
-    return value + 8 * _U * (x + abs(a - 1) * abs(log_x) + log_s + n_parts)
+    log_s, log_x = math.log(s), sum(logs)
+    logs_size = sum(abs(t) for t in logs)
+    value = (a - 1) * log_x - drop + log_s
+    return value + 8 * _U * (abs(drop) + abs(a - 1) * logs_size + log_s
+                             + n_parts)
+
+
+def _down(x):
+    """The float below x: at most x exact, for x one correctly rounded
+    operation away from it."""
+    return math.nextafter(x, -math.inf)
 
 
 def _log_tail(n, covol, env, beta_eff, cell, S):
     """log of the certified bound on sum_{y in v+L, ||y||_q >= S} e^{n loga - beta_eff ||y||_q^q}.
 
-    The cells of those points tile a region outside a smaller l^q ball, of
-    radius r0, so the sum is at most the envelope's integral over that
-    region, divided by covol and multiplied by a factor that pays for the
-    cell's reach.  In polar form the integral is (n V_q / q) e^{n loga}
-    beta_eff^{-n/q} Gamma(n/q, beta_eff r0^q), V_q the volume of the unit
-    l^q ball, and _log_upper_gamma bounds the incomplete gamma function
-    from above.  Returns +inf when S is too small for the tiling argument
-    to apply.
+    cell = (reach, moment) of a centred cell P of volume covol that tiles
+    space by translates of L (``enumeration._cell_bounds``), so the cells
+    y + P of the summed points tile a region outside a smaller l^q ball,
+    ||z||_q^q >= w0.  Integrated in polar form over that region, the
+    envelope gives (n V_q / q) e^{n loga} beta^{-n/q} Gamma(n/q, beta w0),
+    V_q the volume of the unit l^q ball; divided by covol this is e^{base}
+    Gamma(n/q, beta w0), and _log_upper_gamma bounds Gamma from above.
+
+    Each point's term is set against the envelope's mean over its cell by
+    Jensen's inequality, e^{E g} <= E e^{g}, over c uniform on P:
+
+    * q = 2.  -beta |y + c|^2 = -beta |y|^2 - 2 beta <y, c> - beta |c|^2,
+      and E c = 0 (P is symmetric), so e^{-beta |y|^2 - beta E|c|^2} <=
+      (1/covol) int_{y+P} e^{-beta |z|^2} dz.  With |z| >= |y| - reach,
+      w0 = (S - reach)^2, and the sum is at most e^{base + beta E|c|^2}
+      Gamma(n/2, beta w0): the reach is paid once, and the moment E|c|^2
+      (reach^2 / 3 on the box) as a constant factor.
+    * q <= 1.  ||.||_q^q is subadditive, ||y + c||_q^q <= ||y||_q^q +
+      ||c||_q^q, so -beta ||y||_q^q <= E(-beta ||y + c||_q^q) +
+      beta E||c||_q^q, and Jensen gives the factor e^{beta E||c||_q^q}, with
+      w0 = S^q - reach, reach measured in the q-th power.
+    * 1 < q < 2.  Jensen would need a smoothness constant C_q,
+      |a + b|^q <= |a|^q + q sgn(a) |a|^{q-1} b + C_q |b|^q, for which no
+      proof is at hand.  Each term is bounded instead by the envelope on
+      its cell shifted by the reach, so the region starts at s0 = S -
+      2 reach, w0 = s0^q, with the factor (1 + reach/s0)^{n-1} for the
+      shift of the polar shells.
+
+    The factor beta E is folded into the gamma bound's drop, beta (w0 - E)
+    <= beta w0 - beta E, and beta w0 enters it through logs (log beta,
+    log w0), so neither leaves the floats unless the bound itself does.
+
+    Rounding: w0 is a lower bound on the exact region's: S - reach,
+    (S - reach)^2, w0 - E and beta (w0 - E) are each one correctly rounded
+    operation, taken to the float below (_down); S^q (a pow, within one
+    ulp) is shrunk by 8u before reach is subtracted, which keeps the
+    difference's rounding below the exact difference; s0^q and beta s0^q
+    are shrunk by 8u.  Gamma(a, .) decreases, so a smaller argument only
+    raises the bound.  base's six terms are each within 4u of their sizes
+    (lgamma and log within one ulp, up to two products or sums, log 2 + an
+    lgamma of at least -0.13 cancelling by at most 1.4x), fsum adds u of
+    their total size B, and an lgamma argument x = 1 + n/q or 1 + 1/q
+    rounded by 2u moves lgamma by at most 2u x |psi(x)| <= 2u (x log x + 1);
+    so base plus 8u (B + (n + 1)(1 + x log x)) bounds the exact base.
+    Returns +inf when S is too small for the tiling argument to apply.
     """
     q = env.q
-    base = (n * env.loga + math.log(n) + _log_ball_vol(n, q) - math.log(q)
-            - math.log(covol) - (n / q) * math.log(beta_eff))
-    if q <= 1.0:
-        w0 = S ** q - cell
-        if w0 <= 0:
+    reach, moment = cell
+    a = n / q
+    log_beta = math.log(beta_eff)
+    terms = (n * (env.loga + math.log(2.0) + math.lgamma(1 + 1 / q)),
+             math.log(n), -math.lgamma(1 + a), -math.log(q),
+             -math.log(covol), -a * log_beta)
+    base = math.fsum(terms) + 8 * _U * (
+        sum(map(abs, terms)) + (n + 1) * (1 + (1 + a) * math.log1p(a)))
+    if moment is not None:  # q = 2 or q <= 1: Jensen over the cell
+        if q <= 1.0:
+            w0 = _down(S ** q * (1 - 8 * _U) - reach)
+        else:
+            r0 = _down(S - reach)
+            w0 = _down(r0 * r0)
+        if not w0 > 0:
             return math.inf
-        return base + beta_eff * cell + _log_upper_gamma(n / q, beta_eff * w0)
-    s0 = S - 2 * cell
-    if s0 <= 0:
+        drop = _down(beta_eff * _down(w0 - moment))
+        return base + _log_upper_gamma(a, beta_eff * w0,
+                                       (log_beta, math.log(w0)), drop)
+    s0 = _down(S - 2 * reach)
+    if not s0 > 0:
         return math.inf
     try:
-        x = beta_eff * s0 ** q
-    except OverflowError:  # a NaN bound, as for an overflowing product
+        x = beta_eff * s0 ** q * (1 - 8 * _U)
+    except OverflowError:  # past the floats; logs carry it
         x = math.inf
-    return base + (n - 1) * math.log1p(cell / s0) + _log_upper_gamma(n / q, x)
+    return (base + (n - 1) * math.log1p(reach / s0)
+            + _log_upper_gamma(a, x, (log_beta, q * math.log(s0))))
 
 
 def _ball_sums(L, v, r, p, node_budget, terms):
@@ -195,11 +267,12 @@ def _truncated(L, env, beta_eff, log_target):
     steps of 1.4, then bisects to within 2%, until that bound drops below
     e^{log_target(reduced)}, reduced the LLL basis of L."""
     reduced = lll_reduce(L)
-    cell = _cell_shape(reduced.basis, env.q)
+    cell = _cell_bounds(reduced.basis, env.q)
     logtail = lambda S: _log_tail(L.dim, L.covolume, env, beta_eff, cell, S)
     target = log_target(reduced)
+    reach = cell[0]
     try:
-        S = (2.0 * cell) ** (1.0 / env.q) if env.q <= 1.0 else 2.5 * cell
+        S = (2.0 * reach) ** (1.0 / env.q) if env.q <= 1.0 else 2.5 * reach
     except OverflowError:  # a tiny q: no finite radius, which the presolve refuses
         S = math.inf
     S = max(S, 1e-3)
@@ -212,7 +285,7 @@ def _truncated(L, env, beta_eff, log_target):
                                       where="tail presolve")
     lo, hi = S / 1.4, S
     while hi / lo > 1.02:
-        mid = math.sqrt(lo * hi)
+        mid = math.sqrt(lo) * math.sqrt(hi)  # lo * hi may leave the floats
         lo, hi = (lo, mid) if logtail(mid) <= target else (mid, hi)
     return hi, math.exp(min(logtail(hi), 700.0)) * (1 + _SAFETY)
 
@@ -545,7 +618,11 @@ def nu_for_body(spec: TestFunctionSpec, K: BodySpec, n: int) -> NuBound:
     if fam == "gaussian":
         if K.p != 2:
             raise ValueError("gaussian tail bodies must be l2 balls")
-        tau = math.pi * K.radius ** 2 / n
+        try:
+            tau = math.pi * K.radius ** 2 / n
+        except OverflowError:
+            raise ValueError(f"radius = {K.radius:g} is out of range: tau = "
+                             "pi radius^2 / n leaves the floats") from None
         if tau >= 0.5:
             return gaussian_nu_closed_form(tau, n)
         return mu_norm(spec, K.radius, n)

@@ -360,6 +360,59 @@ def test_overflowing_bounds_exit_without_traceback(z2, argv, expected):
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+def _diag(*d):
+    return {"kind": "basis", "basis": [[x if i == j else 0.0
+                                        for j in range(len(d))]
+                                       for i, x in enumerate(d)]}
+
+
+def _verify_one(run_cli, tmp_path, name, params):
+    """(exit code, stderr, report) of `latbounds verify` on one entry."""
+    man = _write_manifest(tmp_path / "m.json",
+                          {"checks": [{"check_name": name, "params": params}],
+                           "output": "r.json"})
+    code, _, err = run_cli("verify", man)
+    report = tmp_path / "r.json"
+    return code, err, json.loads(report.read_text()) if code == 0 else None
+
+
+def test_tiny_tail_past_the_floats_is_certified(run_cli, tmp_path):
+    # beta |c|^2 and beta (S - reach)^2 both leave the floats here: the tail
+    # is taken in logs, and beta (w0 - E|c|^2) tells the two apart, so the
+    # sum certifies instead of calling its tail unreachable
+    coarse = _diag(1e150, 2e150)
+    code, _, report = _verify_one(run_cli, tmp_path, "theta", {
+        "family": "gaussian", "t": 1e-5, "tol": 1e-9, "lattice": coarse})
+    assert code == 0
+    (rec,) = report["records"]
+    assert rec["partial"] == 1.0 and rec["remainder_bound"] == 0.0
+    # psf's dual side, t L*, is too fine to count: a usage error, not an
+    # unreachable tail
+    code, err, _ = _verify_one(run_cli, tmp_path, "psf", {
+        "family": "gaussian", "t": 1e-5, "tol": 1e-9, "max_residual": 1.0,
+        "lattice": coarse})
+    assert code == 3 and "2^52" in err
+    # here the ball of radius reach holds ~1e10 points along the short
+    # axis: the node budget stops it (exit 4), past the tail presolve
+    code, err, _ = _verify_one(run_cli, tmp_path, "psf", {
+        "family": "gaussian", "t": 1.19e-7, "tol": 1e-9, "max_residual": 1.0,
+        "v": [1.0, 0.5], "lattice": _diag(2.36e139, 1e150)})
+    assert code == 4 and "budget" in err and "tail presolve" not in err
+
+
+@pytest.mark.parametrize("params", [
+    {"family": "gaussian", "radius": 1e300},
+    {"family": "supergaussian", "p": 1.5, "tscale": 1e300},
+])
+def test_out_of_range_body_names_its_radius(run_cli, tmp_path, params):
+    code, err, _ = _verify_one(run_cli, tmp_path, "tail_inequality", {
+        **params, "lattice": {"kind": "integer", "dim": 2}})
+    assert code == 3
+    lines = err.splitlines()
+    assert len(lines) == 1 and "radius" in lines[0]
+    assert "out of range" in lines[0] and "Numerical result" not in lines[0]
+
+
 def test_far_shift_is_refused(run_cli, z2):
     # floats near 1e17 are 16 apart: the coefficients cannot be counted
     code, _, err = run_cli("theta", z2, "--family", "gaussian",

@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from latbounds.bounds import NuBound, cosh_nu_bound
@@ -35,11 +35,16 @@ D4 = Lattice(np.array([[1.0, -1.0, 0.0, 0.0],
 
 
 def test_theta_z1_frozen():
-    cs = certified_sum(integer_lattice(1), FnSpec("gaussian", 1),
-                       np.zeros(1), 1.0, 1e-9)
+    L, spec = integer_lattice(1), FnSpec("gaussian", 1)
+    # a tolerance of 1e-12 pins the partial sum to 1e-12
+    cs = certified_sum(L, spec, np.zeros(1), 1.0, 1e-12)
     assert abs(cs.partial - THETA_Z1) < 1e-12
-    assert 0 < cs.remainder_bound < 1e-9 * cs.partial
+    assert 0 < cs.remainder_bound < 1e-12 * cs.partial
     assert cs.npoints == 7
+    # at 1e-9 the partial may sit up to 1e-9 below, but the interval holds
+    loose = certified_sum(L, spec, np.zeros(1), 1.0, 1e-9)
+    assert 0 < loose.remainder_bound < 1e-9 * loose.partial
+    assert loose.lower <= THETA_Z1 <= loose.upper
 
 
 def test_theta_z2_is_square():
@@ -109,12 +114,12 @@ def test_large_sum_meets_its_tolerance():
 
 
 def test_l1_sum_searches_its_l1_ball_not_the_l2_ball():
-    # the l^1 ball of this sum holds 327,012 points and the l^2 ball of the
+    # the l^1 ball of this sum holds 201,376 points and the l^2 ball of the
     # same radius 20 times as many, so a node budget of twice the points
     # passes only when the search cuts each level to the l^1 ball
     cs = certified_sum(integer_lattice(5), FnSpec("sech_product", 5),
-                       np.full(5, 0.3), 1.0, 1e-9, node_budget=2 * 327_012)
-    assert cs.npoints == 327_012
+                       np.full(5, 0.3), 1.0, 1e-9, node_budget=2 * 201_376)
+    assert cs.npoints == 201_376
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -191,6 +196,83 @@ def test_gram_schmidt_box_shortens_zn_truncation():
     assert cs.npoints <= 25_000
     assert cs.truncation_radius <= 5.3
     assert cs.remainder_bound <= 1e-9 * cs.partial
+
+
+def test_z8_gaussian_pays_the_reach_once():
+    # Jensen over the Gram-Schmidt box: 1.05 M points, where paying the
+    # reach twice took 8.57 M; the interval holds the 30-digit product of
+    # 1-D theta series, sum_k e^{-pi (k + x)^2} = theta_3(pi x, e^{-pi})
+    cs = certified_sum(integer_lattice(8), FnSpec("gaussian", 8),
+                       np.full(8, 0.3), 1.0, 1e-9)
+    assert cs.npoints <= 1_200_000
+    assert cs.remainder_bound <= 1e-9 * cs.partial
+    with mpmath.workdps(30):
+        exact = mpmath.jtheta(3, mpmath.pi * mpmath.mpf("0.3"),
+                              mpmath.exp(-mpmath.pi)) ** 8
+    room = _ROOM * (1 + abs(float(mpmath.log(exact))))
+    assert _contains(cs.interval(), exact, room)
+
+
+def test_truncation_radius_past_1e154_stays_finite():
+    # the bisection's mid = sqrt(lo) sqrt(hi): lo * hi leaves the floats
+    # once S passes 1.3e154, as it does for this l^0.05 envelope
+    env = verify._envelope_for(FnSpec("supergaussian", 1, p=0.05))
+    S, tail = verify._truncated(Lattice([[4.32e148]]), env,
+                                env.beta / 0.5 ** 0.05, lambda _: 0.0)
+    assert 1.3e154 < S < math.inf
+    assert 0 <= tail <= 1.0
+    # and the bisection ran: 3% less radius misses the target
+    cell = verify._cell_bounds(np.array([[4.32e148]]), 0.05)
+    assert verify._log_tail(1, 4.32e148, env, env.beta / 0.5 ** 0.05, cell,
+                            S / 1.03) > 0.0
+
+
+# beta per q and n, as (low, high): wide envelopes, where the bound is
+# nearly tight (the exact tail reaches 0.986 of it for exp_l1 on Z^1), only
+# in 1-D, so that the brute-force balls stay small
+_TAIL_BETA = {(0.5, 1): (0.05, 12.0), (1.0, 1): (0.05, 6.0),
+              (2.0, 1): (0.05, 6.0), (0.5, 2): (4.0, 12.0),
+              (1.0, 2): (1.5, 6.0), (2.0, 2): (0.5, 6.0),
+              (0.5, 3): (4.0, 12.0), (1.0, 3): (1.5, 6.0),
+              (2.0, 3): (0.5, 6.0)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 3), q=st.sampled_from([0.5, 1.0, 2.0]),
+       seed=st.integers(0, 10_000), real=st.booleans(),
+       loga=st.sampled_from([0.0, math.log(2.0)]),
+       frac_beta=st.floats(0.0, 1.0), frac_s=st.floats(0.0, 1.0))
+def test_log_tail_bounds_the_brute_force_tail(n, q, seed, real, loga,
+                                              frac_beta, frac_s):
+    # the exact envelope mass past S, summed over the ball out to where a
+    # further e^{-25} of the envelope's decay remains, never exceeds the
+    # certified bound; S runs from where the bound is first finite to
+    # where it is 1e-12
+    rng = np.random.default_rng(seed)
+    if real:
+        B = rng.uniform(-2.0, 2.0, (n, n))
+        assume(abs(np.linalg.det(B)) > 0.3)
+        L = Lattice(B)
+    else:
+        L = integer_lattice(n)
+    lo, hi = _TAIL_BETA[q, n]
+    beta = lo * (hi / lo) ** frac_beta
+    env = verify._Envelope(loga, beta, q)
+    cell = verify._cell_bounds(lll_reduce(L).basis, q)
+    bound = lambda S: verify._log_tail(n, L.covolume, env, beta, cell, S)
+    reach_q = cell[0] if q <= 1 else cell[0] ** q
+    s_min = reach_q ** (1 / q) * (1 + 1e-6)
+    assume(bound(s_min) < math.inf)
+    s_max = s_min
+    while bound(s_max) > math.log(1e-12):
+        s_max *= 1.1
+    S = s_min + frac_s * (s_max - s_min)
+    R = (S ** q + 25.0 / beta) ** (1 / q)
+    v = rng.uniform(-0.5, 0.5, n) @ L.basis
+    _, emb = enumerate_arrays(L, v, R, q)
+    size = lp_norm(emb + v, q)
+    mass = math.fsum(np.exp(n * loga - beta * size[size >= S] ** q))
+    assert mass <= math.exp(bound(S)), (mass, math.exp(bound(S)))
 
 
 # a = n/q of the tails: gaussians (q = 2) on Z^1 to Z^8, and l^1, l^1.5,
