@@ -346,14 +346,15 @@ def _cell_bounds(reduced_basis, q):
                 2.0 ** -q * float(np.sum(np.abs(B) ** q)) / (1 + q))
         box = (n ** (1 - q / 2) * box2 ** (q / 2),
                n ** (1 - q / 2) * (gs2 / 12) ** (q / 2))
-    else:
+    elif q == 2.0:
         para = (float(0.5 * np.sum(norms)), float(np.sum(B * B)) / 12)
-        box = (max(1.0, n ** (1 / q - 0.5)) * math.sqrt(box2), gs2 / 12)
-    reach, moment = min(para, box)
-    if q <= 1.0 or q == 2.0:
-        moment = math.nextafter(moment * (1 + 2 * (n * n + 8) * _U), math.inf)
+        box = (math.sqrt(box2), gs2 / 12)
     else:
-        moment = None
+        reach = min(float(0.5 * np.sum(norms)),
+                    max(1.0, n ** (1 / q - 0.5)) * math.sqrt(box2))
+        return math.nextafter(reach, math.inf), None
+    reach, moment = min(para, box)
+    moment = math.nextafter(moment * (1 + 2 * (n * n + 8) * _U), math.inf)
     return math.nextafter(reach, math.inf), moment
 
 

@@ -39,9 +39,8 @@ import numpy as np
 from .bounds import (NuBound, cosh_nu_bound, cstar, gaussian_nu_closed_form,
                      handshake_bound, mu_norm, supergaussian_mu_closed_form,
                      transference_bound_l1, transference_bound_l2)
-# _cell_shape is imported for the tests that read it from this module
 from .enumeration import (_U, DEFAULT_GRID_BUDGET, DEFAULT_NODE_BUDGET,
-                          BodySpec, _cell_bounds, _cell_shape, ball_blocks,
+                          BodySpec, _cell_bounds, ball_blocks,
                           covering_radius_estimate, enumerate_arrays,
                           shortest_vector, transport_bracket)
 from .errors import (BudgetExceededError, InvariantError,
@@ -207,7 +206,11 @@ def _log_tail(n, covol, env, beta_eff, cell, S):
     operation, taken to the float below (_down); S^q (a pow, within one
     ulp) is shrunk by 8u before reach is subtracted, which keeps the
     difference's rounding below the exact difference; s0^q and beta s0^q
-    are shrunk by 8u.  Gamma(a, .) decreases, so a smaller argument only
+    are shrunk by 8u.  Where s0^q leaves the floats, beta s0^q is
+    exp(log beta + q log s0): the exponent is off by at most 4u M, M =
+    |log beta| + q |log s0|, and exp by one ulp, so it is shrunk by
+    8u (M + 1); where that too leaves the floats, the argument exceeds the
+    largest float and the bound is -inf (``_log_upper_gamma``).  Gamma(a, .) decreases, so a smaller argument only
     raises the bound.  base's six terms are each within 4u of their sizes
     (lgamma and log within one ulp, up to two products or sums, log 2 + an
     lgamma of at least -0.13 cancelling by at most 1.4x), fsum adds u of
@@ -241,10 +244,15 @@ def _log_tail(n, covol, env, beta_eff, cell, S):
         return math.inf
     try:
         x = beta_eff * s0 ** q * (1 - 8 * _U)
-    except OverflowError:  # past the floats; logs carry it
-        x = math.inf
+    except OverflowError:  # s0^q leaves the floats; beta s0^q may not
+        logs = (log_beta, q * math.log(s0))
+        size = sum(map(abs, logs)) + 1
+        try:
+            x = _down(math.exp(sum(logs)) * (1 - 8 * _U * size))
+        except OverflowError:  # so does beta s0^q: the drop is +inf
+            x = math.inf
     return (base + (n - 1) * math.log1p(reach / s0)
-            + _log_upper_gamma(a, x, (log_beta, q * math.log(s0))))
+            + _log_upper_gamma(a, x))
 
 
 def _ball_sums(L, v, r, p, node_budget, terms):

@@ -149,16 +149,24 @@ def _q_size(x, q):
 
 
 def _cell_reaches(basis, q, rng):
-    """Largest _q_size over the Gram-Schmidt box and over the
-    parallelepiped of the basis: at the vertices, and for q < 1, where
-    sum |x_i|^q is not convex, at random interior points too."""
+    """(largest _q_size, mean, its standard error) over the Gram-Schmidt
+    box and over the parallelepiped of the basis.  The largest is taken at
+    the vertices, and for q < 1, where sum |x_i|^q is not convex, at random
+    interior points too; the mean is that of sum |x_i|^q, ||x||^2 at q = 2,
+    over 20,000 uniform points of the cell."""
     n = basis.shape[0]
     coeffs = np.array(list(itertools.product([-0.5, 0.5], repeat=n)))
+    uniform = rng.uniform(-0.5, 0.5, (20_000, n))
     if q < 1:
-        coeffs = np.vstack([coeffs, rng.uniform(-0.5, 0.5, (200, n))])
+        coeffs = np.vstack([coeffs, uniform[:200]])
     _, _, ortho = _gso(basis)
-    return (float(np.max(_q_size(coeffs @ ortho, q))),
-            float(np.max(_q_size(coeffs @ basis, q))))
+    cells = []
+    for rows in (ortho, basis):
+        size = np.sum(np.abs(uniform @ rows) ** q, axis=1)
+        cells.append((float(np.max(_q_size(coeffs @ rows, q))),
+                      float(size.mean()),
+                      float(size.std()) / math.sqrt(len(size))))
+    return cells
 
 
 @given(n=st.integers(1, 5), q=st.sampled_from([0.5, 1.0, 1.5, 2.0]),
@@ -172,8 +180,10 @@ def test_cell_reach_holds_a_tiling_cell(n, q, seed, real):
     else:
         L = random_unimodular_lattice(n, seed)
     R = lll_reduce(L).basis
-    reach = verify._cell_shape(R, q)
-    box, para = _cell_reaches(R, q, rng)
+    reach, moment = enumeration._cell_bounds(R, q)
+    assert reach == enumeration._cell_shape(R, q)
+    cells = _cell_reaches(R, q, rng)
+    (box, _, _), (para, _, _) = cells
     norms = lp_norm(R, q)
     para_bound = (float(np.sum((0.5 * norms) ** q)) if q <= 1
                   else float(0.5 * np.sum(norms)))
@@ -186,6 +196,14 @@ def test_cell_reach_holds_a_tiling_cell(n, q, seed, real):
     assert (box if reach < para_bound else para) <= reach
     if q == 2:
         assert box <= reach
+    if q == 1.5:
+        assert moment is None
+    else:
+        # the tail needs one cell that holds both: within reach, and its
+        # mean ||c||^2 (q = 2) or ||c||_q^q (q <= 1) at most moment, here
+        # sampled, to within six standard errors
+        assert any(top <= reach and mean - 6 * se <= moment
+                   for top, mean, se in cells)
 
 
 def test_gram_schmidt_box_shortens_zn_truncation():
@@ -225,6 +243,28 @@ def test_truncation_radius_past_1e154_stays_finite():
     cell = verify._cell_bounds(np.array([[4.32e148]]), 0.05)
     assert verify._log_tail(1, 4.32e148, env, env.beta / 0.5 ** 0.05, cell,
                             S / 1.03) > 0.0
+
+
+def test_tail_past_the_floats_keeps_its_bound():
+    # 1 < q < 2 pays the reach twice: past S ~ 1.3e154, s0^q leaves the
+    # floats, but beta s0^q, with beta ~ 1.4e-308, does not; the bound then
+    # takes it from log beta + q log s0, and stays above the exact tail
+    env = verify._envelope_for(FnSpec("supergaussian", 1, p=1.99))
+    beta = env.beta / 5e154 ** 1.99
+    L = Lattice([[1.3e154]])
+    cell = verify._cell_bounds(L.basis, env.q)
+    size = np.abs(np.arange(-60, 61) * 0.26)  # |k b| / t; e^{-230} past 60
+    for S in (9.2e154, 1.2e155, 1.6e155):
+        assert env.q * math.log(S - 2 * cell[0]) > math.log(1.7e308)
+        bound = verify._log_tail(1, 1.3e154, env, beta, cell, S)
+        mass = math.fsum(np.exp(-size[size >= S / 5e154] ** 1.99))
+        assert mass > 0 and mass <= math.exp(bound), (S, mass, bound)
+    # where beta s0^q leaves the floats too, the tail is below every float
+    assert verify._log_tail(1, 1.3e154, env, 1.0, cell, 1e160) == -math.inf
+    # the presolve's radius holds the 1e-9 tail the sum needs
+    S, tail = verify._truncated(L, env, beta, lambda _: math.log(1e-9))
+    mass = math.fsum(np.exp(-size[size >= S / 5e154] ** 1.99))
+    assert mass <= tail <= 1e-9
 
 
 # beta per q and n, as (low, high): wide envelopes, where the bound is
