@@ -47,4 +47,4 @@ for t in (1.0, 1.25, 2.0):
     v = rng.uniform(-0.5, 0.5, 2)
     cs = certified_sum(Z2, g2, v, t, 1e-9)
     print(f"t = {t:.2f}, v = ({v[0]:+.3f}, {v[1]:+.3f}): "
-          f"{cs.upper:.9f} <= {t**2 * base.partial:.9f}")
+          f"{cs.interval().hi:.9f} <= {t**2 * base.partial:.9f}")

@@ -13,10 +13,10 @@ The package has three layers:
   remainder intervals and PASS / FAIL / INCONCLUSIVE verdicts, and
   :mod:`.cli` drives it from manifests.
 
-Every reported verdict is backed by interval arithmetic: sums carry
-rigorous truncation remainders and comparisons are made pessimistically,
-so a PASS never rests on an uncertified digit — except for psf, whose
-residual still compares the point estimates of its two certified sums.
+Every verdict rests on one interval rule, ``verify.Interval``, whose +, -
+and * round each end one ulp outward: sums carry rigorous remainders and
+comparisons are pessimistic, so a PASS never rests on an uncertified digit
+— except for psf, which compares its two certified sums' point estimates.
 """
 
 from .bounds import (L1TransferenceBound, NuBound, cosh_nu_bound, cstar,

@@ -27,7 +27,7 @@ diameter, the largest ||s @ B||_p over sign rows s (sqrt(n) on Z^n at p = 2,
 not the triangle bound n).
 The nearest lattice points of all centres are drawn from one candidate
 ball around the cell's centroid, of radius half the diameter plus a proven
-bound on the covering radius, the reach of a tiling cell (``_cell_shape``).
+bound on the covering radius, the reach of a tiling cell (``_cell_bounds``).
 """
 
 from __future__ import annotations
@@ -169,7 +169,8 @@ def _enum_coeffs(basis, shift, r, p, node_budget):
             limit = rem * (1 + 1e-9) + 1e-300
             def fits(c):
                 y = c + shift[0] + s[:, 0]
-                return D[0] * y * y <= limit
+                with np.errstate(over="ignore"):  # inf fits only an inf limit
+                    return D[0] * y * y <= limit
             while True:  # step each end inward past the integers that miss
                 bad_lo = (lo <= hi) & ~fits(lo)
                 bad_hi = (hi > lo) & ~fits(hi)
@@ -295,12 +296,6 @@ def transport_bracket(lo, hi, eps):
     return lo / (1 + eps) * (1 - _OUTWARD), hi / (1 - eps) * (1 + _OUTWARD)
 
 
-def _cell_shape(reduced_basis, q):
-    """Bound on the l^q reach of a centred cell that tiles space by lattice
-    translates; see ``_cell_bounds``."""
-    return _cell_bounds(reduced_basis, q)[0]
-
-
 def _cell_bounds(reduced_basis, q):
     """(reach, moment) of a centred cell P that tiles space by lattice
     translates, the one of two such cells whose bound on the reach is the
@@ -398,7 +393,7 @@ def covering_radius_estimate(L: Lattice, p: float = 2, resolution: int = 64,
     Each centre's nearest lattice point is sought among the candidates in
     the ball of radius diam/2 + reach around the centroid: the centre lies
     within diam/2 of the centroid, and its nearest point within reach of
-    it, where reach (``_cell_shape``) bounds the covering radius from above.
+    it, where reach (``_cell_bounds``) bounds the covering radius from above.
 
     grid_budget caps the number of centres evaluated; past it the search
     raises BudgetExceededError.  The bracket is for the lattice spanned
@@ -418,7 +413,7 @@ def covering_radius_estimate(L: Lattice, p: float = 2, resolution: int = 64,
     d_cell = float(lp_norm(B, p).sum())  # triangle bound on the diameter
     children = np.indices((2,) * n).reshape(n, -1).T - 0.5
     diam = _cell_diameter(children @ B, p, d_cell)
-    reach = _cell_shape(B, p)  # every point is within reach of the lattice
+    reach = _cell_bounds(B, p)[0]  # every point is within reach of the lattice
     centroid = 0.5 * B.sum(axis=0)
     # Every point of the cell is within diam/2 of the centroid, and its
     # nearest lattice point is within reach of it, so a ball of radius

@@ -12,8 +12,9 @@ is smaller.  For the l^2 and l^q (q <= 1) envelopes, Jensen's inequality
 over the cell sets each term against the envelope's mean on its cell, so
 the radius pays the reach once and the cell's moment enters as a constant
 factor; for 1 < q < 2 the radius pays the reach twice.  Inequality checks
-compare such intervals pessimistically and return PASS / FAIL /
-INCONCLUSIVE; an interval straddling the boundary is never coerced.
+build their intervals with one rule, ``Interval``, whose +, - and * round
+each end one ulp outward, compare them pessimistically and return PASS /
+FAIL / INCONCLUSIVE; an interval straddling the boundary is never coerced.
 
 Sums of fhat over the dual lattice (part 3) are taken on the primal side by
 Poisson summation, as covol(L) times a cos-weighted sum of f over L; their
@@ -31,7 +32,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -46,8 +46,8 @@ from .enumeration import (_U, DEFAULT_GRID_BUDGET, DEFAULT_NODE_BUDGET,
 from .errors import (BudgetExceededError, InvariantError,
                      ToleranceUnreachedError)
 from .functions import _2PI_OVER_SQRT3, TestFunctionSpec, fhat_route, log_f
-from .lattice import (Lattice, _float_above, distortion_bound, dual,
-                      lll_reduce, rational, rational_matmul)
+from .lattice import (Lattice, distortion_bound, dual, lll_reduce, rational,
+                      rational_matmul)
 from .transform import _asymptotic, fourier_1d, transform_tail_coefficient
 
 PASS = "PASS"
@@ -58,11 +58,58 @@ _SAFETY = 1e-10  # relative headroom folded into analytic remainders
 _R_TAIL = 96.0   # fractional-p psf: fhat_p's power-law tail from here
 
 
+def _down(x):
+    """The float below x: at most x exact, for x one correctly rounded
+    operation away from it."""
+    return math.nextafter(x, -math.inf)
+
+
+def _up(x):
+    """The float above x: at least x exact, as for ``_down``."""
+    return math.nextafter(x, math.inf)
+
+
+def _ends(x):
+    return (x.lo, x.hi) if isinstance(x, Interval) else (float(x), float(x))
+
+
+class Interval(NamedTuple):
+    """The closed interval [lo, hi], the one rounding rule of every check.
+
+    +, - and * with another Interval or with a number taken as exact (on
+    either side of + and *) round each end one ulp outward (``_down``,
+    ``_up``): after one correctly rounded IEEE operation, underflow and
+    overflow included, the exact end lies within one ulp of the computed
+    one.  As a NamedTuple it unpacks as (lo, hi) and equals that tuple, but
+    its + and * are overridden, and numpy scalars defer to them: they are
+    interval arithmetic, not tuple concatenation or repetition.
+    """
+
+    lo: float
+    hi: float
+    __array_ufunc__ = None
+
+    def __add__(self, other):
+        lo, hi = _ends(other)
+        return Interval(_down(self.lo + lo), _up(self.hi + hi))
+
+    def __sub__(self, other):
+        lo, hi = _ends(other)
+        return Interval(_down(self.lo - hi), _up(self.hi - lo))
+
+    def __mul__(self, other):
+        lo, hi = _ends(other)
+        ends = (self.lo * lo, self.lo * hi, self.hi * lo, self.hi * hi)
+        return Interval(_down(min(ends)), _up(max(ends)))
+
+    __radd__, __rmul__ = __add__, __mul__
+
+
 @dataclass(frozen=True)
 class CertifiedSum:
     """A truncated lattice sum with a certified bound on the omitted tail.
 
-    The true sum lies in [partial, partial + remainder_bound].
+    The true sum lies in [partial, partial + remainder_bound] (interval()).
     truncation_radius is measured on (lambda + v)/t in the family's norm.
     """
 
@@ -71,16 +118,8 @@ class CertifiedSum:
     truncation_radius: float
     npoints: int = 0
 
-    @property
-    def lower(self):
-        return self.partial
-
-    @property
-    def upper(self):
-        return self.partial + self.remainder_bound
-
     def interval(self):
-        return (self.partial, self.partial + self.remainder_bound)
+        return Interval(self.partial, _up(self.partial + self.remainder_bound))
 
 
 class _Envelope(NamedTuple):
@@ -158,12 +197,6 @@ def _log_upper_gamma(a, x, logs=None, drop=None):
     value = (a - 1) * log_x - drop + log_s
     return value + 8 * _U * (abs(drop) + abs(a - 1) * logs_size + log_s
                              + n_parts)
-
-
-def _down(x):
-    """The float below x: at most x exact, for x one correctly rounded
-    operation away from it."""
-    return math.nextafter(x, -math.inf)
 
 
 def _log_tail(n, covol, env, beta_eff, cell, S):
@@ -289,8 +322,10 @@ def _truncated(L, env, beta_eff, log_target):
             break
         S *= 1.4
     else:
+        why = ("" if target > -math.inf else ": every term near the shift "
+               "underflows to 0 in floats: no relative tolerance can be met")
         raise ToleranceUnreachedError(math.exp(min(target, 700.0)), math.inf,
-                                      where="tail presolve")
+                                      where="tail presolve" + why)
     lo, hi = S / 1.4, S
     while hi / lo > 1.02:
         mid = math.sqrt(lo) * math.sqrt(hi)  # lo * hi may leave the floats
@@ -377,7 +412,7 @@ def psf_product_diagonal(L, spec):
 
 
 def _sum1d_rational(a, theta):
-    """(sum_k 2/(1 + 4 pi^2 a^2 k^2) cos(2 pi theta k), certified error).
+    """An Interval holding sum_k 2/(1 + 4 pi^2 a^2 k^2) cos(2 pi theta k).
 
     By Poisson summation the series is (1/a) sum_m e^{-|m + x|/a}, x = theta
     mod 1, two geometric series (Gradshteyn-Ryzhik 1.445) with the closed
@@ -391,11 +426,12 @@ def _sum1d_rational(a, theta):
     x = theta - math.floor(theta)
     den = -a * math.expm1(-1.0 / a)
     value = (math.exp(-x / a) + math.exp(-(1.0 - x) / a)) / den
-    return value, 10.0 * (1.0 + 1.0 / a) * _U * value + 2 * math.ulp(0.0) / den
+    err = 10.0 * (1.0 + 1.0 / a) * _U * value + 2 * math.ulp(0.0) / den
+    return value + Interval(-err, err)
 
 
 def _sum1d_fractional(p, a, theta):
-    """(sum_k fhat_p(a k) cos(2 pi theta k), error) for fractional p.
+    """An Interval holding sum_k fhat_p(a k) cos(2 pi theta k), fractional p.
 
     fourier_1d evaluates fhat_p at the exact points a k, |k| <= K = ceil(R/a)
     + 1, R = _R_TAIL; fhat_p is even, so k >= 0 are summed, k > 0 twice.
@@ -422,39 +458,24 @@ def _sum1d_fractional(p, a, theta):
     rounding = _U * float(np.sum(w * (top * (3 + 20 * x * k) + top[0])))
     C = abs(transform_tail_coefficient(p))
     tail = 4.0 * C * a ** (-p - 1) * K ** (-p) / p
-    return partial, (float(np.sum(w * err * np.abs(cos))) + rounding
-                     + tail) * (1 + _SAFETY)
-
-
-def _product_interval(parts):
-    """(prod of values, certified error) from per-factor (value, err) pairs."""
-    value = 1.0
-    for val, _, in parts:
-        value *= val
-    err = 0.0
-    for j, (_, rj) in enumerate(parts):
-        other = 1.0
-        for i, (vi, ri) in enumerate(parts):
-            if i != j:
-                other *= abs(vi) + ri
-        err += rj * other
-    return value, err
+    err = (float(np.sum(w * err * np.abs(cos))) + rounding + tail) * (
+        1 + _SAFETY)
+    return partial + Interval(-err, err)
 
 
 def _product_fhat_sum(diag, spec, t, theta, tol_abs):
-    """(value, error) of sum_k prod_j fhat_1d(t d_j k_j)
+    """An Interval holding sum_k prod_j fhat_1d(t d_j k_j)
     cos(2 pi theta_j k_j) over Z^n, one 1-D series per coordinate, each
     evaluated once; raises ToleranceUnreachedError when the product's
-    error exceeds tol_abs, as a fractional-p factor's tail can make it.
+    half-width exceeds tol_abs, as a fractional-p factor's tail can make it.
     spec takes a product route: exp_l1's closed form, or fractional p."""
     one_d = (_sum1d_rational if fhat_route(spec) == "rational_product"
              else functools.partial(_sum1d_fractional, spec.p))
-    value, err = _product_interval([one_d(t * d, th)
-                                    for d, th in zip(diag, theta)])
-    if err > tol_abs:
-        raise ToleranceUnreachedError(tol_abs, err,
+    lo, hi = math.prod(one_d(t * d, th) for d, th in zip(diag, theta))
+    if (hi - lo) / 2 > tol_abs:
+        raise ToleranceUnreachedError(tol_abs, (hi - lo) / 2,
                                       where=f"{spec.label} dual product")
-    return value, err
+    return Interval(lo, hi)
 
 
 def dual_fhat_sum(L: Lattice, spec: TestFunctionSpec, v, target_tol: float,
@@ -468,9 +489,8 @@ def dual_fhat_sum(L: Lattice, spec: TestFunctionSpec, v, target_tol: float,
     truncated where certified_sum(L, spec, 0, 1, target_tol) truncates, so
     target_tol is relative to the unshifted sum, and its tail is at most
     that sum's tail bound, since |cos| <= 1.  The terms are signed, so the
-    interval [covol (partial - rem), covol (partial + rem)] is symmetric,
-    rounded outward, and the sin part of the phase must cancel over the
-    symmetric point set.
+    interval covol [partial - rem, partial + rem] is symmetric, and the sin
+    part of the phase must cancel over the symmetric point set.
     """
     v = np.asarray(v, dtype=float)
     if not np.all(np.isfinite(v)):
@@ -490,20 +510,9 @@ def dual_fhat_sum(L: Lattice, spec: TestFunctionSpec, v, target_tol: float,
     if not abs(sin_part) <= 1e-12 * max(1.0, abs(partial)):
         raise InvariantError(
             "sin pairing failed to cancel over the symmetric point set")
-    lo, width = _scaled_outward(L.covolume, partial, tail)
-    return CertifiedSum(partial=lo, remainder_bound=width,
+    lo, hi = L.covolume * (partial + Interval(-tail, tail))
+    return CertifiedSum(partial=lo, remainder_bound=_up(hi - lo),
                         truncation_radius=S, npoints=npoints)
-
-
-def _scaled_outward(c, partial, rem):
-    """(lo, width) in floats with [lo, lo + width] holding the exact
-    c [partial - rem, partial + rem]: both ends are rounded outward in
-    exact arithmetic, and the width up, so lo + width rounds to at least
-    the upper end."""
-    c, p, r = Fraction(c), Fraction(partial), Fraction(rem)
-    lo = -_float_above(c * (r - p))
-    hi = _float_above(c * (p + r))
-    return lo, _float_above(Fraction(hi) - Fraction(lo))
 
 
 def psf_residual(L: Lattice, spec: TestFunctionSpec, v, t: float,
@@ -521,8 +530,8 @@ def psf_residual(L: Lattice, spec: TestFunctionSpec, v, t: float,
     fractional p sum a diagonal dual as a product of 1-D series, exp_l1's in
     closed form and fractional p's from fhat_p at the exact points, with a
     power-law tail past r = 96 as the error's floor.
-    The residual compares point estimates: lhs.partial against the right's
-    midpoint or product value.
+    The residual compares point estimates: lhs.partial against the midpoint
+    of the right side's interval.
     """
     v = np.asarray(v, dtype=float)
     diag = psf_product_diagonal(L, spec)
@@ -537,14 +546,14 @@ def psf_residual(L: Lattice, spec: TestFunctionSpec, v, t: float,
         M = Lattice(s * dual(L).basis)
         # dual_fhat_sum's error is covol(M) g(0) target_tol
         target_tol = budget / (M.covolume * math.exp(log_f(g, np.zeros(n))))
-        rhs_sum = dual_fhat_sum(M, g, v / s, target_tol, node_budget)
-        rhs = 0.5 * (rhs_sum.lower + rhs_sum.upper)
+        rhs_iv = dual_fhat_sum(M, g, v / s, target_tol, node_budget).interval()
     else:
         factor = _in_range(t, lambda: t ** n / L.covolume)
         # cos(2 pi mu . v) factorizes over the coordinates of a diagonal dual
         theta = diag * v
-        dsum, _ = _product_fhat_sum(diag, spec, t, theta, budget / factor)
-        rhs = factor * dsum
+        rhs_iv = factor * _product_fhat_sum(diag, spec, t, theta,
+                                            budget / factor)
+    rhs = 0.5 * (rhs_iv.lo + rhs_iv.hi)
     _in_range(t, lambda: abs(rhs))  # a positive sum: 0 if it underflowed
     return abs(lhs.partial - rhs) / abs(rhs)
 
@@ -554,7 +563,7 @@ def psf_residual(L: Lattice, spec: TestFunctionSpec, v, t: float,
 
 
 def _verdict(lhs_iv, rhs_iv):
-    """(margin, verdict) for the claim lhs <= rhs, each side an interval.
+    """(margin, verdict) for the claim lhs <= rhs, each a (lo, hi) pair.
 
     PASS needs the whole of lhs at or below the whole of rhs, FAIL the whole
     of lhs above the whole of rhs; overlapping intervals are INCONCLUSIVE.
@@ -575,7 +584,7 @@ def _record(check, lattice_id, params, verdict, **results):
 
 
 def _compared(lhs_iv, rhs_iv, margin):
-    """The results of an interval comparison, as record fields."""
+    """The results of comparing two (lo, hi) pairs, as record fields."""
     return {"lhs_interval": [float(lhs_iv[0]), float(lhs_iv[1])],
             "rhs_interval": [float(rhs_iv[0]), float(rhs_iv[1])],
             "margin": float(margin)}
@@ -608,8 +617,7 @@ def check_part1(L: Lattice, spec: TestFunctionSpec, v, t: float,
         margin, verdict = _verdict((0.0, 0.0), (0.0, 0.0))
     else:
         base = certified_sum(L, spec, np.zeros(L.dim), 1.0, tol, node_budget)
-        tn = t ** L.dim
-        rhs_iv = (tn * base.partial, tn * base.upper)
+        rhs_iv = math.prod([Interval(t, t)] * L.dim) * base.interval()
         margin, verdict = _verdict(lhs.interval(), rhs_iv)
     return _record("part1", L.name, params, verdict,
                    **_compared(lhs.interval(), rhs_iv, margin))
@@ -669,9 +677,8 @@ def check_tail_inequality(L: Lattice, spec: TestFunctionSpec, K: BodySpec,
                else certified_sum(L, spec, v, 1.0, tol, node_budget))
     (inner,), _ = _ball_sums(L, v, K.radius, K.p, node_budget,
                              lambda emb: (np.exp(log_f(spec, emb + v)),))
-    outside = shifted.partial - inner
-    lhs_iv = (outside, outside + shifted.remainder_bound)
-    rhs_iv = (nu.value * full.lower, nu.value * full.upper)
+    lhs_iv = shifted.interval() - inner
+    rhs_iv = nu.value * full.interval()
     params = _spec_params(spec, body_p=float(K.p), body_radius=float(K.radius),
                           v=[float(x) for x in v], nu=nu.value,
                           nu_method=nu.method, tol=tol)
@@ -702,12 +709,10 @@ def check_part3(L: Lattice, spec: TestFunctionSpec, K: BodySpec, v,
         raise ValueError(
             f"K (l^{K.p:g} ball, radius {K.radius:g}) contains the nonzero "
             f"lattice vector {np.round(witness, 12).tolist()}")
-    coeff = 1.0 - 2.0 * nu.value
     rhs_sum = dual_fhat_sum(L, spec, np.zeros(L.dim), tol, node_budget)
     lhs = (rhs_sum if not np.any(v)
            else dual_fhat_sum(L, spec, v, tol, node_budget))
-    rhs_iv = ((coeff * rhs_sum.lower, coeff * rhs_sum.upper) if coeff >= 0
-              else (coeff * rhs_sum.upper, coeff * rhs_sum.lower))
+    rhs_iv = (1.0 - 2.0 * nu.value) * rhs_sum.interval()
     # the claim is rhs <= lhs
     margin, verdict = _verdict(rhs_iv, lhs.interval())
     params = _spec_params(spec, body_p=float(K.p), body_radius=float(K.radius),
@@ -737,7 +742,7 @@ def handshake_census(L: Lattice, p: float, u: float,
     count = sum(int(np.any(coords != 0, axis=1).sum()) for coords, _ in
                 ball_blocks(L, np.zeros(L.dim), u * sigma, p, node_budget))
     bound = handshake_bound(L.dim, p, u)
-    _, verdict = _verdict((count, count), (bound, bound))
+    _, verdict = _verdict(Interval(count, count), Interval(bound, bound))
     return HandshakeCensus(count=count, bound=bound, verdict=verdict)
 
 
@@ -760,8 +765,7 @@ class TransferenceReport:
                   "sigma": self.sigma, "rho_lower": self.rho_bracket[0],
                   "rho_upper": self.rho_bracket[1]}
         return _record("transference", self.lattice_id, params, self.verdict,
-                       **_compared((self.sigma * self.rho_bracket[0],
-                                    self.product_upper),
+                       **_compared(self.sigma * Interval(*self.rho_bracket),
                                    (self.stated_bound, self.stated_bound),
                                    self.margin))
 
@@ -789,11 +793,11 @@ def transference_check(L: Lattice, p: float, resolution: int = 64,
                                   node_budget=node_budget),
         distortion_bound(M, p))
     bound = transference_bound_l2(n) if p == 2 else transference_bound_l1(n).value
-    product = sigma * rho_hi
-    margin, verdict = _verdict((sigma * rho_lo, product), (bound, bound))
+    product = sigma * Interval(rho_lo, rho_hi)
+    margin, verdict = _verdict(product, Interval(bound, bound))
     return TransferenceReport(sigma=float(sigma),
                               rho_bracket=(float(rho_lo), float(rho_hi)),
-                              product_upper=float(product),
+                              product_upper=float(product.hi),
                               stated_bound=float(bound), margin=float(margin),
                               verdict=verdict, p=float(p),
                               resolution=int(resolution), lattice_id=L.name)

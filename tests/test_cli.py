@@ -400,6 +400,16 @@ def test_tiny_tail_past_the_floats_is_certified(run_cli, tmp_path):
     assert code == 4 and "budget" in err and "tail presolve" not in err
 
 
+def test_underflowing_terms_name_the_underflow(run_cli, tmp_path):
+    # shifted this far, every term near the shift is 0 in floats: no
+    # relative tolerance is reachable, and the message says why
+    code, err, _ = _verify_one(run_cli, tmp_path, "theta", {
+        "family": "gaussian", "t": 1e-5, "v": [3e149, 1e149],
+        "lattice": _diag(1e150, 2e150)})
+    assert code == 4
+    assert "underflows to 0 in floats" in err and "tail presolve" in err
+
+
 @pytest.mark.parametrize("params", [
     {"family": "gaussian", "radius": 1e300},
     {"family": "supergaussian", "p": 1.5, "tscale": 1e300},
@@ -530,7 +540,7 @@ def test_plot_csv_sweep_reads_the_records(tmp_path, monkeypatch, params):
     assert len(rows) == len(radii)
     for row, radius in zip(rows, radii):
         assert row[:4] == ["0", L.name, spec.label, _fmt(radius)]
-        tail = shifted.upper - math.fsum(vals[norms <= radius])
+        tail = shifted.interval().hi - math.fsum(vals[norms <= radius])
         assert abs(float(row[4]) - tail) <= 1e-10 * max(abs(tail), 1e-3)
         try:
             nu = nu_for_body(spec, BodySpec(body.p, float(radius)), L.dim)

@@ -216,6 +216,16 @@ def test_bottom_interval_trimmed_by_the_end_test():
         assert [row for block in blocks for row in block.tolist()] == rows
 
 
+def test_end_test_overflow_is_silent():
+    # the l^2 ball of radius 2e154 squares past the floats: the end test's
+    # D[0] y^2 overflows to inf, which fits the infinite limit, with no
+    # overflow warning; the l^1 cut keeps |k| <= 20000
+    coords, emb = enumerate_arrays(Lattice([[1e150]]), np.zeros(1), 2e154,
+                                   p=1)
+    assert sorted(coords[:, 0].tolist()) == list(range(-20000, 20001))
+    assert float(np.max(np.abs(emb))) == 2e154
+
+
 def test_shortest_vector_zn():
     for n in (1, 2, 4):
         sigma, mins = shortest_vector(integer_lattice(n))
@@ -303,7 +313,7 @@ def test_covering_candidates_and_cube_reach(n, p, seed, real):
     d_cell = float(lp_norm(B, p).sum())
     signs = 2.0 * np.array(list(itertools.product((0, 1), repeat=n))) - 1
     diam = enumeration._cell_diameter(signs / 2 @ B, p, d_cell)
-    reach = enumeration._cell_shape(B, p)
+    reach = enumeration._cell_bounds(B, p)[0]
     assert diam <= d_cell
     # the nearest lattice point of a point of the cell, searched for in the
     # ball of radius d_cell, lies within reach of it, so within diam/2 +

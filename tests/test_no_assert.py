@@ -12,6 +12,10 @@
 * One LLL path: ``lattice.lll_reduce`` is the only code that reaches the
   LLL loop ``_lll``, through the cached ``Lattice._reduction``, so a
   lattice is reduced once however many checks ask for its reduction.
+* One rounding rule: the checks of ``verify`` build their intervals with
+  ``verify.Interval``, whose operators round each end outward, so none of
+  them does bare float arithmetic on an interval end (``psf_residual``'s
+  point estimate aside).
 """
 
 import ast
@@ -93,3 +97,29 @@ def test_only_lll_reduce_reaches_the_lll_loop():
         assert defined, f"lattice.py defines no {name}"
         assert not found, (f"{name} is named outside {owner}: "
                            + ", ".join(found))
+
+
+# the checks whose intervals come only from verify.Interval, and the names
+# of the interval ends they must not do float arithmetic on
+_INTERVAL_CHECKS = ("check_part1", "check_tail_inequality", "check_part3",
+                    "dual_fhat_sum", "transference_check",
+                    "TransferenceReport.record")
+_ENDS = {"partial", "remainder_bound", "lo", "hi"}
+
+
+def test_checks_round_interval_ends_through_interval():
+    tree = ast.parse((PACKAGE / "verify.py").read_text())
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    functions.update({f"{cls.name}.{node.name}": node for cls in tree.body
+                      if isinstance(cls, ast.ClassDef) for node in cls.body
+                      if isinstance(node, ast.FunctionDef)})
+    missing = [name for name in _INTERVAL_CHECKS if name not in functions]
+    assert not missing, "verify.py defines no " + ", ".join(missing)
+    found = [f"{name}:{node.lineno}" for name in _INTERVAL_CHECKS
+             for node in ast.walk(functions[name])
+             if isinstance(node, ast.BinOp)
+             and any(isinstance(side, ast.Attribute) and side.attr in _ENDS
+                     for side in (node.left, node.right))]
+    assert not found, ("float arithmetic on an interval end: "
+                       + ", ".join(found))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import mpmath
@@ -18,10 +19,10 @@ from latbounds.lattice import Lattice, _gso, dual, integer_lattice, \
     lll_reduce, lp_norm, random_unimodular_lattice
 from latbounds.transform import transform_tail_coefficient
 from latbounds.verify import (FAIL, INCONCLUSIVE, PASS, CertifiedSum,
-                              _verdict, certified_sum, check_part1, check_part3,
-                              check_tail_inequality, dual_fhat_sum,
-                              handshake_census, nu_for_body, psf_residual,
-                              transference_check)
+                              Interval, _verdict, certified_sum, check_part1,
+                              check_part3, check_tail_inequality,
+                              dual_fhat_sum, handshake_census, nu_for_body,
+                              psf_residual, transference_check)
 
 THETA_Z1 = 1.086434811213308  # sum of exp(-pi k^2) over Z, frozen
 D4 = Lattice(np.array([[1.0, -1.0, 0.0, 0.0],
@@ -44,7 +45,47 @@ def test_theta_z1_frozen():
     # at 1e-9 the partial may sit up to 1e-9 below, but the interval holds
     loose = certified_sum(L, spec, np.zeros(1), 1.0, 1e-9)
     assert 0 < loose.remainder_bound < 1e-9 * loose.partial
-    assert loose.lower <= THETA_Z1 <= loose.upper
+    lo, hi = loose.interval()
+    assert lo <= THETA_Z1 <= hi
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_BIG = 1.7976931348623157e308  # the largest float
+
+
+def _holds(interval, exact):
+    """Whether the exact rational lies in interval; an infinite end, from
+    an overflow, holds everything on its side."""
+    lo, hi = interval
+    return ((lo == -math.inf or Fraction(lo) <= exact)
+            and (hi == math.inf or exact <= Fraction(hi)))
+
+
+@given(a=_FINITE, b=_FINITE, c=_FINITE, d=_FINITE,
+       scalar=st.sampled_from([None, float, np.float64]))
+@example(a=_BIG, b=_BIG, c=_BIG, d=_BIG, scalar=None)       # sum overflows
+@example(a=-_BIG, b=1e308, c=2.0, d=3.0, scalar=None)       # product overflows
+@example(a=5e-324, b=1e-310, c=0.5, d=3.0, scalar=float)    # subnormals
+@example(a=-1e-200, b=1e-160, c=1e-200, d=1e-150, scalar=None)  # underflow
+@example(a=1.0, b=1.0, c=1.0, d=1.0, scalar=np.float64)     # exact results
+def test_interval_ops_hold_the_exact_result(a, b, c, d, scalar):
+    # +, - and * with an Interval, each way round, or with a float or a
+    # numpy scalar (on either side of + and *): the exact result at every
+    # pair of ends lies in the computed interval, so the whole exact image
+    # does
+    x = Interval(min(a, b), max(a, b))
+    y = Interval(min(c, d), max(c, d)) if scalar is None else scalar(c)
+    y_ends = y if scalar is None else (c,)
+    for op in (operator.add, operator.sub, operator.mul):
+        orders = [(x, y, False)]
+        if scalar is None or op is not operator.sub:
+            orders.append((y, x, True))
+        for left, right, flip in orders:
+            out = op(left, right)
+            assert isinstance(out, Interval) and out.lo <= out.hi
+            for xe, ye in itertools.product(x, y_ends):
+                xe, ye = Fraction(xe), Fraction(ye)
+                assert _holds(out, op(ye, xe) if flip else op(xe, ye))
 
 
 def test_theta_z2_is_square():
@@ -58,8 +99,9 @@ def test_certified_sum_interval():
                        np.zeros(1), 1.0, 1e-9)
     lo, hi = cs.interval()
     assert lo == cs.partial
-    assert hi == cs.partial + cs.remainder_bound
-    assert cs.lower == lo and cs.upper == hi
+    # the upper end holds the exact partial + remainder_bound, one ulp up
+    assert Fraction(hi) >= Fraction(cs.partial) + Fraction(cs.remainder_bound)
+    assert hi == math.nextafter(cs.partial + cs.remainder_bound, math.inf)
 
 
 def test_intervals_nest_with_tolerance():
@@ -67,8 +109,10 @@ def test_intervals_nest_with_tolerance():
     loose = certified_sum(L, spec, np.zeros(2), 1.0, 1e-4)
     tight = certified_sum(L, spec, np.zeros(2), 1.0, 1e-10)
     # same truth inside both intervals, tighter one narrower
-    assert loose.lower - 1e-15 <= tight.upper
-    assert tight.lower <= loose.upper + 1e-15
+    (loose_lo, loose_hi), (tight_lo, tight_hi) = (loose.interval(),
+                                                  tight.interval())
+    assert loose_lo - 1e-15 <= tight_hi
+    assert tight_lo <= loose_hi + 1e-15
     assert tight.remainder_bound < loose.remainder_bound
 
 
@@ -181,7 +225,6 @@ def test_cell_reach_holds_a_tiling_cell(n, q, seed, real):
         L = random_unimodular_lattice(n, seed)
     R = lll_reduce(L).basis
     reach, moment = enumeration._cell_bounds(R, q)
-    assert reach == enumeration._cell_shape(R, q)
     cells = _cell_reaches(R, q, rng)
     (box, _, _), (para, _, _) = cells
     norms = lp_norm(R, q)
@@ -439,14 +482,14 @@ def _poisson_dual_1d(p, a, theta):
 @pytest.mark.parametrize("a", [0.5, 1.0, 1.5])
 @pytest.mark.parametrize("theta", [0.0, 0.3])
 def test_sum1d_fractional_contains_poisson_dual(p, a, theta):
-    value, err = verify._sum1d_fractional(p, a, theta)
+    lo, hi = verify._sum1d_fractional(p, a, theta)
     exact = _poisson_dual_1d(p, a, theta)
     with mpmath.workdps(30):
-        assert value - err <= exact <= value + err
+        assert lo <= exact <= hi
     # the exact points leave the tail past r = 96 as the whole floor
     K = math.ceil(96 / a) + 1
     tail = 4 * abs(transform_tail_coefficient(p)) * a ** (-p - 1) * K ** -p / p
-    assert tail <= err <= 1.01 * tail
+    assert tail <= (hi - lo) / 2 <= 1.01 * tail
 
 
 def _kernel_series(a, theta, J=16, N=150):
@@ -478,13 +521,13 @@ def _kernel_series(a, theta, J=16, N=150):
 @example(a=50.0, theta=1.0)
 @example(a=0.7, theta=0.5)
 def test_sum1d_rational_contains_series(a, theta):
-    value, err = verify._sum1d_rational(a, theta)
+    lo, hi = verify._sum1d_rational(a, theta)
     exact, tail = _kernel_series(a, theta)
     with mpmath.workdps(40):
         assert tail <= 1e-30 * exact
-        assert value - err <= exact <= value + err
+        assert lo <= exact <= hi
         # the bound is a few hundred ulp at most, not a free pass
-        assert err <= 1e-13 * value
+        assert (hi - lo) / 2 <= 1e-13 * lo
 
 
 # Room at the lower end of an interval only, as in the benchmark's oracles:
@@ -586,24 +629,26 @@ def test_certified_sum_contains_mpmath_oracle(family, diag, tol, data):
                                  Lattice(np.diag([0.5, 2.0])),
                                  random_unimodular_lattice(3, 4), D4])
 def test_dual_sum_ends_round_outward(lat, monkeypatch):
-    # the ends hold covol (partial -+ rem) computed exactly, and
-    # lo + width reaches the upper end in floats
-    seen = []
-    scaled = verify._scaled_outward
-
-    def spy(*args):
-        seen.append((args, scaled(*args)))
-        return seen[-1][1]
-    monkeypatch.setattr(verify, "_scaled_outward", spy)
+    # the ends hold covol (partial -+ rem) computed exactly, from the sum
+    # and the tail bound dual_fhat_sum took, and so does partial +
+    # remainder_bound of the returned sum
+    seen = {}
+    for name in ("_ball_sums", "_truncated"):
+        def spy(*args, _run=getattr(verify, name), _name=name):
+            seen[_name] = _run(*args)
+            return seen[_name]
+        monkeypatch.setattr(verify, name, spy)
     ds = dual_fhat_sum(lat, FnSpec("gaussian", lat.dim),
                        np.full(lat.dim, 0.15), 1e-9)
-    (c, partial, *rems), (lo, width) = seen[0]
-    c, partial = Fraction(c), Fraction(partial)
-    rem = sum(map(Fraction, rems))
-    assert (ds.partial, ds.remainder_bound) == (lo, width)
-    assert Fraction(ds.lower) <= c * (partial - rem)
-    assert Fraction(ds.upper) >= c * (partial + rem)
-    assert Fraction(lo) + Fraction(width) >= c * (partial + rem)
+    (partial, _), _ = seen["_ball_sums"]
+    _, rem = seen["_truncated"]
+    c, partial, rem = map(Fraction, (lat.covolume, partial, rem))
+    lo, hi = ds.interval()
+    assert lo == ds.partial
+    assert Fraction(lo) <= c * (partial - rem)
+    assert Fraction(hi) >= c * (partial + rem)
+    assert Fraction(ds.partial) + Fraction(ds.remainder_bound) >= c * (
+        partial + rem)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -864,5 +909,7 @@ def test_psf_raises_when_sin_pairing_does_not_cancel(monkeypatch, run):
 def test_certified_sum_interval_type():
     cs = CertifiedSum(partial=1.0, remainder_bound=0.25,
                       truncation_radius=3.0)
-    assert cs.interval() == (1.0, 1.25)
+    # 1.25 is exact, and the upper end is the float above it
+    assert isinstance(cs.interval(), verify.Interval)
+    assert cs.interval() == (1.0, math.nextafter(1.25, math.inf))
     assert INCONCLUSIVE == "INCONCLUSIVE"
