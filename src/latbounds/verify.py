@@ -742,7 +742,7 @@ def handshake_census(L: Lattice, p: float, u: float,
     count = sum(int(np.any(coords != 0, axis=1).sum()) for coords, _ in
                 ball_blocks(L, np.zeros(L.dim), u * sigma, p, node_budget))
     bound = handshake_bound(L.dim, p, u)
-    _, verdict = _verdict(Interval(count, count), Interval(bound, bound))
+    _, verdict = _verdict((count, count), (bound, bound))
     return HandshakeCensus(count=count, bound=bound, verdict=verdict)
 
 
@@ -794,7 +794,7 @@ def transference_check(L: Lattice, p: float, resolution: int = 64,
         distortion_bound(M, p))
     bound = transference_bound_l2(n) if p == 2 else transference_bound_l1(n).value
     product = sigma * Interval(rho_lo, rho_hi)
-    margin, verdict = _verdict(product, Interval(bound, bound))
+    margin, verdict = _verdict(product, (bound, bound))
     return TransferenceReport(sigma=float(sigma),
                               rho_bracket=(float(rho_lo), float(rho_hi)),
                               product_upper=float(product.hi),

@@ -13,9 +13,12 @@
   LLL loop ``_lll``, through the cached ``Lattice._reduction``, so a
   lattice is reduced once however many checks ask for its reduction.
 * One rounding rule: the checks of ``verify`` build their intervals with
-  ``verify.Interval``, whose operators round each end outward, so none of
-  them does bare float arithmetic on an interval end (``psf_residual``'s
-  point estimate aside).
+  ``verify.Interval``, whose operators round each end outward.  None of
+  them does arithmetic on an end it reads as ``.partial``,
+  ``.remainder_bound``, ``.lo`` or ``.hi``, or on a name it unpacks from an
+  expression that names ``Interval`` or ``.interval``, except as the one
+  operation inside ``_up(...)`` or ``_down(...)``, which rounds it outward
+  (``psf_residual``'s point estimate aside).
 """
 
 import ast
@@ -99,12 +102,42 @@ def test_only_lll_reduce_reaches_the_lll_loop():
                            + ", ".join(found))
 
 
-# the checks whose intervals come only from verify.Interval, and the names
-# of the interval ends they must not do float arithmetic on
+# the checks whose intervals come only from verify.Interval, the names of
+# the interval ends they must not do float arithmetic on, and the calls that
+# round the result of one such operation outward
 _INTERVAL_CHECKS = ("check_part1", "check_tail_inequality", "check_part3",
                     "dual_fhat_sum", "transference_check",
                     "TransferenceReport.record")
 _ENDS = {"partial", "remainder_bound", "lo", "hi"}
+_OUTWARD = {"_up", "_down"}
+
+
+def _unpacked_ends(function):
+    """Names that ``function`` unpacks from an expression naming
+    ``Interval`` or ``.interval``: the ends of an interval it holds."""
+    names = set()
+    for node in ast.walk(function):
+        if (isinstance(node, ast.Assign)
+                and any(getattr(sub, "id", None) == "Interval"
+                        or getattr(sub, "attr", None) == "interval"
+                        for sub in ast.walk(node.value))):
+            names |= {sub.id for target in node.targets
+                      if isinstance(target, ast.Tuple)
+                      for sub in ast.walk(target) if isinstance(sub, ast.Name)}
+    return names
+
+
+def _bare_end_arithmetic(function):
+    ends = _unpacked_ends(function)
+    rounded = {id(arg) for node in ast.walk(function)
+               if isinstance(node, ast.Call)
+               and getattr(node.func, "id", None) in _OUTWARD
+               for arg in node.args}
+    return [node.lineno for node in ast.walk(function)
+            if isinstance(node, ast.BinOp) and id(node) not in rounded
+            and any((isinstance(side, ast.Attribute) and side.attr in _ENDS)
+                    or (isinstance(side, ast.Name) and side.id in ends)
+                    for side in (node.left, node.right))]
 
 
 def test_checks_round_interval_ends_through_interval():
@@ -116,10 +149,7 @@ def test_checks_round_interval_ends_through_interval():
                       if isinstance(node, ast.FunctionDef)})
     missing = [name for name in _INTERVAL_CHECKS if name not in functions]
     assert not missing, "verify.py defines no " + ", ".join(missing)
-    found = [f"{name}:{node.lineno}" for name in _INTERVAL_CHECKS
-             for node in ast.walk(functions[name])
-             if isinstance(node, ast.BinOp)
-             and any(isinstance(side, ast.Attribute) and side.attr in _ENDS
-                     for side in (node.left, node.right))]
+    found = [f"{name}:{line}" for name in _INTERVAL_CHECKS
+             for line in _bare_end_arithmetic(functions[name])]
     assert not found, ("float arithmetic on an interval end: "
                        + ", ".join(found))

@@ -631,7 +631,8 @@ def test_certified_sum_contains_mpmath_oracle(family, diag, tol, data):
 def test_dual_sum_ends_round_outward(lat, monkeypatch):
     # the ends hold covol (partial -+ rem) computed exactly, from the sum
     # and the tail bound dual_fhat_sum took, and so does partial +
-    # remainder_bound of the returned sum
+    # remainder_bound of the returned sum, both exactly and as the float
+    # sum that its record holds
     seen = {}
     for name in ("_ball_sums", "_truncated"):
         def spy(*args, _run=getattr(verify, name), _name=name):
@@ -649,6 +650,7 @@ def test_dual_sum_ends_round_outward(lat, monkeypatch):
     assert Fraction(hi) >= c * (partial + rem)
     assert Fraction(ds.partial) + Fraction(ds.remainder_bound) >= c * (
         partial + rem)
+    assert Fraction(ds.partial + ds.remainder_bound) >= c * (partial + rem)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
