@@ -300,9 +300,9 @@ def _cell_bounds(reduced_basis, q):
     """(reach, moment) of a centred cell P that tiles space by lattice
     translates, the one of two such cells whose bound on the reach is the
     smaller.  reach bounds the largest ||c||_q over P; moment bounds the
-    mean over P of ||c||_2^2 for q = 2, and of ||c||_q^q for q <= 1 (None
-    for other q).  Both are measured on the same cell, as the certified
-    tail (``verify._log_tail``) needs.
+    mean over P of ||c||_q^q for q <= 2 (None for q > 2).  Both are
+    measured on the same cell, as the certified tail (``verify._log_tail``)
+    needs.
 
     The parallelepiped {sum c_i b_i : |c_i| <= 1/2} reaches
     sum(||b_i||_q)/2 (triangle inequality).  The Gram-Schmidt box
@@ -314,13 +314,16 @@ def _cell_bounds(reduced_basis, q):
     n^{1 - q/2} R2^q.
 
     With c uniform on P the c_i are independent and uniform on [-1/2, 1/2],
-    so E c_i = 0, E c_i^2 = 1/12 and E|c_i|^q = 2^{-q}/(1 + q).  At q = 2
-    the mean of ||c||^2 is sum ||b_i||^2 / 12 on the parallelepiped and,
-    the b*_i being orthogonal, sum ||b*_i||^2 / 12 on the box.  For q <= 1,
-    ||c||_q^q <= sum |c_i|^q ||b_i||_q^q gives at most
-    2^{-q}/(1 + q) sum ||b_i||_q^q on the parallelepiped, and
-    ||c||_q^q <= n^{1 - q/2} ||c||_2^q with Jensen (t^{q/2} is concave)
-    gives at most n^{1 - q/2} (sum ||b*_i||^2 / 12)^{q/2} on the box.
+    so E c_i = 0, E c_i^2 = 1/12 and E|c_i|^q = 2^{-q}/(1 + q).  For
+    q <= 2, ||x||_q^q <= n^{1 - q/2} ||x||_2^q (power mean) and Jensen
+    (t^{q/2} is concave) give at most n^{1 - q/2} (sum ||b*_i||^2 / 12)^{q/2}
+    on the box, the b*_i being orthogonal.  On the parallelepiped, Jensen
+    for each coordinate x_j of c, E|x_j|^q <= (E x_j^2)^{q/2} with
+    E x_j^2 = sum_i b_ij^2 / 12, and the power mean over j give
+    n^{1 - q/2} (sum ||b_i||^2 / 12)^{q/2}; for q <= 1,
+    ||c||_q^q <= sum |c_i|^q ||b_i||_q^q gives 2^{-q}/(1 + q)
+    sum ||b_i||_q^q instead.  At q = 2 these are the means of ||c||^2,
+    sum ||b*_i||^2 / 12 and sum ||b_i||^2 / 12.
 
     Rounding: sum ||b*_i||^2 is padded by 8 n u sum ||b_i||^2, a margin for
     the float rounding of the Gram-Schmidt norms, and the reach is rounded
@@ -337,18 +340,17 @@ def _cell_bounds(reduced_basis, q):
     gs2 = float(np.sum(norms2) + 8 * n * _U * np.sum(B * B))
     box2 = 0.25 * gs2
     if q <= 1.0:
-        para = (float(np.sum((0.5 * norms) ** q)),
-                2.0 ** -q * float(np.sum(np.abs(B) ** q)) / (1 + q))
-        box = (n ** (1 - q / 2) * box2 ** (q / 2),
-               n ** (1 - q / 2) * (gs2 / 12) ** (q / 2))
-    elif q == 2.0:
-        para = (float(0.5 * np.sum(norms)), float(np.sum(B * B)) / 12)
-        box = (math.sqrt(box2), gs2 / 12)
+        reaches = (float(np.sum((0.5 * norms) ** q)),
+                   n ** (1 - q / 2) * box2 ** (q / 2))
     else:
-        reach = min(float(0.5 * np.sum(norms)),
-                    max(1.0, n ** (1 / q - 0.5)) * math.sqrt(box2))
-        return math.nextafter(reach, math.inf), None
-    reach, moment = min(para, box)
+        reaches = (float(0.5 * np.sum(norms)),
+                   max(1.0, n ** (1 / q - 0.5)) * math.sqrt(box2))
+    if q > 2.0:
+        return math.nextafter(min(reaches), math.inf), None
+    para = (2.0 ** -q * float(np.sum(np.abs(B) ** q)) / (1 + q) if q <= 1.0
+            else n ** (1 - q / 2) * (float(np.sum(B * B)) / 12) ** (q / 2))
+    moments = (para, n ** (1 - q / 2) * (gs2 / 12) ** (q / 2))
+    reach, moment = min(zip(reaches, moments))
     moment = math.nextafter(moment * (1 + 2 * (n * n + 8) * _U), math.inf)
     return math.nextafter(reach, math.inf), moment
 

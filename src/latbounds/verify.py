@@ -8,13 +8,13 @@ points past the truncation radius tile a region where the envelope
 integrates to an upper incomplete gamma function, bounded by integration by
 parts with a derived rounding allowance.  The cell is the parallelepiped or
 the Gram-Schmidt box of an LLL-reduced basis, whichever bound on its reach
-is smaller.  For the l^2 and l^q (q <= 1) envelopes, Jensen's inequality
-over the cell sets each term against the envelope's mean on its cell, so
-the radius pays the reach once and the cell's moment enters as a constant
-factor; for 1 < q < 2 the radius pays the reach twice.  Inequality checks
-build their intervals with one rule, ``Interval``, whose +, - and * round
-each end one ulp outward, compare them pessimistically and return PASS /
-FAIL / INCONCLUSIVE; an interval straddling the boundary is never coerced.
+is smaller.  For every l^q envelope (q <= 2), Jensen's inequality over the
+cell sets each term against the envelope's mean on its cell, so the radius
+pays the reach once and the cell's moment enters as a constant factor.
+Inequality checks build their intervals with one rule, ``Interval``, whose
++, - and * round each end one ulp outward, compare them pessimistically
+and return PASS / FAIL / INCONCLUSIVE; an interval straddling the boundary
+is never coerced.
 
 Sums of fhat over the dual lattice (part 3) are taken on the primal side by
 Poisson summation, as covol(L) times a cos-weighted sum of f over L; their
@@ -164,8 +164,7 @@ def _log_upper_gamma(a, x, logs=None, drop=None):
     x may be +inf, an argument past the floats, when logs, the terms whose
     sum is log x, are given (default: log x itself).  drop, a float at most
     x - m for some m >= 0, stands in the formula for x, so that the result
-    bounds m + log Gamma(a, x) (default m = 0); drop = +inf makes it -inf,
-    below the log of every float.
+    bounds m + log Gamma(a, x) (default m = 0).
 
     Rounding (Higham, ch. 3; u the unit roundoff, log within one ulp): a - k
     is exact (a and k are multiples of ulp(a)), so each of the N Horner
@@ -184,8 +183,6 @@ def _log_upper_gamma(a, x, logs=None, drop=None):
         return math.inf
     if drop is None:
         drop = x
-    if drop == math.inf:
-        return -math.inf
     if logs is None:
         logs = (math.log(x),)
     n_parts = max(0, math.ceil(a - 1))
@@ -203,53 +200,53 @@ def _log_tail(n, covol, env, beta_eff, cell, S):
     """log of the certified bound on sum_{y in v+L, ||y||_q >= S} e^{n loga - beta_eff ||y||_q^q}.
 
     cell = (reach, moment) of a centred cell P of volume covol that tiles
-    space by translates of L (``enumeration._cell_bounds``), so the cells
-    y + P of the summed points tile a region outside a smaller l^q ball,
-    ||z||_q^q >= w0.  Integrated in polar form over that region, the
-    envelope gives (n V_q / q) e^{n loga} beta^{-n/q} Gamma(n/q, beta w0),
-    V_q the volume of the unit l^q ball; divided by covol this is e^{base}
-    Gamma(n/q, beta w0), and _log_upper_gamma bounds Gamma from above.
+    space by translates of L (``enumeration._cell_bounds``), moment E
+    bounding the mean of ||c||_q^q over c uniform on P.  Each point's term
+    is set against the envelope's mean over its cell y + P by Jensen's
+    inequality, e^{E g} <= E e^{g}:
 
-    Each point's term is set against the envelope's mean over its cell by
-    Jensen's inequality, e^{E g} <= E e^{g}, over c uniform on P:
-
-    * q = 2.  -beta |y + c|^2 = -beta |y|^2 - 2 beta <y, c> - beta |c|^2,
-      and E c = 0 (P is symmetric), so e^{-beta |y|^2 - beta E|c|^2} <=
-      (1/covol) int_{y+P} e^{-beta |z|^2} dz.  With |z| >= |y| - reach,
-      w0 = (S - reach)^2, and the sum is at most e^{base + beta E|c|^2}
-      Gamma(n/2, beta w0): the reach is paid once, and the moment E|c|^2
-      (reach^2 / 3 on the box) as a constant factor.
     * q <= 1.  ||.||_q^q is subadditive, ||y + c||_q^q <= ||y||_q^q +
-      ||c||_q^q, so -beta ||y||_q^q <= E(-beta ||y + c||_q^q) +
-      beta E||c||_q^q, and Jensen gives the factor e^{beta E||c||_q^q}, with
-      w0 = S^q - reach, reach measured in the q-th power.
-    * 1 < q < 2.  Jensen would need a smoothness constant C_q,
-      |a + b|^q <= |a|^q + q sgn(a) |a|^{q-1} b + C_q |b|^q, for which no
-      proof is at hand.  Each term is bounded instead by the envelope on
-      its cell shifted by the reach, so the region starts at s0 = S -
-      2 reach, w0 = s0^q, with the factor (1 + reach/s0)^{n-1} for the
-      shift of the polar shells.
+      ||c||_q^q, so e^{-beta ||y||_q^q - beta E} <= (1/covol) int_{y+P}
+      e^{-beta ||z||_q^q} dz, with ||z||_q^q >= w0 = S^q - reach, the reach
+      measured in the q-th power.
+    * 1 < q <= 2.  g(x) = sgn(x) |x|^{q-1} is (q-1)-Hoelder with constant
+      C = 2^{2-q}: for x, x' of one sign by the subadditivity of t^{q-1},
+      and for opposite signs by the power mean, |x|^{q-1} + |x'|^{q-1} <=
+      2^{2-q} (|x| + |x'|)^{q-1}.  Integrating q (g(a + s b) - g(a)) b over
+      s in [0, 1] gives |a + b|^q <= |a|^q + q g(a) b + C |b|^q; summed over
+      the coordinates, with E c = 0 (P is symmetric), E||y + c||_q^q <=
+      ||y||_q^q + C E, and Jensen gives the factor e^{beta C E}, with
+      ||z||_q >= ||y||_q - reach, w0 = (S - reach)^q.  At q = 2 this is the
+      expansion of |y + c|^2, C = 1 exactly.
 
-    The factor beta E is folded into the gamma bound's drop, beta (w0 - E)
-    <= beta w0 - beta E, and beta w0 enters it through logs (log beta,
+    So the reach is paid once: the cells of the summed points tile a region
+    ||z||_q^q >= w0, where the envelope integrates in polar form to
+    (n V_q / q) e^{n loga} beta^{-n/q} Gamma(n/q, beta w0), V_q the volume
+    of the unit l^q ball; divided by covol and times the factor (C = 1 for
+    q <= 1) this is e^{base + beta C E} Gamma(n/q, beta w0), and
+    _log_upper_gamma bounds Gamma from above.  The factor is folded into its
+    drop, beta (w0 - C E), and beta w0 enters it through logs (log beta,
     log w0), so neither leaves the floats unless the bound itself does.
 
-    Rounding: w0 is a lower bound on the exact region's: S - reach,
-    (S - reach)^2, w0 - E and beta (w0 - E) are each one correctly rounded
-    operation, taken to the float below (_down); S^q (a pow, within one
-    ulp) is shrunk by 8u before reach is subtracted, which keeps the
-    difference's rounding below the exact difference; s0^q and beta s0^q
-    are shrunk by 8u.  Where s0^q leaves the floats, beta s0^q is
-    exp(log beta + q log s0): the exponent is off by at most 4u M, M =
-    |log beta| + q |log s0|, and exp by one ulp, so it is shrunk by
-    8u (M + 1); where that too leaves the floats, the argument exceeds the
-    largest float and the bound is -inf (``_log_upper_gamma``).  Gamma(a, .) decreases, so a smaller argument only
+    Rounding: w0 is a lower bound on the exact region's, and C E an upper
+    one.  S^q and, for 1 < q < 2, r0^q, r0 = S - reach (a pow, within one
+    ulp) are shrunk by 8u, which keeps them below the exact power after the
+    product's rounding; S - reach, S^q - reach, r0^2, w0 - C E and
+    beta (w0 - C E) are each one correctly rounded operation, taken to the
+    float below (_down).  2 - q is exact (Sterbenz), 2^{2-q} a pow within
+    one ulp and C E one product, each rounded up (_up).  Where r0^q leaves
+    the floats, beta w0 is exp(log beta + q log r0): the exponent is off by
+    at most 4u M, M = |log beta| + q |log r0|, and exp by one ulp, so it is
+    shrunk by 8u (M + 1), and the drop is it less beta C E rounded up;
+    where that too leaves the floats, beta w0 is near 2^1024 or beyond, so
+    with beta C E below 2^1023 the bound is below every float, -inf (else
+    the trivial +inf).  Gamma(a, .) decreases, so a smaller argument only
     raises the bound.  base's six terms are each within 4u of their sizes
     (lgamma and log within one ulp, up to two products or sums, log 2 + an
     lgamma of at least -0.13 cancelling by at most 1.4x), fsum adds u of
     their total size B, and an lgamma argument x = 1 + n/q or 1 + 1/q
-    rounded by 2u moves lgamma by at most 2u x |psi(x)| <= 2u (x log x + 1);
-    so base plus 8u (B + (n + 1)(1 + x log x)) bounds the exact base.
+    rounded by 2u moves lgamma by at most 2u x |psi(x)| <= 2u (x log x +
+    1); so base plus 8u (B + (n + 1)(1 + x log x)) bounds the exact base.
     Returns +inf when S is too small for the tiling argument to apply.
     """
     q = env.q
@@ -261,31 +258,29 @@ def _log_tail(n, covol, env, beta_eff, cell, S):
              -math.log(covol), -a * log_beta)
     base = math.fsum(terms) + 8 * _U * (
         sum(map(abs, terms)) + (n + 1) * (1 + (1 + a) * math.log1p(a)))
-    if moment is not None:  # q = 2 or q <= 1: Jensen over the cell
-        if q <= 1.0:
-            w0 = _down(S ** q * (1 - 8 * _U) - reach)
-        else:
-            r0 = _down(S - reach)
-            w0 = _down(r0 * r0)
-        if not w0 > 0:
+    if q <= 1.0:
+        w0, ce = _down(S ** q * (1 - 8 * _U) - reach), moment
+    else:
+        r0 = _down(S - reach)
+        if not r0 > 0:
             return math.inf
-        drop = _down(beta_eff * _down(w0 - moment))
-        return base + _log_upper_gamma(a, beta_eff * w0,
-                                       (log_beta, math.log(w0)), drop)
-    s0 = _down(S - 2 * reach)
-    if not s0 > 0:
-        return math.inf
-    try:
-        x = beta_eff * s0 ** q * (1 - 8 * _U)
-    except OverflowError:  # s0^q leaves the floats; beta s0^q may not
-        logs = (log_beta, q * math.log(s0))
-        size = sum(map(abs, logs)) + 1
+        ce = moment if q == 2.0 else _up(_up(2.0 ** (2 - q)) * moment)
         try:
-            x = _down(math.exp(sum(logs)) * (1 - 8 * _U * size))
-        except OverflowError:  # so does beta s0^q: the drop is +inf
-            x = math.inf
-    return (base + (n - 1) * math.log1p(reach / s0)
-            + _log_upper_gamma(a, x))
+            w0 = _down(r0 * r0) if q == 2.0 else r0 ** q * (1 - 8 * _U)
+        except OverflowError:  # r0^q leaves the floats; beta r0^q may not
+            logs = (log_beta, q * math.log(r0))
+            size = sum(map(abs, logs)) + 1
+            try:
+                x = _down(math.exp(sum(logs)) * (1 - 8 * _U * size))
+            except OverflowError:  # so does beta r0^q: past 2^1024
+                return -math.inf if beta_eff * ce < 2.0 ** 1023 else math.inf
+            drop = _down(x - _up(beta_eff * ce))
+            return base + _log_upper_gamma(a, x, drop=drop)
+    if not w0 > 0:
+        return math.inf
+    drop = _down(beta_eff * _down(w0 - ce))
+    return base + _log_upper_gamma(a, beta_eff * w0,
+                                   (log_beta, math.log(w0)), drop)
 
 
 def _ball_sums(L, v, r, p, node_budget, terms):
@@ -330,7 +325,7 @@ def _truncated(L, env, beta_eff, log_target):
     while hi / lo > 1.02:
         mid = math.sqrt(lo) * math.sqrt(hi)  # lo * hi may leave the floats
         lo, hi = (lo, mid) if logtail(mid) <= target else (mid, hi)
-    return hi, math.exp(min(logtail(hi), 700.0)) * (1 + _SAFETY)
+    return hi, math.exp(min(logtail(hi), 700.0)) * (1 + _SAFETY) + math.ulp(0.0)
 
 
 def _in_range(t, compute):

@@ -239,14 +239,10 @@ def test_cell_reach_holds_a_tiling_cell(n, q, seed, real):
     assert (box if reach < para_bound else para) <= reach
     if q == 2:
         assert box <= reach
-    if q == 1.5:
-        assert moment is None
-    else:
-        # the tail needs one cell that holds both: within reach, and its
-        # mean ||c||^2 (q = 2) or ||c||_q^q (q <= 1) at most moment, here
-        # sampled, to within six standard errors
-        assert any(top <= reach and mean - 6 * se <= moment
-                   for top, mean, se in cells)
+    # the tail needs one cell that holds both: within reach, and its mean
+    # ||c||_q^q at most moment, here sampled, to within six standard errors
+    assert any(top <= reach and mean - 6 * se <= moment
+               for top, mean, se in cells)
 
 
 def test_gram_schmidt_box_shortens_zn_truncation():
@@ -274,6 +270,22 @@ def test_z8_gaussian_pays_the_reach_once():
     assert _contains(cs.interval(), exact, room)
 
 
+def test_z5_supergaussian_pays_the_reach_once():
+    # Jensen over the cell with C = 2^{2-q}: 462,823 points, where paying
+    # the reach twice took 782,629; the interval holds the 30-digit product
+    # of 1-D series sum_k e^{-|k + 0.3|^1.5}
+    cs = certified_sum(integer_lattice(5), FnSpec("supergaussian", 5, p=1.5),
+                       np.full(5, 0.3), 1.0, 1e-9)
+    assert cs.npoints <= 500_000
+    assert cs.remainder_bound <= 1e-9 * cs.partial
+    with mpmath.workdps(30):
+        exact = mpmath.nsum(lambda k: mpmath.exp(-abs(k + mpmath.mpf("0.3"))
+                                                 ** mpmath.mpf(1.5)),
+                            [-mpmath.inf, mpmath.inf]) ** 5
+    room = _ROOM * (1 + abs(float(mpmath.log(exact))))
+    assert _contains(cs.interval(), exact, room)
+
+
 def test_truncation_radius_past_1e154_stays_finite():
     # the bisection's mid = sqrt(lo) sqrt(hi): lo * hi leaves the floats
     # once S passes 1.3e154, as it does for this l^0.05 envelope
@@ -289,20 +301,21 @@ def test_truncation_radius_past_1e154_stays_finite():
 
 
 def test_tail_past_the_floats_keeps_its_bound():
-    # 1 < q < 2 pays the reach twice: past S ~ 1.3e154, s0^q leaves the
-    # floats, but beta s0^q, with beta ~ 1.4e-308, does not; the bound then
-    # takes it from log beta + q log s0, and stays above the exact tail
+    # past S ~ 1.3e154, (S - reach)^q leaves the floats, but beta times it,
+    # with beta ~ 1.4e-308, does not; the bound then takes it from
+    # log beta + q log (S - reach), and stays above the exact tail
     env = verify._envelope_for(FnSpec("supergaussian", 1, p=1.99))
     beta = env.beta / 5e154 ** 1.99
     L = Lattice([[1.3e154]])
     cell = verify._cell_bounds(L.basis, env.q)
     size = np.abs(np.arange(-60, 61) * 0.26)  # |k b| / t; e^{-230} past 60
     for S in (9.2e154, 1.2e155, 1.6e155):
-        assert env.q * math.log(S - 2 * cell[0]) > math.log(1.7e308)
+        assert env.q * math.log(S - cell[0]) > math.log(1.7e308)
         bound = verify._log_tail(1, 1.3e154, env, beta, cell, S)
         mass = math.fsum(np.exp(-size[size >= S / 5e154] ** 1.99))
         assert mass > 0 and mass <= math.exp(bound), (S, mass, bound)
-    # where beta s0^q leaves the floats too, the tail is below every float
+    # where beta (S - reach)^q leaves the floats too, the tail is below
+    # every float
     assert verify._log_tail(1, 1.3e154, env, 1.0, cell, 1e160) == -math.inf
     # the presolve's radius holds the 1e-9 tail the sum needs
     S, tail = verify._truncated(L, env, beta, lambda _: math.log(1e-9))
@@ -314,14 +327,15 @@ def test_tail_past_the_floats_keeps_its_bound():
 # nearly tight (the exact tail reaches 0.986 of it for exp_l1 on Z^1), only
 # in 1-D, so that the brute-force balls stay small
 _TAIL_BETA = {(0.5, 1): (0.05, 12.0), (1.0, 1): (0.05, 6.0),
-              (2.0, 1): (0.05, 6.0), (0.5, 2): (4.0, 12.0),
-              (1.0, 2): (1.5, 6.0), (2.0, 2): (0.5, 6.0),
+              (1.5, 1): (0.05, 6.0), (2.0, 1): (0.05, 6.0),
+              (0.5, 2): (4.0, 12.0), (1.0, 2): (1.5, 6.0),
+              (1.5, 2): (1.0, 6.0), (2.0, 2): (0.5, 6.0),
               (0.5, 3): (4.0, 12.0), (1.0, 3): (1.5, 6.0),
-              (2.0, 3): (0.5, 6.0)}
+              (1.5, 3): (1.0, 6.0), (2.0, 3): (0.5, 6.0)}
 
 
 @settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, 3), q=st.sampled_from([0.5, 1.0, 2.0]),
+@given(n=st.integers(1, 3), q=st.sampled_from([0.5, 1.0, 1.5, 2.0]),
        seed=st.integers(0, 10_000), real=st.booleans(),
        loga=st.sampled_from([0.0, math.log(2.0)]),
        frac_beta=st.floats(0.0, 1.0), frac_s=st.floats(0.0, 1.0))
@@ -356,6 +370,29 @@ def test_log_tail_bounds_the_brute_force_tail(n, q, seed, real, loga,
     size = lp_norm(emb + v, q)
     mass = math.fsum(np.exp(n * loga - beta * size[size >= S] ** q))
     assert mass <= math.exp(bound(S)), (mass, math.exp(bound(S)))
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(q=st.floats(1.0, 2.0, exclude_min=True), a=_FINITE, b=_FINITE)
+@example(q=2.0, a=1.0, b=-2.0)
+@example(q=1.5, a=-3.0, b=1e-300)
+def test_smoothness_constant_bounds_the_power(q, a, b):
+    # |a + b|^q <= |a|^q + q sgn(a) |a|^{q-1} b + 2^{2-q} |b|^q, the
+    # inequality behind the 1 < q <= 2 tail, at 50 digits, also at a = 0
+    # and b = -2a; the allowance, 1e-40 of |a|^q + |b|^q, is for the
+    # rounding, as q = 2 makes it an equality
+    with mpmath.workdps(50):
+        q = mpmath.mpf(q)
+        const = 2 ** (2 - q)
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+        for x, y in ((a, b), (mpmath.mpf(0), b), (a, -2 * a)):
+            lhs = abs(x + y) ** q - abs(x) ** q \
+                - q * mpmath.sign(x) * abs(x) ** (q - 1) * y
+            room = mpmath.mpf(10) ** -40 * (abs(x) ** q + abs(y) ** q)
+            assert lhs <= const * abs(y) ** q + room, (q, x, y)
 
 
 # a = n/q of the tails: gaussians (q = 2) on Z^1 to Z^8, and l^1, l^1.5,
