@@ -7,7 +7,8 @@ The central object is the tail coefficient of a radially decaying function g:
 which bounds the lattice-sum mass outside radius r relative to the whole
 sum.  For the Gaussian and exp(-r^p) profiles the supremum has a closed
 form; the generic route is a bracketed golden-section maximisation, kept
-deterministic and derivative-free.
+deterministic and derivative-free: the oracle the closed forms are tested
+against, which no check calls.
 """
 
 from __future__ import annotations
@@ -115,8 +116,10 @@ def supergaussian_mu_closed_form(p: float, r: float, n: int) -> NuBound:
     try:
         tp = t ** p
     except OverflowError:
+        tp = math.inf
+    if tp == math.inf:
         raise ValueError(f"radius r = {r:g} is out of range: t^p, t = "
-                         "r / (n/p)^(1/p), leaves the floats") from None
+                         "r / (n/p)^(1/p), leaves the floats")
     value = (math.e * tp * math.exp(-tp)) ** (n / p)
     return NuBound(value=float(value), method="closed_form")
 

@@ -41,8 +41,8 @@ from .bounds import (cstar, handshake_bound, kalpha_radius,
 from .enumeration import (_BOUNDARY_SLACK, DEFAULT_GRID_BUDGET,
                           DEFAULT_NODE_BUDGET, BodySpec)
 from .errors import BudgetExceededError, ToleranceUnreachedError
-from .functions import (TestFunctionSpec, check_hypotheses, fhat_route,
-                        log_f, natural_norm_p)
+from .functions import (TestFunctionSpec, check_hypotheses, envelope,
+                        fhat_route, log_f)
 from .lattice import (Lattice, integer_lattice, load_lattice, lp_norm,
                       random_unimodular_lattice)
 from .transform import build_transform_table
@@ -154,7 +154,7 @@ def _body_from(params, spec, n):
     val = float(params[key])
     if key == "radius":
         radius = val
-        body_p = float(params.get("body_p", natural_norm_p(spec)))
+        body_p = float(params.get("body_p", envelope(spec).q))
     elif key == "tau":
         if spec.family != "gaussian":
             raise ManifestError("tau parametrizes gaussian bodies only")
@@ -163,9 +163,8 @@ def _body_from(params, spec, n):
     elif key == "tscale":
         if spec.family not in ("supergaussian", "exp_l1"):
             raise ManifestError("tscale parametrizes supergaussian/exp_l1 bodies")
-        p = 1.0 if spec.family == "exp_l1" else float(spec.p)
-        radius = val * (n / p) ** (1.0 / p)
-        body_p = p
+        body_p = envelope(spec).q
+        radius = val * (n / body_p) ** (1.0 / body_p)
     else:
         if spec.family != "inv_cosh_product":
             raise ManifestError("alpha parametrizes inv_cosh_product bodies")
@@ -191,6 +190,9 @@ def read_manifest(path):
     for key in budgets:
         if key not in ("nodes", "grid"):
             raise ManifestError(f"{path}: unknown budget {key!r}")
+    output = data.get("output")
+    if output is not None and not isinstance(output, str):
+        raise ManifestError(f"{path}: 'output' must be a path, got {output!r}")
     return data
 
 

@@ -8,12 +8,15 @@ norm, with nonnegative Fourier transforms:
   inv_cosh_product  prod 1/(1+2cosh(2pi x_i/sqrt 3))   self-dual
   exp_l1            exp(-||x||_1), transform prod 2/(1+4 pi^2 x_i^2)
   supergaussian     exp(-||x||_p^p), 0 < p <= 2; transform via a 1-D table
+
+``envelope`` is the one statement of how each family decays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,13 +53,29 @@ class TestFunctionSpec:
         return self.family
 
 
-def natural_norm_p(spec: TestFunctionSpec) -> float:
-    """The l^p norm in which the family decays radially (2, 1, or spec.p)."""
-    if spec.family == "gaussian":
-        return 2.0
-    if spec.family == "supergaussian":
-        return float(spec.p)
-    return 1.0
+class Envelope(NamedTuple):
+    """f(x) <= e^{n loga - beta ||x||_q^q}: the gaussian, the supergaussian
+    and exp_l1 are their own envelope, the products are bounded per factor."""
+
+    loga: float  # per-coordinate log prefactor
+    beta: float
+    q: float
+
+
+def envelope(spec: TestFunctionSpec) -> Envelope:
+    """The family's decay envelope; q is the l^q norm it decays in."""
+    fam = spec.family
+    if fam == "gaussian":
+        return Envelope(0.0, math.pi, 2.0)
+    if fam == "supergaussian":
+        return Envelope(0.0, 1.0, float(spec.p))
+    if fam == "exp_l1":
+        return Envelope(0.0, 1.0, 1.0)
+    if fam == "sech_product":
+        # sech(pi x) <= 2 e^{-pi |x|}
+        return Envelope(math.log(2.0), math.pi, 1.0)
+    # inv_cosh_product: 1/(1 + 2 cosh z) <= e^{-z}
+    return Envelope(0.0, _2PI_OVER_SQRT3, 1.0)
 
 
 def fhat_route(spec: TestFunctionSpec) -> str:

@@ -50,6 +50,8 @@ class Lattice:
             raise ValueError(f"basis must be square, got shape {basis.shape}")
         if basis.shape[0] == 0:
             raise ValueError("dimension must be positive")
+        if name is not None and not isinstance(name, str):
+            raise ValueError(f"lattice name must be a string, got {name!r}")
         with np.errstate(over="ignore"):
             det, norms2 = np.linalg.det(basis), (basis * basis).sum(axis=1)
         if not (0 < abs(det) < math.inf
@@ -123,9 +125,16 @@ def lll_reduce(L: Lattice, return_transform: bool = False):
 
     With return_transform=True also returns the integer unimodular matrix U
     (read-only) with reduced.basis == U @ L.basis (up to float roundoff).
-    The reduction runs once per Lattice; later calls return the same objects.
+    The reduction runs once per Lattice; later calls return the same objects,
+    and the reduced Lattice is its own reduction, with U the identity.
     """
     reduced, U = L._reduction
+    if "_reduction" not in vars(reduced):
+        # a reduced basis is its own reduction: the search is exact and the
+        # cell bounds hold for any basis, so reducing it again buys nothing
+        identity = np.eye(L.dim, dtype=np.int64)
+        identity.setflags(write=False)
+        reduced._reduction = reduced, identity
     return (reduced, U) if return_transform else reduced
 
 

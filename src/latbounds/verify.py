@@ -36,16 +36,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import (NuBound, cosh_nu_bound, cstar, gaussian_nu_closed_form,
-                     handshake_bound, mu_norm, supergaussian_mu_closed_form,
-                     transference_bound_l1, transference_bound_l2)
+from .bounds import (NuBound, cosh_nu_bound, cstar, handshake_bound,
+                     supergaussian_mu_closed_form, transference_bound_l1,
+                     transference_bound_l2)
 from .enumeration import (_U, DEFAULT_GRID_BUDGET, DEFAULT_NODE_BUDGET,
                           BodySpec, _cell_bounds, ball_blocks,
                           covering_radius_estimate, enumerate_arrays,
                           shortest_vector, transport_bracket)
 from .errors import (BudgetExceededError, InvariantError,
                      ToleranceUnreachedError)
-from .functions import _2PI_OVER_SQRT3, TestFunctionSpec, fhat_route, log_f
+from .functions import TestFunctionSpec, envelope, fhat_route, log_f
 from .lattice import (Lattice, distortion_bound, dual, lll_reduce, rational,
                       rational_matmul)
 from .transform import _asymptotic, fourier_1d, transform_tail_coefficient
@@ -120,29 +120,6 @@ class CertifiedSum:
 
     def interval(self):
         return Interval(self.partial, _up(self.partial + self.remainder_bound))
-
-
-class _Envelope(NamedTuple):
-    loga: float  # per-coordinate log prefactor: f(x) <= e^{n loga - beta ||x||_q^q}
-    beta: float
-    q: float
-
-
-def _envelope_for(spec: TestFunctionSpec) -> _Envelope:
-    fam = spec.family
-    if fam == "gaussian":
-        return _Envelope(0.0, math.pi, 2.0)
-    if fam == "supergaussian":
-        return _Envelope(0.0, 1.0, float(spec.p))
-    if fam == "exp_l1":
-        return _Envelope(0.0, 1.0, 1.0)
-    if fam == "sech_product":
-        # sech(pi x) <= 2 e^{-pi |x|}
-        return _Envelope(math.log(2.0), math.pi, 1.0)
-    if fam == "inv_cosh_product":
-        # 1/(1 + 2 cosh z) <= e^{-z}
-        return _Envelope(0.0, _2PI_OVER_SQRT3, 1.0)
-    raise ValueError(f"no decay envelope for {fam!r}")
 
 
 def _log_upper_gamma(a, x, logs=None, drop=None):
@@ -369,7 +346,7 @@ def certified_sum(L: Lattice, spec: TestFunctionSpec, v, t: float,
         return (math.log(target_tol)
                 + float(np.max(log_f(spec, (cand + v) / t))))
 
-    env = _envelope_for(spec)
+    env = envelope(spec)
     beta_eff = _in_range(t, lambda: env.beta / t ** env.q)
     S, tail = _truncated(L, env, beta_eff, log_target)
     (partial,), npoints = _ball_sums(
@@ -491,7 +468,7 @@ def dual_fhat_sum(L: Lattice, spec: TestFunctionSpec, v, target_tol: float,
     if not np.all(np.isfinite(v)):
         raise ValueError("v must be finite")
     origin = np.zeros(L.dim)
-    env = _envelope_for(spec)
+    env = envelope(spec)
     log_target = lambda _: math.log(target_tol) + log_f(spec, origin)
     S, tail = _truncated(L, env, env.beta, log_target)
     def terms(emb):
@@ -619,43 +596,31 @@ def check_part1(L: Lattice, spec: TestFunctionSpec, v, t: float,
 
 
 def nu_for_body(spec: TestFunctionSpec, K: BodySpec, n: int) -> NuBound:
-    """The certified tail coefficient for (spec, K), by the family's route.
+    """The certified tail coefficient nu(R) = f(R) / sup_{0<u<=1} u^n f(uR)
+    for (spec, K), K the l^q ball of radius R, by one of two routes.
 
-    Radial families go through the closed forms (or the 1D optimizer below
-    their domain); the inv-cosh product is not radial in any l^p norm and is
-    bounded through its l^1-ball analysis instead.
+    The gaussian, the supergaussian and exp_l1 are their own envelope,
+    f = e^{-beta ||x||_q^q} (``functions.envelope``), so with r = beta^{1/q} R
+    (sqrt(pi) R for the gaussian) nu is the coefficient of e^{-s^q} at r.
+    d/du [n log u - (u r)^q] = (n - q (u r)^q) / u, so from the inflection
+    scale r >= (n/q)^{1/q} out the sup sits at u = (n/q)^{1/q} / r and nu is
+    the closed form (e t^q e^{-t^q})^{n/q}, t = r / (n/q)^{1/q}; inside it
+    the derivative is positive on (0, 1], the sup sits at u = 1 and nu is
+    exactly 1.  The inv-cosh product is not radial in any l^p norm and is
+    bounded through its l^1-ball analysis instead.  Neither route
+    maximises over u numerically.
     """
-    fam = spec.family
-    if fam == "gaussian":
-        if K.p != 2:
-            raise ValueError("gaussian tail bodies must be l2 balls")
-        try:
-            tau = math.pi * K.radius ** 2 / n
-        except OverflowError:
-            raise ValueError(f"radius = {K.radius:g} is out of range: tau = "
-                             "pi radius^2 / n leaves the floats") from None
-        if tau >= 0.5:
-            return gaussian_nu_closed_form(tau, n)
-        return mu_norm(spec, K.radius, n)
-    if fam == "supergaussian":
-        if abs(K.p - spec.p) > 1e-12:
-            raise ValueError("body norm must match the supergaussian exponent")
-        if K.radius >= (n / spec.p) ** (1.0 / spec.p):
-            return supergaussian_mu_closed_form(spec.p, K.radius, n)
-        return mu_norm(spec, K.radius, n)
-    if fam == "exp_l1":
-        if K.p != 1:
-            raise ValueError("exp_l1 tail bodies must be l1 balls")
-        profile = TestFunctionSpec("supergaussian", spec.dim, p=1.0)
-        if K.radius >= n:
-            return supergaussian_mu_closed_form(1.0, K.radius, n)
-        return mu_norm(profile, K.radius, n)
-    if fam == "inv_cosh_product":
-        if K.p != 1:
-            raise ValueError("inv_cosh tail bodies must be l1 balls")
-        alpha = K.radius / ((1 + cstar()) * n)
-        return cosh_nu_bound(alpha, n)
-    raise ValueError(f"no certified tail coefficient route for {fam!r}")
+    if spec.family == "sech_product":
+        raise ValueError("no certified tail coefficient route for sech_product")
+    env = envelope(spec)
+    if K.p != env.q:
+        raise ValueError(f"{spec.label} tail bodies must be l^{env.q:g} balls")
+    if spec.family == "inv_cosh_product":
+        return cosh_nu_bound(K.radius / ((1 + cstar()) * n), n)
+    r = env.beta ** (1.0 / env.q) * K.radius
+    if r >= (n / env.q) ** (1.0 / env.q):
+        return supergaussian_mu_closed_form(env.q, r, n)
+    return NuBound(1.0, "closed_form")
 
 
 def check_tail_inequality(L: Lattice, spec: TestFunctionSpec, K: BodySpec,

@@ -340,6 +340,32 @@ def test_non_integer_manifest_integers_are_refused(run_cli, tmp_path, z2,
     assert f"{what} must be an integer" in err
 
 
+_EYE2 = [[1.0, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("what, top, ref", [
+    ("'output' must be a path", {"output": 5}, None),
+    ("lattice name must be a string", {},
+     {"kind": "basis", "basis": _EYE2, "name": 5}),
+    ("lattice name must be a string", {}, "named.json"),
+], ids=["output", "inline-name", "file-name"])
+def test_non_string_output_and_names_are_refused(run_cli, tmp_path, z2, what,
+                                                 top, ref):
+    # a number where the manifest needs a path or a name is refused before
+    # any check runs, not a TypeError once the report or the csv is written
+    (tmp_path / "named.json").write_text(json.dumps(
+        {"dim": 2, "basis": _EYE2, "name": 5}))
+    entry = _entry("tail_inequality", family="gaussian", radius=1.0,
+                   **({"lattice": ref} if ref else {}))
+    man = {"lattice_file": z2, **top, "checks": [entry]}
+    code, out, err = run_cli("verify", _write_manifest(tmp_path / "man.json",
+                                                       man),
+                             "--plot-csv", str(tmp_path / "curves.csv"))
+    assert code == 3
+    assert out == ""
+    assert what in err
+
+
 @pytest.mark.parametrize("argv, expected", [
     (("kissing", "{z2}", "--p", "2", "--u", "30"), 0),
     (("constants", "--u", "30"), 0),
@@ -414,6 +440,8 @@ def test_underflowing_terms_name_the_underflow(run_cli, tmp_path):
 @pytest.mark.parametrize("params", [
     {"family": "gaussian", "radius": 1e300},
     {"family": "supergaussian", "p": 1.5, "tscale": 1e300},
+    # sqrt(pi) radius, the radius of e^{-s^2}, is past the floats already
+    {"family": "gaussian", "radius": 1.7e308},
 ])
 def test_out_of_range_body_names_its_radius(run_cli, tmp_path, params):
     code, err, _ = _verify_one(run_cli, tmp_path, "tail_inequality", {

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from latbounds.errors import MissingTableError
-from latbounds.functions import (FAMILIES, check_hypotheses, eval_f,
-                                 eval_fhat, fhat_route, log_f,
-                                 natural_norm_p)
+from latbounds.functions import (FAMILIES, check_hypotheses, envelope,
+                                 eval_f, eval_fhat, fhat_route, log_f)
 from latbounds.functions import TestFunctionSpec as FnSpec
 
 
@@ -35,11 +34,11 @@ def test_spec_validation():
 
 
 def test_natural_norms():
-    assert natural_norm_p(FnSpec("gaussian", 2)) == 2.0
-    assert natural_norm_p(FnSpec("exp_l1", 2)) == 1.0
-    assert natural_norm_p(FnSpec("sech_product", 2)) == 1.0
-    assert natural_norm_p(FnSpec("inv_cosh_product", 2)) == 1.0
-    assert natural_norm_p(FnSpec("supergaussian", 2, p=0.5)) == 0.5
+    assert envelope(FnSpec("gaussian", 2)).q == 2.0
+    assert envelope(FnSpec("exp_l1", 2)).q == 1.0
+    assert envelope(FnSpec("sech_product", 2)).q == 1.0
+    assert envelope(FnSpec("inv_cosh_product", 2)).q == 1.0
+    assert envelope(FnSpec("supergaussian", 2, p=0.5)).q == 0.5
 
 
 def test_eval_f_values():

@@ -174,9 +174,23 @@ def _count_reductions(monkeypatch):
 def test_transference_reduces_each_lattice_once(monkeypatch):
     seen = _count_reductions(monkeypatch)
     transference_check(random_unimodular_lattice(3, 5), 2, resolution=4)
-    # L, its dual and the dual's reduction (the covering search's lattice)
-    # are reduced, each once, though the check asks for them many times
+    # L and its dual are reduced, each once, though the check asks for them
+    # many times
     assert len(set(map(id, seen))) == len(seen) >= 2
+
+
+def test_a_reduced_lattice_is_its_own_reduction(monkeypatch):
+    L = random_unimodular_lattice(3, 4)
+    R = lll_reduce(L)
+    assert lll_reduce(R) is R
+    _, U = lll_reduce(R, return_transform=True)
+    assert (U == np.eye(3, dtype=np.int64)).all() and not U.flags.writeable
+    # the covering search enumerates on the dual's reduction, which the loop
+    # does not reduce again: L and its dual are all it runs on
+    seen = _count_reductions(monkeypatch)
+    L = random_unimodular_lattice(3, 4)
+    transference_check(L, 2, resolution=4)
+    assert seen == [L, dual(L)]
 
 
 def test_second_sum_on_a_lattice_reduces_nothing(monkeypatch):

@@ -1,4 +1,5 @@
-"""Manifests with extreme finite numbers, run through ``main`` in process.
+"""Manifests with extreme finite numbers, and lattice names of any JSON
+type, run through ``main`` in process.
 
 Every entry must end in an exit code of the contract (0 PASS, 1 FAIL,
 2 inconclusive, 3 usage, 4 budget), never in an exception escaping
@@ -28,6 +29,10 @@ FAMILIES = st.sampled_from(["gaussian", "supergaussian", "exp_l1",
                             "sech_product", "inv_cosh_product"])
 P_VALUES = st.one_of(st.sampled_from([0.5, 1.0, 1.5, 2.0]),
                      st.floats(0.05, 2.0), NUMBERS)
+# lattice names: a string, or a JSON value that is not one
+NAMES = st.one_of(st.none(), st.sampled_from(["a", ""]), st.integers(-5, 5),
+                  st.booleans(), NUMBERS, st.lists(st.integers(0, 3),
+                                                   max_size=2))
 
 
 @st.composite
@@ -39,7 +44,11 @@ def lattices(draw):
             * 10.0 ** draw(st.floats(-150, 150)) for _ in range(dim)]
     basis = [[diag[i] if i == j else 0.0 for j in range(dim)]
              for i in range(dim)]
-    return dim, {"kind": "basis", "basis": basis}
+    lattice = {"kind": "basis", "basis": basis}
+    name = draw(NAMES)
+    if name is not None:
+        lattice["name"] = name
+    return dim, lattice
 
 
 @st.composite
@@ -197,6 +206,9 @@ def _seeded(test):
 @example(entry={"check_name": "tail_inequality",
                 "params": {"family": "gaussian", "tau": 1000.0,
                            "lattice": {"kind": "integer", "dim": 1}}})
+@example(entry={"check_name": "tail_inequality",
+                "params": {"family": "gaussian", "radius": 1.0,
+                           "lattice": {**_basis(1.0), "name": 5}}})
 def test_extreme_entries_exit_with_a_contract_code(tmp_dir, entry):
     code, _ = _run(tmp_dir, entry)
     assert code in EXIT_CODES

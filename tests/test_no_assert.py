@@ -12,6 +12,10 @@
 * One LLL path: ``lattice.lll_reduce`` is the only code that reaches the
   LLL loop ``_lll``, through the cached ``Lattice._reduction``, so a
   lattice is reduced once however many checks ask for its reduction.
+* One decay table: ``functions.envelope`` states each family's decay
+  envelope, the ``Envelope`` (loga, beta, q) that ``functions`` defines and
+  no other module names, so the certified sums, the tail coefficients and
+  the command line's default bodies read one statement of it.
 * One rounding rule: the checks of ``verify`` build their intervals with
   ``verify.Interval``, whose operators round each end outward.  None of
   them does arithmetic on an end it reads as ``.partial``,
@@ -58,21 +62,23 @@ def test_only_verify_record_builds_a_record():
                        + ", ".join(found))
 
 
-def _named_outside(name, module, owner):
+def _named_outside(name, module, owner=None):
     """Where the library names ``name`` outside the function ``owner`` of
-    ``module``, and whether ``module`` defines ``name``, at its top level or
-    in one of its classes.  A guard on a name that nothing defines would
-    pass vacuously, so each guard checks both."""
+    ``module`` (outside ``module`` itself, when owner is None), and whether
+    ``module`` defines ``name``, a function or class at its top level or in
+    one of its classes.  A guard on a name that nothing defines would pass
+    vacuously, so each guard checks both."""
     found, defined = [], False
     for path, tree in _modules():
         allowed = set()
         if path.name == module:
-            for node in ast.walk(tree):
-                if isinstance(node, ast.FunctionDef) and node.name == owner:
-                    allowed |= {id(sub) for sub in ast.walk(node)}
+            owned = [tree] if owner is None else [
+                node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == owner]
+            allowed = {id(sub) for node in owned for sub in ast.walk(node)}
             scopes = [tree] + [node for node in tree.body
                                if isinstance(node, ast.ClassDef)]
-            defined = any(isinstance(node, ast.FunctionDef)
+            defined = any(isinstance(node, (ast.FunctionDef, ast.ClassDef))
                           and node.name == name
                           for scope in scopes for node in scope.body)
         found += [f"{path.name}:{getattr(node, 'lineno', 0)}"
@@ -100,6 +106,14 @@ def test_only_lll_reduce_reaches_the_lll_loop():
         assert defined, f"lattice.py defines no {name}"
         assert not found, (f"{name} is named outside {owner}: "
                            + ", ".join(found))
+
+
+def test_only_functions_states_a_decay():
+    # each family's (loga, beta, q) is stated once, in functions.envelope
+    found, defined = _named_outside("Envelope", "functions.py")
+    assert defined, "functions.py defines no Envelope"
+    assert not found, ("Envelope is named outside functions.py: "
+                       + ", ".join(found))
 
 
 # the checks whose intervals come only from verify.Interval, the names of

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from latbounds.bounds import NuBound, cosh_nu_bound
+from latbounds.bounds import NuBound, cosh_nu_bound, mu_norm
 import latbounds.enumeration as enumeration
 from latbounds.enumeration import BodySpec, enumerate_arrays
 import latbounds.verify as verify
 from latbounds.errors import InvariantError, ToleranceUnreachedError
+from latbounds.functions import Envelope, envelope
 from latbounds.functions import TestFunctionSpec as FnSpec
 from latbounds.lattice import Lattice, _gso, dual, integer_lattice, \
     lll_reduce, lp_norm, random_unimodular_lattice
@@ -289,7 +290,7 @@ def test_z5_supergaussian_pays_the_reach_once():
 def test_truncation_radius_past_1e154_stays_finite():
     # the bisection's mid = sqrt(lo) sqrt(hi): lo * hi leaves the floats
     # once S passes 1.3e154, as it does for this l^0.05 envelope
-    env = verify._envelope_for(FnSpec("supergaussian", 1, p=0.05))
+    env = envelope(FnSpec("supergaussian", 1, p=0.05))
     S, tail = verify._truncated(Lattice([[4.32e148]]), env,
                                 env.beta / 0.5 ** 0.05, lambda _: 0.0)
     assert 1.3e154 < S < math.inf
@@ -304,7 +305,7 @@ def test_tail_past_the_floats_keeps_its_bound():
     # past S ~ 1.3e154, (S - reach)^q leaves the floats, but beta times it,
     # with beta ~ 1.4e-308, does not; the bound then takes it from
     # log beta + q log (S - reach), and stays above the exact tail
-    env = verify._envelope_for(FnSpec("supergaussian", 1, p=1.99))
+    env = envelope(FnSpec("supergaussian", 1, p=1.99))
     beta = env.beta / 5e154 ** 1.99
     L = Lattice([[1.3e154]])
     cell = verify._cell_bounds(L.basis, env.q)
@@ -354,7 +355,7 @@ def test_log_tail_bounds_the_brute_force_tail(n, q, seed, real, loga,
         L = integer_lattice(n)
     lo, hi = _TAIL_BETA[q, n]
     beta = lo * (hi / lo) ** frac_beta
-    env = verify._Envelope(loga, beta, q)
+    env = Envelope(loga, beta, q)
     cell = verify._cell_bounds(lll_reduce(L).basis, q)
     bound = lambda S: verify._log_tail(n, L.covolume, env, beta, cell, S)
     reach_q = cell[0] if q <= 1 else cell[0] ** q
@@ -794,7 +795,7 @@ def test_nu_for_body_dispatch():
     nb = nu_for_body(g, BodySpec(p=2.0, radius=1.0), 2)
     assert nb.method == "closed_form"
     nb = nu_for_body(g, BodySpec(p=2.0, radius=0.3), 2)  # tau < 1/2
-    assert nb.method == "norm_optimizer"
+    assert nb == NuBound(1.0, "closed_form")
     with pytest.raises(ValueError):
         nu_for_body(g, BodySpec(p=1.0, radius=1.0), 2)  # wrong ball shape
     ic = FnSpec("inv_cosh_product", 2)
@@ -802,6 +803,35 @@ def test_nu_for_body_dispatch():
     assert nb.method == "shrink_ratio"
     with pytest.raises(ValueError):
         nu_for_body(FnSpec("sech_product", 2), BodySpec(p=1.0, radius=1.0), 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(family=st.sampled_from(["gaussian", "supergaussian", "exp_l1"]),
+       p=st.floats(0.3, 2.0), n=st.integers(1, 8),
+       scale=st.floats(0.05, 4.0).filter(lambda s: abs(s - 1) > 1e-9))
+@example(family="gaussian", p=2.0, n=8, scale=0.05)
+@example(family="supergaussian", p=0.3, n=8, scale=0.999)
+def test_nu_for_body_meets_its_oracle(family, p, n, scale):
+    # R = scale times the inflection scale: inside it nu is exactly 1, and
+    # everywhere it is within 1e-9 of mu_norm, golden section over u on the
+    # same radial profile (exp_l1's is the supergaussian's at p = 1)
+    spec = FnSpec(family, n, p if family == "supergaussian" else None)
+    env = envelope(spec)
+    R = scale * (n / env.q) ** (1 / env.q) / env.beta ** (1 / env.q)
+    nu = nu_for_body(spec, BodySpec(env.q, R), n)
+    if scale < 1:
+        assert nu == NuBound(1.0, "closed_form")
+    profile = FnSpec("supergaussian", n, 1.0) if family == "exp_l1" else spec
+    oracle = mu_norm(profile, R, n).value
+    assert abs(nu.value - oracle) <= 1e-9 * oracle
+
+
+@pytest.mark.parametrize("spec, body_p", [
+    (FnSpec("gaussian", 2), 1.0), (FnSpec("supergaussian", 2, 1.5), 2.0),
+    (FnSpec("exp_l1", 2), 2.0)], ids=["gaussian", "supergaussian", "exp_l1"])
+def test_nu_for_body_refuses_a_body_in_the_wrong_norm(spec, body_p):
+    with pytest.raises(ValueError, match="tail bodies must be"):
+        nu_for_body(spec, BodySpec(body_p, 1.0), 2)
 
 
 def test_tail_inequality_passes():
