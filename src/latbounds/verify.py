@@ -19,11 +19,13 @@ is never coerced.
 Sums of fhat over the dual lattice (part 3) are taken on the primal side by
 Poisson summation, as covol(L) times a cos-weighted sum of f over L; their
 terms are signed, so those intervals are symmetric, [partial - rem,
-partial + rem].  The psf check sets the two ends of Poisson summation
-against each other, certified_sum over L and dual_fhat_sum over t L*, so it
-also tests part 3's kernel.  Where fhat has no exponential envelope, psf
-sums a diagonal dual as 1-D series: exp_l1's in closed form, fractional p's
-from fhat_p at the exact points (fourier_1d), with a tail past r = 96.
+partial + rem].  One kernel, ``_dual_sums``, takes the shifted and the
+unshifted sum from one ball.  The psf check sets the two ends of Poisson
+summation against each other, certified_sum over L and that kernel on the
+cached L* with f dilated by 1/t, so it also tests part 3's kernel, and no
+check builds a dilated lattice.  Where fhat has no exponential envelope,
+psf sums a diagonal dual as 1-D series: exp_l1's in closed form, fractional
+p's from fhat_p at the exact points (fourier_1d), with a tail past r = 96.
 """
 
 from __future__ import annotations
@@ -363,16 +365,14 @@ def certified_sum(L: Lattice, spec: TestFunctionSpec, v, t: float,
 def psf_product_diagonal(L, spec):
     """|diagonal| of L*'s basis, which psf's product routes (exp_l1 and
     fractional p) sum over one coordinate at a time; None for the other
-    routes.  Raises ValueError when L* is not diagonal, or when fhat_p is
-    not yet within 5% of its asymptote at _R_TAIL, where the fractional-p
-    series' tail starts, so a plan can refuse the check before it runs."""
+    routes.  Raises ValueError when L's basis, and so L*'s, is not exactly
+    diagonal, or when fhat_p is not yet within 5% of its asymptote at
+    _R_TAIL, where the fractional-p series' tail starts, so a plan can
+    refuse the check before it runs."""
     route = fhat_route(spec)
     if route not in ("rational_product", "table"):
         return None
-    B = dual(L).basis
-    scale = float(np.max(np.abs(B)))
-    off = B - np.diag(np.diag(B))
-    if float(np.max(np.abs(off))) > 1e-12 * max(scale, 1.0):
+    if np.any(L.basis != np.diag(np.diag(L.basis))):
         raise ValueError(
             f"{spec.family!r} dual sums decay too slowly for a general "
             "basis; only diagonal lattices are supported")
@@ -380,7 +380,7 @@ def psf_product_diagonal(L, spec):
             spec.p, _R_TAIL, fourier_1d(spec.p, _R_TAIL, 1e-8)[0], 1e-8):
         raise ValueError(f"r={_R_TAIL:g} is inside the pre-asymptotic region "
                          f"for p={spec.p}, where the dual series' tail starts")
-    return np.abs(np.diag(B)).astype(float)
+    return np.abs(np.diag(dual(L).basis)).astype(float)
 
 
 def _sum1d_rational(a, theta):
@@ -450,6 +450,44 @@ def _product_fhat_sum(diag, spec, t, theta, tol_abs):
     return Interval(lo, hi)
 
 
+def _dual_sums(L, spec, v, t, target_tol, node_budget):
+    """(shifted, unshifted): the certified sums covol(L) sum_L f(lambda/t)
+    cos(2 pi lambda.v) and covol(L) sum_L f(lambda/t), from one ball.
+
+    By Poisson summation, with f even, they are t^n sum_{L*} fhat(t (mu +
+    v)) and t^n sum_{L*} fhat(t mu).  The ball is truncated where
+    certified_sum(L, spec, 0, t, target_tol) truncates, so target_tol is
+    relative to f(0), and both sums carry that sum's tail bound, since
+    |cos| <= 1.  The terms are signed, so each interval covol [partial -
+    rem, partial + rem] is symmetric, and the sin part of the phase must
+    cancel over the symmetric point set.
+    """
+    v = np.asarray(v, dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise ValueError("v must be finite")
+    origin = np.zeros(L.dim)
+    env = envelope(spec)
+    beta_eff = _in_range(t, lambda: env.beta / t ** env.q)
+    log_target = lambda _: math.log(target_tol) + log_f(spec, origin)
+    S, tail = _truncated(L, env, beta_eff, log_target)
+    def terms(emb):
+        vals = np.exp(log_f(spec, emb / t))
+        # row by row, so a row's phase does not depend on its block
+        phase = 2 * math.pi * (emb * v).sum(axis=1)
+        return vals * np.cos(phase), vals * np.sin(phase), vals
+    (shifted, sin_part, unshifted), npoints = _ball_sums(
+        L, origin, S, env.q, node_budget, terms)
+    # the point set is symmetric, so the sin pairing must cancel
+    if not abs(sin_part) <= 1e-12 * max(1.0, abs(shifted)):
+        raise InvariantError(
+            "sin pairing failed to cancel over the symmetric point set")
+    def certified(partial):
+        lo, hi = L.covolume * (partial + Interval(-tail, tail))
+        return CertifiedSum(partial=lo, remainder_bound=_up(hi - lo),
+                            truncation_radius=S / t, npoints=npoints)
+    return certified(shifted), certified(unshifted)
+
+
 def dual_fhat_sum(L: Lattice, spec: TestFunctionSpec, v, target_tol: float,
                   node_budget: int = DEFAULT_NODE_BUDGET) -> CertifiedSum:
     """Certified sum of fhat(mu + v) over the dual lattice, for any family
@@ -457,34 +495,11 @@ def dual_fhat_sum(L: Lattice, spec: TestFunctionSpec, v, target_tol: float,
 
         sum_{L*} fhat(mu + v)  =  covol(L) sum_L f(lambda) cos(2 pi lambda.v),
 
-    which holds because every family is even.  The right-hand side is
-    truncated where certified_sum(L, spec, 0, 1, target_tol) truncates, so
-    target_tol is relative to the unshifted sum, and its tail is at most
-    that sum's tail bound, since |cos| <= 1.  The terms are signed, so the
-    interval covol [partial - rem, partial + rem] is symmetric, and the sin
-    part of the phase must cancel over the symmetric point set.
+    which holds because every family is even.  target_tol is relative to
+    the unshifted sum (``_dual_sums`` at t = 1), and the interval is
+    symmetric about its point estimate.
     """
-    v = np.asarray(v, dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise ValueError("v must be finite")
-    origin = np.zeros(L.dim)
-    env = envelope(spec)
-    log_target = lambda _: math.log(target_tol) + log_f(spec, origin)
-    S, tail = _truncated(L, env, env.beta, log_target)
-    def terms(emb):
-        vals = np.exp(log_f(spec, emb))
-        # row by row, so a row's phase does not depend on its block
-        phase = 2 * math.pi * (emb * v).sum(axis=1)
-        return vals * np.cos(phase), vals * np.sin(phase)
-    (partial, sin_part), npoints = _ball_sums(L, origin, S, env.q,
-                                              node_budget, terms)
-    # the point set is symmetric, so the sin pairing must cancel
-    if not abs(sin_part) <= 1e-12 * max(1.0, abs(partial)):
-        raise InvariantError(
-            "sin pairing failed to cancel over the symmetric point set")
-    lo, hi = L.covolume * (partial + Interval(-tail, tail))
-    return CertifiedSum(partial=lo, remainder_bound=_up(hi - lo),
-                        truncation_radius=S, npoints=npoints)
+    return _dual_sums(L, spec, v, 1.0, target_tol, node_budget)[0]
 
 
 def psf_residual(L: Lattice, spec: TestFunctionSpec, v, t: float,
@@ -495,13 +510,14 @@ def psf_residual(L: Lattice, spec: TestFunctionSpec, v, t: float,
 
     the two ends of Poisson summation, each summed to an absolute error of
     at most tol times the left side: certified_sum over L, and (where fhat
-    has an exponential envelope) part3's dual_fhat_sum over M = s L*.  With
-    x = s mu the right side is covol(M) sum_M g(x) cos(2 pi x.v/s): s = t
-    and g = f for a self-dual f; s = sqrt(pi) t and g the gaussian for
-    supergaussian p=2, whose fhat(y) = pi^{n/2} g(sqrt(pi) y).  exp_l1 and
-    fractional p sum a diagonal dual as a product of 1-D series, exp_l1's in
-    closed form and fractional p's from fhat_p at the exact points, with a
-    power-law tail past r = 96 as the error's floor.
+    has an exponential envelope) part 3's kernel ``_dual_sums`` over the
+    cached L*, with g dilated by 1/s: the right side is s^n covol(L*)
+    sum_{L*} g(s mu) cos(2 pi mu.v), with s = t and g = f for a self-dual
+    f, and s = sqrt(pi) t and g the gaussian for supergaussian p=2, whose
+    fhat(y) = pi^{n/2} g(sqrt(pi) y).  exp_l1 and fractional p sum a
+    diagonal dual as a product of 1-D series, exp_l1's in closed form and
+    fractional p's from fhat_p at the exact points, with a power-law tail
+    past r = 96 as the error's floor.
     The residual compares point estimates: lhs.partial against the midpoint
     of the right side's interval.
     """
@@ -515,10 +531,13 @@ def psf_residual(L: Lattice, spec: TestFunctionSpec, v, t: float,
     if route in ("self_dual", "gaussian_rescale"):
         s, g = ((t, spec) if route == "self_dual"
                 else (math.sqrt(math.pi) * t, TestFunctionSpec("gaussian", n)))
-        M = Lattice(s * dual(L).basis)
-        # dual_fhat_sum's error is covol(M) g(0) target_tol
-        target_tol = budget / (M.covolume * math.exp(log_f(g, np.zeros(n))))
-        rhs_iv = dual_fhat_sum(M, g, v / s, target_tol, node_budget).interval()
+        D = dual(L)
+        scale = _in_range(t, lambda: s ** n)
+        # the kernel's error is covol(L*) g(0) target_tol, times s^n here
+        target_tol = budget / _in_range(
+            t, lambda: scale * D.covolume * math.exp(log_f(g, np.zeros(n))))
+        shifted, _ = _dual_sums(D, g, v, 1 / s, target_tol, node_budget)
+        rhs_iv = scale * shifted.interval()
     else:
         factor = _in_range(t, lambda: t ** n / L.covolume)
         # cos(2 pi mu . v) factorizes over the coordinates of a diagonal dual
@@ -654,11 +673,12 @@ def check_part3(L: Lattice, spec: TestFunctionSpec, K: BodySpec, v,
 
     Requires that K contain no nonzero lattice vector; that is verified by
     exact enumeration first, and a violation is an error naming the vector.
-    Both dual sums come from dual_fhat_sum, so the check rests on Poisson
-    summation (a theorem, not the inequality under test) and works for any
-    family and basis.  Their terms are signed, so each interval is
-    symmetric about its point estimate, and tol is relative to the
-    unshifted sum.
+    Both dual sums come from one pass over one ball of the kernel
+    ``_dual_sums`` at t = 1, the kernel that psf runs on L* with f dilated
+    by 1/t, so the check rests on Poisson summation (a theorem, not the
+    inequality under test) and works for any family and basis.  Their terms
+    are signed, so each interval is symmetric about its point estimate, and
+    tol is relative to the unshifted sum.
     """
     v = np.asarray(v, dtype=float)
     coords, emb = enumerate_arrays(L, np.zeros(L.dim), K.radius, K.p,
@@ -669,9 +689,7 @@ def check_part3(L: Lattice, spec: TestFunctionSpec, K: BodySpec, v,
         raise ValueError(
             f"K (l^{K.p:g} ball, radius {K.radius:g}) contains the nonzero "
             f"lattice vector {np.round(witness, 12).tolist()}")
-    rhs_sum = dual_fhat_sum(L, spec, np.zeros(L.dim), tol, node_budget)
-    lhs = (rhs_sum if not np.any(v)
-           else dual_fhat_sum(L, spec, v, tol, node_budget))
+    lhs, rhs_sum = _dual_sums(L, spec, v, 1.0, tol, node_budget)
     rhs_iv = (1.0 - 2.0 * nu.value) * rhs_sum.interval()
     # the claim is rhs <= lhs
     margin, verdict = _verdict(rhs_iv, lhs.interval())
@@ -694,14 +712,10 @@ class HandshakeCensus(NamedTuple):
 def handshake_census(L: Lattice, p: float, u: float,
                      node_budget: int = DEFAULT_NODE_BUDGET) -> HandshakeCensus:
     """Exact count of nonzero points with ||x||_p <= u * sigma_p, vs the cap."""
-    if not 0 < p <= 2:
-        raise ValueError("p must be in (0, 2]")
-    if u < 1:
-        raise ValueError("u must be >= 1")
-    sigma, _ = shortest_vector(L, p)
+    bound = handshake_bound(L.dim, p, u)  # refuses p and u before any search
+    sigma, _ = shortest_vector(L, p, node_budget)
     count = sum(int(np.any(coords != 0, axis=1).sum()) for coords, _ in
                 ball_blocks(L, np.zeros(L.dim), u * sigma, p, node_budget))
-    bound = handshake_bound(L.dim, p, u)
     _, verdict = _verdict((count, count), (bound, bound))
     return HandshakeCensus(count=count, bound=bound, verdict=verdict)
 
@@ -741,7 +755,7 @@ def transference_check(L: Lattice, p: float, resolution: int = 64,
     if p not in (1, 2):
         raise ValueError("transference bounds are implemented for p in {1, 2}")
     n = L.dim
-    sigma, _ = shortest_vector(L, p)
+    sigma, _ = shortest_vector(L, p, node_budget)
     # The search runs on Ld, whose basis is the float inverse of L's.  As
     # exact rationals Ld.basis = B^-T @ M with M = B^T @ Ld.basis, so the
     # exact dual's radius follows from the bracket and ||M - I||; the

@@ -669,23 +669,25 @@ def test_fractional_psf_builds_no_table(tmp_path, monkeypatch):
 def test_psf_product_route_refuses_general_basis_at_plan_time(
         run_cli, tmp_path, monkeypatch, family, p):
     # the product routes sum a diagonal dual only; planning must say so
-    # before it builds a table the check could never read
+    # before it builds a table the check could never read.  A coupling far
+    # below the basis's scale is a coupling too: dropping it is not exact
     def no_table(*args, **kwargs):
         raise AssertionError("built a transform table nothing reads")
     monkeypatch.setattr(cli, "build_transform_table", no_table)
-    params = {"family": family, "t": 1.5, "v": "random", "tol": 1e-6,
-              "max_residual": 1e-3,
-              "lattice": {"kind": "unimodular", "dim": 2, "seed": 3}}
-    if p is not None:
-        params["p"] = p
-    man = {"seed": 3, "checks": [{"check_name": "psf", "params": params}]}
-    with pytest.raises(cli.ManifestError, match="only diagonal lattices"):
-        plan_manifest(man, str(tmp_path))
-    code, out, err = run_cli("verify", _write_manifest(tmp_path / "m.json",
-                                                       man))
-    assert code == 3
-    assert "only diagonal lattices are supported" in err
-    assert out == ""
+    for lattice in ({"kind": "unimodular", "dim": 2, "seed": 3},
+                    {"kind": "basis", "basis": [[1.0, 1e-13], [0.0, 1.0]]}):
+        params = {"family": family, "t": 1.5, "v": "random", "tol": 1e-6,
+                  "max_residual": 1e-3, "lattice": lattice}
+        if p is not None:
+            params["p"] = p
+        man = {"seed": 3, "checks": [{"check_name": "psf", "params": params}]}
+        with pytest.raises(cli.ManifestError, match="only diagonal lattices"):
+            plan_manifest(man, str(tmp_path))
+        code, out, err = run_cli("verify", _write_manifest(
+            tmp_path / "m.json", man))
+        assert code == 3
+        assert "only diagonal lattices are supported" in err
+        assert out == ""
 
 
 def test_main_callable_in_process(capsys, z1):

@@ -12,6 +12,10 @@
 * One LLL path: ``lattice.lll_reduce`` is the only code that reaches the
   LLL loop ``_lll``, through the cached ``Lattice._reduction``, so a
   lattice is reduced once however many checks ask for its reduction.
+* Lattices are built in two places: ``lattice`` (the dual, the LLL
+  reduction, the named families and files) and ``cli`` (a manifest's
+  inline basis).  The checks dilate their test function, never the
+  lattice, so every lattice they sum over has its reduction cached.
 * One decay table: ``functions.envelope`` states each family's decay
   envelope, the ``Envelope`` (loga, beta, q) that ``functions`` defines and
   no other module names, so the certified sums, the tail coefficients and
@@ -108,6 +112,25 @@ def test_only_lll_reduce_reaches_the_lll_loop():
                            + ", ".join(found))
 
 
+def test_only_lattice_and_cli_construct_a_lattice():
+    # a check dilates its test function, never its lattice, so each lattice
+    # it sums over is one whose reduction and dual are cached
+    found, defined = [], False
+    for path, tree in _modules():
+        calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and "Lattice" in (getattr(node.func, "id", None),
+                                   getattr(node.func, "attr", None))]
+        if path.name == "lattice.py":
+            defined = bool(calls) and any(
+                isinstance(node, ast.ClassDef) and node.name == "Lattice"
+                for node in tree.body)
+        elif path.name != "cli.py":
+            found += [f"{path.name}:{node.lineno}" for node in calls]
+    assert defined, "lattice.py defines and constructs no Lattice"
+    assert not found, ("a Lattice constructed outside lattice.py and cli.py: "
+                       + ", ".join(found))
+
+
 def test_only_functions_states_a_decay():
     # each family's (loga, beta, q) is stated once, in functions.envelope
     found, defined = _named_outside("Envelope", "functions.py")
@@ -120,7 +143,7 @@ def test_only_functions_states_a_decay():
 # the interval ends they must not do float arithmetic on, and the calls that
 # round the result of one such operation outward
 _INTERVAL_CHECKS = ("check_part1", "check_tail_inequality", "check_part3",
-                    "dual_fhat_sum", "transference_check",
+                    "_dual_sums", "dual_fhat_sum", "transference_check",
                     "TransferenceReport.record")
 _ENDS = {"partial", "remainder_bound", "lo", "hi"}
 _OUTWARD = {"_up", "_down"}

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from latbounds.bounds import NuBound, cosh_nu_bound, mu_norm
 import latbounds.enumeration as enumeration
+import latbounds.lattice as lattice
 from latbounds.enumeration import BodySpec, enumerate_arrays
 import latbounds.verify as verify
 from latbounds.errors import InvariantError, ToleranceUnreachedError
@@ -667,51 +668,109 @@ def test_certified_sum_contains_mpmath_oracle(family, diag, tol, data):
                                  Lattice(np.diag([0.5, 2.0])),
                                  random_unimodular_lattice(3, 4), D4])
 def test_dual_sum_ends_round_outward(lat, monkeypatch):
-    # the ends hold covol (partial -+ rem) computed exactly, from the sum
-    # and the tail bound dual_fhat_sum took, and so does partial +
-    # remainder_bound of the returned sum, both exactly and as the float
-    # sum that its record holds
+    # the ends of each of the kernel's two sums hold covol (partial -+ rem)
+    # computed exactly, from that sum's column of the ball and the one tail
+    # bound the kernel took, and so does partial + remainder_bound of each
+    # returned sum, both exactly and as the float sum that a record holds
     seen = {}
     for name in ("_ball_sums", "_truncated"):
         def spy(*args, _run=getattr(verify, name), _name=name):
             seen[_name] = _run(*args)
             return seen[_name]
         monkeypatch.setattr(verify, name, spy)
-    ds = dual_fhat_sum(lat, FnSpec("gaussian", lat.dim),
-                       np.full(lat.dim, 0.15), 1e-9)
-    (partial, _), _ = seen["_ball_sums"]
-    _, rem = seen["_truncated"]
-    c, partial, rem = map(Fraction, (lat.covolume, partial, rem))
-    lo, hi = ds.interval()
-    assert lo == ds.partial
-    assert Fraction(lo) <= c * (partial - rem)
-    assert Fraction(hi) >= c * (partial + rem)
-    assert Fraction(ds.partial) + Fraction(ds.remainder_bound) >= c * (
-        partial + rem)
-    assert Fraction(ds.partial + ds.remainder_bound) >= c * (partial + rem)
+    for t in (1.0, 0.75):
+        sums = verify._dual_sums(lat, FnSpec("gaussian", lat.dim),
+                                 np.full(lat.dim, 0.15), t, 1e-9,
+                                 enumeration.DEFAULT_NODE_BUDGET)
+        (shifted, _, unshifted), _ = seen["_ball_sums"]
+        _, rem = seen["_truncated"]
+        c, rem = Fraction(lat.covolume), Fraction(rem)
+        for ds, partial in zip(sums, map(Fraction, (shifted, unshifted))):
+            lo, hi = ds.interval()
+            assert lo == ds.partial
+            assert Fraction(lo) <= c * (partial - rem)
+            assert Fraction(hi) >= c * (partial + rem)
+            assert Fraction(ds.partial) + Fraction(ds.remainder_bound) >= c * (
+                partial + rem)
+            assert Fraction(ds.partial + ds.remainder_bound) >= c * (
+                partial + rem)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_dual_terms_do_not_depend_on_the_block(seed, monkeypatch):
     # a row's phase is its own sum, not a BLAS matrix-vector product whose
-    # rounding at n = 8 depends on where the row sits in its block
+    # rounding at n = 8 depends on where the row sits in its block, and so
+    # is its dilated term
     L = random_unimodular_lattice(8, seed)
     seen = []
 
     def spy(*args):  # keep the term map, skip the sum
         seen.append(args[-1])
-        return [0.0, 0.0], 0
+        return [0.0, 0.0, 0.0], 0
     monkeypatch.setattr(verify, "_ball_sums", spy)
     v = np.random.default_rng(seed).uniform(-0.5, 0.5, 8)
-    dual_fhat_sum(L, FnSpec("gaussian", 8), v, 1e-3)
-    terms = seen[0]
+    for t in (1.0, 1 / 1.5):
+        verify._dual_sums(L, FnSpec("gaussian", 8), v, t, 1e-3,
+                          enumeration.DEFAULT_NODE_BUDGET)
     _, emb = enumerate_arrays(L, np.zeros(8), 2.5)
-    whole = [a.tobytes() for a in terms(emb)]
     rng = np.random.default_rng(seed)
-    for _ in range(10):
-        cuts = np.sort(rng.choice(np.arange(1, len(emb)), 40, replace=False))
-        parts = zip(*map(terms, np.split(emb, cuts)))
-        assert [np.concatenate(col).tobytes() for col in parts] == whole
+    for terms in seen:
+        whole = [a.tobytes() for a in terms(emb)]
+        for _ in range(10):
+            cuts = np.sort(rng.choice(np.arange(1, len(emb)), 40,
+                                      replace=False))
+            parts = zip(*map(terms, np.split(emb, cuts)))
+            assert [np.concatenate(col).tobytes() for col in parts] == whole
+
+
+def test_part3_sums_its_dual_ball_once(monkeypatch):
+    # the shifted and the unshifted side share one truncation, one tail
+    # bound and one point set, so one pass over the ball yields both
+    calls = []
+
+    def spy(*args, _run=verify._ball_sums):
+        calls.append(args)
+        return _run(*args)
+    monkeypatch.setattr(verify, "_ball_sums", spy)
+    L, spec = integer_lattice(2), FnSpec("gaussian", 2)
+    K = BodySpec(p=2.0, radius=0.99)
+    rec = check_part3(L, spec, K, np.array([0.2, 0.1]), nu_for_body(spec, K, 2))
+    assert rec["verdict"] == PASS
+    assert len(calls) == 1
+
+
+def test_psf_reduces_only_the_lattice_and_its_dual(monkeypatch):
+    # the dual side dilates g on the cached L*, so however many psf checks
+    # run on one lattice, the LLL loop runs once for L and once for L*
+    reduced = []
+
+    def spy(L, _run=lattice._lll):
+        reduced.append(L)
+        return _run(L)
+    monkeypatch.setattr(lattice, "_lll", spy)
+    L = random_unimodular_lattice(3, 11)
+    v = np.array([0.2, -0.1, 0.35])
+    for spec, t in ((FnSpec("gaussian", 3), 1.0), (FnSpec("gaussian", 3), 1.5),
+                    (FnSpec("supergaussian", 3, p=2.0), 0.8),
+                    (FnSpec("inv_cosh_product", 3), 1.25)):
+        assert psf_residual(L, spec, v, t, 1e-9) <= 1e-8
+    assert len(reduced) == 2
+    assert reduced[0] is L and reduced[1] is dual(L)
+
+
+def test_census_and_transference_pass_their_node_budget(monkeypatch):
+    # a manifest's budgets.nodes bounds the shortest-vector search too
+    budgets = []
+
+    def spy(L, p=2, node_budget=enumeration.DEFAULT_NODE_BUDGET,
+            _run=verify.shortest_vector):
+        budgets.append(node_budget)
+        return _run(L, p, node_budget)
+    monkeypatch.setattr(verify, "shortest_vector", spy)
+    handshake_census(D4, 2.0, 1.0, node_budget=12345)
+    transference_check(integer_lattice(2), 2.0, resolution=4,
+                       node_budget=12345)
+    assert budgets == [12345, 12345]
 
 
 @pytest.mark.parametrize("fam,lat,t,v,cap", [
