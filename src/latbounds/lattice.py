@@ -179,23 +179,6 @@ def _lll(L: Lattice):
     return reduced, U
 
 
-def same_lattice(L1: Lattice, L2: Lattice, tol: float = 1e-9) -> bool:
-    """True when both bases generate the same point set.
-
-    Checks that each basis is an (approximately) integer combination of the
-    other and that covolumes agree.
-    """
-    if L1.dim != L2.dim:
-        return False
-    if abs(L1.covolume - L2.covolume) > tol * max(1.0, L1.covolume):
-        return False
-    for A, B in ((L1.basis, L2.basis), (L2.basis, L1.basis)):
-        C = A @ np.linalg.inv(B)
-        if not np.allclose(C, np.round(C), atol=tol):
-            return False
-    return True
-
-
 def rational(A):
     """Exact copy of a float or integer matrix as lists of Fractions (every
     float is a dyadic rational)."""

@@ -1,10 +1,15 @@
 """Certified lattice sums and empirical checks of the implemented inequalities.
 
 Every sum over a lattice is an interval [partial, partial + remainder_bound].
-partial is one exactly rounded math.fsum of terms that ``_ball_sums``
-streams from the enumeration's blocks, holding no points.  The remainder
-rests on an exponential envelope: the centred cells, tiling space, of the
-points past the truncation radius tile a region where the envelope
+One kernel, ``_sums``, truncates and sums every ball: it picks the
+truncation radius and its tail bound, and runs one pass of ``_ball_sums``,
+which streams the terms from the enumeration's blocks, holding no points,
+into one exactly rounded math.fsum per column.  Its callers are term maps:
+certified_sum's one column, ``_dual_sums``'s three, and the tail check's
+two, the shifted sum and its cut to the body, so a tail check makes one
+pass at v = 0 and two at v != 0.  The remainder rests on an exponential
+envelope: the centred cells, tiling space, of the points past the
+truncation radius tile a region where the envelope
 integrates to an upper incomplete gamma function, bounded by integration by
 parts with a derived rounding allowance.  The cell is the parallelepiped or
 the Gram-Schmidt box of an LLL-reduced basis, whichever bound on its reach
@@ -19,13 +24,14 @@ is never coerced.
 Sums of fhat over the dual lattice (part 3) are taken on the primal side by
 Poisson summation, as covol(L) times a cos-weighted sum of f over L; their
 terms are signed, so those intervals are symmetric, [partial - rem,
-partial + rem].  One kernel, ``_dual_sums``, takes the shifted and the
-unshifted sum from one ball.  The psf check sets the two ends of Poisson
-summation against each other, certified_sum over L and that kernel on the
-cached L* with f dilated by 1/t, so it also tests part 3's kernel, and no
-check builds a dilated lattice.  Where fhat has no exponential envelope,
-psf sums a diagonal dual as 1-D series: exp_l1's in closed form, fractional
-p's from fhat_p at the exact points (fourier_1d), with a tail past r = 96.
+partial + rem].  ``_dual_sums``, a term map of the kernel at v = 0, takes
+the shifted and the unshifted sum from one ball.  The psf check sets the
+two ends of Poisson summation against each other, certified_sum over L
+and ``_dual_sums`` on the cached L* with f dilated by 1/t, so it also
+tests part 3's sums, and no check builds a dilated lattice.  Where fhat
+has no exponential envelope, psf sums a diagonal dual as 1-D series:
+exp_l1's in closed form, fractional p's from fhat_p at the exact points
+(fourier_1d), with a tail past r = 96.
 """
 
 from __future__ import annotations
@@ -41,15 +47,15 @@ import numpy as np
 from .bounds import (NuBound, cosh_nu_bound, cstar, handshake_bound,
                      supergaussian_mu_closed_form, transference_bound_l1,
                      transference_bound_l2)
-from .enumeration import (_U, DEFAULT_GRID_BUDGET, DEFAULT_NODE_BUDGET,
-                          BodySpec, _cell_bounds, ball_blocks,
-                          covering_radius_estimate, enumerate_arrays,
-                          shortest_vector, transport_bracket)
+from .enumeration import (_BOUNDARY_SLACK, _U, DEFAULT_GRID_BUDGET,
+                          DEFAULT_NODE_BUDGET, BodySpec, _cell_bounds,
+                          ball_blocks, covering_radius_estimate,
+                          enumerate_arrays, shortest_vector, transport_bracket)
 from .errors import (BudgetExceededError, InvariantError,
                      ToleranceUnreachedError)
 from .functions import TestFunctionSpec, envelope, fhat_route, log_f
-from .lattice import (Lattice, distortion_bound, dual, lll_reduce, rational,
-                      rational_matmul)
+from .lattice import (Lattice, distortion_bound, dual, lll_reduce, lp_norm,
+                      rational, rational_matmul)
 from .transform import _asymptotic, fourier_1d, transform_tail_coefficient
 
 PASS = "PASS"
@@ -318,15 +324,19 @@ def _in_range(t, compute):
     return x
 
 
-def certified_sum(L: Lattice, spec: TestFunctionSpec, v, t: float,
-                  target_tol: float,
-                  node_budget: int = DEFAULT_NODE_BUDGET) -> CertifiedSum:
-    """Sum of f((lambda+v)/t) over the lattice, with certified remainder.
+def _sums(L, spec, v, t, target_tol, node_budget, terms, radius=0.0):
+    """(S, tail, column sums, npoints): the one truncation and the one pass
+    of every certified sum of f((lambda+v)/t) over L.
 
-    Sums over the points with ||(lambda+v)/t||_q <= R in the family's
-    natural norm q, where R is grown (analytically, before any enumeration)
-    until the tail bound drops below target_tol relative to the sum.  The
-    terms stream from the enumeration into one exactly rounded sum.
+    S, in the envelope's norm q, is grown (analytically, before any
+    enumeration) until tail, the certified bound on the mass of the terms
+    with ||lambda+v||_q >= S, drops below target_tol relative to the larger
+    of the origin term and the term at the rounded (Babai) point nearest
+    -v, a positive lower bound on the sum.  terms maps each block of
+    embeddings of the ball ||lambda+v||_q <= max(S, radius), v a float
+    array, to its columns, each summed once, exactly rounded
+    (``_ball_sums``); a column may keep only the terms of a smaller ball,
+    as a tail check's inner sum keeps its body's, whose radius it passes.
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -334,15 +344,12 @@ def certified_sum(L: Lattice, spec: TestFunctionSpec, v, t: float,
         raise ValueError("target_tol must be positive")
     if spec.dim != L.dim:
         raise ValueError(f"spec dimension {spec.dim} != lattice dimension {L.dim}")
-    v = np.asarray(v, dtype=float)
     if v.shape != (L.dim,):
         raise ValueError(f"v must have shape ({L.dim},)")
     if not np.all(np.isfinite(v)):
         raise ValueError("v must be finite")
 
     def log_target(reduced):
-        # positive lower bound for the eventual partial: the origin term and
-        # the term at the rounded (Babai) point nearest -v
         c0 = np.round(reduced.coefficients(-v))
         cand = np.vstack([np.zeros(L.dim), c0 @ reduced.basis])
         return (math.log(target_tol)
@@ -351,8 +358,21 @@ def certified_sum(L: Lattice, spec: TestFunctionSpec, v, t: float,
     env = envelope(spec)
     beta_eff = _in_range(t, lambda: env.beta / t ** env.q)
     S, tail = _truncated(L, env, beta_eff, log_target)
-    (partial,), npoints = _ball_sums(
-        L, v, S, env.q, node_budget,
+    sums, npoints = _ball_sums(L, v, max(S, radius), env.q, node_budget, terms)
+    return S, tail, sums, npoints
+
+
+def certified_sum(L: Lattice, spec: TestFunctionSpec, v, t: float,
+                  target_tol: float,
+                  node_budget: int = DEFAULT_NODE_BUDGET) -> CertifiedSum:
+    """Sum of f((lambda+v)/t) over the lattice, with certified remainder:
+    the kernel ``_sums`` with the terms as its one column, so it sums the
+    points with ||(lambda+v)/t||_q <= R = S/t in the family's natural norm
+    q, the tail bound below target_tol relative to the sum.
+    """
+    v = np.asarray(v, dtype=float)
+    S, tail, (partial,), npoints = _sums(
+        L, spec, v, t, target_tol, node_budget,
         lambda emb: (np.exp(log_f(spec, (emb + v) / t)),))
     return CertifiedSum(partial=partial, remainder_bound=tail,
                         truncation_radius=S / t, npoints=npoints)
@@ -455,28 +475,23 @@ def _dual_sums(L, spec, v, t, target_tol, node_budget):
     cos(2 pi lambda.v) and covol(L) sum_L f(lambda/t), from one ball.
 
     By Poisson summation, with f even, they are t^n sum_{L*} fhat(t (mu +
-    v)) and t^n sum_{L*} fhat(t mu).  The ball is truncated where
-    certified_sum(L, spec, 0, t, target_tol) truncates, so target_tol is
-    relative to f(0), and both sums carry that sum's tail bound, since
-    |cos| <= 1.  The terms are signed, so each interval covol [partial -
-    rem, partial + rem] is symmetric, and the sin part of the phase must
-    cancel over the symmetric point set.
+    v)) and t^n sum_{L*} fhat(t mu).  They are columns of one pass of the
+    kernel ``_sums`` at v = 0, which truncates as certified_sum(L, spec, 0,
+    t, target_tol) does, so target_tol is relative to f(0), and both sums
+    carry that sum's tail bound, since |cos| <= 1.  The terms are signed,
+    so each interval covol [partial - rem, partial + rem] is symmetric, and
+    the sin part of the phase must cancel over the symmetric point set.
     """
     v = np.asarray(v, dtype=float)
     if not np.all(np.isfinite(v)):
         raise ValueError("v must be finite")
-    origin = np.zeros(L.dim)
-    env = envelope(spec)
-    beta_eff = _in_range(t, lambda: env.beta / t ** env.q)
-    log_target = lambda _: math.log(target_tol) + log_f(spec, origin)
-    S, tail = _truncated(L, env, beta_eff, log_target)
     def terms(emb):
         vals = np.exp(log_f(spec, emb / t))
         # row by row, so a row's phase does not depend on its block
         phase = 2 * math.pi * (emb * v).sum(axis=1)
         return vals * np.cos(phase), vals * np.sin(phase), vals
-    (shifted, sin_part, unshifted), npoints = _ball_sums(
-        L, origin, S, env.q, node_budget, terms)
+    S, tail, (shifted, sin_part, unshifted), npoints = _sums(
+        L, spec, np.zeros(L.dim), t, target_tol, node_budget, terms)
     # the point set is symmetric, so the sin pairing must cancel
     if not abs(sin_part) <= 1e-12 * max(1.0, abs(shifted)):
         raise InvariantError(
@@ -614,6 +629,14 @@ def check_part1(L: Lattice, spec: TestFunctionSpec, v, t: float,
                    **_compared(lhs.interval(), rhs_iv, margin))
 
 
+def _body_envelope(spec, K):
+    """spec's envelope, once the tail body K is a ball of its norm q."""
+    env = envelope(spec)
+    if K.p != env.q:
+        raise ValueError(f"{spec.label} tail bodies must be l^{env.q:g} balls")
+    return env
+
+
 def nu_for_body(spec: TestFunctionSpec, K: BodySpec, n: int) -> NuBound:
     """The certified tail coefficient nu(R) = f(R) / sup_{0<u<=1} u^n f(uR)
     for (spec, K), K the l^q ball of radius R, by one of two routes.
@@ -631,9 +654,7 @@ def nu_for_body(spec: TestFunctionSpec, K: BodySpec, n: int) -> NuBound:
     """
     if spec.family == "sech_product":
         raise ValueError("no certified tail coefficient route for sech_product")
-    env = envelope(spec)
-    if K.p != env.q:
-        raise ValueError(f"{spec.label} tail bodies must be l^{env.q:g} balls")
+    env = _body_envelope(spec, K)
     if spec.family == "inv_cosh_product":
         return cosh_nu_bound(K.radius / ((1 + cstar()) * n), n)
     r = env.beta ** (1.0 / env.q) * K.radius
@@ -648,14 +669,25 @@ def check_tail_inequality(L: Lattice, spec: TestFunctionSpec, K: BodySpec,
     """Check sum_{lambda+v not in K} f(lambda+v) <= nu * sum_L f(lambda).
 
     The out-of-K mass is the certified full shifted sum minus the exact sum
-    over the finitely many points inside K.
+    over the finitely many points inside K, and both come from one pass of
+    the kernel ``_sums``: the ball it sums reaches K, and the inner sum is
+    its terms cut to K, ties within 1e-12 relative kept.  K must be a ball
+    of the envelope's norm, so that it lies in the ball summed.  At v = 0
+    the shifted sum is the full one, so the check makes one pass.
     """
     v = np.asarray(v, dtype=float)
-    full = certified_sum(L, spec, np.zeros(L.dim), 1.0, tol, node_budget)
-    shifted = (full if not np.any(v)
-               else certified_sum(L, spec, v, 1.0, tol, node_budget))
-    (inner,), _ = _ball_sums(L, v, K.radius, K.p, node_budget,
-                             lambda emb: (np.exp(log_f(spec, emb + v)),))
+    _body_envelope(spec, K)
+    cut = K.radius * (1 + _BOUNDARY_SLACK)
+
+    def terms(emb):
+        y = emb + v
+        vals = np.exp(log_f(spec, y))
+        return vals, vals[lp_norm(y, K.p) <= cut]
+    S, tail, (partial, inner), npoints = _sums(L, spec, v, 1.0, tol,
+                                               node_budget, terms, cut)
+    shifted = CertifiedSum(partial, tail, S, npoints)
+    full = shifted if not np.any(v) else certified_sum(
+        L, spec, np.zeros(L.dim), 1.0, tol, node_budget)
     lhs_iv = shifted.interval() - inner
     rhs_iv = nu.value * full.interval()
     params = _spec_params(spec, body_p=float(K.p), body_radius=float(K.radius),

@@ -11,8 +11,7 @@ from latbounds.functions import TestFunctionSpec as FnSpec
 from latbounds.lattice import (Lattice, distortion_bound, dual,
                                integer_lattice, lll_reduce, load_lattice,
                                lp_norm, random_unimodular_lattice, rational,
-                               rational_matmul, rational_solve, same_lattice,
-                               save_lattice)
+                               rational_matmul, rational_solve, save_lattice)
 from latbounds.verify import certified_sum, transference_check
 
 
@@ -44,10 +43,22 @@ def test_dual_inverse_transpose():
     assert np.allclose(back.basis, L.basis, atol=1e-12)
 
 
+def _same_lattice(A, B):
+    """Whether the rows of the float bases A and B generate one lattice, in
+    exact rationals: each basis is an integer combination of the other
+    (X with X @ B == A solves B^T X^T == A^T), so the change of basis is
+    integer with an integer inverse, |det| = 1."""
+    for X, Y in ((A, B), (B, A)):
+        C = rational_solve(rational(Y.T), rational(X.T))
+        if any(c.denominator != 1 for row in C for c in row):
+            return False
+    return True
+
+
 def test_integer_lattice_self_dual():
     L = integer_lattice(3)
     assert L.name == "Z^3"
-    assert same_lattice(L, dual(L))
+    assert _same_lattice(L.basis, dual(L).basis)
 
 
 def test_save_load_round_trip(tmp_path):
@@ -89,7 +100,7 @@ def test_random_unimodular_det_one():
 def test_lll_same_lattice_and_shorter():
     L = random_unimodular_lattice(3, seed=10)  # worst conditioned of the batch
     R = lll_reduce(L)
-    assert same_lattice(L, R)
+    assert _same_lattice(L.basis, R.basis)
     assert lp_norm(R.basis, 2).max() <= lp_norm(L.basis, 2).max() + 1e-9
 
 
@@ -106,7 +117,7 @@ def test_lll_classic_2d():
     L = Lattice(np.array([[1.0, 1.0], [1.0, 0.0]]))
     R = lll_reduce(L)
     assert lp_norm(R.basis, 2).max() <= 1 + 1e-9
-    assert same_lattice(L, R)
+    assert _same_lattice(L.basis, R.basis)
 
 
 def test_lll_raises_when_covolume_changes(monkeypatch):

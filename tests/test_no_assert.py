@@ -9,6 +9,10 @@
 * One search path: ``enumeration.ball_blocks`` is the only code that
   names the search ``_enum_coeffs``, which ``enumeration`` defines; sums
   and ``enumerate_arrays`` take their points from its blocks.
+* One sum kernel: ``verify._sums`` is the only code that names the
+  truncation ``_truncated``, so every certified sum (``certified_sum``,
+  the dual sums, a tail check's shifted and inner sums) is truncated and
+  summed in one place, as a term map over one pass.
 * One LLL path: ``lattice.lll_reduce`` is the only code that reaches the
   LLL loop ``_lll``, through the cached ``Lattice._reduction``, so a
   lattice is reduced once however many checks ask for its reduction.
@@ -99,6 +103,15 @@ def test_only_ball_blocks_runs_the_search():
                                     "ball_blocks")
     assert defined, "enumeration.py defines no search named _enum_coeffs"
     assert not found, ("the search is named outside ball_blocks: "
+                       + ", ".join(found))
+
+
+def test_only_the_sum_kernel_truncates():
+    # every certified sum, primal, dual or a tail check's, takes its radius
+    # and tail bound from the one kernel verify._sums
+    found, defined = _named_outside("_truncated", "verify.py", "_sums")
+    assert defined, "verify.py defines no _truncated"
+    assert not found, ("_truncated is named outside _sums: "
                        + ", ".join(found))
 
 

@@ -15,7 +15,7 @@ import latbounds.lattice as lattice
 from latbounds.enumeration import BodySpec, enumerate_arrays
 import latbounds.verify as verify
 from latbounds.errors import InvariantError, ToleranceUnreachedError
-from latbounds.functions import Envelope, envelope
+from latbounds.functions import Envelope, envelope, log_f
 from latbounds.functions import TestFunctionSpec as FnSpec
 from latbounds.lattice import Lattice, _gso, dual, integer_lattice, \
     lll_reduce, lp_norm, random_unimodular_lattice
@@ -395,6 +395,28 @@ def test_smoothness_constant_bounds_the_power(q, a, b):
                 - q * mpmath.sign(x) * abs(x) ** (q - 1) * y
             room = mpmath.mpf(10) ** -40 * (abs(x) ** q + abs(y) ** q)
             assert lhs <= const * abs(y) ** q + room, (q, x, y)
+
+
+@pytest.mark.parametrize("q", [1.2, 1.5, 1.7])
+def test_log_tail_pays_the_smoothness_constant(q):
+    # for 1 < q < 2 the tail's factor is e^{beta 2^{2-q} E}: the bound is at
+    # least its formula, base + beta 2^{2-q} E + log Gamma(n/q, beta (S -
+    # reach)^q), at 40 digits.  The Gamma bound's own slack is below 0.004
+    # here, and the constant 1 in place of 2^{2-q} would take beta
+    # (2^{2-q} - 1) E, 0.069 to 0.22, off the bound.
+    n, beta, (reach, moment), S = 2, 1.0, (0.8, 0.3), 6.0
+    bound = verify._log_tail(n, 1.0, Envelope(0.0, beta, q), beta,
+                             (reach, moment), S)
+    with mpmath.workdps(40):
+        q = mpmath.mpf(q)
+        a = n / q
+        base = (n * (mpmath.log(2) + mpmath.loggamma(1 + 1 / q))
+                + mpmath.log(n) - mpmath.loggamma(1 + a) - mpmath.log(q)
+                - a * mpmath.log(beta))
+        exact = base + beta * 2 ** (2 - q) * moment + mpmath.log(
+            mpmath.gammainc(a, beta * (S - mpmath.mpf(reach)) ** q))
+        assert mpmath.mpf(bound) >= exact
+        assert mpmath.mpf(bound) - exact <= 0.004
 
 
 # a = n/q of the tails: gaussians (q = 2) on Z^1 to Z^8, and l^1, l^1.5,
@@ -919,6 +941,53 @@ def test_tail_inequality_shifted():
     nu = nu_for_body(spec, K, 2)
     rec = check_tail_inequality(L, spec, K, np.array([0.4, 0.1]), nu)
     assert rec["verdict"] == PASS
+
+
+@pytest.mark.parametrize("v", [np.zeros(2), np.array([0.4, 0.1])],
+                         ids=["unshifted", "shifted"])
+def test_tail_inequality_sums_its_body_in_the_shifted_pass(v, monkeypatch):
+    # the inner sum is a column of the shifted sum's pass, and at v = 0 the
+    # shifted sum is the full one: one pass, two when v != 0
+    calls = []
+
+    def spy(*args, _run=verify._ball_sums):
+        calls.append(args)
+        return _run(*args)
+    monkeypatch.setattr(verify, "_ball_sums", spy)
+    L, spec = integer_lattice(2), FnSpec("gaussian", 2)
+    K = BodySpec(p=2.0, radius=1.3)
+    rec = check_tail_inequality(L, spec, K, v, nu_for_body(spec, K, 2))
+    assert rec["verdict"] == PASS
+    assert len(calls) == (2 if np.any(v) else 1)
+
+
+def test_tail_inequality_refuses_a_body_in_the_wrong_norm(monkeypatch):
+    # an l^1 body is not inside the gaussian's l^2 ball of the same radius,
+    # so the pass could not cut it; refused before any pass
+    monkeypatch.setattr(verify, "_ball_sums", None)
+    L, spec = integer_lattice(2), FnSpec("gaussian", 2)
+    with pytest.raises(ValueError, match="tail bodies must be l\\^2 balls"):
+        check_tail_inequality(L, spec, BodySpec(1.0, 1.0), np.zeros(2),
+                              NuBound(0.5, "closed_form"))
+
+
+@pytest.mark.parametrize("L, radius", [
+    (integer_lattice(2), 1.0), (random_unimodular_lattice(3, 5), math.sqrt(2)),
+], ids=["Z2", "unimodular3"])
+@pytest.mark.parametrize("dyadic", [False, True], ids=["v0", "dyadic_v"])
+def test_tail_inequality_cuts_its_body_as_a_separate_pass(L, radius, dyadic):
+    # points on the body's boundary (the unit vectors of Z^2 at R = 1, and
+    # integer points of norm sqrt(2)) are cut from the shifted pass as a
+    # separate pass over the body alone cuts them
+    n = L.dim
+    spec, K = FnSpec("gaussian", n), BodySpec(2.0, radius)
+    v = np.array([0.5, -0.25, 0.125][:n]) if dyadic else np.zeros(n)
+    (inner,), _ = verify._ball_sums(
+        L, v, K.radius, K.p, enumeration.DEFAULT_NODE_BUDGET,
+        lambda emb: (np.exp(log_f(spec, emb + v)),))
+    lhs_iv = certified_sum(L, spec, v, 1.0, 1e-9).interval() - inner
+    rec = check_tail_inequality(L, spec, K, v, nu_for_body(spec, K, n))
+    assert rec["lhs_interval"] == list(lhs_iv)
 
 
 def test_part3_passes_and_precondition():
