@@ -352,6 +352,8 @@ def _plan_one(entry, lattice_for, seed, nodes, grid, table_for):
         t = float(params.get("t", 1.0))
         if t <= 0:
             raise ManifestError("psf needs t > 0")
+        if not tol < 1:  # the dual side's error could exceed the sum
+            raise ManifestError(f"psf needs tol < 1, got tol = {tol:g}")
         max_residual = float(params["max_residual"])
         psf_product_diagonal(L, spec)  # refuse what the product route cannot sum
 

@@ -7,15 +7,17 @@ f_p(x) = p / (pi |p-1| x) * integral_0^{pi/2} h e^-h dtheta, where
 h = x^c (cos theta / sin p theta)^c cos((p-1) theta) / cos theta, c = p/(p-1):
 positive, not oscillating, h monotone in theta.  On u = log(theta / (pi/2 -
 theta)), log h = c log x + H(u), and neither H nor dtheta/du depends on x:
-`fourier_1d` evaluates them once per batch of radii, on one grid, and each
-radius pays two exps a point of its window.  The integrand is analytic and
-decays at both ends, so the trapezoid rule converges geometrically
-(Trefethen and Weideman, SIAM Review 56, 2014).  The error is a checked
-estimate, not yet a bound: |T_2h - T_h| on nested grids (h halved where it
-exceeds 1e-12 of the sum and the rounding), the mass past the window's ends
-(h is monotone), and a rounding allowance summed point by point.  Their
-strip-of-analyticity bound is the route to a proven bound.  p = 1, p = 2
-and r = 0 have closed forms.
+`fourier_1d` evaluates them once per batch of up to _BLOCK radii, on one
+grid, and each radius pays two exps a point of its window.  The batch sets
+the grid and the width each radius' row is padded to; the rows are summed
+_SLICE at a time, which only bounds the working set.  The integrand is
+analytic and decays at both ends, so the trapezoid rule converges
+geometrically (Trefethen and Weideman, SIAM Review 56, 2014).  The error is
+a checked estimate, not yet a bound: |T_2h - T_h| on nested grids (h halved
+where it exceeds 1e-12 of the sum and the rounding), the mass past the
+window's ends (h is monotone), and a rounding allowance summed point by
+point.  Their strip-of-analyticity bound is the route to a proven bound.
+p = 1, p = 2 and r = 0 have closed forms.
 
 Tables hold fhat_p on adaptive nodes, built breadth-first (one batched call
 per level), and continue past the last node with C_p r^(-p-1), rescaled to
@@ -36,7 +38,8 @@ _U_MAX = 60.0                     # theta within e^-60 of 0 or pi/2
 _STEP = 0.15                      # the grid step, times max(1, |c|, |c - 1|)
 _LOW = 32.0                       # log(1e14), the mass past a window against the sum
 _LOG_M = math.log(100.0)          # windows reach h = 100, where h e^-h < 4e-42
-_BLOCK = 512                      # radii per batch, to bound memory
+_BLOCK = 512                      # radii per batch: one grid, rows padded alike
+_SLICE = 64                       # rows a pass holds, to bound memory
 _EPS = float(np.finfo(float).eps)
 
 
@@ -78,18 +81,32 @@ def _grid(p, k, step):
 def _window_sums(s, q, lo, hi, grid):
     """Sums of G = h e^-h dtheta/du, |1 - h| G, |1 - h| G E and G at even k
     over each radius' window, the grid points from where h e^-h angle (p < 1)
-    or h e^-h reaches e^lo to where the other falls to e^-hi; and its ends."""
+    or h e^-h reaches e^lo to where the other falls to e^-hi; and its ends.
+    Every row is padded to the batch's longest window (numpy's pairwise sum
+    depends on the width) and _SLICE rows are summed at a time, in place."""
     k, sh, left, right, jac, err = grid
     i0, i1 = np.searchsorted(left, q + lo), np.searchsorted(right, q + hi, "right")
     j = np.arange((i1 - i0).max(initial=0))
-    idx = np.minimum(i0[:, None] + j, i1[:, None] - 1)
-    log_h = s * (sh[idx] - q[:, None])
-    h = np.exp(np.minimum(log_h, 700.0))  # an empty window pads with a point outside it
-    g = np.exp(log_h - h + jac[idx]) * (i0[:, None] + j < i1[:, None])
-    w = g * np.abs(1 - h)
-    halves = g[:, ::2].sum(axis=1), g[:, 1::2].sum(axis=1)
-    return (halves[0] + halves[1], w.sum(axis=1), (w * err[idx]).sum(axis=1),
-            np.where(k[i0.clip(max=k.size - 1)] % 2, *halves[::-1])), i0, i1
+    even, odd, sens, sens_e = np.empty((4, q.size))  # even and odd j, then w
+    for start in range(0, q.size, _SLICE):
+        rows = slice(start, start + _SLICE)
+        idx = np.minimum(i0[rows, None] + j, i1[rows, None] - 1)
+        g = sh[idx]
+        g -= q[rows, None]
+        g *= s  # log h
+        h = np.minimum(g, 700.0)  # an empty window pads with a point outside it
+        np.exp(h, out=h)
+        g -= h
+        g += jac[idx]
+        np.exp(g, out=g)
+        g *= i0[rows, None] + j < i1[rows, None]
+        even[rows], odd[rows] = g[:, ::2].sum(axis=1), g[:, 1::2].sum(axis=1)
+        w = np.abs(np.subtract(1, h, out=h), out=h)
+        w *= g
+        sens[rows] = w.sum(axis=1)
+        w *= err[idx]
+        sens_e[rows] = w.sum(axis=1)
+    return (even + odd, sens, sens_e, np.where(k[i0.clip(max=k.size - 1)] % 2, odd, even)), i0, i1
 
 
 def _zolotarev(p, r):
@@ -162,7 +179,12 @@ def _evaluate(p, r):
 def fourier_1d(p: float, r, tol: float = 1e-10):
     """(value, error) of fhat_p at r, a radius or an array of radii, from
     Zolotarev's integral in batches; the error is a checked estimate (see
-    the module docstring).  Raises if it exceeds `tol` at any radius."""
+    the module docstring).  Raises if it exceeds `tol` at any radius.
+
+    A value depends on which radii share its batch, by an ulp or so: its
+    row is padded to the batch's longest window, and the pairwise sum
+    follows the width (at p = 1.5, 12 of 301 radii move, by at most 4e-16
+    relative, between alone and in a batch of 3,001)."""
     if not 0 < p <= 2:
         raise ValueError("p must be in (0, 2]")
     radii = np.abs(np.asarray(r, dtype=float))

@@ -534,8 +534,12 @@ def psf_residual(L: Lattice, spec: TestFunctionSpec, v, t: float,
     fractional p's from fhat_p at the exact points, with a power-law tail
     past r = 96 as the error's floor.
     The residual compares point estimates: lhs.partial against the midpoint
-    of the right side's interval.
+    of the right side's interval.  tol must be below 1: at tol >= 1 the right
+    side may carry an error larger than the sum, and its midpoint nothing.
     """
+    if not tol < 1:
+        raise ValueError(f"psf needs tol < 1, got tol = {tol:g}: the dual "
+                         "side's error may exceed the sum")
     v = np.asarray(v, dtype=float)
     diag = psf_product_diagonal(L, spec)
     lhs = certified_sum(L, spec, v, t, tol, node_budget)

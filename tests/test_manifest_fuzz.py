@@ -11,11 +11,14 @@ covering centres) so that every entry ends quickly.
 import contextlib
 import io
 import json
+import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from latbounds import verify
 from latbounds.cli import main
 
 EXIT_CODES = {0, 1, 2, 3, 4}
@@ -157,6 +160,14 @@ def _basis(*diag):
                                        for i, x in enumerate(diag)]}
 
 
+# t L* has rows whose squared norms underflow
+_UNDERFLOW = {"family": "sech_product", "tol": 2.0, "t": 1e-299,
+              "max_residual": 1.0, "lattice": _basis(-1.0001405485169472)}
+# the tail bound's argument beta r0^q overflows
+_OVERFLOW = {"family": "gaussian", "tol": 2.0, "v": [1.0, 0.5],
+             "t": 1.192092896e-07, "max_residual": 1.0,
+             "lattice": _basis(2.3581670769050516e139, 1e150)}
+
 # entries this generator found escaping main, each mended where it arose
 FOUND = [
     # the determinant overflows
@@ -165,13 +176,10 @@ FOUND = [
     # the dual side underflows to 0
     ("psf", _z2(family="exp_l1", tol=0.5, v=[-1.6e-39, 0.5], t=1.6e-39,
                 max_residual=0.5)),
-    # t L* has rows whose squared norms underflow
-    ("psf", {"family": "sech_product", "tol": 2.0, "t": 1e-299,
-             "max_residual": 1.0, "lattice": _basis(-1.0001405485169472)}),
-    # the tail bound's s0^q overflows
-    ("psf", {"family": "gaussian", "tol": 2.0, "v": [1.0, 0.5],
-             "t": 1.192092896e-07, "max_residual": 1.0,
-             "lattice": _basis(2.3581670769050516e139, 1e150)}),
+    # two psf entries found at tol 2.0, which psf now refuses at planning,
+    # and their data at tol 0.5, which reach the same paths
+    *(("psf", {**params, "tol": tol})
+      for params in (_UNDERFLOW, _OVERFLOW) for tol in (2.0, 0.5)),
     # a tiny p, where the l^p norm of a row rounds to 1
     ("handshake", {"p": 6.372623431437756e-70, "u": 1.0,
                    "lattice": _basis(79.43282347242814)}),
@@ -191,6 +199,37 @@ FOUND = [
     ("hypotheses", {"family": "supergaussian", "dim": 1, "samples": 1,
                     "p": 1e-300}),
 ]
+
+
+def _psf(params, tol):
+    return {"check_name": "psf", "params": {**params, "tol": tol}}
+
+
+def test_psf_below_tol_one_reaches_the_found_paths(tmp_dir, monkeypatch):
+    # at tol 0.5 the dual kernel runs on a dilation of L* whose squared row
+    # norms underflow, and the tail bound takes an argument past the
+    # floats; each entry then ends in exit 4
+    dilations, arguments = [], []
+    dual_sums, upper_gamma = verify._dual_sums, verify._log_upper_gamma
+    monkeypatch.setattr(verify, "_dual_sums", lambda L, spec, v, t, *rest: (
+        dilations.append(L.basis / t) or dual_sums(L, spec, v, t, *rest)))
+    monkeypatch.setattr(verify, "_log_upper_gamma", lambda a, x, *rest: (
+        arguments.append(x) or upper_gamma(a, x, *rest)))
+    assert _run(tmp_dir, _psf(_UNDERFLOW, 0.5))[0] == 4
+    assert any(((b ** 2).sum(axis=1) < np.finfo(float).tiny).any()
+               for b in dilations)
+    assert _run(tmp_dir, _psf(_OVERFLOW, 0.5))[0] == 4
+    assert math.inf in arguments
+
+
+@pytest.mark.parametrize("params", [_UNDERFLOW, _OVERFLOW])
+def test_psf_refuses_tol_of_one_or_more(tmp_dir, params):
+    # at tol >= 1 the dual side may carry an error larger than the sum, so
+    # the entry is refused at planning; at tol 0.999 it runs (and exits 4)
+    code, err = _run(tmp_dir, _psf(params, 2.0))
+    assert code == 3 and "tol" in err
+    code, err = _run(tmp_dir, _psf(params, 0.999))
+    assert code == 4 and "needs tol" not in err
 
 
 def _seeded(test):

@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -114,6 +115,86 @@ def test_halved_steps_stay_within_their_error(monkeypatch):
         first = transform._STEP / max(1, abs(p / (p - 1)), abs(1 / (p - 1)))
         assert min(steps) <= first / 4
         assert abs(mpmath.mpf(val) - _reference(p, r)) <= err
+
+
+def _dense_window_sums(s, q, lo, hi, grid):
+    """transform._window_sums as one pass over every row of the batch at
+    once: the form the sliced pass must match bit for bit."""
+    k, sh, left, right, jac, err = grid
+    i0, i1 = np.searchsorted(left, q + lo), np.searchsorted(right, q + hi, "right")
+    j = np.arange((i1 - i0).max(initial=0))
+    idx = np.minimum(i0[:, None] + j, i1[:, None] - 1)
+    log_h = s * (sh[idx] - q[:, None])
+    h = np.exp(np.minimum(log_h, 700.0))
+    g = np.exp(log_h - h + jac[idx]) * (i0[:, None] + j < i1[:, None])
+    w = g * np.abs(1 - h)
+    halves = g[:, ::2].sum(axis=1), g[:, 1::2].sum(axis=1)
+    return (halves[0] + halves[1], w.sum(axis=1), (w * err[idx]).sum(axis=1),
+            np.where(k[i0.clip(max=k.size - 1)] % 2, *halves[::-1])), i0, i1
+
+
+def _assert_same_window_sums(args):
+    """The windows' ends (i0, i1), after checking both passes bit for bit."""
+    (got, g0, g1), (want, w0, w1) = (transform._window_sums(*args),
+                                     _dense_window_sums(*args))
+    assert np.array_equal(g0, w0) and np.array_equal(g1, w1)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b, equal_nan=True)
+    return w0, w1
+
+
+def _coarse_window_args(p, r):
+    """_window_sums' arguments for radii r on one coarse grid, q not
+    clipped to it, so a radius whose h = 1 lies off the grid has an empty
+    window."""
+    c, s = p / (p - 1), (1.0 if p < 1 else -1.0)
+    q = -s * c * np.log(2 * math.pi * r)
+    far, near = np.full_like(q, transform._LOW), np.full_like(q, transform._LOG_M)
+    lo, hi = (-far, near) if s > 0 else (-near, far)
+    return s, q, lo, hi, transform._grid(p, np.arange(-400, 401), 0.15)
+
+
+@pytest.mark.parametrize("size", [1, 63, 64, 65, 512])
+@pytest.mark.parametrize("p", [0.7, 1.2, 1.5, 1.9])
+def test_sliced_window_sums_match_the_dense_pass(monkeypatch, p, size):
+    # every call fourier_1d makes, halved steps included, and a coarse grid
+    # on which some windows are empty
+    calls, sliced = [], transform._window_sums
+    monkeypatch.setattr(transform, "_window_sums",
+                        lambda *args: calls.append(args) or sliced(*args))
+    transform._zolotarev(p, np.geomspace(1e-3, 96.0, size))
+    monkeypatch.undo()
+    for args in calls:
+        _assert_same_window_sums(args)
+    i0, i1 = _assert_same_window_sums(
+        _coarse_window_args(p, np.geomspace(1e-40, 1e40, size)))
+    assert size == 1 or (i1 <= i0).any()
+
+
+def test_sliced_window_sums_match_at_an_infinite_error_term():
+    # at a tiny p sin(p theta) underflows, so E, the rounding term, is inf
+    args = _coarse_window_args(1e-300, np.geomspace(1e-3, 96.0, 130))
+    assert np.isinf(args[4][5]).any()
+    with np.errstate(invalid="ignore"):  # 0 * inf in both passes
+        _assert_same_window_sums(args)
+
+
+def test_sliced_table_matches_the_dense_pass(monkeypatch, table15):
+    monkeypatch.setattr(transform, "_window_sums", _dense_window_sums)
+    dense = build_transform_table(1.5, r_max=96.0, tol=1e-8)
+    assert np.array_equal(dense.nodes, table15.nodes)
+    assert np.array_equal(dense.values, table15.values)
+
+
+def test_window_sums_hold_a_slice_at_a_time():
+    # the dense pass over 512 rows peaked at 8 MiB, the sliced one near 1
+    tracemalloc.start()
+    try:
+        fourier_1d(1.5, np.linspace(1e-3, 96.0, 512), 1e-8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
 
 
 def test_fourier_matches_exact_p1():

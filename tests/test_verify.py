@@ -825,6 +825,17 @@ def test_psf_residual_supergaussian_exact_and_table():
     assert res <= 1e-3
 
 
+def test_psf_refuses_tol_of_one_or_more():
+    # at tol >= 1 the dual side's error may exceed the sum itself; just
+    # below 1 psf still runs
+    for tol in (1.0, 2.0, math.inf):
+        with pytest.raises(ValueError, match="tol"):
+            psf_residual(integer_lattice(2), FnSpec("gaussian", 2),
+                         np.zeros(2), 1.0, tol)
+    assert psf_residual(integer_lattice(2), FnSpec("gaussian", 2),
+                        np.zeros(2), 1.0, 0.999) < 1
+
+
 def test_psf_scaled_diagonal_lattice():
     L = Lattice(np.diag([1.0, 1.25]))
     res = psf_residual(L, FnSpec("exp_l1", 2), np.array([0.1, 0.2]),
