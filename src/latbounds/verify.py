@@ -5,9 +5,11 @@ One kernel, ``_sums``, truncates and sums every ball: it picks the
 truncation radius and its tail bound, and runs one pass of ``_ball_sums``,
 which streams the terms from the enumeration's blocks, holding no points,
 into one exactly rounded math.fsum per column.  Its callers are term maps:
-certified_sum's one column, ``_dual_sums``'s three, and the tail check's
-two, the shifted sum and its cut to the body, so a tail check makes one
-pass at v = 0 and two at v != 0.  The remainder rests on an exponential
+certified_sum's one column and ``_dual_sums``'s three.  certified_sum keeps
+each unshifted sum (v = 0) while its lattice lives, so the right side of
+every tail check and of part 1 on one lattice, spec and tol is summed
+once; a tail check adds the shifted sum when v != 0 and one pass over its
+body alone, the exact mass inside it.  The remainder rests on an exponential
 envelope: the centred cells, tiling space, of the points past the
 truncation radius tile a region where the envelope
 integrates to an upper incomplete gamma function, bounded by integration by
@@ -39,6 +41,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -47,15 +50,15 @@ import numpy as np
 from .bounds import (NuBound, cosh_nu_bound, cstar, handshake_bound,
                      supergaussian_mu_closed_form, transference_bound_l1,
                      transference_bound_l2)
-from .enumeration import (_BOUNDARY_SLACK, _U, DEFAULT_GRID_BUDGET,
-                          DEFAULT_NODE_BUDGET, BodySpec, _cell_bounds,
-                          ball_blocks, covering_radius_estimate,
-                          enumerate_arrays, shortest_vector, transport_bracket)
+from .enumeration import (_U, DEFAULT_GRID_BUDGET, DEFAULT_NODE_BUDGET,
+                          BodySpec, _cell_bounds, ball_blocks,
+                          covering_radius_estimate, enumerate_arrays,
+                          shortest_vector, transport_bracket)
 from .errors import (BudgetExceededError, InvariantError,
                      ToleranceUnreachedError)
 from .functions import TestFunctionSpec, envelope, fhat_route, log_f
-from .lattice import (Lattice, distortion_bound, dual, lll_reduce, lp_norm,
-                      rational, rational_matmul)
+from .lattice import (Lattice, distortion_bound, dual, lll_reduce, rational,
+                      rational_matmul)
 from .transform import _asymptotic, fourier_1d, transform_tail_coefficient
 
 PASS = "PASS"
@@ -324,7 +327,7 @@ def _in_range(t, compute):
     return x
 
 
-def _sums(L, spec, v, t, target_tol, node_budget, terms, radius=0.0):
+def _sums(L, spec, v, t, target_tol, node_budget, terms):
     """(S, tail, column sums, npoints): the one truncation and the one pass
     of every certified sum of f((lambda+v)/t) over L.
 
@@ -333,10 +336,8 @@ def _sums(L, spec, v, t, target_tol, node_budget, terms, radius=0.0):
     with ||lambda+v||_q >= S, drops below target_tol relative to the larger
     of the origin term and the term at the rounded (Babai) point nearest
     -v, a positive lower bound on the sum.  terms maps each block of
-    embeddings of the ball ||lambda+v||_q <= max(S, radius), v a float
-    array, to its columns, each summed once, exactly rounded
-    (``_ball_sums``); a column may keep only the terms of a smaller ball,
-    as a tail check's inner sum keeps its body's, whose radius it passes.
+    embeddings of the ball ||lambda+v||_q <= S, v a float array, to its
+    columns, each summed once, exactly rounded (``_ball_sums``).
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -358,8 +359,13 @@ def _sums(L, spec, v, t, target_tol, node_budget, terms, radius=0.0):
     env = envelope(spec)
     beta_eff = _in_range(t, lambda: env.beta / t ** env.q)
     S, tail = _truncated(L, env, beta_eff, log_target)
-    sums, npoints = _ball_sums(L, v, max(S, radius), env.q, node_budget, terms)
+    sums, npoints = _ball_sums(L, v, S, env.q, node_budget, terms)
     return S, tail, sums, npoints
+
+
+# L -> {(spec, t, target_tol, node_budget): its unshifted CertifiedSum},
+# held weakly, so an entry dies with its lattice and no reused id aliases it
+_UNSHIFTED = weakref.WeakKeyDictionary()
 
 
 def certified_sum(L: Lattice, spec: TestFunctionSpec, v, t: float,
@@ -369,13 +375,24 @@ def certified_sum(L: Lattice, spec: TestFunctionSpec, v, t: float,
     the kernel ``_sums`` with the terms as its one column, so it sums the
     points with ||(lambda+v)/t||_q <= R = S/t in the family's natural norm
     q, the tail bound below target_tol relative to the sum.
+
+    The unshifted sum (v = 0), the right side of every tail bound and of
+    part 1 on L, is computed once per lattice and arguments, and kept
+    while L lives; a call that raises keeps nothing.
     """
     v = np.asarray(v, dtype=float)
+    key = (spec, t, target_tol, node_budget)
+    unshifted = v.shape == (L.dim,) and not np.any(v)
+    if unshifted and key in _UNSHIFTED.get(L, ()):
+        return _UNSHIFTED[L][key]
     S, tail, (partial,), npoints = _sums(
         L, spec, v, t, target_tol, node_budget,
         lambda emb: (np.exp(log_f(spec, (emb + v) / t)),))
-    return CertifiedSum(partial=partial, remainder_bound=tail,
-                        truncation_radius=S / t, npoints=npoints)
+    cs = CertifiedSum(partial=partial, remainder_bound=tail,
+                      truncation_radius=S / t, npoints=npoints)
+    if unshifted:
+        _UNSHIFTED.setdefault(L, {})[key] = cs
+    return cs
 
 
 # ---------------------------------------------------------------------------
@@ -672,26 +689,19 @@ def check_tail_inequality(L: Lattice, spec: TestFunctionSpec, K: BodySpec,
                           node_budget: int = DEFAULT_NODE_BUDGET) -> dict:
     """Check sum_{lambda+v not in K} f(lambda+v) <= nu * sum_L f(lambda).
 
-    The out-of-K mass is the certified full shifted sum minus the exact sum
-    over the finitely many points inside K, and both come from one pass of
-    the kernel ``_sums``: the ball it sums reaches K, and the inner sum is
-    its terms cut to K, ties within 1e-12 relative kept.  K must be a ball
-    of the envelope's norm, so that it lies in the ball summed.  At v = 0
-    the shifted sum is the full one, so the check makes one pass.
+    The out-of-K mass is the certified shifted sum minus the exact sum over
+    the finitely many points inside K, one pass over the body alone, its
+    boundary ties within 1e-12 relative kept.  K must be a ball of the
+    envelope's norm.  The full sum is certified_sum's unshifted one, which
+    every check on one lattice, spec and tol shares; at v = 0 it is also
+    the shifted sum, so a second such check at v = 0 sums only its body.
     """
     v = np.asarray(v, dtype=float)
     _body_envelope(spec, K)
-    cut = K.radius * (1 + _BOUNDARY_SLACK)
-
-    def terms(emb):
-        y = emb + v
-        vals = np.exp(log_f(spec, y))
-        return vals, vals[lp_norm(y, K.p) <= cut]
-    S, tail, (partial, inner), npoints = _sums(L, spec, v, 1.0, tol,
-                                               node_budget, terms, cut)
-    shifted = CertifiedSum(partial, tail, S, npoints)
-    full = shifted if not np.any(v) else certified_sum(
-        L, spec, np.zeros(L.dim), 1.0, tol, node_budget)
+    shifted = certified_sum(L, spec, v, 1.0, tol, node_budget)
+    full = certified_sum(L, spec, np.zeros(L.dim), 1.0, tol, node_budget)
+    (inner,), _ = _ball_sums(L, v, K.radius, K.p, node_budget,
+                             lambda emb: (np.exp(log_f(spec, emb + v)),))
     lhs_iv = shifted.interval() - inner
     rhs_iv = nu.value * full.interval()
     params = _spec_params(spec, body_p=float(K.p), body_radius=float(K.radius),

@@ -807,3 +807,31 @@ def test_entries_naming_one_lattice_share_it(tmp_path, z2, monkeypatch):
     assert uni is uni_reordered
     assert (a.name, b.name) == ("a", "b")
     assert len({id(L) for L in (default, path, uni, a, b)}) == 5
+
+
+def test_acceptance_round_sums_each_unshifted_ball_once(acceptance_manifest,
+                                                        monkeypatch):
+    # the right side of every tail and part 1 check on one lattice, spec,
+    # t and tol is one kept certified sum: in a round of the shipped
+    # manifest no unshifted one-column ball is truncated and summed twice,
+    # and the round sums 64,976 points (131,049 when each check summed its
+    # own)
+    unshifted, points = [], []
+
+    def sums(L, spec, v, t, tol, budget, terms, _run=verify._sums):
+        S, tail, cols, n = _run(L, spec, v, t, tol, budget, terms)
+        if not np.any(v) and len(cols) == 1:
+            unshifted.append((id(L), spec, t, tol, budget))
+        return S, tail, cols, n
+
+    def ball_sums(*args, _run=verify._ball_sums):
+        cols, n = _run(*args)
+        points.append(n)
+        return cols, n
+    monkeypatch.setattr(verify, "_sums", sums)
+    monkeypatch.setattr(verify, "_ball_sums", ball_sums)
+    manifest = cli.read_manifest(str(acceptance_manifest))
+    plans = plan_manifest(manifest, str(acceptance_manifest.parent))
+    assert all(run()["verdict"] == cli.PASS for run in plans)
+    assert unshifted and len(set(unshifted)) == len(unshifted)
+    assert sum(points) == 64_976

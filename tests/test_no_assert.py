@@ -11,8 +11,8 @@
   and ``enumerate_arrays`` take their points from its blocks.
 * One sum kernel: ``verify._sums`` is the only code that names the
   truncation ``_truncated``, so every certified sum (``certified_sum``,
-  the dual sums, a tail check's shifted and inner sums) is truncated and
-  summed in one place, as a term map over one pass.
+  which gives a tail check its shifted and full sums, and the dual sums)
+  is truncated and summed in one place, as a term map over one pass.
 * One LLL path: ``lattice.lll_reduce`` is the only code that reaches the
   LLL loop ``_lll``, through the cached ``Lattice._reduction``, so a
   lattice is reduced once however many checks ask for its reduction.

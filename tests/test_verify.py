@@ -1,6 +1,9 @@
+import dataclasses
+import gc
 import itertools
 import math
 import operator
+import weakref
 from fractions import Fraction
 
 import mpmath
@@ -14,7 +17,8 @@ import latbounds.enumeration as enumeration
 import latbounds.lattice as lattice
 from latbounds.enumeration import BodySpec, enumerate_arrays
 import latbounds.verify as verify
-from latbounds.errors import InvariantError, ToleranceUnreachedError
+from latbounds.errors import (BudgetExceededError, InvariantError,
+                              ToleranceUnreachedError)
 from latbounds.functions import Envelope, envelope, log_f
 from latbounds.functions import TestFunctionSpec as FnSpec
 from latbounds.lattice import Lattice, _gso, dual, integer_lattice, \
@@ -956,20 +960,30 @@ def test_tail_inequality_shifted():
 
 @pytest.mark.parametrize("v", [np.zeros(2), np.array([0.4, 0.1])],
                          ids=["unshifted", "shifted"])
-def test_tail_inequality_sums_its_body_in_the_shifted_pass(v, monkeypatch):
-    # the inner sum is a column of the shifted sum's pass, and at v = 0 the
-    # shifted sum is the full one: one pass, two when v != 0
-    calls = []
+def test_tail_inequality_sums_each_unshifted_ball_once(v, monkeypatch):
+    # the full sum is certified_sum's unshifted one, kept while L lives: the
+    # first check on L sums it (at v = 0 it is also the shifted sum), then
+    # the shifted ball when v != 0, then its body; a second check on L,
+    # spec and tol sums no unshifted ball: at v = 0 only its body.  L is
+    # built here, so no other test's sums on it are kept
+    spec = FnSpec("gaussian", 2)
+    S = {w: certified_sum(integer_lattice(2), spec, w, 1.0, 1e-9)
+         .truncation_radius for w in {(0.0, 0.0), tuple(v)}}
+    shifted = [(tuple(v), S[tuple(v)])] if np.any(v) else []
+    balls = []
 
-    def spy(*args, _run=verify._ball_sums):
-        calls.append(args)
-        return _run(*args)
+    def spy(L, v, r, *args, _run=verify._ball_sums):
+        balls[-1].append((tuple(v), r))
+        return _run(L, v, r, *args)
     monkeypatch.setattr(verify, "_ball_sums", spy)
-    L, spec = integer_lattice(2), FnSpec("gaussian", 2)
-    K = BodySpec(p=2.0, radius=1.3)
-    rec = check_tail_inequality(L, spec, K, v, nu_for_body(spec, K, 2))
-    assert rec["verdict"] == PASS
-    assert len(calls) == (2 if np.any(v) else 1)
+    L = integer_lattice(2)
+    for radius in (1.3, 1.6):
+        balls.append([])
+        K = BodySpec(p=2.0, radius=radius)
+        rec = check_tail_inequality(L, spec, K, v, nu_for_body(spec, K, 2))
+        assert rec["verdict"] == PASS
+    assert balls == [[*shifted, ((0.0, 0.0), S[0.0, 0.0]), (tuple(v), 1.3)],
+                     [*shifted, (tuple(v), 1.6)]]
 
 
 def test_tail_inequality_refuses_a_body_in_the_wrong_norm(monkeypatch):
@@ -987,18 +1001,121 @@ def test_tail_inequality_refuses_a_body_in_the_wrong_norm(monkeypatch):
 ], ids=["Z2", "unimodular3"])
 @pytest.mark.parametrize("dyadic", [False, True], ids=["v0", "dyadic_v"])
 def test_tail_inequality_cuts_its_body_as_a_separate_pass(L, radius, dyadic):
-    # points on the body's boundary (the unit vectors of Z^2 at R = 1, and
-    # integer points of norm sqrt(2)) are cut from the shifted pass as a
-    # separate pass over the body alone cuts them
+    # the body's pass keeps the points on its boundary (the unit vectors of
+    # Z^2 at R = 1, and the integer points of norm sqrt(2)), whose float
+    # norms may sit an ulp past R.  Both lattices are Z^n as point sets, so
+    # brute force over a box finds the body's points by their exact squared
+    # norms, and the inner sum is their one exactly rounded fsum
     n = L.dim
     spec, K = FnSpec("gaussian", n), BodySpec(2.0, radius)
     v = np.array([0.5, -0.25, 0.125][:n]) if dyadic else np.zeros(n)
-    (inner,), _ = verify._ball_sums(
-        L, v, K.radius, K.p, enumeration.DEFAULT_NODE_BUDGET,
-        lambda emb: (np.exp(log_f(spec, emb + v)),))
+    y = np.array(list(itertools.product(range(-3, 4), repeat=n))) + v
+    inner = math.fsum(np.exp(log_f(spec, y[(y * y).sum(axis=1)
+                                           <= round(radius ** 2)])))
     lhs_iv = certified_sum(L, spec, v, 1.0, 1e-9).interval() - inner
     rec = check_tail_inequality(L, spec, K, v, nu_for_body(spec, K, n))
     assert rec["lhs_interval"] == list(lhs_iv)
+
+
+@pytest.mark.parametrize("v", [(0.0, 0.0), (0.4, 0.1)], ids=["v0", "shifted"])
+def test_tail_body_wider_than_the_truncation_ball(v):
+    # R = 5 lies past S ~ 3.32, so the shifted sum covers the S-ball, not
+    # the R-ball, and the inner sum holds mass the partial does not: the
+    # interval still holds the out-of-K mass (brute force at 30 digits),
+    # and its upper end is no higher than that of a shifted sum over the
+    # R-ball with the same tail bound
+    L, spec, K = integer_lattice(2), FnSpec("gaussian", 2), BodySpec(2.0, 5.0)
+    v = np.array(v)
+    rec = check_tail_inequality(L, spec, K, v, nu_for_body(spec, K, 2))
+    shifted = certified_sum(L, spec, v, 1.0, 1e-9)
+    assert shifted.truncation_radius < K.radius
+    with mpmath.workdps(30):
+        ks = itertools.product(range(-30, 31), repeat=2)
+        sq = [sum((k + mpmath.mpf(x)) ** 2 for k, x in zip(kk, v)) for kk in ks]
+        out = mpmath.fsum(mpmath.exp(-mpmath.pi * r) for r in sq if r > 25)
+    lo, hi = rec["lhs_interval"]
+    assert lo <= out <= hi
+    terms = lambda emb: (np.exp(log_f(spec, emb + v)),)
+    cut = K.radius * (1 + enumeration._BOUNDARY_SLACK)
+    (wide,), _ = verify._ball_sums(L, v, cut, K.p,
+                                   enumeration.DEFAULT_NODE_BUDGET, terms)
+    (inner,), _ = verify._ball_sums(L, v, K.radius, K.p,
+                                    enumeration.DEFAULT_NODE_BUDGET, terms)
+    before = Interval(wide, verify._up(wide + shifted.remainder_bound)) - inner
+    assert hi <= before.hi
+
+
+# ---------------------------------------------------------------------------
+# the unshifted sums kept per lattice
+
+
+def _fields(cs):
+    """A CertifiedSum's fields, its floats as their exact bits."""
+    return [x.hex() if isinstance(x, float) else x
+            for x in dataclasses.astuple(cs)]
+
+
+def test_unshifted_sum_is_kept_while_its_lattice_lives():
+    # a hit is the sum itself, field for field the sum computed afresh on a
+    # new Lattice with the same basis; the entry dies with its lattice
+    L, spec = random_unimodular_lattice(3, 7), FnSpec("gaussian", 3)
+    first = certified_sum(L, spec, np.zeros(3), 1.0, 1e-9)
+    assert certified_sum(L, spec, [0.0, -0.0, 0.0], 1.0, 1e-9) is first
+    fresh = certified_sum(Lattice(L.basis), spec, np.zeros(3), 1.0, 1e-9)
+    assert fresh is not first and _fields(fresh) == _fields(first)
+    lattice_ref, sum_ref = weakref.ref(L), weakref.ref(first)
+    del L, first
+    gc.collect()
+    assert lattice_ref() is None and sum_ref() is None
+
+
+def test_a_failed_unshifted_sum_keeps_nothing():
+    L = integer_lattice(2)
+    with pytest.raises(BudgetExceededError):
+        certified_sum(L, FnSpec("gaussian", 2), np.zeros(2), 1.0, 1e-9,
+                      node_budget=3)
+    with pytest.raises(ToleranceUnreachedError):
+        certified_sum(L, FnSpec("supergaussian", 2, p=1e-3), np.zeros(2),
+                      1.0, 1e-9)
+    assert L not in verify._UNSHIFTED
+
+
+def test_unshifted_sums_differing_in_one_argument_miss(monkeypatch):
+    # spec, t, tol and node budget each key the sum; repeating every call
+    # sums nothing more, and a v of the wrong shape is refused, not a hit
+    passes = []
+
+    def spy(*args, _run=verify._ball_sums):
+        passes.append(args)
+        return _run(*args)
+    monkeypatch.setattr(verify, "_ball_sums", spy)
+    L, zero = integer_lattice(2), np.zeros(2)
+    base = dict(spec=FnSpec("gaussian", 2), t=1.0, target_tol=1e-9,
+                node_budget=enumeration.DEFAULT_NODE_BUDGET)
+    calls = [base, {**base, "spec": FnSpec("supergaussian", 2, p=2.0)},
+             {**base, "t": 1.5}, {**base, "target_tol": 1e-6},
+             {**base, "node_budget": 10 ** 6}]
+    sums = [certified_sum(L, v=zero, **kw) for kw in calls]
+    assert len(passes) == len(calls) == len(verify._UNSHIFTED[L])
+    again = [certified_sum(L, v=zero, **kw) for kw in calls]
+    assert all(a is b for a, b in zip(again, sums))
+    assert len(passes) == len(calls)
+    with pytest.raises(ValueError, match="v must have shape"):
+        certified_sum(L, v=np.zeros(3), **base)
+
+
+def test_a_shifted_sum_is_never_kept(monkeypatch):
+    passes = []
+
+    def spy(*args, _run=verify._ball_sums):
+        passes.append(args)
+        return _run(*args)
+    monkeypatch.setattr(verify, "_ball_sums", spy)
+    L, spec = integer_lattice(2), FnSpec("gaussian", 2)
+    first, again = (certified_sum(L, spec, [0.25, 0.0], 1.0, 1e-9)
+                    for _ in range(2))
+    assert len(passes) == 2 and _fields(first) == _fields(again)
+    assert L not in verify._UNSHIFTED
 
 
 def test_part3_passes_and_precondition():
