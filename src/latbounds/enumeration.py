@@ -2,11 +2,10 @@
 
 One search, ``ball_blocks``, does all enumeration: a Fincke-Pohst search
 over the Gram-Schmidt coordinates of an LLL-reduced basis, level by level
-on numpy blocks of nodes, within a node budget.  The bottom-level c0 that
-fit form one integer interval (the cost D[0] * (c0 + shift[0] + s[0])^2 is
-convex), so each bottom block of nodes is one block of leaves, expanded and
-handed out as it is formed; no caller holds the whole tree.  Sums stream
-these blocks; ``enumerate_arrays`` concatenates them, unsorted, for
+on numpy blocks of nodes, within a node budget.  Each bottom-level node's
+interval of c0 is handed out whole: its integers are the leaves, expanded
+block by block as they are formed, so no caller holds the whole tree.  Sums
+stream these blocks; ``enumerate_arrays`` concatenates them, unsorted, for
 shortest vectors and the covering-radius candidate sets.  Coefficients are
 counted in floats, so an interval end at 2^52 or beyond raises ValueError.
 An l^p ball with p > 2 is searched as its circumscribed l^2 ball, of
@@ -15,7 +14,8 @@ by a weak-duality bound on the next Gram-Schmidt coordinate, which holds
 the search to the l^p ball (for p < 1, to the l^1 ball of the same
 radius); the cut is exact for p <= 1 when those coordinates are the axes
 (Z^n, and a sheared Z^n once LLL-reduced), so an l^1 ball on Z^n searches
-no leaf outside it.  Every leaf is then filtered by its exact l^p norm.
+no leaf outside it.  Every leaf is then filtered by its exact l^p norm in
+``ball_blocks``, the search's one membership test.
 
 The covering radius is bracketed by a second, geometric branch-and-bound:
 dyadic cubes of the reduced basis's coefficient space are split only while
@@ -125,7 +125,9 @@ def _enum_coeffs(basis, shift, r, p, node_budget):
     it is the exact r - a.  Such nodes also carry g and a, and the bound is
     rounded outward, by 1e-9 relative on r and on a.  Each block's
     intervals are charged to node_budget before any child is built, and the
-    leaves come out in the order of a node-by-node search.
+    leaves come out in the order of a node-by-node search.  A bottom-level
+    interval is handed out whole: every integer charged at level 0 is a
+    leaf, and ``ball_blocks`` drops those outside the ball.
     """
     n = basis.shape[0]
     mu, D, ortho = _gso(basis)
@@ -165,28 +167,14 @@ def _enum_coeffs(basis, shift, r, p, node_budget):
         visited += int(counts.sum())
         if visited > node_budget:
             raise BudgetExceededError(node_budget, visited)
-        if k == 0:
-            limit = rem * (1 + 1e-9) + 1e-300
-            def fits(c):
-                y = c + shift[0] + s[:, 0]
-                with np.errstate(over="ignore"):  # inf fits only an inf limit
-                    return D[0] * y * y <= limit
-            while True:  # step each end inward past the integers that miss
-                bad_lo = (lo <= hi) & ~fits(lo)
-                bad_hi = (hi > lo) & ~fits(hi)
-                if not (bad_lo.any() or bad_hi.any()):
-                    break
-                lo += bad_lo
-                hi -= bad_hi
-            parent, c0 = _spread(lo, (hi - lo + 1).astype(np.int64))
-            for b in range(0, len(parent), _BLOCK):
-                leaves = coef.take(parent[b:b + _BLOCK], axis=0)
-                leaves[:, 0] = c0[b:b + _BLOCK]
-                yield leaves
-            return
         parent, cs = _spread(lo, counts)
         for b in range(0, len(parent), _BLOCK):
             i, c = parent[b:b + _BLOCK], cs[b:b + _BLOCK]
+            if k == 0:  # each charged integer is a leaf
+                leaves = coef.take(i, axis=0)
+                leaves[:, 0] = c
+                yield leaves
+                continue
             t = c + shift[k]
             y = t + s[:, k].take(i)
             rest = rem.take(i) - D[k] * y * y

@@ -363,8 +363,9 @@ def _sums(L, spec, v, t, target_tol, node_budget, terms):
     return S, tail, sums, npoints
 
 
-# L -> {(spec, t, target_tol, node_budget): its unshifted CertifiedSum},
-# held weakly, so an entry dies with its lattice and no reused id aliases it
+# L -> {(spec, t, target_tol, node_budget): its unshifted CertifiedSum}, one
+# spec per function, held weakly, so an entry dies with its lattice and no
+# reused id aliases it
 _UNSHIFTED = weakref.WeakKeyDictionary()
 
 
@@ -378,10 +379,13 @@ def certified_sum(L: Lattice, spec: TestFunctionSpec, v, t: float,
 
     The unshifted sum (v = 0), the right side of every tail bound and of
     part 1 on L, is computed once per lattice and arguments, and kept
-    while L lives; a call that raises keeps nothing.
+    while L lives; a call that raises keeps nothing.  exp_l1 is kept as the
+    p = 1 supergaussian, whose terms are the same bits.
     """
     v = np.asarray(v, dtype=float)
-    key = (spec, t, target_tol, node_budget)
+    same_f = (TestFunctionSpec("supergaussian", spec.dim, 1.0)
+              if spec.family == "exp_l1" else spec)
+    key = (same_f, t, target_tol, node_budget)
     unshifted = v.shape == (L.dim,) and not np.any(v)
     if unshifted and key in _UNSHIFTED.get(L, ()):
         return _UNSHIFTED[L][key]

@@ -811,17 +811,20 @@ def test_entries_naming_one_lattice_share_it(tmp_path, z2, monkeypatch):
 
 def test_acceptance_round_sums_each_unshifted_ball_once(acceptance_manifest,
                                                         monkeypatch):
-    # the right side of every tail and part 1 check on one lattice, spec,
-    # t and tol is one kept certified sum: in a round of the shipped
-    # manifest no unshifted one-column ball is truncated and summed twice,
-    # and the round sums 64,976 points (131,049 when each check summed its
-    # own)
+    # the right side of every tail and part 1 check on one lattice,
+    # function, t and tol is one kept certified sum: in a round of the
+    # shipped manifest no unshifted one-column ball is truncated and summed
+    # twice, exp_l1 being the p = 1 supergaussian, and the round makes 108
+    # passes over 63,463 points (109 over 64,976 when the two were kept
+    # apart, 131,049 points when each check summed its own)
     unshifted, points = [], []
 
     def sums(L, spec, v, t, tol, budget, terms, _run=verify._sums):
         S, tail, cols, n = _run(L, spec, v, t, tol, budget, terms)
         if not np.any(v) and len(cols) == 1:
-            unshifted.append((id(L), spec, t, tol, budget))
+            f = (("supergaussian", spec.dim, 1.0) if spec.family == "exp_l1"
+                 else (spec.family, spec.dim, spec.p))
+            unshifted.append((id(L), f, t, tol, budget))
         return S, tail, cols, n
 
     def ball_sums(*args, _run=verify._ball_sums):
@@ -834,4 +837,4 @@ def test_acceptance_round_sums_each_unshifted_ball_once(acceptance_manifest,
     plans = plan_manifest(manifest, str(acceptance_manifest.parent))
     assert all(run()["verdict"] == cli.PASS for run in plans)
     assert unshifted and len(set(unshifted)) == len(unshifted)
-    assert sum(points) == 64_976
+    assert len(points) == 108 and sum(points) == 63_463

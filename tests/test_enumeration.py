@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 import latbounds.enumeration as enumeration
 from latbounds.enumeration import (covering_radius_estimate, enumerate_arrays,
@@ -206,20 +206,53 @@ def test_lq_search_keeps_the_lq_points_of_the_l2_search(ball):
         assert np.array_equal(emb, e2[inside])
 
 
-def test_bottom_interval_trimmed_by_the_end_test():
-    # the +-1e-12 slack of the interval admits c0 = 0 for this tiny ball,
-    # 5e-13 outside it; the end test drops it, and keeps it 5e-13 inside
+def test_tiny_ball_boundary_is_the_exact_filter():
+    # the +-1e-12 slack of the bottom interval admits c0 = 0 for this tiny
+    # ball, 5e-13 outside it; the exact-norm filter drops it, and keeps it
+    # 5e-13 inside
+    Z1 = integer_lattice(1)
     for shift, rows in ((1e-4 + 5e-13, []), (-1e-4 - 5e-13, []),
-                        (1e-4 - 5e-13, [[0]])):
-        blocks = enumeration._enum_coeffs(np.eye(1), np.array([shift]),
-                                          1e-4, 2.0, 10)
-        assert [row for block in blocks for row in block.tolist()] == rows
+                        (1e-4 - 5e-13, [[0]]), (-1e-4 + 5e-13, [[0]])):
+        coords, _ = enumerate_arrays(Z1, np.array([shift]), 1e-4)
+        assert coords.tolist() == rows
+
+
+@given(ball=small_balls(), cut=st.booleans())
+@example(ball=(integer_lattice(1), np.array([1e-4 + 5e-13]), 1e-4, 2.0),
+         cut=False)  # c0 = 0 is charged, and outside the ball
+def test_every_bottom_node_charged_is_a_leaf(ball, cut):
+    # the search filters nothing itself: each integer charged to the budget
+    # at level 0 is yielded, and ball_blocks' exact norm is its one filter.
+    # The search is depth first, so a level-0 expansion is the one directly
+    # followed by leaves; every level's charge passes through _spread.
+    L, v, r, p = ball
+    reduced = lll_reduce(L)
+    args = (reduced.basis, reduced.coefficients(v), r, p)
+    events = []
+
+    def spread(lo, counts, _run=enumeration._spread):
+        events.append(("spread", int(counts.sum())))
+        return _run(lo, counts)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(enumeration, "_spread", spread)
+        if cut:
+            mp.setattr(enumeration, "_CUT_MIN_POINTS", 0)
+        for block in enumeration._enum_coeffs(*args, 10 ** 6):
+            events.append(("leaves", len(block)))
+        charged = sum(n for kind, n in events if kind == "spread")
+        leaves = sum(n for kind, n in events if kind == "leaves")
+        bottom = sum(n for (kind, n), (after, _) in zip(events, events[1:])
+                     if kind == "spread" and after == "leaves")
+        list(enumeration._enum_coeffs(*args, charged))
+        with pytest.raises(BudgetExceededError):
+            list(enumeration._enum_coeffs(*args, charged - 1))
+    assert leaves == bottom
 
 
 def test_end_test_overflow_is_silent():
-    # the l^2 ball of radius 2e154 squares past the floats: the end test's
-    # D[0] y^2 overflows to inf, which fits the infinite limit, with no
-    # overflow warning; the l^1 cut keeps |k| <= 20000
+    # the l^2 ball of radius 2e154 squares past the floats, so its
+    # intervals come from an infinite remaining radius, with no overflow
+    # warning; the l^1 cut keeps |k| <= 20000
     coords, emb = enumerate_arrays(Lattice([[1e150]]), np.zeros(1), 2e154,
                                    p=1)
     assert sorted(coords[:, 0].tolist()) == list(range(-20000, 20001))

@@ -1104,6 +1104,19 @@ def test_unshifted_sums_differing_in_one_argument_miss(monkeypatch):
         certified_sum(L, v=np.zeros(3), **base)
 
 
+def test_exp_l1_is_kept_as_the_p1_supergaussian():
+    # e^{-||x||_1} under two specs, with bit-identical terms: an unshifted
+    # exp_l1 sum after a p = 1 supergaussian one is that sum, field for
+    # field the exp_l1 sum computed afresh on a new Lattice
+    L, zero = random_unimodular_lattice(2, 5), np.zeros(2)
+    first = certified_sum(L, FnSpec("supergaussian", 2, p=1.0), zero, 1.3,
+                          1e-9)
+    assert certified_sum(L, FnSpec("exp_l1", 2), zero, 1.3, 1e-9) is first
+    fresh = certified_sum(Lattice(L.basis), FnSpec("exp_l1", 2), zero, 1.3,
+                          1e-9)
+    assert fresh is not first and _fields(fresh) == _fields(first)
+
+
 def test_a_shifted_sum_is_never_kept(monkeypatch):
     passes = []
 
