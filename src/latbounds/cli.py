@@ -98,6 +98,16 @@ def _integer(value, what, low=None):
     return value
 
 
+def _number(params, key, default):
+    """params[key], or default if key is absent, as a float.  It must be a
+    JSON int or float: a bool, a string, None and NaN (which passes every
+    range check) are refused, so a default of None makes the key required."""
+    value = params.get(key, default)
+    if type(value) not in (int, float) or math.isnan(value):
+        raise ManifestError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def _resolve_lattice(ref, base_dir, default_path):
     """A lattice reference: an explicit path, an inline generator, or None
     for the manifest's lattice_file."""
@@ -126,12 +136,12 @@ def _resolve_lattice(ref, base_dir, default_path):
 
 def _check_v(params, L, rng):
     v = params.get("v", 0)
-    if isinstance(v, str):
-        if v != "random":
-            raise ManifestError(f"v must be a list of numbers or 'random', got {v!r}")
+    if v == "random":
         return rng.uniform(-0.5, 0.5, L.dim)
-    if isinstance(v, (int, float)) and v == 0:
+    if type(v) in (int, float) and v == 0:
         return np.zeros(L.dim)
+    if type(v) is not list or any(type(x) not in (int, float) for x in v):
+        raise ManifestError(f"v must be a list of numbers or 'random', got {v!r}")
     v = np.asarray(v, dtype=float)
     if v.shape != (L.dim,):
         raise ManifestError(f"v has shape {v.shape}, the lattice needs "
@@ -146,31 +156,26 @@ def _check_v(params, L, rng):
 
 
 def _body_from(params, spec, n):
-    """BodySpec from one of radius / tau / tscale / alpha (family-native)."""
+    """BodySpec from one of radius / tau / tscale / alpha (family-native):
+    a ball of the envelope's norm q."""
     keys = [k for k in ("radius", "tau", "tscale", "alpha") if k in params]
     if len(keys) != 1:
         raise ManifestError("give exactly one of radius, tau, tscale, alpha")
-    key = keys[0]
-    val = float(params[key])
-    if key == "radius":
-        radius = val
-        body_p = float(params.get("body_p", envelope(spec).q))
-    elif key == "tau":
+    key, q = keys[0], envelope(spec).q
+    radius = _number(params, key, None)
+    if key == "tau":
         if spec.family != "gaussian":
             raise ManifestError("tau parametrizes gaussian bodies only")
-        radius = math.sqrt(val * n / math.pi)
-        body_p = 2.0
+        radius = math.sqrt(radius * n / math.pi)
     elif key == "tscale":
         if spec.family not in ("supergaussian", "exp_l1"):
             raise ManifestError("tscale parametrizes supergaussian/exp_l1 bodies")
-        body_p = envelope(spec).q
-        radius = val * (n / body_p) ** (1.0 / body_p)
-    else:
+        radius = radius * (n / q) ** (1.0 / q)
+    elif key == "alpha":
         if spec.family != "inv_cosh_product":
             raise ManifestError("alpha parametrizes inv_cosh_product bodies")
-        radius = kalpha_radius(val, n)
-        body_p = 1.0
-    return BodySpec(p=body_p, radius=radius)
+        radius = kalpha_radius(radius, n)
+    return BodySpec(p=q, radius=radius)
 
 
 def read_manifest(path):
@@ -208,16 +213,6 @@ def _budgets(manifest):
     for key, val in zip(("nodes", "grid"), out):
         _integer(val, f"budget {key!r}", low=1)
     return out
-
-
-def _has_nan(obj):
-    if isinstance(obj, float):
-        return math.isnan(obj)
-    if isinstance(obj, dict):
-        return any(_has_nan(x) for x in obj.values())
-    if isinstance(obj, list):
-        return any(_has_nan(x) for x in obj)
-    return False
 
 
 def plan_manifest(manifest, base_dir):
@@ -268,14 +263,13 @@ def _plan_one(entry, lattice_for, seed, nodes, grid, table_for):
     params = entry.get("params", {})
     if not isinstance(params, dict):
         raise ManifestError("'params' must be an object")
-    if _has_nan(params):
-        # json reads NaN, and NaN passes every range check
-        raise ManifestError("params must not contain NaN")
     rng = np.random.default_rng(seed)
+    # a test function's p, or the norm of a transference or handshake
+    p = _number(params, "p", None) if "p" in params else None
 
     if name == "hypotheses":
         dim = _integer(params["dim"], "hypotheses 'dim'")
-        spec = TestFunctionSpec(params["family"], dim, params.get("p"))
+        spec = TestFunctionSpec(params["family"], dim, p)
         samples = _integer(params.get("samples", 10000),
                            "hypotheses 'samples'", low=1)
         hseed = _integer(params.get("seed", seed), "hypotheses 'seed'")
@@ -297,7 +291,6 @@ def _plan_one(entry, lattice_for, seed, nodes, grid, table_for):
     L = lattice_for(params.get("lattice"))
 
     if name == "transference":
-        p = float(params["p"])
         resolution = _integer(params.get("resolution", 64), "resolution", 1)
         if p not in (1, 2):
             raise ManifestError("transference needs p in {1, 2}")
@@ -306,10 +299,10 @@ def _plan_one(entry, lattice_for, seed, nodes, grid, table_for):
                                           grid_budget=grid).record()
 
     if name == "handshake":
-        p = float(params["p"])
-        u = float(params.get("u", 1.0))
-        if not 0.01 <= p <= 2:  # below, lp_norm's error (n+2)u/p nears 1e-12
+        # below 0.01, lp_norm's error (n+2)u/p nears 1e-12
+        if p is None or not 0.01 <= p <= 2:
             raise ManifestError("handshake needs 0.01 <= p <= 2")
+        u = _number(params, "u", 1.0)
         if u < 1:
             raise ManifestError("handshake needs u >= 1")
 
@@ -320,14 +313,14 @@ def _plan_one(entry, lattice_for, seed, nodes, grid, table_for):
         return run_hs
 
     # the rest carry a test function
-    spec = TestFunctionSpec(params["family"], L.dim, params.get("p"))
+    spec = TestFunctionSpec(params["family"], L.dim, p)
     v = _check_v(params, L, rng)
-    tol = float(params.get("tol", 1e-9))
+    tol = _number(params, "tol", 1e-9)
     if tol <= 0:
         raise ManifestError("tol must be positive")
 
     if name == "theta":
-        t = float(params.get("t", 1.0))
+        t = _number(params, "t", 1.0)
         if t <= 0:
             raise ManifestError("theta needs t > 0")
 
@@ -343,18 +336,18 @@ def _plan_one(entry, lattice_for, seed, nodes, grid, table_for):
         return run_theta
 
     if name == "part1":
-        t = float(params.get("t", 1.0))
+        t = _number(params, "t", 1.0)
         if t < 1:
             raise ManifestError("part1 needs t >= 1")
         return lambda: check_part1(L, spec, v, t, tol=tol, node_budget=nodes)
 
     if name == "psf":
-        t = float(params.get("t", 1.0))
+        t = _number(params, "t", 1.0)
         if t <= 0:
             raise ManifestError("psf needs t > 0")
         if not tol < 1:  # the dual side's error could exceed the sum
             raise ManifestError(f"psf needs tol < 1, got tol = {tol:g}")
-        max_residual = float(params["max_residual"])
+        max_residual = _number(params, "max_residual", None)
         psf_product_diagonal(L, spec)  # refuse what the product route cannot sum
 
         def run_psf():
@@ -435,8 +428,8 @@ def _write_plot_csv(path, plans, records):
 
 
 # argparse dests of the one-shot subcommands that are manifest params
-_PARAM_DESTS = ("family", "p", "v", "tol", "t", "max_residual", "body_p",
-                "radius", "tau", "tscale", "alpha", "resolution", "u")
+_PARAM_DESTS = ("family", "p", "v", "tol", "t", "max_residual", "radius",
+                "tau", "tscale", "alpha", "resolution", "u")
 
 
 def _exit_code(summary):
@@ -553,7 +546,6 @@ def _build_parser():
 
     p = sub.add_parser("tail", help="mass outside a body vs certified bound")
     common(p)
-    p.add_argument("--body-p", type=float, default=None)
     p.add_argument("--radius", type=float, default=None)
     p.add_argument("--tau", type=float, default=None)
     p.add_argument("--tscale", type=float, default=None)

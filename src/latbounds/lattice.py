@@ -102,10 +102,10 @@ def integer_lattice(n: int) -> Lattice:
 
 
 def _gso(basis):
-    """Gram-Schmidt: returns (mu, norms2) with basis = mu @ orthogonal rows.
+    """Gram-Schmidt: returns (mu, norms2, ortho) with basis = mu @ ortho.
 
-    mu is unit lower triangular; norms2 holds squared lengths of the
-    orthogonal rows.
+    mu is unit lower triangular; ortho holds the orthogonal rows and norms2
+    their squared lengths.
     """
     n = basis.shape[0]
     ortho = basis.astype(float).copy()

@@ -11,7 +11,8 @@ import latbounds.verify as verify
 from latbounds.cli import _fmt, _write_plot_csv, main, plan_manifest
 from latbounds.enumeration import BodySpec, enumerate_arrays
 from latbounds.errors import BudgetExceededError
-from latbounds.functions import log_f
+from latbounds.functions import TestFunctionSpec as FnSpec
+from latbounds.functions import envelope, log_f
 from latbounds.lattice import integer_lattice, lp_norm, save_lattice
 from latbounds.verify import nu_for_body
 
@@ -135,6 +136,20 @@ def test_tail_subcommand(run_cli, z2):
     assert float(get_field(out, "margin")) > 0
 
 
+@pytest.mark.parametrize("argv, spec", [
+    (["--family", "supergaussian", "--p", "1.5", "--radius", "2.5"],
+     FnSpec("supergaussian", 2, 1.5)),
+    (["--family", "gaussian", "--tau", "1"], FnSpec("gaussian", 2)),
+    (["--family", "exp_l1", "--tscale", "3"], FnSpec("exp_l1", 2)),
+    (["--family", "inv_cosh_product", "--alpha", "1"],
+     FnSpec("inv_cosh_product", 2)),
+])
+def test_tail_body_is_a_ball_of_the_envelope_norm(run_cli, z2, argv, spec):
+    code, out, _ = run_cli("tail", z2, *argv)
+    assert code == 0
+    assert get_field(out, "body_p") == _fmt(envelope(spec).q)
+
+
 def test_transference_subcommand(run_cli, z1):
     code, out, _ = run_cli("transference", z1, "--p", "2",
                            "--resolution", "256")
@@ -244,27 +259,72 @@ def test_verify_budget_exhaustion_exits_four(run_cli, tmp_path, z2):
     assert "budget" in err.lower()
 
 
-def _manifest_argv(tmp_path, z2, budgets, params):
+def _manifest_argv(tmp_path, z2, budgets, params, check="theta"):
     man = {"lattice_file": z2, "budgets": budgets,
-           "checks": [{"check_name": "theta",
+           "checks": [{"check_name": check,
                        "params": {"family": "gaussian", **params}}]}
     return ["verify", _write_manifest(tmp_path / "man.json", man)]
 
 
-@pytest.mark.parametrize("argv", [
-    lambda tmp, z2: ["theta", z2, "--family", "gaussian",
-                     "--node-budget", "0"],
-    lambda tmp, z2: ["transference", z2, "--p", "2", "--grid-budget", "-1"],
-    lambda tmp, z2: _manifest_argv(tmp, z2, {"nodes": True}, {}),
-    lambda tmp, z2: _manifest_argv(tmp, z2, {}, {"t": float("nan")}),
-    lambda tmp, z2: _manifest_argv(tmp, z2, {}, {"v": [float("inf"), 0.0]}),
+# (argv, what stderr names); a manifest param is refused as checks[0]'s
+@pytest.mark.parametrize("argv, named", [
+    (lambda tmp, z2: ["theta", z2, "--family", "gaussian",
+                      "--node-budget", "0"], "budget"),
+    (lambda tmp, z2: ["transference", z2, "--p", "2", "--grid-budget", "-1"],
+     "budget"),
+    (lambda tmp, z2: _manifest_argv(tmp, z2, {"nodes": True}, {}), "budget"),
+    (lambda tmp, z2: _manifest_argv(tmp, z2, {}, {"t": float("nan")}),
+     "checks[0]: t must be a number"),
+    (lambda tmp, z2: _manifest_argv(tmp, z2, {}, {"v": [float("inf"), 0.0]}),
+     "checks[0]: v must be finite"),
+    (lambda tmp, z2: _manifest_argv(tmp, z2, {}, {"tol": "nan"}),
+     "checks[0]: tol must be a number, got 'nan'"),
+    (lambda tmp, z2: _manifest_argv(tmp, z2, {}, {"max_residual": "nan"},
+                                    "psf"),
+     "checks[0]: max_residual must be a number, got 'nan'"),
+    (lambda tmp, z2: _manifest_argv(tmp, z2, {}, {"t": "nan"}),
+     "checks[0]: t must be a number, got 'nan'"),
+    (lambda tmp, z2: _manifest_argv(tmp, z2, {}, {"p": 2, "u": "nan"},
+                                    "handshake"),
+     "checks[0]: u must be a number, got 'nan'"),
+    (lambda tmp, z2: _manifest_argv(tmp, z2, {}, {
+        "family": "supergaussian", "p": True, "t": 2}, "part1"),
+     "checks[0]: p must be a number, got True"),
+    (lambda tmp, z2: _manifest_argv(tmp, z2, {}, {
+        "family": "supergaussian", "p": 1, "t": "2"}, "part1"),
+     "checks[0]: t must be a number, got '2'"),
+    (lambda tmp, z2: _manifest_argv(tmp, z2, {}, {"v": ["0.1", 0.0]}),
+     "checks[0]: v must be a list of numbers"),
 ], ids=["zero-node-budget", "negative-grid-budget", "bool-budget", "nan-t",
-        "infinite-v"])
+        "infinite-v", "string-nan-tol", "string-nan-max-residual",
+        "string-nan-t", "string-nan-u", "bool-p", "string-t", "string-v"])
 def test_malformed_budgets_and_nan_are_usage_errors(run_cli, tmp_path, z2,
-                                                    argv):
-    code, _, err = run_cli(*argv(tmp_path, z2))
+                                                    argv, named):
+    code, out, err = run_cli(*argv(tmp_path, z2))
     assert code == 3
     assert "Traceback" not in err
+    assert named in err
+    assert out == ""  # refused while planning
+
+
+def test_a_later_malformed_entry_stops_the_run_before_any_sum(
+        run_cli, tmp_path, z2, monkeypatch):
+    calls = []
+
+    def spy(*args, _sum=verify.certified_sum, **kwargs):
+        calls.append(args)
+        return _sum(*args, **kwargs)
+    monkeypatch.setattr(verify, "certified_sum", spy)
+    monkeypatch.setattr(cli, "certified_sum", spy)
+    theta = {"check_name": "theta", "params": {"family": "gaussian"}}
+    for t, code in ((1.5, 0), ("nan", 3)):
+        later = {"check_name": "theta", "params": {"family": "gaussian",
+                                                   "t": t}}
+        mp = _write_manifest(tmp_path / "man.json",
+                             {"lattice_file": z2, "checks": [theta, later]})
+        calls.clear()
+        assert run_cli("verify", mp)[0] == code
+        assert len(calls) == (2 if code == 0 else 0)
 
 
 def test_verify_plot_csv(run_cli, tmp_path, z2):

@@ -31,6 +31,11 @@
   expression that names ``Interval`` or ``.interval``, except as the one
   operation inside ``_up(...)`` or ``_down(...)``, which rounds it outward
   (``psf_residual``'s point estimate aside).
+* One reader for manifest numbers: no ``float(...)`` in ``cli`` takes a
+  manifest value (a subscript or ``.get`` of ``params``) directly, since
+  ``float`` reads ``"nan"``, ``"2"`` and ``true`` as numbers; each is read
+  through ``cli._number``, which refuses all three, so a parameter added
+  later is refused at planning too.
 """
 
 import ast
@@ -203,3 +208,24 @@ def test_checks_round_interval_ends_through_interval():
              for line in _bare_end_arithmetic(functions[name])]
     assert not found, ("float arithmetic on an interval end: "
                        + ", ".join(found))
+
+
+def _reads_params(node):
+    """Whether node is ``params[...]`` or ``params.get(...)``."""
+    if isinstance(node, ast.Subscript):
+        return getattr(node.value, "id", None) == "params"
+    return (isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "get"
+            and getattr(node.func.value, "id", None) == "params")
+
+
+def test_manifest_numbers_are_read_through_number():
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    assert any(isinstance(node, ast.FunctionDef) and node.name == "_number"
+               for node in tree.body), "cli.py defines no _number"
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "float"
+             and any(_reads_params(arg) for arg in node.args)]
+    assert not found, ("float() of a manifest value in cli.py, lines "
+                       + ", ".join(map(str, found)))

@@ -31,10 +31,30 @@ from latbounds.verify import (FAIL, INCONCLUSIVE, PASS, CertifiedSum,
                               psf_residual, transference_check)
 
 THETA_Z1 = 1.086434811213308  # sum of exp(-pi k^2) over Z, frozen
-D4 = Lattice(np.array([[1.0, -1.0, 0.0, 0.0],
-                       [0.0, 1.0, -1.0, 0.0],
-                       [0.0, 0.0, 1.0, -1.0],
-                       [0.0, 0.0, 1.0, 1.0]]), name="D4")
+
+
+def _d_n(n):
+    """A basis of D_n, the points of Z^n of even coordinate sum: the rows
+    e_i - e_{i+1} and e_{n-1} + e_n."""
+    basis = np.zeros((n, n))
+    for i in range(n - 1):
+        basis[i, i], basis[i, i + 1] = 1.0, -1.0
+    basis[n - 1, n - 2:] = 1.0
+    return basis
+
+
+def _e8():
+    """A basis of E8 = D8 u (D8 + 1/2): the rows 2 e_1, e_{i+1} - e_i for
+    i < 7 and the glue vector (1/2, ..., 1/2); its covolume is 1."""
+    basis = np.zeros((8, 8))
+    basis[0, 0] = 2.0
+    for i in range(1, 7):
+        basis[i, i - 1], basis[i, i] = -1.0, 1.0
+    basis[7] = 0.5
+    return basis
+
+
+D4 = Lattice(_d_n(4), name="D4")
 
 
 # ---------------------------------------------------------------------------
@@ -656,12 +676,58 @@ _PRIMAL_1D = {
     "gaussian": lambda x: mpmath.exp(-mpmath.pi * x * x),
     "exp_l1": lambda x: mpmath.exp(-abs(x)),
     "sech_product": lambda x: mpmath.sech(mpmath.pi * x),
+    "inv_cosh_product": lambda x: 1 / (1 + 2 * mpmath.cosh(
+        2 * mpmath.pi * x / mpmath.sqrt(3))),
     "supergaussian": lambda x: mpmath.exp(-abs(x) ** mpmath.mpf(1.5)),
 }
 # t per family, so that a 5-D ball stays near 1e5 points: the l^1 and
 # l^1.5 families enumerate a filtered l^2 ball and decay slowly
 _PRIMAL_T = {"gaussian": [0.5, 1.0, 1.5], "supergaussian": [0.25, 0.5],
-             "sech_product": [0.2, 0.3], "exp_l1": [0.1, 0.15]}
+             "sech_product": [0.2, 0.3], "exp_l1": [0.1, 0.15],
+             "inv_cosh_product": [0.2, 0.3]}
+# lattices that LLL leaves unsplit (every row with 2 nonzero entries on D4
+# and D5, three with 8 on E8), so a sum on them reaches past a box-shaped
+# cell; E8 is summed for the gaussian only, at t <= 0.75 (up to 3e5 points)
+_ROOT_LATTICES = {"D4": _d_n(4), "D5": _d_n(5), "E8": _e8()}
+_E8_T = [0.5, 0.75]
+
+
+def _primal_oracle(term, lattice, v, t):
+    """The sum over the lattice of prod_i term((x_i + v_i)/t), to 30
+    digits; lattice is "D4", "D5", "E8" or a list d, the lattice diag(d).
+    Each is a product of 1-D series s_i(sign) = sum_k sign^k term((d_i k +
+    v_i)/t), d_i = 1 for the named ones: prod_i s_i(1) on diag(d).  D_n
+    holds the points of Z^n of even sum, so its sum is half of
+    prod_i s_i(1) + prod_i s_i(-1), and E8's is D8's at v plus D8's at
+    v + 1/2 (Conway and Sloane, Sphere Packings, Lattices and Groups,
+    ch. 4)."""
+    def product(diag, v, sign=1):
+        return mpmath.fprod(
+            mpmath.nsum(lambda k: sign ** k * term((d * k + x) / t),
+                        [-mpmath.inf, mpmath.inf])
+            for d, x in zip(diag, v))
+
+    def even_sum(v):
+        ones = [1] * len(v)
+        return (product(ones, v) + product(ones, v, -1)) / 2
+    with mpmath.workdps(30):
+        v = [mpmath.mpf(x) for x in v]
+        if lattice == "E8":
+            return even_sum(v) + even_sum([x + mpmath.mpf(0.5) for x in v])
+        if lattice in ("D4", "D5"):
+            return even_sum(v)
+        return product(map(mpmath.mpf, lattice), v)
+
+
+def _holds_primal_oracle(cs, term, lattice, v, t):
+    exact = _primal_oracle(term, lattice, v, t)
+    # The room at the lower end is _ROOM's, for the same reason, scaled by
+    # the size of the exponents: an exponent phi computed in floats is off
+    # by a few ulp of phi, and the terms that dominate a sum have phi near
+    # log(sum).  A 4-D gaussian sum of 2e-8 (t = 0.5) sits 16.5 ulp above.
+    # The upper end, where a short tail bound would show, has no room.
+    room = _ROOM * (1 + abs(float(mpmath.log(exact))))
+    return _contains(cs.interval(), exact, room)
 
 
 @given(family=st.sampled_from(sorted(_PRIMAL_1D)),
@@ -675,19 +741,27 @@ def test_certified_sum_contains_mpmath_oracle(family, diag, tol, data):
     p = 1.5 if family == "supergaussian" else None
     cs = certified_sum(Lattice(np.diag(diag)), FnSpec(family, n, p=p),
                        np.array(v), t, tol)
-    term = _PRIMAL_1D[family]
-    with mpmath.workdps(30):
-        exact = mpmath.fprod(
-            mpmath.nsum(lambda k: term((d * k + x) / t),
-                        [-mpmath.inf, mpmath.inf])
-            for d, x in zip(map(mpmath.mpf, diag), map(mpmath.mpf, v)))
-    # The room at the lower end is _ROOM's, for the same reason, scaled by
-    # the size of the exponents: an exponent phi computed in floats is off
-    # by a few ulp of phi, and the terms that dominate a sum have phi near
-    # log(sum).  A 4-D gaussian sum of 2e-8 (t = 0.5) sits 16.5 ulp above.
-    # The upper end, where a short tail bound would show, has no room.
-    room = _ROOM * (1 + abs(float(mpmath.log(exact))))
-    assert _contains(cs.interval(), exact, room)
+    assert _holds_primal_oracle(cs, _PRIMAL_1D[family], diag, v, t)
+
+
+# every family on D4 and D5, the gaussian on E8: each pair is a parameter,
+# since a drawn lattice left whole pairs undrawn
+@pytest.mark.parametrize("lattice, family", [
+    *((name, family) for name in ("D4", "D5") for family in sorted(_PRIMAL_1D)),
+    ("E8", "gaussian")])
+@settings(max_examples=8)
+@given(tol=st.sampled_from([1e-6, 1e-9]), data=st.data())
+def test_certified_sum_on_unsplit_lattices_contains_mpmath_oracle(
+        lattice, family, tol, data):
+    basis = _ROOT_LATTICES[lattice]
+    n = len(basis)
+    t = data.draw(st.sampled_from(_E8_T if lattice == "E8"
+                                  else _PRIMAL_T[family]))
+    v = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+    p = 1.5 if family == "supergaussian" else None
+    cs = certified_sum(Lattice(basis), FnSpec(family, n, p=p), np.array(v),
+                       t, tol)
+    assert _holds_primal_oracle(cs, _PRIMAL_1D[family], lattice, v, t)
 
 
 @pytest.mark.parametrize("lat", [integer_lattice(2),
