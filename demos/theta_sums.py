@@ -2,7 +2,8 @@
 
 The engine enumerates lattice points out to a radius where the tail of the
 test function is provably below tolerance, then reports partial sum plus a
-rigorous bound on everything it did not visit.
+rigorous bound on everything it did not visit, and a bound on the rounding
+of the float terms it did.
 """
 
 import numpy as np
@@ -16,7 +17,8 @@ gauss = TestFunctionSpec("gaussian", 1)
 
 print("== theta of Z at the gaussian self-dual point ==")
 cs = certified_sum(Z1, gauss, np.zeros(1), 1.0, 1e-9)
-print(f"sum_{{k in Z}} e^(-pi k^2) = {cs.partial:.15f} + [0, {cs.remainder_bound:.2e}]")
+print(f"sum_{{k in Z}} e^(-pi k^2) = {cs.partial:.15f}"
+      f" + [0, {cs.remainder_bound:.2e}] +- {cs.rounding:.1e} (rounding)")
 print(f"visited {cs.npoints} points out to radius {cs.truncation_radius:.2f}")
 
 # tighter tolerance -> wider truncation radius, more points, smaller remainder

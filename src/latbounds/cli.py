@@ -331,6 +331,7 @@ def _plan_one(entry, lattice_for, seed, nodes, grid, table_for):
                                         tol=tol),
                            PASS, partial=cs.partial,
                            remainder_bound=cs.remainder_bound,
+                           rounding=cs.rounding,
                            truncation_radius=cs.truncation_radius,
                            npoints=cs.npoints)
         return run_theta
@@ -404,7 +405,7 @@ def _write_plot_csv(path, plans, records):
         # the body is cut as the check's inner sum is, ties included
         cuts = [*radii, body.radius * (1 + _BOUNDARY_SLACK)]
 
-        def terms(emb):
+        def terms(_, emb):
             y = emb + v
             norms, vals = lp_norm(y, body.p), np.exp(log_f(spec, y))
             return tuple(vals[norms <= cut] for cut in cuts)

@@ -18,6 +18,10 @@ the Gram-Schmidt box of an LLL-reduced basis, whichever bound on its reach
 is smaller.  For every l^q envelope (q <= 2), Jensen's inequality over the
 cell sets each term against the envelope's mean on its cell, so the radius
 pays the reach once and the cell's moment enters as a constant factor.
+The float terms are charged for their own rounding: each term's exponent
+is bounded within a derived slip of the exact one at the exact lattice
+point (``_exponent_slip``), and the kernel sums those slips, weighted by
+the terms, into a rounding bound that widens both ends of the interval.
 Inequality checks build their intervals with one rule, ``Interval``, whose
 +, - and * round each end one ulp outward, compare them pessimistically
 and return PASS / FAIL / INCONCLUSIVE; an interval straddling the boundary
@@ -41,6 +45,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -120,17 +125,26 @@ class Interval(NamedTuple):
 class CertifiedSum:
     """A truncated lattice sum with a certified bound on the omitted tail.
 
-    The true sum lies in [partial, partial + remainder_bound] (interval()).
-    truncation_radius is measured on (lambda + v)/t in the family's norm.
+    partial is the exactly rounded sum of the float terms of the ball, and
+    rounding a certified bound on its distance from the exact sum of the
+    ball's terms; remainder_bound bounds the omitted tail.  So the true sum
+    lies in [partial - rounding, partial + remainder_bound + rounding]
+    (interval(), rounded outward).  truncation_radius is measured on
+    (lambda + v)/t in the family's norm.
     """
 
     partial: float
     remainder_bound: float
     truncation_radius: float
     npoints: int = 0
+    rounding: float = 0.0
 
     def interval(self):
-        return Interval(self.partial, _up(self.partial + self.remainder_bound))
+        if not self.rounding:
+            return Interval(self.partial,
+                            _up(self.partial + self.remainder_bound))
+        return self.partial + Interval(
+            -self.rounding, _up(self.remainder_bound + self.rounding))
 
 
 def _log_upper_gamma(a, x, logs=None, drop=None):
@@ -273,13 +287,16 @@ def _log_tail(n, covol, env, beta_eff, cell, S):
 
 def _ball_sums(L, v, r, p, node_budget, terms):
     """([sum of each term], npoints) over the points of L in ||x + v||_p <= r.
-    terms maps a block of embeddings to a tuple of per-point arrays; only
-    they are held, and each term is one math.fsum, exactly rounded."""
+    terms maps a block of (coords, embeddings) to a tuple of per-point
+    arrays; only they are held, and each term is one math.fsum, exactly
+    rounded."""
     held, npoints = [], 0
-    for _, emb in ball_blocks(L, v, r, p, node_budget):
-        held.append(terms(emb))
+    for coords, emb in ball_blocks(L, v, r, p, node_budget):
+        held.append(terms(coords, emb))
         npoints += len(emb)
-    held = held or [terms(np.zeros((0, L.dim)))]  # an empty ball: zeros
+    # an empty ball: zeros
+    held = held or [terms(np.zeros((0, L.dim), np.int64),
+                          np.zeros((0, L.dim)))]
     return [math.fsum(itertools.chain.from_iterable(a.tolist() for a in col))
             for col in zip(*held)], npoints
 
@@ -327,17 +344,98 @@ def _in_range(t, compute):
     return x
 
 
+def _exponent_slip(env, n, log_terms, drift):
+    """Per point, a bound on |phi^ - phi|, where phi^ = log_terms is log_f at
+    the computed y^ = fl(fl(x^ + v) / t) and phi is log f at the exact y =
+    (x + v) / t, x the lattice point and x^ its float embedding: drift, one
+    per point, bounds |x^_j - x_j| / t in every coordinate j (None where x^
+    is exact).  0 stands for a term whose exact value is below e^-746
+    (``_term_rounding``).
+
+    First order in u, the unit roundoff (Higham, ch. 3), with exp, log1p,
+    pow and cos each taken within 4 ulp.  log_f adds n coordinate terms
+    phi_j <= 0, off by (n - 1) u |phi| at most.  A power family's phi_j is
+    off by at most 8u |phi_j|, and sech's log 2 - z - log1p(e^{-2z}) and
+    inv-cosh's z + log1p(e^{-z} + e^{-2z}), z = c |y_j|, by u (4 |phi_j| +
+    32), as z e^{-z} <= 1/e.  Every family's phi_j has |phi_j'(y)| <= beta
+    q |y|^(q-1) and beta |y|^q <= |phi_j(y)| + log 2 (its envelope's beta
+    and q <= 2; sech's derivative is pi tanh, inv-cosh's is below beta), so
+    the 2u |y^_j| by which y^ strays from (x^ + v) / t moves phi by at most
+    6u (|phi^| + n log 2).  In all, (n + 16) u (|phi^| + 3n).  The drift
+    moves phi by at most beta q n^(1/q) drift (||y||_q + n^(1/q)
+    drift)^(q-1) (mean value theorem, then Hoelder and Minkowski), with
+    ||y||_q^q <= (|phi^| + n log 2) / beta; for q < 1, by n beta drift^q,
+    as ||a|^q - |b|^q| <= |a - b|^q.
+
+    phi^ = -inf where the exponent left the floats: some beta |y^_j|^q is
+    then at least F / 2n, F the largest float.  Where drift is at most a
+    quarter of the least such |y^_j|, |y_j| >= |y^_j| / 2, so phi <= -F /
+    8n: below e^-746.  Such a term with a larger drift gets +inf.
+    """
+    far = log_terms.min(initial=0.0) <= -745.0
+    lost = far and log_terms == -math.inf
+    size = np.abs(log_terms)
+    if far:
+        size = np.where(lost, 0.0, size)
+    slip = (n + 16) * _U * (size + 3 * n)
+    q, beta = env.q, env.beta
+    if drift is not None and q < 1:
+        slip = slip + n * beta * drift ** q
+    elif drift is not None:
+        reach = n ** (1 / q) * drift
+        norm = ((size + n * math.log(2.0)) / beta) ** (1 / q)
+        slip = slip + beta * q * reach * (norm + reach) ** (q - 1)
+    if not far:
+        return slip
+    try:
+        cap = (sys.float_info.max / (2 * n * beta)) ** (1 / q) / 4
+    except OverflowError:  # q < 1: no coordinate term reaches F
+        cap = math.inf
+    below = np.where(lost, True if drift is None else drift <= cap,
+                     log_terms + slip <= -746.0)
+    return np.where(below, 0.0, np.where(lost, math.inf, slip))
+
+
+def _term_rounding(charges, npoints):
+    """A bound on sum_i |tau^_i - tau_i|, the distance of the float terms
+    tau^ = exp(phi^) from the exact ones, given charges, one per block:
+    (sum_i tau^_i (Delta_i + 8u), max_i Delta_i), Delta_i bounding |phi^_i
+    - phi_i| (``_exponent_slip``), or 0 where tau_i < e^-746.
+
+    exp is within 4 ulp, so |tau^ - e^{phi^}| <= 8u e^{phi^} + 4 ulp(0)
+    (subnormal results), and |e^{phi^} - e^{phi}| <= e^{phi^} expm1(Delta)
+    <= 1.001 Delta e^{phi^} for Delta <= 2^-10; summed, that is at most
+    1.002 times the charges plus 5 ulp(0) a term, and the factor 1.01 pays
+    for the rounding of the charges themselves while npoints u is below
+    1e-3.  A term below e^-746 is within 5 ulp(0) of its float, which is
+    at most 4 ulp(0) when phi^ <= -745.  Where some exponent may be off by
+    more than 2^-10 (a term off by 0.1%), the bound is +inf.
+    """
+    dots, worst = zip(*charges) if charges else ((), ())
+    if not max(worst, default=0.0) <= 2.0 ** -10:
+        return math.inf
+    return _up(1.01 * math.fsum(dots) + 5 * npoints * math.ulp(0.0))
+
+
 def _sums(L, spec, v, t, target_tol, node_budget, terms):
-    """(S, tail, column sums, npoints): the one truncation and the one pass
-    of every certified sum of f((lambda+v)/t) over L.
+    """(S, tail, column sums, term rounding, npoints): the one truncation
+    and the one pass of every certified sum of f((lambda+v)/t) over L.
 
     S, in the envelope's norm q, is grown (analytically, before any
     enumeration) until tail, the certified bound on the mass of the terms
     with ||lambda+v||_q >= S, drops below target_tol relative to the larger
     of the origin term and the term at the rounded (Babai) point nearest
-    -v, a positive lower bound on the sum.  terms maps each block of
-    embeddings of the ball ||lambda+v||_q <= S, v a float array, to its
-    columns, each summed once, exactly rounded (``_ball_sums``).
+    -v, a positive lower bound on the sum.  terms maps each block of the
+    ball ||lambda+v||_q <= S, v a float array, as (embeddings, values of
+    f, drift), to its columns, each summed once, exactly rounded
+    (``_ball_sums``).  drift bounds, per point, how far each coordinate of
+    its float embedding fl(c B) lies from c B.  With w the largest column
+    2-norm of B, every partial sum of c B is at most ||c||_2 w in size;
+    where B's entries are multiples of 2^-k and ||c||_2 w <= 2^(53-k), they
+    are all floats and the embedding is exact (drift 0, or None for a whole
+    block), and else drift is gamma_n ||c||_2 w.  The term rounding bounds
+    the summed distance of the float values of f from the exact ones
+    (``_term_rounding``).
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -359,8 +457,37 @@ def _sums(L, spec, v, t, target_tol, node_budget, terms):
     env = envelope(spec)
     beta_eff = _in_range(t, lambda: env.beta / t ** env.q)
     S, tail = _truncated(L, env, beta_eff, log_target)
-    sums, npoints = _ball_sums(L, v, S, env.q, node_budget, terms)
-    return S, tail, sums, npoints
+    n = L.dim
+    # the largest column 2-norm of B, with room for the rounding of reach
+    width = float(np.sqrt((L.basis * L.basis).sum(axis=0).max())) * (
+        1 + 2.0 ** -40)
+    # each entry of B is a multiple of 2^-k
+    k = max(x.as_integer_ratio()[1] for x in L.basis.flat).bit_length() - 1
+    exact_below = math.ldexp(1.0, 53 - k)
+    charges = []
+
+    def charged(coords, emb):
+        y = (emb + v) / t
+        log_terms = log_f(spec, y)
+        vals = np.exp(log_terms)
+        # ||c||_2 w, at least sum_i |c_i| |b_ij| for every j, is at most
+        # sqrt(n) max |c_i| w: at most exact_below on the whole block, or
+        # else taken point by point
+        drift = None
+        if np.abs(coords).max(initial=0) * math.sqrt(n) * width > exact_below:
+            reach = np.sqrt(np.einsum("ij,ij->i", coords, coords,
+                                      dtype=float)) * width
+            drift = np.where(reach <= exact_below, 0.0,
+                             n * _U / (1 - n * _U) * reach)
+        slip = _exponent_slip(env, n, log_terms,
+                              None if drift is None else drift / t)
+        worst = slip.max(initial=0.0)
+        charges.append((np.dot(vals, slip + 8 * _U)
+                        if worst <= 2.0 ** -10 else math.inf, worst))
+        return terms(emb, vals, drift)
+
+    sums, npoints = _ball_sums(L, v, S, env.q, node_budget, charged)
+    return S, tail, sums, _term_rounding(charges, npoints), npoints
 
 
 # L -> {(spec, t, target_tol, node_budget): its unshifted CertifiedSum}, one
@@ -372,10 +499,10 @@ _UNSHIFTED = weakref.WeakKeyDictionary()
 def certified_sum(L: Lattice, spec: TestFunctionSpec, v, t: float,
                   target_tol: float,
                   node_budget: int = DEFAULT_NODE_BUDGET) -> CertifiedSum:
-    """Sum of f((lambda+v)/t) over the lattice, with certified remainder:
-    the kernel ``_sums`` with the terms as its one column, so it sums the
-    points with ||(lambda+v)/t||_q <= R = S/t in the family's natural norm
-    q, the tail bound below target_tol relative to the sum.
+    """Sum of f((lambda+v)/t) over the lattice, with certified remainder
+    and rounding: the kernel ``_sums`` with the terms as its one column, so
+    it sums the points with ||(lambda+v)/t||_q <= R = S/t in the family's
+    natural norm q, the tail bound below target_tol relative to the sum.
 
     The unshifted sum (v = 0), the right side of every tail bound and of
     part 1 on L, is computed once per lattice and arguments, and kept
@@ -389,11 +516,12 @@ def certified_sum(L: Lattice, spec: TestFunctionSpec, v, t: float,
     unshifted = v.shape == (L.dim,) and not np.any(v)
     if unshifted and key in _UNSHIFTED.get(L, ()):
         return _UNSHIFTED[L][key]
-    S, tail, (partial,), npoints = _sums(
-        L, spec, v, t, target_tol, node_budget,
-        lambda emb: (np.exp(log_f(spec, (emb + v) / t)),))
+    S, tail, (partial,), rounding, npoints = _sums(
+        L, spec, v, t, target_tol, node_budget, lambda emb, vals, _: (vals,))
+    # the fsum of the float terms is exactly rounded: within u |partial|
     cs = CertifiedSum(partial=partial, remainder_bound=tail,
-                      truncation_radius=S / t, npoints=npoints)
+                      truncation_radius=S / t, npoints=npoints,
+                      rounding=_up(rounding + _U * partial))
     if unshifted:
         _UNSHIFTED.setdefault(L, {})[key] = cs
     return cs
@@ -506,22 +634,40 @@ def _dual_sums(L, spec, v, t, target_tol, node_budget):
     v = np.asarray(v, dtype=float)
     if not np.all(np.isfinite(v)):
         raise ValueError("v must be finite")
-    def terms(emb):
-        vals = np.exp(log_f(spec, emb / t))
+    size_v, slips = float(np.abs(v).sum()), []
+
+    def terms(emb, vals, drift):
         # row by row, so a row's phase does not depend on its block
-        phase = 2 * math.pi * (emb * v).sum(axis=1)
+        parts = emb * v
+        phase = 2 * math.pi * parts.sum(axis=1)
+        slip = 2 * math.pi * ((L.dim + 3) * _U * np.einsum(
+            "ij,j->i", np.abs(emb), np.abs(v)))
+        if drift is not None:
+            slip = slip + 2 * math.pi * size_v * drift
+        slips.append(np.dot(vals, np.minimum(slip, 2.0) + 10 * _U))
         return vals * np.cos(phase), vals * np.sin(phase), vals
-    S, tail, (shifted, sin_part, unshifted), npoints = _sums(
+    S, tail, (shifted, sin_part, unshifted), rounding, npoints = _sums(
         L, spec, np.zeros(L.dim), t, target_tol, node_budget, terms)
     # the point set is symmetric, so the sin pairing must cancel
     if not abs(sin_part) <= 1e-12 * max(1.0, abs(shifted)):
         raise InvariantError(
             "sin pairing failed to cancel over the symmetric point set")
-    def certified(partial):
-        lo, hi = L.covolume * (partial + Interval(-tail, tail))
+
+    def certified(partial, rounding):
+        # the fsum of a column is exactly rounded: within u |partial|
+        half = _up(tail + _up(rounding + _U * abs(partial)))
+        lo, hi = L.covolume * (partial + Interval(-half, half))
         return CertifiedSum(partial=lo, remainder_bound=_up(hi - lo),
                             truncation_radius=S / t, npoints=npoints)
-    return certified(shifted), certified(unshifted)
+    # The shifted column's phase: the computed one, 2 pi fl(x^ . v), is
+    # within 2 pi (drift ||v||_1 + (n + 3) u sum_j |x^_j v_j|) of the exact
+    # 2 pi x . v, so each cos, itself within 4 ulp, is off by at most that
+    # slip (and never by more than 2) plus 8u, and its product with the
+    # term by u more.  Weighted by the exact term, at most the float one
+    # plus its error, that counts the term errors at most 3.01 times; the
+    # larger factors pay for the rounding of the charges.
+    phase = _up(3.1 * rounding + 1.01 * math.fsum(slips))
+    return certified(shifted, phase), certified(unshifted, rounding)
 
 
 def dual_fhat_sum(L: Lattice, spec: TestFunctionSpec, v, target_tol: float,
@@ -705,8 +851,11 @@ def check_tail_inequality(L: Lattice, spec: TestFunctionSpec, K: BodySpec,
     shifted = certified_sum(L, spec, v, 1.0, tol, node_budget)
     full = certified_sum(L, spec, np.zeros(L.dim), 1.0, tol, node_budget)
     (inner,), _ = _ball_sums(L, v, K.radius, K.p, node_budget,
-                             lambda emb: (np.exp(log_f(spec, emb + v)),))
-    lhs_iv = shifted.interval() - inner
+                             lambda _, emb: (np.exp(log_f(spec, emb + v)),))
+    # inner, one exactly rounded fsum, is within u inner of the sum of its
+    # float terms, the bits of shifted's own terms, which its rounding
+    # bound covers
+    lhs_iv = shifted.interval() - inner * Interval(1 - 2 * _U, 1 + 2 * _U)
     rhs_iv = nu.value * full.interval()
     params = _spec_params(spec, body_p=float(K.p), body_radius=float(K.radius),
                           v=[float(x) for x in v], nu=nu.value,

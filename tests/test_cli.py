@@ -473,6 +473,8 @@ def test_tiny_tail_past_the_floats_is_certified(run_cli, tmp_path):
     assert code == 0
     (rec,) = report["records"]
     assert rec["partial"] == 1.0 and rec["remainder_bound"] == math.ulp(0.0)
+    # the other points' terms, past the floats, add nothing to the rounding
+    assert 0 < rec["rounding"] < 1e-13
     # psf's dual side, t L*, is too fine to count: a usage error, not an
     # unreachable tail
     code, err, _ = _verify_one(run_cli, tmp_path, "psf", {
@@ -880,12 +882,12 @@ def test_acceptance_round_sums_each_unshifted_ball_once(acceptance_manifest,
     unshifted, points = [], []
 
     def sums(L, spec, v, t, tol, budget, terms, _run=verify._sums):
-        S, tail, cols, n = _run(L, spec, v, t, tol, budget, terms)
+        S, tail, cols, rounding, n = _run(L, spec, v, t, tol, budget, terms)
         if not np.any(v) and len(cols) == 1:
             f = (("supergaussian", spec.dim, 1.0) if spec.family == "exp_l1"
                  else (spec.family, spec.dim, spec.p))
             unshifted.append((id(L), f, t, tol, budget))
-        return S, tail, cols, n
+        return S, tail, cols, rounding, n
 
     def ball_sums(*args, _run=verify._ball_sums):
         cols, n = _run(*args)

@@ -124,10 +124,15 @@ def test_certified_sum_interval():
     cs = certified_sum(integer_lattice(1), FnSpec("gaussian", 1),
                        np.zeros(1), 1.0, 1e-9)
     lo, hi = cs.interval()
-    assert lo == cs.partial
-    # the upper end holds the exact partial + remainder_bound, one ulp up
-    assert Fraction(hi) >= Fraction(cs.partial) + Fraction(cs.remainder_bound)
-    assert hi == math.nextafter(cs.partial + cs.remainder_bound, math.inf)
+    # the ends hold the exact partial -+ rounding, plus remainder_bound at
+    # the upper end, each rounded one ulp outward
+    partial, rounding = Fraction(cs.partial), Fraction(cs.rounding)
+    assert 0 < cs.rounding <= 1e-13 * cs.partial
+    assert Fraction(lo) <= partial - rounding
+    assert lo == math.nextafter(cs.partial - cs.rounding, -math.inf)
+    assert Fraction(hi) >= partial + Fraction(cs.remainder_bound) + rounding
+    width = math.nextafter(cs.remainder_bound + cs.rounding, math.inf)
+    assert hi == math.nextafter(cs.partial + width, math.inf)
 
 
 def test_intervals_nest_with_tolerance():
@@ -172,6 +177,22 @@ def test_certified_sum_all_families_z2():
         cs = certified_sum(integer_lattice(2), spec, v, 1.0, 1e-8)
         assert cs.partial > 0
         assert cs.remainder_bound <= 1e-8 * cs.partial * (1 + 1e-6)
+
+
+def test_terms_past_the_floats_are_charged_nothing(monkeypatch):
+    # on Z^3 at t = 1.5e-154, where the embedding is exact, the far points
+    # of the ball have exponents past the floats (log f = -inf): their
+    # terms are below every float, so only the origin's term is charged
+    lost = []
+
+    def spy(env, n, log_terms, drift, _run=verify._exponent_slip):
+        lost.append(bool(np.any(log_terms == -math.inf)) and drift is None)
+        return _run(env, n, log_terms, drift)
+    monkeypatch.setattr(verify, "_exponent_slip", spy)
+    cs = certified_sum(integer_lattice(3), FnSpec("gaussian", 3),
+                       np.zeros(3), 1.5e-154, 1e-9)
+    assert any(lost) and cs.npoints > 1
+    assert cs.partial == 1.0 and 0 < cs.rounding < 1e-13
 
 
 def test_large_sum_meets_its_tolerance():
@@ -292,8 +313,7 @@ def test_z8_gaussian_pays_the_reach_once():
     with mpmath.workdps(30):
         exact = mpmath.jtheta(3, mpmath.pi * mpmath.mpf("0.3"),
                               mpmath.exp(-mpmath.pi)) ** 8
-    room = _ROOM * (1 + abs(float(mpmath.log(exact))))
-    assert _contains(cs.interval(), exact, room)
+    assert _contains(cs.interval(), exact)
 
 
 def test_z5_supergaussian_pays_the_reach_once():
@@ -308,8 +328,7 @@ def test_z5_supergaussian_pays_the_reach_once():
         exact = mpmath.nsum(lambda k: mpmath.exp(-abs(k + mpmath.mpf("0.3"))
                                                  ** mpmath.mpf(1.5)),
                             [-mpmath.inf, mpmath.inf]) ** 5
-    room = _ROOM * (1 + abs(float(mpmath.log(exact))))
-    assert _contains(cs.interval(), exact, room)
+    assert _contains(cs.interval(), exact)
 
 
 def test_truncation_radius_past_1e154_stays_finite():
@@ -615,19 +634,14 @@ def test_sum1d_rational_contains_series(a, theta):
         assert (hi - lo) / 2 <= 1e-13 * lo
 
 
-# Room at the lower end of an interval only, as in the benchmark's oracles:
-# the program charges nothing for the rounding of its float terms (exp,
-# cos, the embedding), so a lower end may sit a few ulps above the exact
-# value.  16 ulp is 3.6e-15 relative, orders of magnitude below the widths
-# here, so it cannot hide a missed point or a short tail bound.
-_ROOM = 16 * 2.0 ** -52
-
-
-def _contains(interval, exact, room=_ROOM):
+# No room at either end: an interval charges the rounding of its float
+# terms (exp, cos, the embedding), so the exact value lies inside it.  A
+# sum that charged none sat up to 17 ulp (3.7e-15 relative) above the
+# exact value at its lower end, and 3.6 ulp below it at its upper end.
+def _contains(interval, exact):
     lo, hi = interval
     with mpmath.workdps(30):
-        return (mpmath.mpf(lo) <= exact * (1 + room)
-                and exact <= mpmath.mpf(hi))
+        return mpmath.mpf(lo) <= exact <= mpmath.mpf(hi)
 
 
 def _oracle_1d(family, p, d, x):
@@ -670,6 +684,20 @@ def test_dual_sum_contains_mpmath_oracle(fam, diag, tol, data):
     full = _oracle(family, p, diag, [0.0] * n)
     assert _contains(ds.interval(), exact)
     assert ds.remainder_bound <= 2 * tol * full
+
+
+# far shifts: the float phase 2 pi x.v is off by about 1e-9 there, far more
+# than the tail bound at tol 1e-12, so only the charge for the phase's
+# rounding keeps the exact sum inside the interval
+@pytest.mark.parametrize("p, diag, v", [
+    (1.5, [2.0], [945434.10762125]),
+    (2.0, [1.0, 3.0, 0.75], [-218786.12557405, 137656.29537824,
+                             921057.52184111])])
+def test_dual_sum_at_a_far_shift_contains_mpmath_oracle(p, diag, v):
+    ds = dual_fhat_sum(Lattice(np.diag(diag)),
+                       FnSpec("supergaussian", len(diag), p=p), np.array(v),
+                       1e-12)
+    assert _contains(ds.interval(), _oracle("supergaussian", p, diag, v))
 
 
 _PRIMAL_1D = {
@@ -720,14 +748,7 @@ def _primal_oracle(term, lattice, v, t):
 
 
 def _holds_primal_oracle(cs, term, lattice, v, t):
-    exact = _primal_oracle(term, lattice, v, t)
-    # The room at the lower end is _ROOM's, for the same reason, scaled by
-    # the size of the exponents: an exponent phi computed in floats is off
-    # by a few ulp of phi, and the terms that dominate a sum have phi near
-    # log(sum).  A 4-D gaussian sum of 2e-8 (t = 0.5) sits 16.5 ulp above.
-    # The upper end, where a short tail bound would show, has no room.
-    room = _ROOM * (1 + abs(float(mpmath.log(exact))))
-    return _contains(cs.interval(), exact, room)
+    return _contains(cs.interval(), _primal_oracle(term, lattice, v, t))
 
 
 @given(family=st.sampled_from(sorted(_PRIMAL_1D)),
@@ -762,6 +783,49 @@ def test_certified_sum_on_unsplit_lattices_contains_mpmath_oracle(
     cs = certified_sum(Lattice(basis), FnSpec(family, n, p=p), np.array(v),
                        t, tol)
     assert _holds_primal_oracle(cs, _PRIMAL_1D[family], lattice, v, t)
+
+
+# a rotation of Z^3, written behind a skewed integer basis U as B = fl(U Q):
+# the embedding fl(c B) then strays from c B by far more than an ulp of the
+# terms (the partial sum by up to 8.5e-12 relative on U of seed 616), which
+# only the drift part of the rounding charge covers
+_ROTATION = [[-0.7068851272533239, 0.5180520519426255, -0.48159681097998086],
+             [0.03732547399119605, -0.6525984373227343, -0.7567840435654398],
+             [-0.7063428529116613, -0.5529352141815171, 0.4419755910213312]]
+
+
+def _rotated_oracle(U, B, v, t):
+    """The gaussian sum over the lattice of B at v, t, to 30 digits, over
+    the exact basis U^-1 B (integers times floats, exact at 200 bits) and
+    the points of a box whose terms exceed e^-160."""
+    Uinv = np.round(np.linalg.inv(U)).astype(np.int64)
+    assert (Uinv @ U.astype(np.int64) == np.eye(3, dtype=np.int64)).all()
+    with mpmath.workprec(200):
+        R = [[mpmath.fsum(int(Uinv[i, k]) * mpmath.mpf(B[k, j])
+                          for k in range(3)) for j in range(3)]
+             for i in range(3)]
+        # U^-1 B is orthonormal up to rounding: ||k|| <= t sqrt(51) + ||v||
+        K = math.ceil(t * math.sqrt(51) + math.hypot(*v)) + 1
+        ks = np.array(list(itertools.product(range(-K, K + 1), repeat=3)))
+        y = (ks @ np.array(R, dtype=float) + v) / t
+        terms = []
+        for k in ks[(y * y).sum(axis=1) <= 51].tolist():
+            p = [(mpmath.fsum(k[i] * R[i][j] for i in range(3)) + v[j]) / t
+                 for j in range(3)]
+            terms.append(mpmath.exp(-mpmath.pi
+                                    * mpmath.fsum(x * x for x in p)))
+        return mpmath.fsum(terms)
+
+
+@pytest.mark.parametrize("seed", [616, 353])
+def test_sum_on_a_skewed_float_basis_contains_its_exact_value(seed):
+    U = random_unimodular_lattice(3, seed).basis
+    B = U @ np.array(_ROTATION)
+    v = [0.25, -0.5, 0.125]
+    cs = certified_sum(Lattice(B), FnSpec("gaussian", 3), np.array(v), 0.5,
+                       1e-12)
+    assert _contains(cs.interval(), _rotated_oracle(U, B, v, 0.5))
+    assert cs.rounding <= 1e-9 * cs.partial
 
 
 @pytest.mark.parametrize("lat", [integer_lattice(2),
@@ -812,14 +876,15 @@ def test_dual_terms_do_not_depend_on_the_block(seed, monkeypatch):
     for t in (1.0, 1 / 1.5):
         verify._dual_sums(L, FnSpec("gaussian", 8), v, t, 1e-3,
                           enumeration.DEFAULT_NODE_BUDGET)
-    _, emb = enumerate_arrays(L, np.zeros(8), 2.5)
+    coords, emb = enumerate_arrays(L, np.zeros(8), 2.5)
     rng = np.random.default_rng(seed)
     for terms in seen:
-        whole = [a.tobytes() for a in terms(emb)]
+        whole = [a.tobytes() for a in terms(coords, emb)]
         for _ in range(10):
             cuts = np.sort(rng.choice(np.arange(1, len(emb)), 40,
                                       replace=False))
-            parts = zip(*map(terms, np.split(emb, cuts)))
+            parts = zip(*map(terms, np.split(coords, cuts),
+                             np.split(emb, cuts)))
             assert [np.concatenate(col).tobytes() for col in parts] == whole
 
 
@@ -1079,14 +1144,16 @@ def test_tail_inequality_cuts_its_body_as_a_separate_pass(L, radius, dyadic):
     # Z^2 at R = 1, and the integer points of norm sqrt(2)), whose float
     # norms may sit an ulp past R.  Both lattices are Z^n as point sets, so
     # brute force over a box finds the body's points by their exact squared
-    # norms, and the inner sum is their one exactly rounded fsum
+    # norms, and the inner sum is their one exactly rounded fsum, taken
+    # within 2u either way
     n = L.dim
     spec, K = FnSpec("gaussian", n), BodySpec(2.0, radius)
     v = np.array([0.5, -0.25, 0.125][:n]) if dyadic else np.zeros(n)
     y = np.array(list(itertools.product(range(-3, 4), repeat=n))) + v
     inner = math.fsum(np.exp(log_f(spec, y[(y * y).sum(axis=1)
                                            <= round(radius ** 2)])))
-    lhs_iv = certified_sum(L, spec, v, 1.0, 1e-9).interval() - inner
+    lhs_iv = (certified_sum(L, spec, v, 1.0, 1e-9).interval()
+              - inner * Interval(1 - 2 * verify._U, 1 + 2 * verify._U))
     rec = check_tail_inequality(L, spec, K, v, nu_for_body(spec, K, n))
     assert rec["lhs_interval"] == list(lhs_iv)
 
@@ -1097,7 +1164,7 @@ def test_tail_body_wider_than_the_truncation_ball(v):
     # the R-ball, and the inner sum holds mass the partial does not: the
     # interval still holds the out-of-K mass (brute force at 30 digits),
     # and its upper end is no higher than that of a shifted sum over the
-    # R-ball with the same tail bound
+    # R-ball with the same tail bound and rounding charge
     L, spec, K = integer_lattice(2), FnSpec("gaussian", 2), BodySpec(2.0, 5.0)
     v = np.array(v)
     rec = check_tail_inequality(L, spec, K, v, nu_for_body(spec, K, 2))
@@ -1109,13 +1176,15 @@ def test_tail_body_wider_than_the_truncation_ball(v):
         out = mpmath.fsum(mpmath.exp(-mpmath.pi * r) for r in sq if r > 25)
     lo, hi = rec["lhs_interval"]
     assert lo <= out <= hi
-    terms = lambda emb: (np.exp(log_f(spec, emb + v)),)
+    terms = lambda _, emb: (np.exp(log_f(spec, emb + v)),)
     cut = K.radius * (1 + enumeration._BOUNDARY_SLACK)
     (wide,), _ = verify._ball_sums(L, v, cut, K.p,
                                    enumeration.DEFAULT_NODE_BUDGET, terms)
     (inner,), _ = verify._ball_sums(L, v, K.radius, K.p,
                                     enumeration.DEFAULT_NODE_BUDGET, terms)
-    before = Interval(wide, verify._up(wide + shifted.remainder_bound)) - inner
+    before = (CertifiedSum(wide, shifted.remainder_bound, K.radius,
+                           rounding=shifted.rounding).interval()
+              - inner * Interval(1 - 2 * verify._U, 1 + 2 * verify._U))
     assert hi <= before.hi
 
 
