@@ -58,24 +58,80 @@ def test_fourier_within_its_error_of_mpmath(log_radii):
             assert abs(mpmath.mpf(val) - _reference(p, r)) <= err
 
 
+@functools.lru_cache(maxsize=None)
+def _coefficient(p, k, dps=80):
+    """Gamma((2k+1)/p) / (2k)! at the float p, to dps digits."""
+    with mpmath.workdps(dps):
+        p = mpmath.mpf(p)
+        return mpmath.gamma((2 * k + 1) / p) / mpmath.factorial(2 * k)
+
+
 def _series(p, r):
-    """The power series (2/p) sum_k (-1)^k Gamma((2k+1)/p) (2 pi r)^2k / (2k)!
-    of fhat_p(r) to three terms, to 40 digits, and the size of the fourth,
-    which bounds the rest: at these radii the terms alternate and shrink."""
-    with mpmath.workdps(40):
-        p, x = mpmath.mpf(p), 2 * mpmath.pi * mpmath.mpf(r)
-        terms = [2 / p * (-1) ** k * mpmath.gamma((2 * k + 1) / p) * x ** (2 * k)
-                 / mpmath.factorial(2 * k) for k in range(4)]
-        return sum(terms[:3]), abs(terms[3])
+    """The power series (2/p) sum_k (-1)^k c_k (2 pi r)^2k, c_k = Gamma((2k+1)/p)
+    / (2k)!, of fhat_p(r), at 80 digits (the terms reach 1.2e4 at p = 1.99 and
+    r = 1.05), and the size of the first term left out, which bounds the rest
+    once the terms alternate and shrink.  At p > 1 the series converges and
+    is summed until a shrinking term falls below 1e-45; at p <= 1 it is only
+    asymptotic, and three terms are summed (at tiny radii its terms shrink)."""
+    with mpmath.workdps(80):
+        y = (2 * mpmath.pi * mpmath.mpf(r)) ** 2
+        total, k = mpmath.mpf(0), 0
+        while True:
+            term = 2 / mpmath.mpf(p) * (-1) ** k * _coefficient(p, k) * y ** k
+            after = abs(term * y * _coefficient(p, k + 1) / _coefficient(p, k))
+            if k == 3 and p <= 1 or abs(term) < 1e-45 and after <= abs(term):
+                return total, abs(term)
+            total, k = total + term, k + 1
 
 
-@pytest.mark.parametrize("p", [0.5, 0.9, 0.999, 1.001, 1.5, 1.99])
+# near p = 1 the integral's rounding allowance refuses tol 1e-10 at these
+# radii; the series answers them
+_NEAR_ONE_RADII = {1 + 1e-4: (0.01, 0.05), 1 + 1e-5: (0.01, 0.05, 0.1)}
+
+
+@pytest.mark.parametrize("p", [0.5, 0.9, 0.999, 1.001, 1.5, 1.99, *_NEAR_ONE_RADII])
 def test_fourier_at_tiny_radii_within_its_error_of_the_series(p):
     # the peak of h e^-h sits at theta ~ 2 pi r, near the window's edge
-    for r in (1e-6, 1e-5):
+    for r in _NEAR_ONE_RADII.get(p, (1e-6, 1e-5)):
         val, err = fourier_1d(p, r, tol=1e-10)
         want, rest = _series(p, r)
         assert abs(mpmath.mpf(val) - want) + rest <= err
+
+
+def _series_edge(p, tol):
+    """The largest radius the series answers at tol, to 1e-12 relative: its
+    bound rises with r, so the radii it answers are an interval from 0."""
+    lo, hi = 0.0, 4.0
+    while hi - lo > 1e-12 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if transform._series(p, np.array([mid]))[1][0] <= tol / 8 else (lo, mid)
+    return lo
+
+
+@pytest.mark.parametrize("p", [1.0001, 1.01, 1.2, 1.5, 1.9, 1.99])
+def test_series_holds_its_value_up_to_its_edge(monkeypatch, p):
+    c, allow = transform._coefficients(p)
+    for k, ck in enumerate(c):
+        assert abs(mpmath.mpf(ck) - _coefficient(p, k)) <= allow[k] * _coefficient(p, k)
+    tol = 1e-8
+    edge = _series_edge(p, tol)
+    past = edge * (1 + 1e-11)
+    radii = np.r_[edge * np.linspace(0.0, 1.0, 9), past]
+    integral, zolotarev = [], transform._zolotarev
+    monkeypatch.setattr(transform, "_zolotarev",
+                        lambda p, r: integral.extend(r) or zolotarev(p, r))
+    val, err = fourier_1d(p, radii, tol=tol)
+    assert integral == [past]
+    for r, v, e in zip(radii[:-1], val, err):
+        want, rest = _series(p, r)
+        assert e <= tol / 8
+        assert abs(mpmath.mpf(v) - want) + rest <= e
+    # past y = c_N / c_N+1 the terms need not fall, so whatever the tol
+    # that radius goes to the integral
+    beyond = math.sqrt(2 * c[-2] / c[-1]) / (2 * math.pi)
+    integral.clear()
+    fourier_1d(p, beyond, tol=1e300)
+    assert integral == [beyond]
 
 
 # _reference(p, r) at r = 1e-3, 0.1, 1, 10 and 96, kept as printed to 25
@@ -109,11 +165,13 @@ def test_halved_steps_stay_within_their_error(monkeypatch):
     monkeypatch.setattr(transform, "_STEP", 4 * transform._STEP)
     monkeypatch.setattr(transform, "_grid",
                         lambda p, k, step: steps.append(step) or grid(p, k, step))
+    # the integral itself: fourier_1d would answer (1.5, 0.37) by the series
     for p, r in ((0.5, 2.0), (1.5, 0.37), (1.99, 1.0)):
         steps.clear()
-        val, err = fourier_1d(p, r, tol=1e-10)
+        (val,), (err,) = transform._zolotarev(p, np.array([r]))
         first = transform._STEP / max(1, abs(p / (p - 1)), abs(1 / (p - 1)))
         assert min(steps) <= first / 4
+        assert err <= 1e-10
         assert abs(mpmath.mpf(val) - _reference(p, r)) <= err
 
 
@@ -195,6 +253,23 @@ def test_window_sums_hold_a_slice_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2 ** 20
+
+
+def test_table_sends_only_the_series_misses_to_the_integral(monkeypatch):
+    # the series answers most of the p = 1.5 table's 14,581 nodes (before
+    # it, every node went to _zolotarev); tol = inf, as psf's 1-D sums call
+    # it, takes the integral at every radius, in the same 512-radius batches
+    integral, zolotarev = [], transform._zolotarev
+    monkeypatch.setattr(transform, "_zolotarev",
+                        lambda p, r: integral.append(r.size) or zolotarev(p, r))
+    t = build_transform_table(1.5, r_max=96.0, tol=1e-8)
+    assert t.nodes.size == 14581
+    assert sum(integral) <= 3500
+    radii = np.linspace(0.0, 96.0, 1201)
+    val, err = fourier_1d(1.5, radii, tol=math.inf)
+    want = [transform._evaluate(1.5, radii[i:i + 512]) for i in range(0, radii.size, 512)]
+    assert np.array_equal(val, np.concatenate([w[0] for w in want]))
+    assert np.array_equal(err, np.concatenate([w[1] for w in want]))
 
 
 def test_fourier_matches_exact_p1():
