@@ -21,6 +21,9 @@ from typing import NamedTuple
 from .errors import InvariantError
 
 SQRT3_OVER_2PI = math.sqrt(3.0) / (2 * math.pi)
+# the headline coefficient of n^2 in the l1 transference ceiling, rounded up
+# from the exact l1_coefficient()
+L1_CEILING = 0.154264
 
 _INVPHI = (math.sqrt(5.0) - 1) / 2
 
@@ -177,7 +180,13 @@ def transference_bound_l2(n: int) -> float:
 
 class L1TransferenceBound(NamedTuple):
     value: float    # the proof's exact product bound (1+C*)^2 alpha^2 n^2
-    ceiling: float  # the rounded headline constant 0.154264 n^2 (1+2 pi sqrt(3/n))^2
+    ceiling: float  # the rounded headline L1_CEILING n^2 (1+2 pi sqrt(3/n))^2
+
+
+def l1_coefficient() -> float:
+    """(1+C*)^2 3/(4 pi^2), the n^2 coefficient of the l1 transference bound
+    as n grows: (1+C*)^2 alpha^2 with alpha's sqrt(3)/(2 pi)."""
+    return (1 + cstar()) ** 2 * 3 / (4 * math.pi ** 2)
 
 
 def transference_bound_l1(n: int) -> L1TransferenceBound:
@@ -191,7 +200,7 @@ def transference_bound_l1(n: int) -> L1TransferenceBound:
         raise ValueError("n must be >= 1")
     alpha = SQRT3_OVER_2PI + 3.0 / math.sqrt(n)
     value = (1.0 + cstar()) ** 2 * alpha ** 2 * n ** 2
-    ceiling = 0.154264 * n ** 2 * (1.0 + 2 * math.pi * math.sqrt(3.0 / n)) ** 2
+    ceiling = L1_CEILING * n ** 2 * (1.0 + 2 * math.pi * math.sqrt(3.0 / n)) ** 2
     if not value < ceiling:
         raise InvariantError("exact product bound must stay below the ceiling")
     return L1TransferenceBound(value=float(value), ceiling=float(ceiling))

@@ -21,8 +21,13 @@ The params are every input that shapes the numbers, e.g. ``v`` for theta,
 All numeric output is fixed at 12 significant digits and a run is
 byte-deterministic given the same manifest, seed and budgets.
 
+Each check's record comes from one call into ``verify`` (a ``check_...``
+function, or ``transference_check(...).record()``); this module only parses
+and validates its input and dispatches.
+
 Exit codes: 0 all PASS, 1 any FAIL, 2 any inconclusive, 3 usage or parse
-error, 4 budget or tolerance infeasibility.
+error, 4 budget or tolerance infeasibility, or a request too large for
+memory.
 """
 
 from __future__ import annotations
@@ -36,20 +41,19 @@ import sys
 
 import numpy as np
 
-from .bounds import (cstar, handshake_bound, kalpha_radius,
-                     transference_bound_l1, transference_bound_l2)
-from .enumeration import (_BOUNDARY_SLACK, DEFAULT_GRID_BUDGET,
-                          DEFAULT_NODE_BUDGET, BodySpec)
+from .bounds import (L1_CEILING, cstar, handshake_bound, kalpha_radius,
+                     l1_coefficient, transference_bound_l1,
+                     transference_bound_l2)
+from .enumeration import DEFAULT_GRID_BUDGET, DEFAULT_NODE_BUDGET, BodySpec
 from .errors import BudgetExceededError, ToleranceUnreachedError
-from .functions import (TestFunctionSpec, check_hypotheses, envelope,
-                        fhat_route, log_f)
-from .lattice import (Lattice, integer_lattice, load_lattice, lp_norm,
-                      random_unimodular_lattice)
-from .transform import build_transform_table
-from .verify import (FAIL, INCONCLUSIVE, PASS, _ball_sums, _record,
-                     _spec_params, _verdict, certified_sum, check_part1,
-                     check_part3, check_tail_inequality, handshake_census,
-                     nu_for_body, psf_product_diagonal, psf_residual,
+from .functions import TestFunctionSpec, envelope, fhat_route
+from .lattice import (integer_lattice, load_lattice, random_unimodular_lattice,
+                      read_basis)
+from .transform import R_TAIL, build_transform_table
+from .verify import (FAIL, INCONCLUSIVE, PASS, check_handshake,
+                     check_hypothesis_sampling, check_part1, check_part3,
+                     check_psf, check_tail_inequality, check_theta,
+                     nu_for_body, psf_product_diagonal, tail_masses,
                      transference_check)
 
 EXIT_PASS = 0
@@ -128,9 +132,10 @@ def _resolve_lattice(ref, base_dir, default_path):
     if kind == "unimodular":
         return random_unimodular_lattice(_integer(ref["dim"], "lattice 'dim'"),
                                          _integer(ref["seed"], "lattice 'seed'"))
-    if kind == "basis":
-        return Lattice(np.array(ref["basis"], dtype=float),
-                       name=ref.get("name"))
+    if kind == "basis":  # as many rows as it has
+        rows = ref["basis"]
+        return read_basis(len(rows) if type(rows) is list else None, rows,
+                          "inline lattice", ref.get("name"))
     raise ManifestError(f"unknown lattice kind {kind!r}")
 
 
@@ -238,7 +243,8 @@ def plan_manifest(manifest, base_dir):
         if fhat_route(spec) != "table":
             return None
         if spec.p not in tables:
-            tables[spec.p] = build_transform_table(spec.p, r_max=96.0, tol=1e-8)
+            tables[spec.p] = build_transform_table(spec.p, r_max=R_TAIL,
+                                                   tol=1e-8)
         return tables[spec.p]
 
     plans = []
@@ -273,20 +279,8 @@ def _plan_one(entry, lattice_for, seed, nodes, grid, table_for):
         samples = _integer(params.get("samples", 10000),
                            "hypotheses 'samples'", low=1)
         hseed = _integer(params.get("seed", seed), "hypotheses 'seed'")
-        table = table_for(spec)
-
-        def run_hyp():
-            rep = check_hypotheses(spec, samples=samples, seed=hseed,
-                                   table=table)
-            worst = min(st.worst_margin for st in rep.checks.values())
-            total = sum(st.violations for st in rep.checks.values())
-            return _record("hypotheses", "",
-                           {"family": spec.family, "dim": spec.dim,
-                            **({"p": spec.p} if spec.p is not None else {}),
-                            "samples": samples, "seed": hseed},
-                           PASS if rep.ok else FAIL,
-                           violations=total, worst_margin=worst)
-        return run_hyp
+        return functools.partial(check_hypothesis_sampling, spec, samples,
+                                 hseed, table=table_for(spec))
 
     L = lattice_for(params.get("lattice"))
 
@@ -305,12 +299,7 @@ def _plan_one(entry, lattice_for, seed, nodes, grid, table_for):
         u = _number(params, "u", 1.0)
         if u < 1:
             raise ManifestError("handshake needs u >= 1")
-
-        def run_hs():
-            hc = handshake_census(L, p, u, node_budget=nodes)
-            return _record("handshake", L.name, {"p": p, "u": u}, hc.verdict,
-                           count=hc.count, bound=hc.bound)
-        return run_hs
+        return functools.partial(check_handshake, L, p, u, nodes)
 
     # the rest carry a test function
     spec = TestFunctionSpec(params["family"], L.dim, p)
@@ -323,24 +312,13 @@ def _plan_one(entry, lattice_for, seed, nodes, grid, table_for):
         t = _number(params, "t", 1.0)
         if t <= 0:
             raise ManifestError("theta needs t > 0")
-
-        def run_theta():
-            cs = certified_sum(L, spec, v, t, tol, node_budget=nodes)
-            return _record("theta", L.name,
-                           _spec_params(spec, v=[float(x) for x in v], t=t,
-                                        tol=tol),
-                           PASS, partial=cs.partial,
-                           remainder_bound=cs.remainder_bound,
-                           rounding=cs.rounding,
-                           truncation_radius=cs.truncation_radius,
-                           npoints=cs.npoints)
-        return run_theta
+        return functools.partial(check_theta, L, spec, v, t, tol, nodes)
 
     if name == "part1":
         t = _number(params, "t", 1.0)
         if t < 1:
             raise ManifestError("part1 needs t >= 1")
-        return lambda: check_part1(L, spec, v, t, tol=tol, node_budget=nodes)
+        return functools.partial(check_part1, L, spec, v, t, tol, nodes)
 
     if name == "psf":
         t = _number(params, "t", 1.0)
@@ -350,27 +328,16 @@ def _plan_one(entry, lattice_for, seed, nodes, grid, table_for):
             raise ManifestError(f"psf needs tol < 1, got tol = {tol:g}")
         max_residual = _number(params, "max_residual", None)
         psf_product_diagonal(L, spec)  # refuse what the product route cannot sum
-
-        def run_psf():
-            res = psf_residual(L, spec, v, t, tol, node_budget=nodes)
-            _, verdict = _verdict((res, res), (max_residual, max_residual))
-            return _record("psf", L.name,
-                           _spec_params(spec, t=t, tol=tol,
-                                        v=[float(x) for x in v],
-                                        max_residual=max_residual),
-                           verdict, residual=res)
-        return run_psf
+        return functools.partial(check_psf, L, spec, v, t, tol, max_residual,
+                                 nodes)
 
     body = _body_from(params, spec, L.dim)
     nu = nu_for_body(spec, body, L.dim)
 
-    if name == "tail_inequality":
-        # a partial, so the --plot-csv sweep can read the check's arguments
-        return functools.partial(check_tail_inequality, L, spec, body, v, nu,
-                                 tol=tol, node_budget=nodes)
-    # part3
-    return lambda: check_part3(L, spec, body, v, nu, tol=tol,
-                               node_budget=nodes)
+    # the --plot-csv sweep reads a tail check's arguments off its partial
+    return functools.partial(
+        check_tail_inequality if name == "tail_inequality" else check_part3,
+        L, spec, body, v, nu, tol=tol, node_budget=nodes)
 
 
 def run_manifest(manifest, base_dir, plot_csv=None):
@@ -378,9 +345,8 @@ def run_manifest(manifest, base_dir, plot_csv=None):
     records = [run() for run in plans]
     if plot_csv:
         _write_plot_csv(plot_csv, plans, records)
-    counts = {PASS: 0, FAIL: 0, INCONCLUSIVE: 0}
-    for rec in records:
-        counts[rec["verdict"]] += 1
+    counts = {verdict: sum(rec["verdict"] == verdict for rec in records)
+              for verdict in (PASS, FAIL, INCONCLUSIVE)}
     nodes, grid = _budgets(manifest)
     return {
         "seed": manifest.get("seed", 0),
@@ -392,34 +358,21 @@ def run_manifest(manifest, base_dir, plot_csv=None):
 
 
 def _write_plot_csv(path, plans, records):
-    """Radius sweep for every tail_inequality check, read off its record:
-    the tail mass outside rho is at most the check's upper end plus the
-    exact mass between its body and rho, and the bound scales the check's
-    rhs by nu(rho)/nu.  Lattice, body, shift, nu and budget are the plan's."""
+    """Radius sweep for every tail_inequality check: 24 radii from 1/4 to
+    7/4 of its body's, each row ``verify.tail_masses`` of the plan's
+    arguments and the check's record; a bound it cannot give is empty."""
     rows = ["check_index,lattice_id,family,radius,tail_mass_upper,bound"]
     for idx, (plan, rec) in enumerate(zip(plans, records)):
         if getattr(plan, "func", None) is not check_tail_inequality:
             continue
-        L, spec, body, v, nu = plan.args
+        L, spec, body = plan.args[:3]
         radii = np.linspace(0.25 * body.radius, 1.75 * body.radius, 24)
-        # the body is cut as the check's inner sum is, ties included
-        cuts = [*radii, body.radius * (1 + _BOUNDARY_SLACK)]
-
-        def terms(_, emb):
-            y = emb + v
-            norms, vals = lp_norm(y, body.p), np.exp(log_f(spec, y))
-            return tuple(vals[norms <= cut] for cut in cuts)
-        (*inside, inner), _ = _ball_sums(L, v, radii[-1], body.p,
-                                         plan.keywords["node_budget"], terms)
-        for radius, mass in zip(radii, inside):
-            try:  # empty outside a closed form's domain, and where nu = 0
-                bound = _fmt(rec["rhs_interval"][0] / nu.value * nu_for_body(
-                    spec, BodySpec(body.p, float(radius)), L.dim).value)
-            except (ValueError, ArithmeticError):
-                bound = ""
+        sweep = tail_masses(*plan.args, rec, radii,
+                            plan.keywords["node_budget"])
+        for radius, (upper, bound) in zip(radii, sweep):
             rows.append(",".join([str(idx), L.name, spec.label, _fmt(radius),
-                                  _fmt(rec["lhs_interval"][1] + inner - mass),
-                                  bound]))
+                                  _fmt(upper),
+                                  "" if bound is None else _fmt(bound)]))
     with open(path, "w") as fh:
         fh.write("\n".join(rows) + "\n")
 
@@ -473,12 +426,11 @@ def cmd_constants(args):
     ns = _parse_list(args.n, int, "n")
     ps = _parse_list(args.p, float, "p")
     us = _parse_list(args.u, float, "u")
-    cs = cstar()
-    exact = (1 + cs) ** 2 * 3 / (4 * math.pi ** 2)
-    print("cstar", _fmt(cs))
+    exact = l1_coefficient()
+    print("cstar", _fmt(cstar()))
     print("l1_coefficient_exact", _fmt(exact))
-    print("l1_coefficient_ceiling", _fmt(0.154264))
-    print("l1_coefficient_gap", _fmt(0.154264 - exact))
+    print("l1_coefficient_ceiling", _fmt(L1_CEILING))
+    print("l1_coefficient_gap", _fmt(L1_CEILING - exact))
     for n in ns:
         print(f"transference_l2 n={n}", _fmt(transference_bound_l2(n)))
     for n in ns:
@@ -502,9 +454,7 @@ def cmd_verify(args):
     s = report["summary"]
     print(f"summary checks={s['checks']} pass={s['pass']} "
           f"fail={s['fail']} inconclusive={s['inconclusive']}")
-    out = manifest.get("output")
-    if args.output:
-        out = args.output
+    out = args.output or manifest.get("output")
     if out:
         if not os.path.isabs(out):
             out = os.path.join(base_dir, out)
@@ -594,6 +544,9 @@ def main(argv=None) -> int:
         return EXIT_BUDGET
     except ToleranceUnreachedError as exc:
         print(f"tolerance unreachable: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError as exc:  # too large to hold: infeasible, as a budget
+        print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (ManifestError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -264,13 +264,20 @@ def load_lattice(path) -> Lattice:
     for field in ("dim", "basis"):
         if field not in data:
             raise ValueError(f"{path}: missing required field {field!r}")
-    dim = data["dim"]
-    basis = data["basis"]
-    if not isinstance(dim, int) or dim <= 0:
-        raise ValueError(f"{path}: dim must be a positive integer, got {dim!r}")
-    if len(basis) != dim or any(len(row) != dim for row in basis):
-        raise ValueError(f"{path}: basis must be {dim} rows of {dim} numbers")
-    return Lattice(basis, name=data.get("name"))
+    return read_basis(data["dim"], data["basis"], path, data.get("name"))
+
+
+def read_basis(dim, basis, where, name=None) -> Lattice:
+    """The Lattice of a basis read from JSON: dim a JSON integer (true is no
+    count) and basis dim rows of dim JSON numbers (not strings such as "2",
+    nor true); else a ValueError that names the field and where."""
+    if type(dim) is not int or dim <= 0:
+        raise ValueError(f"{where}: dim must be a positive integer, got {dim!r}")
+    if type(basis) is not list or len(basis) != dim or any(
+            type(row) is not list or len(row) != dim
+            or any(type(x) not in (int, float) for x in row) for row in basis):
+        raise ValueError(f"{where}: basis must be {dim} rows of {dim} numbers")
+    return Lattice(basis, name=name)
 
 
 def save_lattice(L: Lattice, path):

@@ -322,6 +322,11 @@ class Transform1DTable:
         return {**vars(self), "nodes": self.nodes.tolist(), "values": self.values.tolist()}
 
 
+# where every consumer takes fhat_p's power-law tail to start: the r_max of
+# a manifest's tables and the end of the fractional-p psf dual series
+R_TAIL = 96.0
+
+
 def _asymptotic(p, r, values, tol):
     """Where the values at r are below tol or within 5% of C_p r^(-p-1)."""
     C = transform_tail_coefficient(p)

@@ -37,7 +37,14 @@ and ``_dual_sums`` on the cached L* with f dilated by 1/t, so it also
 tests part 3's sums, and no check builds a dilated lattice.  Where fhat
 has no exponential envelope, psf sums a diagonal dual as 1-D series:
 exp_l1's in closed form, fractional p's from fhat_p at the exact points
-(fourier_1d), with a tail past r = 96.
+(fourier_1d), with a tail past r = R_TAIL.
+
+Every check builds its report record here, through ``_record``: one
+function per check of a manifest (``check_theta``, ``check_part1``,
+``check_tail_inequality``, ``check_part3``, ``check_psf``,
+``check_handshake``, ``check_hypothesis_sampling`` and
+``transference_check(...).record()``), and ``tail_masses`` reads the
+``--plot-csv`` sweep off a tail check's record.
 """
 
 from __future__ import annotations
@@ -55,23 +62,24 @@ import numpy as np
 from .bounds import (NuBound, cosh_nu_bound, cstar, handshake_bound,
                      supergaussian_mu_closed_form, transference_bound_l1,
                      transference_bound_l2)
-from .enumeration import (_U, DEFAULT_GRID_BUDGET, DEFAULT_NODE_BUDGET,
-                          BodySpec, _cell_bounds, ball_blocks,
-                          covering_radius_estimate, enumerate_arrays,
-                          shortest_vector, transport_bracket)
+from .enumeration import (_BOUNDARY_SLACK, _U, DEFAULT_GRID_BUDGET,
+                          DEFAULT_NODE_BUDGET, BodySpec, _cell_bounds,
+                          ball_blocks, covering_radius_estimate,
+                          enumerate_arrays, shortest_vector, transport_bracket)
 from .errors import (BudgetExceededError, InvariantError,
                      ToleranceUnreachedError)
-from .functions import TestFunctionSpec, envelope, fhat_route, log_f
-from .lattice import (Lattice, distortion_bound, dual, lll_reduce, rational,
-                      rational_matmul)
-from .transform import _asymptotic, fourier_1d, transform_tail_coefficient
+from .functions import (TestFunctionSpec, check_hypotheses, envelope,
+                        fhat_route, log_f)
+from .lattice import (Lattice, distortion_bound, dual, lll_reduce, lp_norm,
+                      rational, rational_matmul)
+from .transform import (R_TAIL, _asymptotic, fourier_1d,
+                        transform_tail_coefficient)
 
 PASS = "PASS"
 FAIL = "FAIL"
 INCONCLUSIVE = "INCONCLUSIVE"
 
 _SAFETY = 1e-10  # relative headroom folded into analytic remainders
-_R_TAIL = 96.0   # fractional-p psf: fhat_p's power-law tail from here
 
 
 def _down(x):
@@ -131,6 +139,13 @@ class CertifiedSum:
     lies in [partial - rounding, partial + remainder_bound + rounding]
     (interval(), rounded outward).  truncation_radius is measured on
     (lambda + v)/t in the family's norm.
+
+    A dual sum (``_dual_sums``, ``dual_fhat_sum``) fills the fields
+    otherwise: its terms are signed, so partial is the lower end of its
+    certified interval, not the sum of the ball's terms, remainder_bound
+    the interval's whole width, tail and rounding both inside it, and
+    rounding 0.  interval() is then [partial, partial + remainder_bound],
+    and the point estimate is its midpoint.
     """
 
     partial: float
@@ -536,7 +551,7 @@ def psf_product_diagonal(L, spec):
     fractional p) sum over one coordinate at a time; None for the other
     routes.  Raises ValueError when L's basis, and so L*'s, is not exactly
     diagonal, or when fhat_p is not yet within 5% of its asymptote at
-    _R_TAIL, where the fractional-p series' tail starts, so a plan can
+    R_TAIL, where the fractional-p series' tail starts, so a plan can
     refuse the check before it runs."""
     route = fhat_route(spec)
     if route not in ("rational_product", "table"):
@@ -546,8 +561,8 @@ def psf_product_diagonal(L, spec):
             f"{spec.family!r} dual sums decay too slowly for a general "
             "basis; only diagonal lattices are supported")
     if route == "table" and not _asymptotic(
-            spec.p, _R_TAIL, fourier_1d(spec.p, _R_TAIL, 1e-8)[0], 1e-8):
-        raise ValueError(f"r={_R_TAIL:g} is inside the pre-asymptotic region "
+            spec.p, R_TAIL, fourier_1d(spec.p, R_TAIL, 1e-8)[0], 1e-8):
+        raise ValueError(f"r={R_TAIL:g} is inside the pre-asymptotic region "
                          f"for p={spec.p}, where the dual series' tail starts")
     return np.abs(np.diag(dual(L).basis)).astype(float)
 
@@ -575,7 +590,7 @@ def _sum1d_fractional(p, a, theta):
     """An Interval holding sum_k fhat_p(a k) cos(2 pi theta k), fractional p.
 
     fourier_1d evaluates fhat_p at the exact points a k, |k| <= K = ceil(R/a)
-    + 1, R = _R_TAIL; fhat_p is even, so k >= 0 are summed, k > 0 twice.
+    + 1, R = R_TAIL; fhat_p is even, so k >= 0 are summed, k > 0 twice.
     The error charges each point its estimate times |cos|, and a rounding
     allowance: the phase, reduced to x = theta mod 1, is off by 6 pi u x k
     and cos by u, and fl(a k) by u a k, which moves fhat_p by at most u
@@ -586,7 +601,7 @@ def _sum1d_fractional(p, a, theta):
     most 4 |C_p| a^{-p-1} K^{-p} / p.
     """
     a = abs(float(a))
-    K = int(math.ceil(_R_TAIL / a)) + 1
+    K = int(math.ceil(R_TAIL / a)) + 1
     if 2 * K + 1 > DEFAULT_GRID_BUDGET:
         raise BudgetExceededError(DEFAULT_GRID_BUDGET, 2 * K + 1)
     k = np.arange(K + 1, dtype=float)
@@ -678,8 +693,11 @@ def dual_fhat_sum(L: Lattice, spec: TestFunctionSpec, v, target_tol: float,
         sum_{L*} fhat(mu + v)  =  covol(L) sum_L f(lambda) cos(2 pi lambda.v),
 
     which holds because every family is even.  target_tol is relative to
-    the unshifted sum (``_dual_sums`` at t = 1), and the interval is
-    symmetric about its point estimate.
+    the unshifted sum (``_dual_sums`` at t = 1).  The CertifiedSum holds
+    the certified interval itself, symmetric about the point estimate:
+    partial is its lower end, not the sum of the ball's terms,
+    remainder_bound its whole width (tail and rounding) and rounding 0, so
+    the point estimate is partial + remainder_bound / 2.
     """
     return _dual_sums(L, spec, v, 1.0, target_tol, node_budget)[0]
 
@@ -699,7 +717,7 @@ def psf_residual(L: Lattice, spec: TestFunctionSpec, v, t: float,
     fhat(y) = pi^{n/2} g(sqrt(pi) y).  exp_l1 and fractional p sum a
     diagonal dual as a product of 1-D series, exp_l1's in closed form and
     fractional p's from fhat_p at the exact points, with a power-law tail
-    past r = 96 as the error's floor.
+    past r = R_TAIL as the error's floor.
     The residual compares point estimates: lhs.partial against the midpoint
     of the right side's interval.  tol must be below 1: at tol >= 1 the right
     side may carry an error larger than the sum, and its midpoint nothing.
@@ -773,6 +791,28 @@ def _spec_params(spec, **extra):
         out["p"] = float(spec.p)
     out.update(extra)
     return out
+
+
+def check_theta(L: Lattice, spec: TestFunctionSpec, v, t: float,
+                tol: float = 1e-9, node_budget: int = DEFAULT_NODE_BUDGET):
+    """The record of certified_sum(L, spec, v, t, tol): a sum claims no
+    inequality, so its verdict is PASS once it is certified."""
+    cs = certified_sum(L, spec, v, t, tol, node_budget=node_budget)
+    return _record("theta", L.name,
+                   _spec_params(spec, v=[float(x) for x in v], t=t, tol=tol),
+                   PASS, partial=cs.partial,
+                   remainder_bound=cs.remainder_bound, rounding=cs.rounding,
+                   truncation_radius=cs.truncation_radius, npoints=cs.npoints)
+
+
+def check_psf(L: Lattice, spec: TestFunctionSpec, v, t: float, tol: float,
+              max_residual: float, node_budget: int = DEFAULT_NODE_BUDGET):
+    """Check psf_residual(L, spec, v, t, tol) <= max_residual."""
+    res = psf_residual(L, spec, v, t, tol, node_budget=node_budget)
+    _, verdict = _verdict((res, res), (max_residual, max_residual))
+    params = _spec_params(spec, t=t, tol=tol, v=[float(x) for x in v],
+                          max_residual=max_residual)
+    return _record("psf", L.name, params, verdict, residual=res)
 
 
 def check_part1(L: Lattice, spec: TestFunctionSpec, v, t: float,
@@ -865,6 +905,35 @@ def check_tail_inequality(L: Lattice, spec: TestFunctionSpec, K: BodySpec,
                    **_compared(lhs_iv, rhs_iv, margin))
 
 
+def tail_masses(L, spec, K, v, nu, record, radii,
+                node_budget=DEFAULT_NODE_BUDGET):
+    """Per radius rho of radii, (an upper end of the mass of f(lambda + v)
+    outside the ball ||lambda + v||_q <= rho, the tail bound at rho or
+    None), read off the record of check_tail_inequality(L, spec, K, v, nu):
+    the mass outside rho is at most the record's upper end plus the exact
+    mass between K and rho, and the bound scales its rhs by nu(rho)/nu,
+    None outside a closed form's domain and where nu = 0.  One pass over
+    the ball of the largest radius sums every exact mass, the body cut as
+    the check cuts it, ties within 1e-12 relative kept."""
+    cuts = [*radii, K.radius * (1 + _BOUNDARY_SLACK)]
+
+    def terms(_, emb):
+        y = emb + v
+        norms, vals = lp_norm(y, K.p), np.exp(log_f(spec, y))
+        return tuple(vals[norms <= cut] for cut in cuts)
+    (*inside, inner), _ = _ball_sums(L, v, max(*radii, K.radius), K.p,
+                                     node_budget, terms)
+
+    def bound(radius):
+        try:
+            return record["rhs_interval"][0] / nu.value * nu_for_body(
+                spec, BodySpec(K.p, float(radius)), L.dim).value
+        except (ValueError, ArithmeticError):
+            return None
+    return [(record["lhs_interval"][1] + inner - mass, bound(radius))
+            for radius, mass in zip(radii, inside)]
+
+
 def check_part3(L: Lattice, spec: TestFunctionSpec, K: BodySpec, v,
                 nu: NuBound, tol: float = 1e-9,
                 node_budget: int = DEFAULT_NODE_BUDGET) -> dict:
@@ -917,6 +986,30 @@ def handshake_census(L: Lattice, p: float, u: float,
                 ball_blocks(L, np.zeros(L.dim), u * sigma, p, node_budget))
     _, verdict = _verdict((count, count), (bound, bound))
     return HandshakeCensus(count=count, bound=bound, verdict=verdict)
+
+
+def check_handshake(L: Lattice, p: float, u: float,
+                    node_budget: int = DEFAULT_NODE_BUDGET):
+    """The record of handshake_census(L, p, u)."""
+    hc = handshake_census(L, p, u, node_budget=node_budget)
+    return _record("handshake", L.name, {"p": p, "u": u}, hc.verdict,
+                   count=hc.count, bound=hc.bound)
+
+
+def check_hypothesis_sampling(spec: TestFunctionSpec, samples: int, seed: int,
+                              table=None):
+    """The record of functions.check_hypotheses: PASS when no sample
+    violates a hypothesis, with the violations summed over the hypotheses
+    and the worst margin among them."""
+    rep = check_hypotheses(spec, samples=samples, seed=seed, table=table)
+    worst = min(st.worst_margin for st in rep.checks.values())
+    total = sum(st.violations for st in rep.checks.values())
+    return _record("hypotheses", "",
+                   {"family": spec.family, "dim": spec.dim,
+                    **({"p": spec.p} if spec.p is not None else {}),
+                    "samples": samples, "seed": seed},
+                   PASS if rep.ok else FAIL,
+                   violations=total, worst_margin=worst)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import latbounds.cli as cli
+import latbounds.functions as functions
 import latbounds.verify as verify
 from latbounds.cli import _fmt, _write_plot_csv, main, plan_manifest
 from latbounds.enumeration import BodySpec, enumerate_arrays
@@ -259,6 +260,13 @@ def test_verify_budget_exhaustion_exits_four(run_cli, tmp_path, z2):
     assert "budget" in err.lower()
 
 
+def _lattice_argv(tmp_path, data):
+    """A theta run on a lattice file holding data."""
+    path = tmp_path / "lat.json"
+    path.write_text(json.dumps(data))
+    return ["theta", str(path), "--family", "gaussian"]
+
+
 def _manifest_argv(tmp_path, z2, budgets, params, check="theta"):
     man = {"lattice_file": z2, "budgets": budgets,
            "checks": [{"check_name": check,
@@ -295,9 +303,18 @@ def _manifest_argv(tmp_path, z2, budgets, params, check="theta"):
      "checks[0]: t must be a number, got '2'"),
     (lambda tmp, z2: _manifest_argv(tmp, z2, {}, {"v": ["0.1", 0.0]}),
      "checks[0]: v must be a list of numbers"),
+    (lambda tmp, z2: _lattice_argv(tmp, {"dim": True, "basis": [[2.0]]}),
+     "dim must be a positive integer, got True"),
+    (lambda tmp, z2: _lattice_argv(tmp, {"dim": 2,
+                                         "basis": [["1", 0], [0, 1]]}),
+     "basis must be 2 rows of 2 numbers"),
+    (lambda tmp, z2: _manifest_argv(tmp, z2, {}, {"lattice": {
+        "kind": "basis", "basis": [["2", 0], [0, True]]}}),
+     "checks[0]: inline lattice: basis must be 2 rows of 2 numbers"),
 ], ids=["zero-node-budget", "negative-grid-budget", "bool-budget", "nan-t",
         "infinite-v", "string-nan-tol", "string-nan-max-residual",
-        "string-nan-t", "string-nan-u", "bool-p", "string-t", "string-v"])
+        "string-nan-t", "string-nan-u", "bool-p", "string-t", "string-v",
+        "bool-dim-file", "string-basis-file", "string-and-bool-inline-basis"])
 def test_malformed_budgets_and_nan_are_usage_errors(run_cli, tmp_path, z2,
                                                     argv, named):
     code, out, err = run_cli(*argv(tmp_path, z2))
@@ -315,7 +332,6 @@ def test_a_later_malformed_entry_stops_the_run_before_any_sum(
         calls.append(args)
         return _sum(*args, **kwargs)
     monkeypatch.setattr(verify, "certified_sum", spy)
-    monkeypatch.setattr(cli, "certified_sum", spy)
     theta = {"check_name": "theta", "params": {"family": "gaussian"}}
     for t, code in ((1.5, 0), ("nan", 3)):
         later = {"check_name": "theta", "params": {"family": "gaussian",
@@ -325,6 +341,37 @@ def test_a_later_malformed_entry_stops_the_run_before_any_sum(
         calls.clear()
         assert run_cli("verify", mp)[0] == code
         assert len(calls) == (2 if code == 0 else 0)
+
+
+def test_a_request_too_large_for_memory_exits_four(run_cli, tmp_path,
+                                                   monkeypatch):
+    # a lattice too large to hold at planning, and samples too many to hold
+    # at run time; whether numpy refuses such an allocation up front depends
+    # on the machine's overcommit policy, so both sites are stood in for
+    def eye(n, *args, _eye=np.eye, **kwargs):
+        if n > 10_000:
+            raise MemoryError(f"Unable to allocate an array of shape ({n}, {n})")
+        return _eye(n, *args, **kwargs)
+
+    class Generator:
+        def __init__(self, seed):
+            pass
+
+        def normal(self, loc, scale, size):
+            raise MemoryError(f"Unable to allocate an array of shape {size}")
+    monkeypatch.setattr(np, "eye", eye)
+    monkeypatch.setattr(functions.np.random, "default_rng", Generator)
+    huge = _entry("theta", family="gaussian",
+                  lattice={"kind": "integer", "dim": 1_000_000})
+    many = _entry("hypotheses", family="gaussian", dim=2,
+                  samples=100_000_000_000)
+    for entry, shape in ((huge, "(1000000, 1000000)"),
+                         (many, "(100000000000, 2)")):
+        mp = _write_manifest(tmp_path / "man.json", {"checks": [entry]})
+        code, out, err = run_cli("verify", mp)
+        assert code == 4
+        assert err.startswith("out of memory: ") and shape in err
+        assert len(err.splitlines()) == 1 and out == ""
 
 
 def test_verify_plot_csv(run_cli, tmp_path, z2):
@@ -613,15 +660,14 @@ def test_plot_csv_sweep_reads_the_records(tmp_path, monkeypatch, params):
     def no_sum(*args, **kwargs):
         raise AssertionError("the sweep re-ran a certified sum")
     with monkeypatch.context() as mp:
-        for module in (cli, verify):
-            mp.setattr(module, "certified_sum", no_sum)
+        mp.setattr(verify, "certified_sum", no_sum)
         _write_plot_csv(tmp_path / "curves.csv", plans, records)
     rows = [line.split(",") for line in
             (tmp_path / "curves.csv").read_text().splitlines()[1:]]
 
     # brute force: the shifted sum's upper end minus one fsum of the points
     # inside each radius, and the coefficient there times the full sum
-    L, spec, body, v, _ = plans[0].args
+    L, spec, body, v, _ = plans[0].args[:5]
     shifted = verify.certified_sum(L, spec, v, 1.0, 1e-9)
     full = verify.certified_sum(L, spec, np.zeros(L.dim), 1.0, 1e-9)
     _, emb = enumerate_arrays(L, v, 1.75 * body.radius, body.p)

@@ -83,6 +83,13 @@ def test_load_errors_name_the_field(tmp_path):
     path.write_text(json.dumps({"dim": 2, "basis": [[1.0, 0.0]]}))
     with pytest.raises(ValueError):
         load_lattice(path)
+    # true is no dimension, and a string or true no basis entry
+    for data, field in (({"dim": True, "basis": [[2.0]]}, "dim"),
+                        ({"dim": 2, "basis": [["1", 0], [0, 1]]}, "basis"),
+                        ({"dim": 2, "basis": [[2, 0], [0, True]]}, "basis")):
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=field):
+            load_lattice(path)
 
 
 def test_random_unimodular_det_one():

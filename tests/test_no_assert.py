@@ -5,7 +5,12 @@
   ``InvariantError`` instead.
 * One record builder: a report record is the only dict with a ``"verdict"``
   key, and ``verify._record`` is the only code that writes one, so every
-  check's record has the same layout.
+  check's record has the same layout.  ``_record`` and the verdict rule
+  ``_verdict`` are named only in ``verify``, so no other module builds a
+  record or decides a verdict.
+* One check pipeline: ``cli`` imports no ``_``-prefixed name from another
+  ``latbounds`` module; it parses and dispatches, and each check's record
+  comes from ``verify``.
 * One search path: ``enumeration.ball_blocks`` is the only code that
   names the search ``_enum_coeffs``, which ``enumeration`` defines; sums
   and ``enumerate_arrays`` take their points from its blocks.
@@ -16,10 +21,11 @@
 * One LLL path: ``lattice.lll_reduce`` is the only code that reaches the
   LLL loop ``_lll``, through the cached ``Lattice._reduction``, so a
   lattice is reduced once however many checks ask for its reduction.
-* Lattices are built in two places: ``lattice`` (the dual, the LLL
-  reduction, the named families and files) and ``cli`` (a manifest's
-  inline basis).  The checks dilate their test function, never the
-  lattice, so every lattice they sum over has its reduction cached.
+* Lattices are built in two places at most: ``lattice`` (the dual, the
+  LLL reduction, the named families, and the bases of files and of a
+  manifest's inline lattices, which ``read_basis`` reads) and ``cli``.
+  The checks dilate their test function, never the lattice, so every
+  lattice they sum over has its reduction cached.
 * One decay table: ``functions.envelope`` states each family's decay
   envelope, the ``Envelope`` (loga, beta, q) that ``functions`` defines and
   no other module names, so the certified sums, the tail coefficients and
@@ -73,6 +79,32 @@ def test_only_verify_record_builds_a_record():
                           for key in node.keys)]
     assert not found, ("records built outside verify._record: "
                        + ", ".join(found))
+
+
+def test_only_verify_names_the_record_and_the_verdict_rule():
+    for name in ("_record", "_verdict"):
+        found, defined = _named_outside(name, "verify.py")
+        assert defined, f"verify.py defines no {name}"
+        assert not found, (f"{name} is named outside verify.py: "
+                           + ", ".join(found))
+
+
+def test_cli_imports_no_private_name():
+    # cli parses and dispatches; what it needs of another module is public
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    imports = [node for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").startswith("latbounds"))]
+    assert imports, "cli.py imports nothing from latbounds"
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names}
+    found = [f"cli.py:{node.lineno} {alias.name}" for node in imports
+             for alias in node.names if alias.name.startswith("_")]
+    found += [f"cli.py:{node.lineno} {node.value.id}.{node.attr}"
+              for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+              and node.attr.startswith("_") and not node.attr.startswith("__")
+              and getattr(node.value, "id", None) in modules]
+    assert not found, "cli.py imports private names: " + ", ".join(found)
 
 
 def _named_outside(name, module, owner=None):
