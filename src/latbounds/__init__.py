@@ -9,14 +9,16 @@ The package has three layers:
   their transforms), :mod:`.transform` (certified 1-d numeric transforms),
   and :mod:`.bounds` (closed-form tail coefficients, transference and
   handshake bounds);
-* verification — :mod:`.verify` turns the above into certified sums with
-  remainder intervals and PASS / FAIL / INCONCLUSIVE verdicts, and
-  :mod:`.cli` drives it from manifests.
+* verification — :mod:`.verify` turns the above into certified sums (a
+  ``CertifiedSum`` with its remainder and rounding; a dual sum, whose
+  terms are signed, an ``Interval``) and PASS / FAIL / INCONCLUSIVE
+  verdicts, and :mod:`.cli` drives it from manifests.
 
 Every verdict rests on one interval rule, ``verify.Interval``, whose +, -
 and * round each end one ulp outward: sums carry rigorous remainders and
 comparisons are pessimistic, so a PASS never rests on an uncertified digit
-— except for psf, which compares its two certified sums' point estimates.
+— except for psf, which compares point estimates: the left sum's partial
+against the centre of the right side's interval.
 """
 
 from .bounds import (L1TransferenceBound, NuBound, cosh_nu_bound, cstar,

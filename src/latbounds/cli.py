@@ -33,6 +33,7 @@ memory.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import json
 import math
@@ -360,8 +361,10 @@ def run_manifest(manifest, base_dir, plot_csv=None):
 def _write_plot_csv(path, plans, records):
     """Radius sweep for every tail_inequality check: 24 radii from 1/4 to
     7/4 of its body's, each row ``verify.tail_masses`` of the plan's
-    arguments and the check's record; a bound it cannot give is empty."""
-    rows = ["check_index,lattice_id,family,radius,tail_mass_upper,bound"]
+    arguments and the check's record; a bound it cannot give is empty.  A
+    field holding a comma or a quote is quoted as CSV quotes it."""
+    rows = [["check_index", "lattice_id", "family", "radius",
+             "tail_mass_upper", "bound"]]
     for idx, (plan, rec) in enumerate(zip(plans, records)):
         if getattr(plan, "func", None) is not check_tail_inequality:
             continue
@@ -370,11 +373,10 @@ def _write_plot_csv(path, plans, records):
         sweep = tail_masses(*plan.args, rec, radii,
                             plan.keywords["node_budget"])
         for radius, (upper, bound) in zip(radii, sweep):
-            rows.append(",".join([str(idx), L.name, spec.label, _fmt(radius),
-                                  _fmt(upper),
-                                  "" if bound is None else _fmt(bound)]))
-    with open(path, "w") as fh:
-        fh.write("\n".join(rows) + "\n")
+            rows.append([idx, L.name, spec.label, _fmt(radius), _fmt(upper),
+                         "" if bound is None else _fmt(bound)])
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 # ---------------------------------------------------------------------------

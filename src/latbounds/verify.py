@@ -1,23 +1,27 @@
 """Certified lattice sums and empirical checks of the implemented inequalities.
 
-Every sum over a lattice is an interval [partial, partial + remainder_bound].
-One kernel, ``_sums``, truncates and sums every ball: it picks the
-truncation radius and its tail bound, and runs one pass of ``_ball_sums``,
-which streams the terms from the enumeration's blocks, holding no points,
-into one exactly rounded math.fsum per column.  Its callers are term maps:
-certified_sum's one column and ``_dual_sums``'s three.  certified_sum keeps
-each unshifted sum (v = 0) while its lattice lives, so the right side of
-every tail check and of part 1 on one lattice, spec and tol is summed
-once; a tail check adds the shifted sum when v != 0 and one pass over its
-body alone, the exact mass inside it.  The remainder rests on an exponential
-envelope: the centred cells, tiling space, of the points past the
-truncation radius tile a region where the envelope
-integrates to an upper incomplete gamma function, bounded by integration by
-parts with a derived rounding allowance.  The cell is the parallelepiped or
-the Gram-Schmidt box of an LLL-reduced basis, whichever bound on its reach
-is smaller.  For every l^q envelope (q <= 2), Jensen's inequality over the
-cell sets each term against the envelope's mean on its cell, so the radius
-pays the reach once and the cell's moment enters as a constant factor.
+Every sum over a lattice is an interval: certified_sum's sum of positive
+terms, a ``CertifiedSum``, lies in [partial - rounding, partial +
+remainder_bound + rounding], and a dual sum, whose terms are signed, is an
+``Interval``.  One kernel, ``_sums``, truncates and sums every ball: it
+picks the truncation radius and its tail bound, and runs one pass of
+``_ball_sums``, which streams the terms from the enumeration's blocks,
+holding no points, into one exactly rounded math.fsum per column.  Its
+callers are term maps: certified_sum's one column and ``_dual_sums``'s
+three; the charges for the terms' rounding are more columns of the same
+pass, one entry per block.  certified_sum keeps each unshifted sum (v = 0)
+while its lattice lives, so the right side of every tail check and of part
+1 on one lattice, spec and tol is summed once; a tail check adds the
+shifted sum when v != 0 and one pass over its body alone, the exact mass
+inside it.  The remainder rests on an exponential envelope: the centred
+cells, tiling space, of the points past the truncation radius tile a
+region where the envelope integrates to an upper incomplete gamma
+function, bounded by integration by parts with a derived rounding
+allowance.  The cell is the parallelepiped or the Gram-Schmidt box of an
+LLL-reduced basis, whichever bound on its reach is smaller.  For every
+l^q envelope (q <= 2), Jensen's inequality over the cell sets each term
+against the envelope's mean on its cell, so the radius pays the reach once
+and the cell's moment enters as a constant factor.
 The float terms are charged for their own rounding: each term's exponent
 is bounded within a derived slip of the exact one at the exact lattice
 point (``_exponent_slip``), and the kernel sums those slips, weighted by
@@ -29,11 +33,12 @@ is never coerced.
 
 Sums of fhat over the dual lattice (part 3) are taken on the primal side by
 Poisson summation, as covol(L) times a cos-weighted sum of f over L; their
-terms are signed, so those intervals are symmetric, [partial - rem,
-partial + rem].  ``_dual_sums``, a term map of the kernel at v = 0, takes
-the shifted and the unshifted sum from one ball.  The psf check sets the
-two ends of Poisson summation against each other, certified_sum over L
-and ``_dual_sums`` on the cached L* with f dilated by 1/t, so it also
+terms are signed, so each is the Interval covol (partial + [-h, h]),
+rounded outward, h the tail bound plus the rounding of its column.
+``_dual_sums``, a term map of the kernel at v = 0, takes the shifted and
+the unshifted sum from one ball.  The psf check sets the two ends of
+Poisson summation against each other, certified_sum over L and
+``_dual_sums`` on the cached L* with f dilated by 1/t, so it also
 tests part 3's sums, and no check builds a dilated lattice.  Where fhat
 has no exponential envelope, psf sums a diagonal dual as 1-D series:
 exp_l1's in closed form, fractional p's from fhat_p at the exact points
@@ -131,33 +136,24 @@ class Interval(NamedTuple):
 
 @dataclass(frozen=True)
 class CertifiedSum:
-    """A truncated lattice sum with a certified bound on the omitted tail.
+    """certified_sum's truncated lattice sum of positive terms, with a
+    certified bound on the omitted tail.
 
-    partial is the exactly rounded sum of the float terms of the ball, and
-    rounding a certified bound on its distance from the exact sum of the
-    ball's terms; remainder_bound bounds the omitted tail.  So the true sum
-    lies in [partial - rounding, partial + remainder_bound + rounding]
-    (interval(), rounded outward).  truncation_radius is measured on
-    (lambda + v)/t in the family's norm.
-
-    A dual sum (``_dual_sums``, ``dual_fhat_sum``) fills the fields
-    otherwise: its terms are signed, so partial is the lower end of its
-    certified interval, not the sum of the ball's terms, remainder_bound
-    the interval's whole width, tail and rounding both inside it, and
-    rounding 0.  interval() is then [partial, partial + remainder_bound],
-    and the point estimate is its midpoint.
+    partial is the exactly rounded sum of the float terms of the npoints
+    points of the ball, and rounding a certified bound on its distance from
+    the exact sum of the ball's terms; remainder_bound bounds the omitted
+    tail.  So the true sum lies in [partial - rounding, partial +
+    remainder_bound + rounding] (interval(), rounded outward).
+    truncation_radius is measured on (lambda + v)/t in the family's norm.
     """
 
     partial: float
     remainder_bound: float
     truncation_radius: float
-    npoints: int = 0
-    rounding: float = 0.0
+    npoints: int
+    rounding: float
 
     def interval(self):
-        if not self.rounding:
-            return Interval(self.partial,
-                            _up(self.partial + self.remainder_bound))
         return self.partial + Interval(
             -self.rounding, _up(self.remainder_bound + self.rounding))
 
@@ -301,10 +297,11 @@ def _log_tail(n, covol, env, beta_eff, cell, S):
 
 
 def _ball_sums(L, v, r, p, node_budget, terms):
-    """([sum of each term], npoints) over the points of L in ||x + v||_p <= r.
-    terms maps a block of (coords, embeddings) to a tuple of per-point
-    arrays; only they are held, and each term is one math.fsum, exactly
-    rounded."""
+    """([sum of each column], npoints) over the points of L in ||x + v||_p
+    <= r.  terms maps a block of (coords, embeddings) to a tuple of
+    columns, each an array of one entry per point or a single number, one
+    entry per block (a charge on the block); only they are held, and each
+    column is one math.fsum over every block's entries, exactly rounded."""
     held, npoints = [], 0
     for coords, emb in ball_blocks(L, v, r, p, node_budget):
         held.append(terms(coords, emb))
@@ -312,8 +309,8 @@ def _ball_sums(L, v, r, p, node_budget, terms):
     # an empty ball: zeros
     held = held or [terms(np.zeros((0, L.dim), np.int64),
                           np.zeros((0, L.dim)))]
-    return [math.fsum(itertools.chain.from_iterable(a.tolist() for a in col))
-            for col in zip(*held)], npoints
+    return [math.fsum(itertools.chain.from_iterable(
+        np.ravel(a).tolist() for a in col)) for col in zip(*held)], npoints
 
 
 def _truncated(L, env, beta_eff, log_target):
@@ -411,11 +408,12 @@ def _exponent_slip(env, n, log_terms, drift):
     return np.where(below, 0.0, np.where(lost, math.inf, slip))
 
 
-def _term_rounding(charges, npoints):
+def _term_rounding(charge, npoints):
     """A bound on sum_i |tau^_i - tau_i|, the distance of the float terms
-    tau^ = exp(phi^) from the exact ones, given charges, one per block:
-    (sum_i tau^_i (Delta_i + 8u), max_i Delta_i), Delta_i bounding |phi^_i
-    - phi_i| (``_exponent_slip``), or 0 where tau_i < e^-746.
+    tau^ = exp(phi^) from the exact ones, given the charge sum_i tau^_i
+    (Delta_i + 8u) over the npoints terms, Delta_i bounding |phi^_i -
+    phi_i| (``_exponent_slip``), or 0 where tau_i < e^-746; the charge is
+    +inf where some Delta_i exceeds 2^-10.
 
     exp is within 4 ulp, so |tau^ - e^{phi^}| <= 8u e^{phi^} + 4 ulp(0)
     (subnormal results), and |e^{phi^} - e^{phi}| <= e^{phi^} expm1(Delta)
@@ -426,10 +424,7 @@ def _term_rounding(charges, npoints):
     at most 4 ulp(0) when phi^ <= -745.  Where some exponent may be off by
     more than 2^-10 (a term off by 0.1%), the bound is +inf.
     """
-    dots, worst = zip(*charges) if charges else ((), ())
-    if not max(worst, default=0.0) <= 2.0 ** -10:
-        return math.inf
-    return _up(1.01 * math.fsum(dots) + 5 * npoints * math.ulp(0.0))
+    return _up(1.01 * charge + 5 * npoints * math.ulp(0.0))
 
 
 def _sums(L, spec, v, t, target_tol, node_budget, terms):
@@ -450,7 +445,8 @@ def _sums(L, spec, v, t, target_tol, node_budget, terms):
     are all floats and the embedding is exact (drift 0, or None for a whole
     block), and else drift is gamma_n ||c||_2 w.  The term rounding bounds
     the summed distance of the float values of f from the exact ones
-    (``_term_rounding``).
+    (``_term_rounding``), whose charge is one more column of the pass, one
+    entry per block.
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -479,7 +475,6 @@ def _sums(L, spec, v, t, target_tol, node_budget, terms):
     # each entry of B is a multiple of 2^-k
     k = max(x.as_integer_ratio()[1] for x in L.basis.flat).bit_length() - 1
     exact_below = math.ldexp(1.0, 53 - k)
-    charges = []
 
     def charged(coords, emb):
         y = (emb + v) / t
@@ -496,13 +491,13 @@ def _sums(L, spec, v, t, target_tol, node_budget, terms):
                              n * _U / (1 - n * _U) * reach)
         slip = _exponent_slip(env, n, log_terms,
                               None if drift is None else drift / t)
-        worst = slip.max(initial=0.0)
-        charges.append((np.dot(vals, slip + 8 * _U)
-                        if worst <= 2.0 ** -10 else math.inf, worst))
-        return terms(emb, vals, drift)
+        charge = (np.dot(vals, slip + 8 * _U)
+                  if slip.max(initial=0.0) <= 2.0 ** -10 else math.inf)
+        return charge, *terms(emb, vals, drift)
 
-    sums, npoints = _ball_sums(L, v, S, env.q, node_budget, charged)
-    return S, tail, sums, _term_rounding(charges, npoints), npoints
+    (charge, *sums), npoints = _ball_sums(L, v, S, env.q, node_budget,
+                                          charged)
+    return S, tail, sums, _term_rounding(charge, npoints), npoints
 
 
 # L -> {(spec, t, target_tol, node_budget): its unshifted CertifiedSum}, one
@@ -635,7 +630,7 @@ def _product_fhat_sum(diag, spec, t, theta, tol_abs):
 
 
 def _dual_sums(L, spec, v, t, target_tol, node_budget):
-    """(shifted, unshifted): the certified sums covol(L) sum_L f(lambda/t)
+    """(shifted, unshifted): Intervals holding covol(L) sum_L f(lambda/t)
     cos(2 pi lambda.v) and covol(L) sum_L f(lambda/t), from one ball.
 
     By Poisson summation, with f even, they are t^n sum_{L*} fhat(t (mu +
@@ -643,13 +638,14 @@ def _dual_sums(L, spec, v, t, target_tol, node_budget):
     kernel ``_sums`` at v = 0, which truncates as certified_sum(L, spec, 0,
     t, target_tol) does, so target_tol is relative to f(0), and both sums
     carry that sum's tail bound, since |cos| <= 1.  The terms are signed,
-    so each interval covol [partial - rem, partial + rem] is symmetric, and
-    the sin part of the phase must cancel over the symmetric point set.
+    so each is covol (partial + [-h, h]), rounded outward, h the tail bound
+    plus the rounding of its column, and the sin part of the phase must
+    cancel over the symmetric point set.
     """
     v = np.asarray(v, dtype=float)
     if not np.all(np.isfinite(v)):
         raise ValueError("v must be finite")
-    size_v, slips = float(np.abs(v).sum()), []
+    size_v = float(np.abs(v).sum())
 
     def terms(emb, vals, drift):
         # row by row, so a row's phase does not depend on its block
@@ -659,9 +655,9 @@ def _dual_sums(L, spec, v, t, target_tol, node_budget):
             "ij,j->i", np.abs(emb), np.abs(v)))
         if drift is not None:
             slip = slip + 2 * math.pi * size_v * drift
-        slips.append(np.dot(vals, np.minimum(slip, 2.0) + 10 * _U))
-        return vals * np.cos(phase), vals * np.sin(phase), vals
-    S, tail, (shifted, sin_part, unshifted), rounding, npoints = _sums(
+        return (np.dot(vals, np.minimum(slip, 2.0) + 10 * _U),
+                vals * np.cos(phase), vals * np.sin(phase), vals)
+    _, tail, (phase_charge, shifted, sin_part, unshifted), rounding, _ = _sums(
         L, spec, np.zeros(L.dim), t, target_tol, node_budget, terms)
     # the point set is symmetric, so the sin pairing must cancel
     if not abs(sin_part) <= 1e-12 * max(1.0, abs(shifted)):
@@ -671,9 +667,7 @@ def _dual_sums(L, spec, v, t, target_tol, node_budget):
     def certified(partial, rounding):
         # the fsum of a column is exactly rounded: within u |partial|
         half = _up(tail + _up(rounding + _U * abs(partial)))
-        lo, hi = L.covolume * (partial + Interval(-half, half))
-        return CertifiedSum(partial=lo, remainder_bound=_up(hi - lo),
-                            truncation_radius=S / t, npoints=npoints)
+        return L.covolume * (partial + Interval(-half, half))
     # The shifted column's phase: the computed one, 2 pi fl(x^ . v), is
     # within 2 pi (drift ||v||_1 + (n + 3) u sum_j |x^_j v_j|) of the exact
     # 2 pi x . v, so each cos, itself within 4 ulp, is off by at most that
@@ -681,23 +675,20 @@ def _dual_sums(L, spec, v, t, target_tol, node_budget):
     # term by u more.  Weighted by the exact term, at most the float one
     # plus its error, that counts the term errors at most 3.01 times; the
     # larger factors pay for the rounding of the charges.
-    phase = _up(3.1 * rounding + 1.01 * math.fsum(slips))
+    phase = _up(3.1 * rounding + 1.01 * phase_charge)
     return certified(shifted, phase), certified(unshifted, rounding)
 
 
 def dual_fhat_sum(L: Lattice, spec: TestFunctionSpec, v, target_tol: float,
-                  node_budget: int = DEFAULT_NODE_BUDGET) -> CertifiedSum:
-    """Certified sum of fhat(mu + v) over the dual lattice, for any family
-    and any basis, by Poisson summation on the primal side:
+                  node_budget: int = DEFAULT_NODE_BUDGET) -> Interval:
+    """An Interval holding the sum of fhat(mu + v) over the dual lattice,
+    for any family and any basis, by Poisson summation on the primal side:
 
         sum_{L*} fhat(mu + v)  =  covol(L) sum_L f(lambda) cos(2 pi lambda.v),
 
     which holds because every family is even.  target_tol is relative to
-    the unshifted sum (``_dual_sums`` at t = 1).  The CertifiedSum holds
-    the certified interval itself, symmetric about the point estimate:
-    partial is its lower end, not the sum of the ball's terms,
-    remainder_bound its whole width (tail and rounding) and rounding 0, so
-    the point estimate is partial + remainder_bound / 2.
+    the unshifted sum (``_dual_sums`` at t = 1); the interval's two ends
+    carry the tail bound and the rounding of the signed terms.
     """
     return _dual_sums(L, spec, v, 1.0, target_tol, node_budget)[0]
 
@@ -718,7 +709,7 @@ def psf_residual(L: Lattice, spec: TestFunctionSpec, v, t: float,
     diagonal dual as a product of 1-D series, exp_l1's in closed form and
     fractional p's from fhat_p at the exact points, with a power-law tail
     past r = R_TAIL as the error's floor.
-    The residual compares point estimates: lhs.partial against the midpoint
+    The residual compares point estimates: lhs.partial against the centre
     of the right side's interval.  tol must be below 1: at tol >= 1 the right
     side may carry an error larger than the sum, and its midpoint nothing.
     """
@@ -741,7 +732,7 @@ def psf_residual(L: Lattice, spec: TestFunctionSpec, v, t: float,
         target_tol = budget / _in_range(
             t, lambda: scale * D.covolume * math.exp(log_f(g, np.zeros(n))))
         shifted, _ = _dual_sums(D, g, v, 1 / s, target_tol, node_budget)
-        rhs_iv = scale * shifted.interval()
+        rhs_iv = scale * shifted
     else:
         factor = _in_range(t, lambda: t ** n / L.covolume)
         # cos(2 pi mu . v) factorizes over the coordinates of a diagonal dual
@@ -910,11 +901,13 @@ def tail_masses(L, spec, K, v, nu, record, radii,
     """Per radius rho of radii, (an upper end of the mass of f(lambda + v)
     outside the ball ||lambda + v||_q <= rho, the tail bound at rho or
     None), read off the record of check_tail_inequality(L, spec, K, v, nu):
-    the mass outside rho is at most the record's upper end plus the exact
-    mass between K and rho, and the bound scales its rhs by nu(rho)/nu,
-    None outside a closed form's domain and where nu = 0.  One pass over
-    the ball of the largest radius sums every exact mass, the body cut as
-    the check cuts it, ties within 1e-12 relative kept."""
+    the mass outside rho is at most the record's upper end plus the mass
+    inside K less the mass inside rho, and the bound scales its rhs by
+    nu(rho)/nu, None outside a closed form's domain and where nu = 0.  One
+    pass over the ball of the largest radius sums every mass, the body cut
+    as the check cuts it, ties within 1e-12 relative kept; each mass, an
+    exactly rounded fsum, is charged 1 -+ 2u as the check charges its body,
+    and the upper end is rounded outward (``Interval``)."""
     cuts = [*radii, K.radius * (1 + _BOUNDARY_SLACK)]
 
     def terms(_, emb):
@@ -930,7 +923,9 @@ def tail_masses(L, spec, K, v, nu, record, radii,
                 spec, BodySpec(K.p, float(radius)), L.dim).value
         except (ValueError, ArithmeticError):
             return None
-    return [(record["lhs_interval"][1] + inner - mass, bound(radius))
+    charged = Interval(1 - 2 * _U, 1 + 2 * _U)
+    return [((record["lhs_interval"][1] + inner * charged
+              - mass * charged).hi, bound(radius))
             for radius, mass in zip(radii, inside)]
 
 
@@ -944,9 +939,9 @@ def check_part3(L: Lattice, spec: TestFunctionSpec, K: BodySpec, v,
     Both dual sums come from one pass over one ball of the kernel
     ``_dual_sums`` at t = 1, the kernel that psf runs on L* with f dilated
     by 1/t, so the check rests on Poisson summation (a theorem, not the
-    inequality under test) and works for any family and basis.  Their terms
-    are signed, so each interval is symmetric about its point estimate, and
-    tol is relative to the unshifted sum.
+    inequality under test) and works for any family and basis.  Each sum
+    is an Interval whose ends carry the tail bound and the rounding of its
+    signed terms, and tol is relative to the unshifted sum.
     """
     v = np.asarray(v, dtype=float)
     coords, emb = enumerate_arrays(L, np.zeros(L.dim), K.radius, K.p,
@@ -957,14 +952,14 @@ def check_part3(L: Lattice, spec: TestFunctionSpec, K: BodySpec, v,
         raise ValueError(
             f"K (l^{K.p:g} ball, radius {K.radius:g}) contains the nonzero "
             f"lattice vector {np.round(witness, 12).tolist()}")
-    lhs, rhs_sum = _dual_sums(L, spec, v, 1.0, tol, node_budget)
-    rhs_iv = (1.0 - 2.0 * nu.value) * rhs_sum.interval()
+    lhs_iv, full = _dual_sums(L, spec, v, 1.0, tol, node_budget)
+    rhs_iv = (1.0 - 2.0 * nu.value) * full
     # the claim is rhs <= lhs
-    margin, verdict = _verdict(rhs_iv, lhs.interval())
+    margin, verdict = _verdict(rhs_iv, lhs_iv)
     params = _spec_params(spec, body_p=float(K.p), body_radius=float(K.radius),
                           v=[float(x) for x in v], nu=nu.value, tol=tol)
     return _record("part3", L.name, params, verdict,
-                   **_compared(lhs.interval(), rhs_iv, margin))
+                   **_compared(lhs_iv, rhs_iv, margin))
 
 
 class HandshakeCensus(NamedTuple):

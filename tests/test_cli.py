@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import subprocess
@@ -385,6 +386,23 @@ def test_verify_plot_csv(run_cli, tmp_path, z2):
     lines = csv.read_text().splitlines()
     assert lines[0] == "check_index,lattice_id,family,radius,tail_mass_upper,bound"
     assert len(lines) == 25  # 24 radii for the single tail check
+
+
+def test_plot_csv_quotes_a_name_with_a_comma(run_cli, tmp_path):
+    name = 'Z,2 "sq"'
+    lattice = {"kind": "basis", "basis": [[1.0, 0.0], [0.0, 1.0]],
+               "name": name}
+    man = {"checks": [{"check_name": "tail_inequality",
+                       "params": {"family": "gaussian", "tau": 1.0,
+                                  "lattice": lattice}}]}
+    out = tmp_path / "curves.csv"
+    code, _, _ = run_cli("verify", _write_manifest(tmp_path / "man.json", man),
+                         "--plot-csv", str(out))
+    assert code == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 25 and {len(row) for row in rows} == {6}
+    assert {row[1] for row in rows[1:]} == {name}
 
 
 def test_plot_csv_with_an_empty_sweep_ball(run_cli, tmp_path, z2):

@@ -18,6 +18,9 @@
   truncation ``_truncated``, so every certified sum (``certified_sum``,
   which gives a tail check its shifted and full sums, and the dual sums)
   is truncated and summed in one place, as a term map over one pass.
+* One meaning of a certified sum: ``verify.certified_sum`` is the only code
+  that builds a ``CertifiedSum``, a sum of positive terms with its tail
+  bound and rounding; the signed dual sums are ``verify.Interval``s.
 * One LLL path: ``lattice.lll_reduce`` is the only code that reaches the
   LLL loop ``_lll``, through the cached ``Lattice._reduction``, so a
   lattice is reduced once however many checks ask for its reduction.
@@ -149,6 +152,28 @@ def test_only_the_sum_kernel_truncates():
     found, defined = _named_outside("_truncated", "verify.py", "_sums")
     assert defined, "verify.py defines no _truncated"
     assert not found, ("_truncated is named outside _sums: "
+                       + ", ".join(found))
+
+
+def test_only_certified_sum_builds_a_certified_sum():
+    # the dual sums, whose terms are signed, are Intervals, so every
+    # CertifiedSum's fields mean what its docstring says
+    found, defined = [], False
+    for path, tree in _modules():
+        allowed = set()
+        if path.name == "verify.py":
+            defined = any(isinstance(node, ast.ClassDef)
+                          and node.name == "CertifiedSum" for node in tree.body)
+            allowed = {id(sub) for node in ast.walk(tree)
+                       if isinstance(node, ast.FunctionDef)
+                       and node.name == "certified_sum"
+                       for sub in ast.walk(node)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and id(node) not in allowed
+                  and "CertifiedSum" in (getattr(node.func, "id", None),
+                                         getattr(node.func, "attr", None))]
+    assert defined, "verify.py defines no CertifiedSum"
+    assert not found, ("a CertifiedSum built outside verify.certified_sum: "
                        + ", ".join(found))
 
 

@@ -513,16 +513,18 @@ def test_dual_sum_exp_l1_z1():
     ds = dual_fhat_sum(integer_lattice(1), FnSpec("exp_l1", 1),
                        np.zeros(1), 1e-6)
     # Poisson: equals the primal sum exactly for Z
-    assert abs(ds.partial - (1 + 2 / (math.e - 1))) <= ds.remainder_bound
+    with mpmath.workdps(30):
+        assert _contains(ds, 1 + 2 / (mpmath.e - 1))
 
 
 def test_dual_sum_supergaussian_p2_self_consistent():
     L = integer_lattice(1)
     spec = FnSpec("supergaussian", 1, p=2.0)
-    prim = certified_sum(L, spec, np.zeros(1), 1.0, 1e-9)
-    ds = dual_fhat_sum(L, spec, np.zeros(1), 1e-9)
-    tol = prim.remainder_bound + ds.remainder_bound + 1e-12
-    assert abs(prim.partial - ds.partial) <= tol
+    prim_lo, prim_hi = certified_sum(L, spec, np.zeros(1), 1.0,
+                                     1e-9).interval()
+    lo, hi = dual_fhat_sum(L, spec, np.zeros(1), 1e-9)
+    # both hold the one sum, so they meet
+    assert prim_lo <= hi and lo <= prim_hi
 
 
 def test_dual_sum_table_path():
@@ -534,8 +536,8 @@ def test_dual_sum_table_path():
     ds = dual_fhat_sum(L, spec, v, 1e-9)
     exact = _oracle("supergaussian", 1.5, [1.0, 1.0], v)
     full = _oracle("supergaussian", 1.5, [1.0, 1.0], [0.0, 0.0])
-    assert _contains(ds.interval(), exact)
-    assert ds.remainder_bound <= 2e-9 * full
+    assert _contains(ds, exact)
+    assert ds.hi - ds.lo <= 2e-9 * full
 
 
 def test_dual_sum_sheared_basis_exp_l1():
@@ -543,7 +545,7 @@ def test_dual_sum_sheared_basis_exp_l1():
     L = Lattice(np.array([[1.0, 1.0], [0.0, 1.0]]))
     v = np.array([0.2, -0.35])
     ds = dual_fhat_sum(L, FnSpec("exp_l1", 2), v, 1e-6)
-    assert _contains(ds.interval(), _oracle("exp_l1", None, [1.0, 1.0], v))
+    assert _contains(ds, _oracle("exp_l1", None, [1.0, 1.0], v))
 
 
 def test_psf_exp_l1_reaches_tight_tolerance():
@@ -682,8 +684,8 @@ def test_dual_sum_contains_mpmath_oracle(fam, diag, tol, data):
     ds = dual_fhat_sum(Lattice(np.diag(diag)), FnSpec(family, n, p=p), v, tol)
     exact = _oracle(family, p, diag, v)
     full = _oracle(family, p, diag, [0.0] * n)
-    assert _contains(ds.interval(), exact)
-    assert ds.remainder_bound <= 2 * tol * full
+    assert _contains(ds, exact)
+    assert ds.hi - ds.lo <= 2 * tol * full
 
 
 # far shifts: the float phase 2 pi x.v is off by about 1e-9 there, far more
@@ -697,7 +699,7 @@ def test_dual_sum_at_a_far_shift_contains_mpmath_oracle(p, diag, v):
     ds = dual_fhat_sum(Lattice(np.diag(diag)),
                        FnSpec("supergaussian", len(diag), p=p), np.array(v),
                        1e-12)
-    assert _contains(ds.interval(), _oracle("supergaussian", p, diag, v))
+    assert _contains(ds, _oracle("supergaussian", p, diag, v))
 
 
 _PRIMAL_1D = {
@@ -832,10 +834,9 @@ def test_sum_on_a_skewed_float_basis_contains_its_exact_value(seed):
                                  Lattice(np.diag([0.5, 2.0])),
                                  random_unimodular_lattice(3, 4), D4])
 def test_dual_sum_ends_round_outward(lat, monkeypatch):
-    # the ends of each of the kernel's two sums hold covol (partial -+ rem)
-    # computed exactly, from that sum's column of the ball and the one tail
-    # bound the kernel took, and so does partial + remainder_bound of each
-    # returned sum, both exactly and as the float sum that a record holds
+    # the ends of each of the kernel's two sums, each an Interval, hold
+    # covol (partial -+ rem) computed exactly, from that sum's column of the
+    # ball and the one tail bound the kernel took
     seen = {}
     for name in ("_ball_sums", "_truncated"):
         def spy(*args, _run=getattr(verify, name), _name=name):
@@ -846,31 +847,28 @@ def test_dual_sum_ends_round_outward(lat, monkeypatch):
         sums = verify._dual_sums(lat, FnSpec("gaussian", lat.dim),
                                  np.full(lat.dim, 0.15), t, 1e-9,
                                  enumeration.DEFAULT_NODE_BUDGET)
-        (shifted, _, unshifted), _ = seen["_ball_sums"]
+        (_, _, shifted, _, unshifted), _ = seen["_ball_sums"]
         _, rem = seen["_truncated"]
         c, rem = Fraction(lat.covolume), Fraction(rem)
         for ds, partial in zip(sums, map(Fraction, (shifted, unshifted))):
-            lo, hi = ds.interval()
-            assert lo == ds.partial
+            assert isinstance(ds, verify.Interval)
+            lo, hi = ds
             assert Fraction(lo) <= c * (partial - rem)
             assert Fraction(hi) >= c * (partial + rem)
-            assert Fraction(ds.partial) + Fraction(ds.remainder_bound) >= c * (
-                partial + rem)
-            assert Fraction(ds.partial + ds.remainder_bound) >= c * (
-                partial + rem)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_dual_terms_do_not_depend_on_the_block(seed, monkeypatch):
     # a row's phase is its own sum, not a BLAS matrix-vector product whose
     # rounding at n = 8 depends on where the row sits in its block, and so
-    # is its dilated term
+    # is its dilated term; the per-point columns are compared, not the two
+    # charges, which hold one entry per block
     L = random_unimodular_lattice(8, seed)
     seen = []
 
     def spy(*args):  # keep the term map, skip the sum
         seen.append(args[-1])
-        return [0.0, 0.0, 0.0], 0
+        return [0.0] * 5, 0
     monkeypatch.setattr(verify, "_ball_sums", spy)
     v = np.random.default_rng(seed).uniform(-0.5, 0.5, 8)
     for t in (1.0, 1 / 1.5):
@@ -879,11 +877,13 @@ def test_dual_terms_do_not_depend_on_the_block(seed, monkeypatch):
     coords, emb = enumerate_arrays(L, np.zeros(8), 2.5)
     rng = np.random.default_rng(seed)
     for terms in seen:
-        whole = [a.tobytes() for a in terms(coords, emb)]
+        points = lambda *block: [a for a in terms(*block) if np.ndim(a)]
+        whole = [a.tobytes() for a in points(coords, emb)]
+        assert len(whole) == 3
         for _ in range(10):
             cuts = np.sort(rng.choice(np.arange(1, len(emb)), 40,
                                       replace=False))
-            parts = zip(*map(terms, np.split(coords, cuts),
+            parts = zip(*map(points, np.split(coords, cuts),
                              np.split(emb, cuts)))
             assert [np.concatenate(col).tobytes() for col in parts] == whole
 
@@ -1178,14 +1178,37 @@ def test_tail_body_wider_than_the_truncation_ball(v):
     assert lo <= out <= hi
     terms = lambda _, emb: (np.exp(log_f(spec, emb + v)),)
     cut = K.radius * (1 + enumeration._BOUNDARY_SLACK)
-    (wide,), _ = verify._ball_sums(L, v, cut, K.p,
-                                   enumeration.DEFAULT_NODE_BUDGET, terms)
+    (wide,), count = verify._ball_sums(L, v, cut, K.p,
+                                       enumeration.DEFAULT_NODE_BUDGET, terms)
     (inner,), _ = verify._ball_sums(L, v, K.radius, K.p,
                                     enumeration.DEFAULT_NODE_BUDGET, terms)
-    before = (CertifiedSum(wide, shifted.remainder_bound, K.radius,
-                           rounding=shifted.rounding).interval()
+    before = (CertifiedSum(wide, shifted.remainder_bound, K.radius, count,
+                           shifted.rounding).interval()
               - inner * Interval(1 - 2 * verify._U, 1 + 2 * verify._U))
     assert hi <= before.hi
+
+
+def test_tail_mass_upper_holds_the_exact_sum_of_its_floats(monkeypatch):
+    # each sweep row's upper end is at least the record's upper end plus the
+    # mass inside the body less the mass inside the row's radius, those
+    # three floats summed exactly
+    L, spec, K = integer_lattice(2), FnSpec("gaussian", 2), BodySpec(2.0, 1.0)
+    v = np.array([0.3, -0.2])
+    nu = nu_for_body(spec, K, 2)
+    rec = check_tail_inequality(L, spec, K, v, nu)
+    seen = []
+
+    def spy(*args, _run=verify._ball_sums):
+        seen.append(_run(*args))
+        return seen[-1]
+    monkeypatch.setattr(verify, "_ball_sums", spy)
+    rows = verify.tail_masses(L, spec, K, v, nu, rec,
+                              np.linspace(0.25, 1.75, 24))
+    ((*inside, inner), _), = seen
+    top = Fraction(rec["lhs_interval"][1]) + Fraction(inner)
+    assert len(rows) == len(inside) == 24
+    for (upper, _), mass in zip(rows, inside):
+        assert Fraction(upper) >= top - Fraction(mass)
 
 
 # ---------------------------------------------------------------------------
@@ -1389,8 +1412,9 @@ def test_psf_raises_when_sin_pairing_does_not_cancel(monkeypatch, run):
 
 def test_certified_sum_interval_type():
     cs = CertifiedSum(partial=1.0, remainder_bound=0.25,
-                      truncation_radius=3.0)
-    # 1.25 is exact, and the upper end is the float above it
+                      truncation_radius=3.0, npoints=1, rounding=0.125)
+    # 0.875 and 1.375 are exact, and each end is the float past it
     assert isinstance(cs.interval(), verify.Interval)
-    assert cs.interval() == (1.0, math.nextafter(1.25, math.inf))
+    assert cs.interval() == (math.nextafter(0.875, -math.inf),
+                             math.nextafter(1.375, math.inf))
     assert INCONCLUSIVE == "INCONCLUSIVE"

@@ -1,0 +1,91 @@
+"""Compare the reports of this source tree with those of another.
+
+    python3 tools/same_reports.py OTHER_TREE
+
+Writes the ``theta_highdim``, ``transference`` and ``dual_tables``
+benchmark manifests at seeds 3 and 17 into a temporary directory
+(``perfbench/workloads.write_manifest``), then, in this tree and in
+OTHER_TREE, runs ``python3 -m latbounds verify`` on each of them and on
+``manifests/acceptance.json`` (with ``--plot-csv``), every report, stdout
+and CSV written to the temporary directory.  Prints "same" or "differs"
+for each file and exits 1 on any difference.  Both trees run the same
+manifests.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+WORKLOADS = ("theta_highdim", "transference", "dual_tables")
+SEEDS = (3, 17)
+
+
+def _manifests(out_dir):
+    """{name: manifest path}: the generated manifests and the acceptance one."""
+    sys.dont_write_bytecode = True  # leave no cache under perfbench/
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+    paths = {f"{w}-seed{s}": workloads.write_manifest(w, s, str(ROOT), out_dir)
+             for w in WORKLOADS for s in SEEDS}
+    paths["acceptance"] = str(ROOT / "manifests" / "acceptance.json")
+    return paths
+
+
+def run_tree(tree, manifests, out_dir):
+    """Run ``latbounds verify`` from tree on every manifest, writing
+    NAME.json, NAME.stdout and, for acceptance, NAME.csv to out_dir; True
+    when every run ended in a verdict (exit 0, 1 or 2)."""
+    os.makedirs(out_dir, exist_ok=True)
+    ok = True
+    env = {**os.environ, "PYTHONPATH": str(Path(tree, "src"))}
+    for name, path in manifests.items():
+        out = Path(out_dir, name)
+        cmd = [sys.executable, "-m", "latbounds", "verify", path,
+               "--output", f"{out}.json"]
+        if name == "acceptance":
+            cmd += ["--plot-csv", f"{out}.csv"]
+        done = subprocess.run(cmd, env=env, cwd=tree, capture_output=True,
+                              text=True)
+        Path(f"{out}.stdout").write_text(done.stdout)
+        if done.returncode > 2:  # past PASS, FAIL and INCONCLUSIVE
+            print(f"{tree}: {name} exited {done.returncode}\n{done.stderr}",
+                  file=sys.stderr)
+            ok = False
+    return ok
+
+
+def compare(dir_a, dir_b):
+    """Print "same" or "differs" for each file of either directory; True
+    when every file is in both, byte for byte."""
+    names = sorted({p.name for p in Path(dir_a).iterdir()}
+                   | {p.name for p in Path(dir_b).iterdir()})
+    same = True
+    for name in names:
+        a, b = Path(dir_a, name), Path(dir_b, name)
+        equal = a.is_file() and b.is_file() and a.read_bytes() == b.read_bytes()
+        print(f"{'same' if equal else 'differs':8s}{name}")
+        same = same and equal
+    return same
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        sys.exit(__doc__)
+    other = Path(argv[0]).resolve()
+    with tempfile.TemporaryDirectory() as tmp:
+        manifests = _manifests(tmp)
+        here, there = Path(tmp, "this"), Path(tmp, "other")
+        ran = [run_tree(tree, manifests, out)
+               for tree, out in ((ROOT, here), (other, there))]
+        return 0 if compare(here, there) and all(ran) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
