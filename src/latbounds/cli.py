@@ -148,12 +148,7 @@ def _check_v(params, L, rng):
         return np.zeros(L.dim)
     if type(v) is not list or any(type(x) not in (int, float) for x in v):
         raise ManifestError(f"v must be a list of numbers or 'random', got {v!r}")
-    v = np.asarray(v, dtype=float)
-    if v.shape != (L.dim,):
-        raise ManifestError(f"v has shape {v.shape}, the lattice needs "
-                            f"{L.dim} coordinates")
-    if not np.all(np.isfinite(v)):
-        raise ManifestError("v must be finite")
+    v = L.shift(v)
     # the enumeration counts coefficients in floats; refusing here keeps
     # the test function from being evaluated (and overflowing) that far out
     if not np.all(np.abs(np.linalg.solve(L.basis.T, v)) < 2.0 ** 52):
@@ -403,9 +398,9 @@ def cmd_check(args):
     if "v" in params:
         params["v"] = _parse_list(params["v"], float, "v")
     params["lattice"] = args.lattice
-    manifest = {"budgets": {"nodes": args.node_budget,
-                            "grid": getattr(args, "grid_budget",
-                                            DEFAULT_GRID_BUDGET)},
+    given = {"nodes": args.node_budget,
+             "grid": getattr(args, "grid_budget", None)}
+    manifest = {"budgets": {k: b for k, b in given.items() if b is not None},
                 "checks": [{"check_name": args.check, "params": params}]}
     report = run_manifest(manifest, os.getcwd())
     rec = report["records"][0]
@@ -479,37 +474,35 @@ def _build_parser():
         if tfun:
             p.add_argument("--family", required=True,
                            help="test function family")
-            p.add_argument("--p", type=float, default=None,
-                           help="supergaussian exponent")
-            p.add_argument("--v", default=None,
-                           help="shift vector, comma-separated")
-            p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
+            p.add_argument("--p", type=float, help="supergaussian exponent")
+            p.add_argument("--v", help="shift vector, comma-separated")
+            p.add_argument("--tol", type=float)
+        p.add_argument("--node-budget", type=int)
 
     p = sub.add_parser("theta", help="certified lattice sum")
     common(p)
-    p.add_argument("--t", type=float, default=1.0, help="dilation, sums f((x+v)/t)")
+    p.add_argument("--t", type=float, help="dilation, sums f((x+v)/t)")
     p.set_defaults(func=cmd_check, check="theta")
 
     p = sub.add_parser("psf", help="summation identity residual")
     common(p)
-    p.add_argument("--t", type=float, default=1.0)
+    p.add_argument("--t", type=float)
     p.add_argument("--max-residual", type=float, default=math.inf)
     p.set_defaults(func=cmd_check, check="psf")
 
     p = sub.add_parser("tail", help="mass outside a body vs certified bound")
     common(p)
-    p.add_argument("--radius", type=float, default=None)
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--tscale", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=None)
+    p.add_argument("--radius", type=float)
+    p.add_argument("--tau", type=float)
+    p.add_argument("--tscale", type=float)
+    p.add_argument("--alpha", type=float)
     p.set_defaults(func=cmd_check, check="tail_inequality")
 
     p = sub.add_parser("transference", help="sigma * dual covering radius vs bound")
     common(p, tfun=False)
     p.add_argument("--p", type=float, required=True, help="1 or 2")
-    p.add_argument("--resolution", type=int, default=64)
-    p.add_argument("--grid-budget", type=int, default=DEFAULT_GRID_BUDGET,
+    p.add_argument("--resolution", type=int)
+    p.add_argument("--grid-budget", type=int,
                    help="cap on the cube centres the covering-radius search "
                         "evaluates; past it the check stops with an error")
     p.set_defaults(func=cmd_check, check="transference")
@@ -517,7 +510,7 @@ def _build_parser():
     p = sub.add_parser("kissing", help="short vector census vs cap")
     common(p, tfun=False)
     p.add_argument("--p", type=float, required=True)
-    p.add_argument("--u", type=float, default=1.0)
+    p.add_argument("--u", type=float)
     p.set_defaults(func=cmd_check, check="handshake")
 
     p = sub.add_parser("constants", help="closed-form constants and grids")
@@ -528,9 +521,8 @@ def _build_parser():
 
     p = sub.add_parser("verify", help="run a manifest of checks")
     p.add_argument("manifest", help="manifest JSON file")
-    p.add_argument("--output", default=None,
-                   help="report path (overrides the manifest)")
-    p.add_argument("--plot-csv", default=None,
+    p.add_argument("--output", help="report path (overrides the manifest)")
+    p.add_argument("--plot-csv",
                    help="write radius/tail/bound curves for tail checks")
     p.set_defaults(func=cmd_verify)
     return top

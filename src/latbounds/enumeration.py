@@ -210,16 +210,13 @@ def ball_blocks(L: Lattice, v, r: float, p: float = 2,
     ||x + v||_p <= r, each once, unordered: coords (m, n) int64 in the basis
     of L, embeddings coords @ basis, rounded as in one product over all
     points.  Exact: no point of the ball is missed and none outside is
-    returned (boundary ties resolved within 1e-12 relative).  Raises
-    BudgetExceededError once the search tree outgrows node_budget.
+    returned (boundary ties resolved within 1e-12 relative).  v is read by
+    ``L.shift``.  Raises BudgetExceededError once the search tree outgrows
+    node_budget.
     """
     if not r >= 0:
         raise ValueError("radius must be nonnegative")
-    v = np.asarray(v, dtype=float)
-    if v.shape != (L.dim,):
-        raise ValueError(f"v must have shape ({L.dim},)")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("v must be finite")
+    v = L.shift(v)
     reduced, U = lll_reduce(L, return_transform=True)
     shift = reduced.coefficients(v)
     # U is the identity when its n nonzero entries are the diagonal's 1s

@@ -184,6 +184,14 @@ def check_hypotheses(spec: TestFunctionSpec, samples: int = 10000, seed: int = 0
 
     Sampling is deterministic for a given seed.  Violations beyond a 1e-9
     margin are counted and reported as data, never raised.
+
+    On the table route (fractional p) the first two cannot fail:
+    build_transform_table clamps the values nonnegative and non-increasing,
+    and the table interpolates them linearly, then continues with a
+    positive decreasing power law, so fhat, their product over the
+    coordinates, is nonnegative and falls along every ray, up to rounding
+    far inside the margin.  There they test the clamp; the test of fhat_p
+    itself is the build's 4 tol clamp check.
     """
     rng = np.random.default_rng(seed)
     rep = HypothesisReport()

@@ -70,6 +70,17 @@ class Lattice:
         """Ambient points -> real coefficient rows in this basis."""
         return np.asarray(points, dtype=float) @ self._inverse
 
+    def shift(self, v):
+        """v as a float array of shape (dim,), every entry finite, or a
+        ValueError: the one reader of a shift of this lattice."""
+        v = np.asarray(v, dtype=float)
+        if v.shape != (self.dim,):
+            raise ValueError(f"v must have shape ({self.dim},): the lattice "
+                             f"needs {self.dim} coordinates, got {v.shape}")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("v must be finite")
+        return v
+
     @cached_property
     def _inverse(self):
         # a failed condition check raises and stores nothing

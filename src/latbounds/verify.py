@@ -435,9 +435,10 @@ def _sums(L, spec, v, t, target_tol, node_budget, terms):
     enumeration) until tail, the certified bound on the mass of the terms
     with ||lambda+v||_q >= S, drops below target_tol relative to the larger
     of the origin term and the term at the rounded (Babai) point nearest
-    -v, a positive lower bound on the sum.  terms maps each block of the
-    ball ||lambda+v||_q <= S, v a float array, as (embeddings, values of
-    f, drift), to its columns, each summed once, exactly rounded
+    -v, a positive lower bound on the sum.  v is a shift its callers have
+    read by ``L.shift``, or zeros.  terms maps each block of the ball
+    ||lambda+v||_q <= S, as (embeddings, values of f, drift), to its
+    columns, each summed once, exactly rounded
     (``_ball_sums``).  drift bounds, per point, how far each coordinate of
     its float embedding fl(c B) lies from c B.  With w the largest column
     2-norm of B, every partial sum of c B is at most ||c||_2 w in size;
@@ -448,16 +449,12 @@ def _sums(L, spec, v, t, target_tol, node_budget, terms):
     (``_term_rounding``), whose charge is one more column of the pass, one
     entry per block.
     """
-    if t <= 0:
+    if not t > 0:  # NaN too
         raise ValueError("t must be positive")
-    if target_tol <= 0:
+    if not target_tol > 0:
         raise ValueError("target_tol must be positive")
     if spec.dim != L.dim:
         raise ValueError(f"spec dimension {spec.dim} != lattice dimension {L.dim}")
-    if v.shape != (L.dim,):
-        raise ValueError(f"v must have shape ({L.dim},)")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("v must be finite")
 
     def log_target(reduced):
         c0 = np.round(reduced.coefficients(-v))
@@ -517,13 +514,14 @@ def certified_sum(L: Lattice, spec: TestFunctionSpec, v, t: float,
     The unshifted sum (v = 0), the right side of every tail bound and of
     part 1 on L, is computed once per lattice and arguments, and kept
     while L lives; a call that raises keeps nothing.  exp_l1 is kept as the
-    p = 1 supergaussian, whose terms are the same bits.
+    p = 1 supergaussian, whose terms are the same bits.  v is read by
+    ``L.shift``.
     """
-    v = np.asarray(v, dtype=float)
+    v = L.shift(v)
     same_f = (TestFunctionSpec("supergaussian", spec.dim, 1.0)
               if spec.family == "exp_l1" else spec)
     key = (same_f, t, target_tol, node_budget)
-    unshifted = v.shape == (L.dim,) and not np.any(v)
+    unshifted = not np.any(v)
     if unshifted and key in _UNSHIFTED.get(L, ()):
         return _UNSHIFTED[L][key]
     S, tail, (partial,), rounding, npoints = _sums(
@@ -640,11 +638,10 @@ def _dual_sums(L, spec, v, t, target_tol, node_budget):
     carry that sum's tail bound, since |cos| <= 1.  The terms are signed,
     so each is covol (partial + [-h, h]), rounded outward, h the tail bound
     plus the rounding of its column, and the sin part of the phase must
-    cancel over the symmetric point set.
+    cancel over the symmetric point set.  v is read by ``L.shift``, so a
+    shift of the wrong length is refused, never broadcast.
     """
-    v = np.asarray(v, dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise ValueError("v must be finite")
+    v = L.shift(v)
     size_v = float(np.abs(v).sum())
 
     def terms(emb, vals, drift):
@@ -687,8 +684,9 @@ def dual_fhat_sum(L: Lattice, spec: TestFunctionSpec, v, target_tol: float,
         sum_{L*} fhat(mu + v)  =  covol(L) sum_L f(lambda) cos(2 pi lambda.v),
 
     which holds because every family is even.  target_tol is relative to
-    the unshifted sum (``_dual_sums`` at t = 1); the interval's two ends
-    carry the tail bound and the rounding of the signed terms.
+    the unshifted sum (``_dual_sums`` at t = 1, which reads v by
+    ``L.shift``); the interval's two ends carry the tail bound and the
+    rounding of the signed terms.
     """
     return _dual_sums(L, spec, v, 1.0, target_tol, node_budget)[0]
 
@@ -716,7 +714,7 @@ def psf_residual(L: Lattice, spec: TestFunctionSpec, v, t: float,
     if not tol < 1:
         raise ValueError(f"psf needs tol < 1, got tol = {tol:g}: the dual "
                          "side's error may exceed the sum")
-    v = np.asarray(v, dtype=float)
+    v = L.shift(v)
     diag = psf_product_diagonal(L, spec)
     lhs = certified_sum(L, spec, v, t, tol, node_budget)
     n = L.dim
@@ -816,7 +814,7 @@ def check_part1(L: Lattice, spec: TestFunctionSpec, v, t: float,
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    v = np.asarray(v, dtype=float)
+    v = L.shift(v)
     lhs = certified_sum(L, spec, v, t, tol, node_budget)
     params = _spec_params(spec, v=[float(x) for x in v], t=float(t), tol=tol)
     if t == 1.0 and not np.any(v):
@@ -877,7 +875,7 @@ def check_tail_inequality(L: Lattice, spec: TestFunctionSpec, K: BodySpec,
     every check on one lattice, spec and tol shares; at v = 0 it is also
     the shifted sum, so a second such check at v = 0 sums only its body.
     """
-    v = np.asarray(v, dtype=float)
+    v = L.shift(v)
     _body_envelope(spec, K)
     shifted = certified_sum(L, spec, v, 1.0, tol, node_budget)
     full = certified_sum(L, spec, np.zeros(L.dim), 1.0, tol, node_budget)
@@ -941,9 +939,10 @@ def check_part3(L: Lattice, spec: TestFunctionSpec, K: BodySpec, v,
     by 1/t, so the check rests on Poisson summation (a theorem, not the
     inequality under test) and works for any family and basis.  Each sum
     is an Interval whose ends carry the tail bound and the rounding of its
-    signed terms, and tol is relative to the unshifted sum.
+    signed terms, and tol is relative to the unshifted sum.  v is read by
+    ``L.shift``.
     """
-    v = np.asarray(v, dtype=float)
+    v = L.shift(v)
     coords, emb = enumerate_arrays(L, np.zeros(L.dim), K.radius, K.p,
                                    node_budget)
     nonzero = np.any(coords != 0, axis=1)
@@ -993,18 +992,18 @@ def check_handshake(L: Lattice, p: float, u: float,
 
 def check_hypothesis_sampling(spec: TestFunctionSpec, samples: int, seed: int,
                               table=None):
-    """The record of functions.check_hypotheses: PASS when no sample
-    violates a hypothesis, with the violations summed over the hypotheses
-    and the worst margin among them."""
+    """The record of functions.check_hypotheses: the claim is that no
+    sample violates a hypothesis, so it PASSes when the violations, summed
+    over the hypotheses, are at most 0, with the worst margin among them."""
     rep = check_hypotheses(spec, samples=samples, seed=seed, table=table)
     worst = min(st.worst_margin for st in rep.checks.values())
     total = sum(st.violations for st in rep.checks.values())
+    _, verdict = _verdict((total, total), (0, 0))
     return _record("hypotheses", "",
                    {"family": spec.family, "dim": spec.dim,
                     **({"p": spec.p} if spec.p is not None else {}),
                     "samples": samples, "seed": seed},
-                   PASS if rep.ok else FAIL,
-                   violations=total, worst_margin=worst)
+                   verdict, violations=total, worst_margin=worst)
 
 
 @dataclass(frozen=True)

@@ -304,6 +304,8 @@ def _manifest_argv(tmp_path, z2, budgets, params, check="theta"):
      "checks[0]: t must be a number, got '2'"),
     (lambda tmp, z2: _manifest_argv(tmp, z2, {}, {"v": ["0.1", 0.0]}),
      "checks[0]: v must be a list of numbers"),
+    (lambda tmp, z2: ["theta", z2, "--family", "gaussian", "--v", "0.3"],
+     "checks[0]: v must have shape (2,): the lattice needs 2 coordinates"),
     (lambda tmp, z2: _lattice_argv(tmp, {"dim": True, "basis": [[2.0]]}),
      "dim must be a positive integer, got True"),
     (lambda tmp, z2: _lattice_argv(tmp, {"dim": 2,
@@ -315,7 +317,8 @@ def _manifest_argv(tmp_path, z2, budgets, params, check="theta"):
 ], ids=["zero-node-budget", "negative-grid-budget", "bool-budget", "nan-t",
         "infinite-v", "string-nan-tol", "string-nan-max-residual",
         "string-nan-t", "string-nan-u", "bool-p", "string-t", "string-v",
-        "bool-dim-file", "string-basis-file", "string-and-bool-inline-basis"])
+        "short-v", "bool-dim-file", "string-basis-file",
+        "string-and-bool-inline-basis"])
 def test_malformed_budgets_and_nan_are_usage_errors(run_cli, tmp_path, z2,
                                                     argv, named):
     code, out, err = run_cli(*argv(tmp_path, z2))

@@ -45,6 +45,11 @@
   ``float`` reads ``"nan"``, ``"2"`` and ``true`` as numbers; each is read
   through ``cli._number``, which refuses all three, so a parameter added
   later is refused at planning too.
+* One reader for a shift: ``Lattice.shift`` is the only code that tests a
+  shift's shape (``v.shape``) or finiteness (``np.isfinite`` of an
+  expression naming ``v``), so the enumeration, every sum and check, and a
+  manifest's ``v`` refuse a malformed shift alike, and none broadcasts a
+  short one.
 """
 
 import ast
@@ -286,3 +291,34 @@ def test_manifest_numbers_are_read_through_number():
              and any(_reads_params(arg) for arg in node.args)]
     assert not found, ("float() of a manifest value in cli.py, lines "
                        + ", ".join(map(str, found)))
+
+
+def _tests_a_shift(node):
+    """Whether node is ``v.shape`` or an ``isfinite`` call naming ``v``."""
+    if isinstance(node, ast.Attribute) and node.attr == "shape":
+        return getattr(node.value, "id", None) == "v"
+    return (isinstance(node, ast.Call)
+            and "isfinite" in (getattr(node.func, "id", None),
+                               getattr(node.func, "attr", None))
+            and any(getattr(sub, "id", None) == "v"
+                    for arg in node.args for sub in ast.walk(arg)))
+
+
+def test_only_lattice_shift_checks_a_shift():
+    # one reader, so no caller checks a shift less than another does
+    found, defined = [], False
+    for path, tree in _modules():
+        allowed = set()
+        if path.name == "lattice.py":
+            shift = [node for cls in tree.body if isinstance(cls, ast.ClassDef)
+                     and cls.name == "Lattice" for node in cls.body
+                     if isinstance(node, ast.FunctionDef)
+                     and node.name == "shift"]
+            inside = [sub for node in shift for sub in ast.walk(node)]
+            defined = any(map(_tests_a_shift, inside))
+            allowed = set(map(id, inside))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if id(node) not in allowed and _tests_a_shift(node)]
+    assert defined, "lattice.py defines no Lattice.shift that checks v"
+    assert not found, ("a shift checked outside Lattice.shift: "
+                       + ", ".join(found))

@@ -19,7 +19,8 @@ from latbounds.enumeration import BodySpec, enumerate_arrays
 import latbounds.verify as verify
 from latbounds.errors import (BudgetExceededError, InvariantError,
                               ToleranceUnreachedError)
-from latbounds.functions import Envelope, envelope, log_f
+from latbounds.functions import (CheckStats, Envelope, HypothesisReport,
+                                 envelope, log_f)
 from latbounds.functions import TestFunctionSpec as FnSpec
 from latbounds.lattice import Lattice, _gso, dual, integer_lattice, \
     lll_reduce, lp_norm, random_unimodular_lattice
@@ -503,6 +504,28 @@ def test_non_finite_shifts_are_refused():
             dual_fhat_sum(L, spec, v, 1e-9)
         with pytest.raises(ValueError, match="finite"):
             enumerate_arrays(L, v, 2.0)
+
+
+@pytest.mark.parametrize("t, target_tol, message", [
+    (math.nan, 1e-9, "^t must be positive"),
+    (1.0, math.nan, "^target_tol must be positive")], ids=["t", "target_tol"])
+def test_a_nan_dilation_or_tolerance_is_refused(t, target_tol, message):
+    # NaN passes a test of <= 0
+    with pytest.raises(ValueError, match=message):
+        certified_sum(integer_lattice(2), FnSpec("gaussian", 2), [0.1, 0.2],
+                      t, target_tol)
+
+
+@pytest.mark.parametrize("run", [
+    lambda L, spec, K, v: dual_fhat_sum(L, spec, v, 1e-9),
+    lambda L, spec, K, v: check_part3(L, spec, K, v, nu_for_body(spec, K, 2)),
+], ids=["dual_fhat_sum", "check_part3"])
+def test_a_short_shift_is_refused_not_broadcast(run):
+    # refused, not broadcast to (0.3, 0.3)
+    L, spec = integer_lattice(2), FnSpec("gaussian", 2)
+    with pytest.raises(ValueError, match=r"v must have shape \(2,\): the "
+                       r"lattice needs 2 coordinates, got \(1,\)"):
+        run(L, spec, BodySpec(p=2.0, radius=0.99), [0.3])
 
 
 # ---------------------------------------------------------------------------
@@ -1318,6 +1341,17 @@ def test_part3_scaled_inv_cosh():
     rec = check_part3(L, spec, K, np.zeros(2), nu)
     assert rec["verdict"] == PASS
     assert 1 - 2 * nu.value > 0  # a non-vacuous instance
+
+
+@pytest.mark.parametrize("violations, verdict", [(0, PASS), (1, FAIL)])
+def test_hypothesis_sampling_verdict_counts_violations(violations, verdict,
+                                                       monkeypatch):
+    # the violations against 0, by the one verdict rule
+    stats = CheckStats(evaluated=10, violations=violations, worst_margin=-1.0)
+    monkeypatch.setattr(verify, "check_hypotheses", lambda *a, **k:
+                        HypothesisReport({"fhat_nonneg": stats}))
+    rec = verify.check_hypothesis_sampling(FnSpec("gaussian", 2), 10, 0)
+    assert (rec["violations"], rec["verdict"]) == (violations, verdict)
 
 
 # ---------------------------------------------------------------------------
