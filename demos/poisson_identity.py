@@ -4,10 +4,12 @@ covol(L) * sum_L f(lambda + v) must equal sum_{L*} fhat(mu) e(mu . v).
 The left side is certified_sum over L; for the families whose transform
 decays exponentially the right side is part 3's kernel on L* with f dilated
 by 1/t, itself a cos-weighted sum over that lattice.  Both carry certified
-remainders, so the residual is a consistency test of enumeration, duals and
-part 3's Poisson kernel at once.  exp_l1 and fractional p sum a diagonal
-dual directly, as products of 1-D series: exp_l1's in closed form,
-fractional p's from fhat_p at the exact dual points.
+remainders, so the printed residual is a certified upper end of
+|LHS - RHS| / RHS, the two intervals' relative distance rounded outward: a
+consistency test of enumeration, duals and part 3's Poisson kernel at once.
+exp_l1 and fractional p sum a diagonal dual directly, as products of 1-D
+series: exp_l1's in closed form, fractional p's from fhat_p at the exact
+dual points.
 """
 
 import numpy as np

@@ -16,9 +16,7 @@ The package has three layers:
 
 Every verdict rests on one interval rule, ``verify.Interval``, whose +, -
 and * round each end one ulp outward: sums carry rigorous remainders and
-comparisons are pessimistic, so a PASS never rests on an uncertified digit
-— except for psf, which compares point estimates: the left sum's partial
-against the centre of the right side's interval.
+comparisons are pessimistic, so a PASS never rests on an uncertified digit.
 """
 
 from .bounds import (L1TransferenceBound, NuBound, cosh_nu_bound, cstar,

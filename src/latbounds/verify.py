@@ -42,7 +42,9 @@ Poisson summation against each other, certified_sum over L and
 tests part 3's sums, and no check builds a dilated lattice.  Where fhat
 has no exponential envelope, psf sums a diagonal dual as 1-D series:
 exp_l1's in closed form, fractional p's from fhat_p at the exact points
-(fourier_1d), with a tail past r = R_TAIL.
+(fourier_1d), with a tail past r = R_TAIL.  Both sides are Intervals, and
+so is their relative difference, rounded outward (``_psf_residual``):
+psf's verdict comes from ``_verdict`` on it, like every other check's.
 
 Every check builds its report record here, through ``_record``: one
 function per check of a manifest (``check_theta``, ``check_part1``,
@@ -433,9 +435,12 @@ def _sums(L, spec, v, t, target_tol, node_budget, terms):
 
     S, in the envelope's norm q, is grown (analytically, before any
     enumeration) until tail, the certified bound on the mass of the terms
-    with ||lambda+v||_q >= S, drops below target_tol relative to the larger
-    of the origin term and the term at the rounded (Babai) point nearest
-    -v, a positive lower bound on the sum.  v is a shift its callers have
+    with ||lambda+v||_q >= S, drops below target_tol relative to the
+    largest of the origin term, the term at the rounded (Babai) point
+    nearest -v and, where the rows of the LLL basis are not exactly
+    orthogonal, so that the Babai point need not be the nearest, the terms
+    of every point within its l^2 distance of -v: each a term of the sum,
+    so a positive lower bound on it.  v is a shift its callers have
     read by ``L.shift``, or zeros.  terms maps each block of the ball
     ||lambda+v||_q <= S, as (embeddings, values of f, drift), to its
     columns, each summed once, exactly rounded
@@ -459,6 +464,14 @@ def _sums(L, spec, v, t, target_tol, node_budget, terms):
     def log_target(reduced):
         c0 = np.round(reduced.coefficients(-v))
         cand = np.vstack([np.zeros(L.dim), c0 @ reduced.basis])
+        # on exactly orthogonal rows (an exact Gram matrix) the Babai point
+        # is the nearest to -v; else the nearest is within its distance
+        rows = rational(reduced.basis) if np.any(v) else []
+        if any(sum(x * y for x, y in zip(a, b))
+               for a, b in itertools.combinations(rows, 2)):
+            r = float(np.linalg.norm(cand[1] + v))
+            cand = np.vstack([cand, enumerate_arrays(L, v, r, 2,
+                                                     node_budget)[1]])
         return (math.log(target_tol)
                 + float(np.max(log_f(spec, (cand + v) / t))))
 
@@ -691,15 +704,15 @@ def dual_fhat_sum(L: Lattice, spec: TestFunctionSpec, v, target_tol: float,
     return _dual_sums(L, spec, v, 1.0, target_tol, node_budget)[0]
 
 
-def psf_residual(L: Lattice, spec: TestFunctionSpec, v, t: float,
-                 tol: float, node_budget: int = DEFAULT_NODE_BUDGET) -> float:
-    """|LHS - RHS| / |RHS| for the summation identity
+def _psf_residual(L, spec, v, t, tol, node_budget):
+    """An Interval holding |LHS - RHS| / RHS for the summation identity
 
         sum_L f((lambda+v)/t)  =  (t^n/covol) sum_{L*} fhat(t mu) cos(2 pi mu.v),
 
-    the two ends of Poisson summation, each summed to an absolute error of
-    at most tol times the left side: certified_sum over L, and (where fhat
-    has an exponential envelope) part 3's kernel ``_dual_sums`` over the
+    the two ends of Poisson summation, each an Interval summed to an
+    absolute error of at most tol times the left side: certified_sum over
+    L, and (where fhat has an exponential envelope, so that
+    psf_product_diagonal is None) part 3's kernel ``_dual_sums`` over the
     cached L*, with g dilated by 1/s: the right side is s^n covol(L*)
     sum_{L*} g(s mu) cos(2 pi mu.v), with s = t and g = f for a self-dual
     f, and s = sqrt(pi) t and g the gaussian for supergaussian p=2, whose
@@ -707,9 +720,9 @@ def psf_residual(L: Lattice, spec: TestFunctionSpec, v, t: float,
     diagonal dual as a product of 1-D series, exp_l1's in closed form and
     fractional p's from fhat_p at the exact points, with a power-law tail
     past r = R_TAIL as the error's floor.
-    The residual compares point estimates: lhs.partial against the centre
-    of the right side's interval.  tol must be below 1: at tol >= 1 the right
-    side may carry an error larger than the sum, and its midpoint nothing.
+    Both ends of the residual are rounded outward (``Interval``), once the
+    right side's lower end is known positive.  tol must be below 1: at tol
+    >= 1 the right side may carry an error larger than the sum.
     """
     if not tol < 1:
         raise ValueError(f"psf needs tol < 1, got tol = {tol:g}: the dual "
@@ -719,27 +732,32 @@ def psf_residual(L: Lattice, spec: TestFunctionSpec, v, t: float,
     lhs = certified_sum(L, spec, v, t, tol, node_budget)
     n = L.dim
     budget = tol * max(lhs.partial, 1e-12)  # absolute error allowed the RHS
-
-    route = fhat_route(spec)
-    if route in ("self_dual", "gaussian_rescale"):
-        s, g = ((t, spec) if route == "self_dual"
-                else (math.sqrt(math.pi) * t, TestFunctionSpec("gaussian", n)))
+    if diag is None:  # self-dual, or the supergaussian at p = 2
+        s, g = ((math.sqrt(math.pi) * t, TestFunctionSpec("gaussian", n))
+                if spec.family == "supergaussian" else (t, spec))
         D = dual(L)
         scale = _in_range(t, lambda: s ** n)
         # the kernel's error is covol(L*) g(0) target_tol, times s^n here
         target_tol = budget / _in_range(
             t, lambda: scale * D.covolume * math.exp(log_f(g, np.zeros(n))))
-        shifted, _ = _dual_sums(D, g, v, 1 / s, target_tol, node_budget)
-        rhs_iv = scale * shifted
+        rhs = scale * _dual_sums(D, g, v, 1 / s, target_tol, node_budget)[0]
     else:
         factor = _in_range(t, lambda: t ** n / L.covolume)
         # cos(2 pi mu . v) factorizes over the coordinates of a diagonal dual
-        theta = diag * v
-        rhs_iv = factor * _product_fhat_sum(diag, spec, t, theta,
-                                            budget / factor)
-    rhs = 0.5 * (rhs_iv.lo + rhs_iv.hi)
-    _in_range(t, lambda: abs(rhs))  # a positive sum: 0 if it underflowed
-    return abs(lhs.partial - rhs) / abs(rhs)
+        rhs = factor * _product_fhat_sum(diag, spec, t, diag * v,
+                                         budget / factor)
+    _in_range(t, lambda: rhs.lo)  # a positive sum: 0 if it underflowed
+    diff = lhs.interval() - rhs
+    size = Interval(max(0.0, diff.lo, -diff.hi), max(-diff.lo, diff.hi))
+    return size * Interval(_down(1 / rhs.hi), _up(1 / rhs.lo))
+
+
+def psf_residual(L: Lattice, spec: TestFunctionSpec, v, t: float,
+                 tol: float, node_budget: int = DEFAULT_NODE_BUDGET) -> float:
+    """The certified upper end of |LHS - RHS| / RHS for the summation
+    identity of ``_psf_residual``: both sides are Intervals, so the exact
+    residual of the two exact sums is at most this float."""
+    return _psf_residual(L, spec, v, t, tol, node_budget).hi
 
 
 # ---------------------------------------------------------------------------
@@ -796,12 +814,15 @@ def check_theta(L: Lattice, spec: TestFunctionSpec, v, t: float,
 
 def check_psf(L: Lattice, spec: TestFunctionSpec, v, t: float, tol: float,
               max_residual: float, node_budget: int = DEFAULT_NODE_BUDGET):
-    """Check psf_residual(L, spec, v, t, tol) <= max_residual."""
-    res = psf_residual(L, spec, v, t, tol, node_budget=node_budget)
-    _, verdict = _verdict((res, res), (max_residual, max_residual))
+    """Check |LHS - RHS| / RHS <= max_residual on the residual Interval of
+    ``_psf_residual``: PASS when its upper end is at most max_residual, FAIL
+    when its lower end exceeds it.  The record's residual is the upper end,
+    psf_residual(L, spec, v, t, tol)."""
+    res = _psf_residual(L, spec, v, t, tol, node_budget)
+    _, verdict = _verdict(res, (max_residual, max_residual))
     params = _spec_params(spec, t=t, tol=tol, v=[float(x) for x in v],
                           max_residual=max_residual)
-    return _record("psf", L.name, params, verdict, residual=res)
+    return _record("psf", L.name, params, verdict, residual=res.hi)
 
 
 def check_part1(L: Lattice, spec: TestFunctionSpec, v, t: float,
@@ -812,7 +833,7 @@ def check_part1(L: Lattice, spec: TestFunctionSpec, v, t: float,
     At t=1, v=0 the two sides are the same expression; it is computed once
     and reported with margin exactly 0.
     """
-    if t < 1:
+    if not t >= 1:  # NaN too
         raise ValueError("t must be >= 1")
     v = L.shift(v)
     lhs = certified_sum(L, spec, v, t, tol, node_budget)

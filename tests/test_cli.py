@@ -221,15 +221,28 @@ def test_verify_reports_byte_identical(run_cli, tmp_path, z2):
     assert outs[0] == outs[1]
 
 
+def _psf_manifest(path, z1, max_residual):
+    return _write_manifest(path, {
+        "lattice_file": z1,
+        "checks": [{"check_name": "psf",
+                    "params": {"family": "exp_l1", "tol": 1e-6,
+                               "max_residual": max_residual}}]})
+
+
 def test_verify_failing_check_exits_one(run_cli, tmp_path, z1):
-    man = {"lattice_file": z1,
-           "checks": [{"check_name": "psf",
-                       "params": {"family": "exp_l1", "tol": 1e-6,
-                                  "max_residual": 1e-30}}]}
-    mp = _write_manifest(tmp_path / "man.json", man)
-    code, out, _ = run_cli("verify", mp)
+    # no residual, a size, meets -1: a certified FAIL
+    code, out, _ = run_cli("verify", _psf_manifest(tmp_path / "man.json", z1,
+                                                   -1))
     assert code == 1
     assert "fail=1" in out
+
+
+def test_verify_psf_inside_its_residual_exits_two(run_cli, tmp_path, z1):
+    # 1e-30 lies inside the residual interval [0, about 2.4e-7]
+    code, out, _ = run_cli("verify", _psf_manifest(tmp_path / "man.json", z1,
+                                                   1e-30))
+    assert code == 2
+    assert "inconclusive=1" in out
 
 
 def test_verify_unknown_check_rejected_before_running(run_cli, tmp_path, z1):

@@ -38,8 +38,7 @@
   them does arithmetic on an end it reads as ``.partial``,
   ``.remainder_bound``, ``.lo`` or ``.hi``, or on a name it unpacks from an
   expression that names ``Interval`` or ``.interval``, except as the one
-  operation inside ``_up(...)`` or ``_down(...)``, which rounds it outward
-  (``psf_residual``'s point estimate aside).
+  operation inside ``_up(...)`` or ``_down(...)``, which rounds it outward.
 * One reader for manifest numbers: no ``float(...)`` in ``cli`` takes a
   manifest value (a subscript or ``.get`` of ``params``) directly, since
   ``float`` reads ``"nan"``, ``"2"`` and ``true`` as numbers; each is read
@@ -223,7 +222,8 @@ def test_only_functions_states_a_decay():
 # the interval ends they must not do float arithmetic on, and the calls that
 # round the result of one such operation outward
 _INTERVAL_CHECKS = ("check_part1", "check_tail_inequality", "check_part3",
-                    "_dual_sums", "dual_fhat_sum", "transference_check",
+                    "_dual_sums", "dual_fhat_sum", "_psf_residual",
+                    "psf_residual", "check_psf", "transference_check",
                     "TransferenceReport.record")
 _ENDS = {"partial", "remainder_bound", "lo", "hi"}
 _OUTWARD = {"_up", "_down"}

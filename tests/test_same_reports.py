@@ -1,7 +1,10 @@
 """The comparison step of ``tools/same_reports.py``: two directories are the
-same only when each file is in both, byte for byte."""
+same only when each file is in both, byte for byte, and a JSON report that
+differs names each field that moved."""
 
 import importlib.util
+import json
+import math
 import pathlib
 
 import pytest
@@ -38,3 +41,28 @@ def test_compare_reports_each_file(tmp_path, capsys, other, differs):
                 for line in capsys.readouterr().out.splitlines())
     assert seen == {name: "differs" if name in differs else "same"
                     for name in FILES}
+
+
+def test_compare_names_the_fields_that_moved(tmp_path, capsys):
+    # under a differing JSON report, one line per moved field: a changed
+    # leaf, a key one side lacks, and an index past the shorter list
+    report = {"records": [{"residual": 1e-10, "verdict": "PASS"},
+                          {"residual": 2e-10, "verdict": "PASS"}]}
+    other = {"records": [{"residual": 1e-10, "verdict": "PASS"},
+                         {"residual": 3e-10, "verdict": "PASS", "lo": 0.0},
+                         {}], "summary": 1}
+    a = _tree(tmp_path / "a", {"r.json": json.dumps(report).encode(),
+                               "r.stdout": b"x\n"})
+    b = _tree(tmp_path / "b", {"r.json": json.dumps(other).encode(),
+                               "r.stdout": b"y\n"})
+    assert not same_reports.compare(a, b)
+    assert capsys.readouterr().out.split("\n") == [
+        "differs r.json", "          records[1].residual",
+        "          records[1].lo", "          records[2]",
+        "          summary", "differs r.stdout", ""]
+
+
+def test_moved_fields_reads_json_text():
+    # 1 and 1.0 are different report bytes; NaN is the same text as NaN
+    assert same_reports.moved_fields({"a": [1, math.nan]},
+                                     {"a": [1.0, math.nan]}) == ["a[0]"]

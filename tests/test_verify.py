@@ -27,7 +27,7 @@ from latbounds.lattice import Lattice, _gso, dual, integer_lattice, \
 from latbounds.transform import transform_tail_coefficient
 from latbounds.verify import (FAIL, INCONCLUSIVE, PASS, CertifiedSum,
                               Interval, _verdict, certified_sum, check_part1,
-                              check_part3, check_tail_inequality,
+                              check_part3, check_psf, check_tail_inequality,
                               dual_fhat_sum, handshake_census, nu_for_body,
                               psf_residual, transference_check)
 
@@ -810,6 +810,19 @@ def test_certified_sum_on_unsplit_lattices_contains_mpmath_oracle(
     assert _holds_primal_oracle(cs, _PRIMAL_1D[family], lattice, v, t)
 
 
+def test_certified_sum_truncates_at_the_nearest_points_term():
+    # D5's reduced rows are not orthogonal, and the Babai point nearest -v
+    # is far from the nearest point: aimed at its term, this sum took 5,244
+    # points to a remainder 1e-17 of the sum; aimed at the nearest point's
+    # term, tol is met against the sum itself
+    v = [0.625, 0.0, 0.75, 0.5, 1.0]
+    cs = certified_sum(Lattice(_d_n(5)), FnSpec("inv_cosh_product", 5),
+                       np.array(v), 0.2, 1e-9)
+    assert cs.npoints <= 3000
+    assert _holds_primal_oracle(cs, _PRIMAL_1D["inv_cosh_product"], "D5", v,
+                                0.2)
+
+
 # a rotation of Z^3, written behind a skewed integer basis U as B = fl(U Q):
 # the embedding fl(c B) then strays from c B by far more than an ulp of the
 # terms (the partial sum by up to 8.5e-12 relative on U of seed 616), which
@@ -961,14 +974,17 @@ def test_census_and_transference_pass_their_node_budget(monkeypatch):
     assert budgets == [12345, 12345]
 
 
+# the residual's upper end is about the left side's width plus the right
+# side's half-width, each at most tol of the sum: 2 tol where Poisson
+# summation holds
 @pytest.mark.parametrize("fam,lat,t,v,cap", [
-    ("gaussian", integer_lattice(2), 1.5, [0.2, 0.3], 1e-10),
+    ("gaussian", integer_lattice(2), 1.5, [0.2, 0.3], 2e-9),
     ("sech_product", integer_lattice(1), 1.0, [0.0], 1e-8),
     ("inv_cosh_product",
      Lattice(np.array([[1.0, 1.0], [0.0, 1.0]])), 1.0, [0.1, -0.3], 1e-8),
     # p=2: the gaussian on sqrt(pi) t L*, here a non-diagonal dual
     ("supergaussian", random_unimodular_lattice(2, 2), 1.5, [0.3, -0.2],
-     1e-10),
+     2e-9),
 ])
 def test_psf_residual_fast_families(fam, lat, t, v, cap):
     spec = FnSpec(fam, lat.dim, p=2.0 if fam == "supergaussian" else None)
@@ -985,7 +1001,7 @@ def test_psf_residual_exp_l1():
 def test_psf_residual_supergaussian_exact_and_table():
     res = psf_residual(integer_lattice(2), FnSpec("supergaussian", 2, p=2.0),
                        np.array([0.3, 0.0]), 1.5, 1e-9)
-    assert res <= 1e-10
+    assert res <= 2e-9  # 2 tol, as in test_psf_residual_fast_families
     res = psf_residual(integer_lattice(1), FnSpec("supergaussian", 1, p=1.5),
                        np.zeros(1), 1.0, 1e-3)
     assert res <= 1e-3
@@ -993,13 +1009,39 @@ def test_psf_residual_supergaussian_exact_and_table():
 
 def test_psf_refuses_tol_of_one_or_more():
     # at tol >= 1 the dual side's error may exceed the sum itself; just
-    # below 1 psf still runs
+    # below 1 psf still runs, and the right side's lower end stays positive,
+    # so the residual's upper end is finite (it spans both sides' widths,
+    # about 2 tol here)
     for tol in (1.0, 2.0, math.inf):
         with pytest.raises(ValueError, match="tol"):
             psf_residual(integer_lattice(2), FnSpec("gaussian", 2),
                          np.zeros(2), 1.0, tol)
-    assert psf_residual(integer_lattice(2), FnSpec("gaussian", 2),
-                        np.zeros(2), 1.0, 0.999) < 1
+    assert 0 < psf_residual(integer_lattice(2), FnSpec("gaussian", 2),
+                            np.zeros(2), 1.0, 0.999) < math.inf
+
+
+def test_psf_verdict_rests_on_the_residual_interval():
+    # an exact identity at max_residual 1e-30: the residual's lower end is
+    # 0, its upper end the two sides' widths, so the verdict is open, not
+    # a FAIL of float noise
+    rec = check_psf(integer_lattice(1), FnSpec("exp_l1", 1), np.zeros(1),
+                    1.0, 1e-6, 1e-30)
+    assert rec["verdict"] == INCONCLUSIVE
+    assert 0 < rec["residual"] <= 1e-6
+
+
+def test_psf_fails_a_right_side_off_by_one_part_in_a_million(monkeypatch):
+    # the whole residual interval lies near 1e-6, above max_residual
+    dual_sums = verify._dual_sums
+
+    def scaled(*args):
+        shifted, unshifted = dual_sums(*args)
+        return shifted * (1 + 1e-6), unshifted
+    monkeypatch.setattr(verify, "_dual_sums", scaled)
+    rec = check_psf(integer_lattice(2), FnSpec("gaussian", 2),
+                    np.array([0.2, 0.3]), 1.5, 1e-9, 1e-8)
+    assert rec["verdict"] == FAIL
+    assert 0.9e-6 < rec["residual"] < 1.1e-6
 
 
 def test_psf_scaled_diagonal_lattice():
@@ -1043,9 +1085,12 @@ def test_part1_dilation_passes():
 
 
 def test_part1_rejects_t_below_one():
-    with pytest.raises(ValueError):
-        check_part1(integer_lattice(1), FnSpec("gaussian", 1),
-                    np.zeros(1), 0.8)
+    # NaN passes a test of t < 1; it gets part 1's own message, not the
+    # kernel's "t must be positive"
+    for t in (0.8, math.nan):
+        with pytest.raises(ValueError, match="^t must be >= 1"):
+            check_part1(integer_lattice(1), FnSpec("gaussian", 1),
+                        np.zeros(1), t)
 
 
 def test_nu_for_body_dispatch():

@@ -8,12 +8,14 @@ benchmark manifests at seeds 3 and 17 into a temporary directory
 OTHER_TREE, runs ``python3 -m latbounds verify`` on each of them and on
 ``manifests/acceptance.json`` (with ``--plot-csv``), every report, stdout
 and CSV written to the temporary directory.  Prints "same" or "differs"
-for each file and exits 1 on any difference.  Both trees run the same
-manifests.
+for each file, under each JSON report that differs the path of each field
+that moved (such as ``records[12].residual``), and exits 1 on any
+difference.  Both trees run the same manifests.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -60,16 +62,44 @@ def run_tree(tree, manifests, out_dir):
     return ok
 
 
+_ABSENT = object()  # the side of a field that one JSON value lacks
+
+
+def moved_fields(a, b, path=""):
+    """The paths of the fields in which two JSON values differ, in a's
+    order and then b's: a key or an index that one side lacks, or a leaf
+    whose JSON text differs (so 1 and 1.0 differ, and NaN equals NaN)."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        keys = [*a, *(k for k in b if k not in a)]
+        return [moved for k in keys
+                for moved in moved_fields(a.get(k, _ABSENT), b.get(k, _ABSENT),
+                                          f"{path}.{k}" if path else k)]
+    if isinstance(a, list) and isinstance(b, list):
+        def at(x, i):
+            return x[i] if i < len(x) else _ABSENT
+        return [moved for i in range(max(len(a), len(b)))
+                for moved in moved_fields(at(a, i), at(b, i), f"{path}[{i}]")]
+    if a is _ABSENT or b is _ABSENT or json.dumps(a) != json.dumps(b):
+        return [path]
+    return []
+
+
 def compare(dir_a, dir_b):
-    """Print "same" or "differs" for each file of either directory; True
-    when every file is in both, byte for byte."""
+    """Print "same" or "differs" for each file of either directory, and
+    under each JSON file of both that differs, the path of each field that
+    moved; True when every file is in both, byte for byte."""
     names = sorted({p.name for p in Path(dir_a).iterdir()}
                    | {p.name for p in Path(dir_b).iterdir()})
     same = True
     for name in names:
         a, b = Path(dir_a, name), Path(dir_b, name)
-        equal = a.is_file() and b.is_file() and a.read_bytes() == b.read_bytes()
+        both = a.is_file() and b.is_file()
+        equal = both and a.read_bytes() == b.read_bytes()
         print(f"{'same' if equal else 'differs':8s}{name}")
+        if not equal and both and name.endswith(".json"):
+            for path in moved_fields(json.loads(a.read_text()),
+                                     json.loads(b.read_text())):
+                print(f"{'':8s}  {path}")
         same = same and equal
     return same
 
