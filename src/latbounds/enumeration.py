@@ -7,7 +7,9 @@ interval of c0 is handed out whole: its integers are the leaves, expanded
 block by block as they are formed, so no caller holds the whole tree.  Sums
 stream these blocks; ``enumerate_arrays`` concatenates them, unsorted, for
 shortest vectors and the covering-radius candidate sets.  Coefficients are
-counted in floats, so an interval end at 2^52 or beyond raises ValueError.
+counted in floats, so an interval end at 2^52 or beyond raises ValueError;
+a ball of radius past 2^500 is searched scaled by a power of two, exactly,
+so its squared radius stays in the floats.
 An l^p ball with p > 2 is searched as its circumscribed l^2 ball, of
 radius r n^(1/2 - 1/p).  For p < 2 each level's l^2 interval is also cut
 by a weak-duality bound on the next Gram-Schmidt coordinate, which holds
@@ -223,9 +225,13 @@ def ball_blocks(L: Lattice, v, r: float, p: float = 2,
     # (a cheaper test than a comparison with np.eye)
     identity = (np.count_nonzero(U) == L.dim
                 and bool((U.diagonal() == 1).all()))
-    for cred in _enum_coeffs(reduced.basis, shift, r, p, node_budget):
-        y = _block_matmul(cred, reduced.basis) + v
-        orig = cred[lp_norm(y, p) <= r * (1 + _BOUNDARY_SLACK)]
+    # a radius past 2^500 is searched and filtered on the ball scaled by
+    # 2^-e, which is exact and keeps r^2 and ||y||^2 in the floats
+    e = max(math.frexp(r)[1] - 500, 0)
+    basis, v_e, r_e = np.ldexp(reduced.basis, -e), np.ldexp(v, -e), math.ldexp(r, -e)
+    for cred in _enum_coeffs(basis, shift, r_e, p, node_budget):
+        y = _block_matmul(cred, basis) + v_e
+        orig = cred[lp_norm(y, p) <= r_e * (1 + _BOUNDARY_SLACK)]
         if not identity:  # cred @ I is cred: skip the int64 product
             orig = orig @ U
         if len(orig):

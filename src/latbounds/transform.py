@@ -29,9 +29,11 @@ window's ends (h is monotone), and a rounding allowance summed point by
 point.  Their strip-of-analyticity bound is the route to a proven bound.
 p = 1, p = 2 and r = 0 have closed forms.
 
-Tables hold fhat_p on adaptive nodes, built breadth-first (one batched call
-per level), and continue past the last node with C_p r^(-p-1), rescaled to
-meet the last value, from where the raw asymptote is within 5% of fhat_p.
+Tables hold fhat_p on adaptive nodes of [0, r_max], built breadth-first
+(one batched call per level), and continue past r_max as values[-1]
+(r_max/r)^(p+1): fhat_p's power-law tail C_p r^(-p-1) (Zolotarev 1986),
+through the last value.  ``_refuse_pre_asymptotic`` states where that tail
+may start, for the tables and for psf's fractional-p dual series alike.
 """
 
 from __future__ import annotations
@@ -291,13 +293,12 @@ def fourier_1d(p: float, r, tol: float = 1e-10):
 
 @dataclass
 class Transform1DTable:
-    """Tabulated fhat_p with power-law continuation beyond the last node."""
+    """fhat_p tabulated on nodes from 0 to r_max, continued past r_max by
+    its power-law tail through the last value."""
 
     p: float
     nodes: np.ndarray
     values: np.ndarray
-    tail_exponent_coeff: float  # raw asymptotic coefficient C_p
-    tail_scale: float           # continuity rescale applied past r_max
     tol: float
 
     @property
@@ -305,17 +306,11 @@ class Transform1DTable:
         return float(self.nodes[-1])
 
     def eval(self, r):
-        """Interpolated fhat_p(|r|); vectorized, nonnegative."""
+        """fhat_p(|r|): interpolated on the nodes, values[-1] (r_max/r)^(p+1)
+        past r_max; vectorized, nonnegative."""
         r = abs(np.asarray(r, dtype=float))
-        out = np.interp(r, self.nodes, self.values)
-        far = r > self.nodes[-1]
-        if np.any(far):
-            if self.tail_exponent_coeff == 0.0:
-                out = np.where(far, 0.0, out)
-            else:
-                rsafe = np.where(far, r, 1.0)  # keep 0**(-p-1) out of the unused branch
-                tail = self.tail_scale * self.tail_exponent_coeff * rsafe ** (-self.p - 1)
-                out = np.where(far, tail, out)
+        tail = self.values[-1] * (self.r_max / np.maximum(r, self.r_max)) ** (self.p + 1)
+        out = np.where(r > self.r_max, tail, np.interp(r, self.nodes, self.values))
         return out if out.ndim else float(out)
 
     def to_dict(self):
@@ -327,24 +322,20 @@ class Transform1DTable:
 R_TAIL = 96.0
 
 
-def _asymptotic(p, r, values, tol):
-    """Where the values at r are below tol or within 5% of C_p r^(-p-1)."""
-    C = transform_tail_coefficient(p)
-    return (values <= tol) | ((C > 0) & (abs(C * r ** (-p - 1) - values) <= 0.05 * abs(values)))
+def _refuse_pre_asymptotic(p, r, tol):
+    """Raise ValueError unless fhat_p(r) is below tol or within 5% of
+    C_p r^(-p-1): past r, a table and psf's dual series take that tail."""
+    value = fourier_1d(p, r, tol)[0]
+    tail = transform_tail_coefficient(p) * r ** (-p - 1)
+    if not (value <= tol or abs(tail - value) <= 0.05 * abs(value)):
+        raise ValueError(f"r = {r:g} is inside the pre-asymptotic region of "
+                         f"fhat_p at p = {p:g}: neither below tol nor within "
+                         "5% of C_p r^(-p-1)")
 
 
-def _pick_r_max(p, tol):
-    """Smallest radius in 4, 6, ..., 192 where the asymptote is trustworthy."""
-    radii = np.arange(4.0, 193.0, 2.0)
-    ok = _asymptotic(p, radii, fourier_1d(p, radii, tol)[0], tol)
-    if not ok.any():
-        raise ToleranceUnreachedError(0.05, math.inf, where=f"asymptote switch for p={p}")
-    return float(radii[np.argmax(ok)])
-
-
-def build_transform_table(p: float, r_max: float | None = None,
-                          tol: float = 1e-8) -> Transform1DTable:
-    """Adaptive table of fhat_p on [0, r_max].
+def build_transform_table(p: float, r_max: float, tol: float = 1e-8) -> Transform1DTable:
+    """Adaptive table of fhat_p on [0, r_max]; r_max must pass
+    ``_refuse_pre_asymptotic``, since ``eval`` continues past it by the tail.
 
     Of 64 equal intervals, each whose midpoint value misses the average of
     its ends by more than 5*tol is halved, and so on level by level, which
@@ -354,15 +345,7 @@ def build_transform_table(p: float, r_max: float | None = None,
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    C = transform_tail_coefficient(p)
-    if r_max is None:
-        r_max = _pick_r_max(p, tol)
-    else:
-        r_max = float(r_max)
-        if not _asymptotic(p, r_max, fourier_1d(p, r_max, tol)[0], tol):
-            raise ValueError(
-                f"r_max={r_max} is inside the pre-asymptotic region for p={p}; "
-                f"pass r_max=None to extend automatically")
+    _refuse_pre_asymptotic(p, r_max, tol)
 
     lo = np.linspace(0.0, r_max, 65)
     nodes, values = [lo], [fourier_1d(p, lo, tol)[0]]
@@ -388,10 +371,4 @@ def build_transform_table(p: float, r_max: float | None = None,
     if worst > 4 * tol:
         raise ToleranceUnreachedError(4 * tol, worst, where="monotone clamp")
 
-    if C > 0:
-        raw_tail = C * nodes[-1] ** (-p - 1)
-        tail_scale = float(clamped[-1] / raw_tail) if raw_tail > 0 else 1.0
-    else:
-        tail_scale = 0.0
-    return Transform1DTable(p=float(p), nodes=nodes, values=clamped, tail_exponent_coeff=C,
-                            tail_scale=tail_scale, tol=float(tol))
+    return Transform1DTable(p=float(p), nodes=nodes, values=clamped, tol=float(tol))

@@ -79,7 +79,7 @@ from .functions import (TestFunctionSpec, check_hypotheses, envelope,
                         fhat_route, log_f)
 from .lattice import (Lattice, distortion_bound, dual, lll_reduce, lp_norm,
                       rational, rational_matmul)
-from .transform import (R_TAIL, _asymptotic, fourier_1d,
+from .transform import (R_TAIL, _refuse_pre_asymptotic, fourier_1d,
                         transform_tail_coefficient)
 
 PASS = "PASS"
@@ -556,8 +556,8 @@ def psf_product_diagonal(L, spec):
     """|diagonal| of L*'s basis, which psf's product routes (exp_l1 and
     fractional p) sum over one coordinate at a time; None for the other
     routes.  Raises ValueError when L's basis, and so L*'s, is not exactly
-    diagonal, or when fhat_p is not yet within 5% of its asymptote at
-    R_TAIL, where the fractional-p series' tail starts, so a plan can
+    diagonal, or when R_TAIL, where the fractional-p series' tail starts,
+    is pre-asymptotic (``transform._refuse_pre_asymptotic``), so a plan can
     refuse the check before it runs."""
     route = fhat_route(spec)
     if route not in ("rational_product", "table"):
@@ -566,10 +566,8 @@ def psf_product_diagonal(L, spec):
         raise ValueError(
             f"{spec.family!r} dual sums decay too slowly for a general "
             "basis; only diagonal lattices are supported")
-    if route == "table" and not _asymptotic(
-            spec.p, R_TAIL, fourier_1d(spec.p, R_TAIL, 1e-8)[0], 1e-8):
-        raise ValueError(f"r={R_TAIL:g} is inside the pre-asymptotic region "
-                         f"for p={spec.p}, where the dual series' tail starts")
+    if route == "table":
+        _refuse_pre_asymptotic(spec.p, R_TAIL, 1e-8)
     return np.abs(np.diag(dual(L).basis)).astype(float)
 
 
@@ -720,8 +718,10 @@ def _psf_residual(L, spec, v, t, tol, node_budget):
     diagonal dual as a product of 1-D series, exp_l1's in closed form and
     fractional p's from fhat_p at the exact points, with a power-law tail
     past r = R_TAIL as the error's floor.
-    Both ends of the residual are rounded outward (``Interval``), once the
-    right side's lower end is known positive.  tol must be below 1: at tol
+    Both ends of the residual are rounded outward (``Interval``).  Where the
+    right side is not known positive (its lower end is 0 or below, as when
+    its error reaches the sum or the sum underflows), the residual is
+    [0, inf], which no max_residual decides.  tol must be below 1: at tol
     >= 1 the right side may carry an error larger than the sum.
     """
     if not tol < 1:
@@ -746,7 +746,8 @@ def _psf_residual(L, spec, v, t, tol, node_budget):
         # cos(2 pi mu . v) factorizes over the coordinates of a diagonal dual
         rhs = factor * _product_fhat_sum(diag, spec, t, diag * v,
                                          budget / factor)
-    _in_range(t, lambda: rhs.lo)  # a positive sum: 0 if it underflowed
+    if not rhs.lo > 0:
+        return Interval(0.0, math.inf)
     diff = lhs.interval() - rhs
     size = Interval(max(0.0, diff.lo, -diff.hi), max(-diff.lo, diff.hi))
     return size * Interval(_down(1 / rhs.hi), _up(1 / rhs.lo))
@@ -816,8 +817,9 @@ def check_psf(L: Lattice, spec: TestFunctionSpec, v, t: float, tol: float,
               max_residual: float, node_budget: int = DEFAULT_NODE_BUDGET):
     """Check |LHS - RHS| / RHS <= max_residual on the residual Interval of
     ``_psf_residual``: PASS when its upper end is at most max_residual, FAIL
-    when its lower end exceeds it.  The record's residual is the upper end,
-    psf_residual(L, spec, v, t, tol)."""
+    when its lower end exceeds it, INCONCLUSIVE otherwise, as always where
+    the right side is not known positive.  The record's residual is the
+    upper end, psf_residual(L, spec, v, t, tol), which is then inf."""
     res = _psf_residual(L, spec, v, t, tol, node_budget)
     _, verdict = _verdict(res, (max_residual, max_residual))
     params = _spec_params(spec, t=t, tol=tol, v=[float(x) for x in v],

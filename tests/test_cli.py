@@ -15,7 +15,7 @@ from latbounds.enumeration import BodySpec, enumerate_arrays
 from latbounds.errors import BudgetExceededError
 from latbounds.functions import TestFunctionSpec as FnSpec
 from latbounds.functions import envelope, log_f
-from latbounds.lattice import integer_lattice, lp_norm, save_lattice
+from latbounds.lattice import Lattice, integer_lattice, lp_norm, save_lattice
 from latbounds.verify import nu_for_body
 
 
@@ -243,6 +243,24 @@ def test_verify_psf_inside_its_residual_exits_two(run_cli, tmp_path, z1):
                                                    1e-30))
     assert code == 2
     assert "inconclusive=1" in out
+
+
+@pytest.mark.parametrize("t, residual", [(0.1, math.inf), (0.2, 4.5e-6)])
+def test_verify_psf_right_side_not_known_positive_exits_two(run_cli, tmp_path,
+                                                            t, residual):
+    # at t = 0.1 the sum is about 2e-34, far below the right side's error,
+    # which the dual kernel charges against the unshifted sum: its interval
+    # holds 0, so the residual is [0, inf] and decides nothing; at t = 0.2
+    # the right side is positive, and its residual still holds max_residual
+    params = {"family": "gaussian", "v": [0.5], "t": t, "tol": 1e-9,
+              "max_residual": 1e-8, "lattice": {"kind": "integer", "dim": 1}}
+    code, _, report = _verify_one(run_cli, tmp_path, "psf", params)
+    assert code == 2
+    (rec,) = report["records"]
+    assert rec["verdict"] == "INCONCLUSIVE"
+    assert rec["residual"] == pytest.approx(residual, rel=0.01)
+    assert verify.psf_residual(integer_lattice(1), FnSpec("gaussian", 1), [0.5],
+                               t, 1e-9) == pytest.approx(residual, rel=0.01)
 
 
 def test_verify_unknown_check_rejected_before_running(run_cli, tmp_path, z1):
@@ -540,7 +558,7 @@ def _verify_one(run_cli, tmp_path, name, params):
                            "output": "r.json"})
     code, _, err = run_cli("verify", man)
     report = tmp_path / "r.json"
-    return code, err, json.loads(report.read_text()) if code == 0 else None
+    return code, err, json.loads(report.read_text()) if code <= 2 else None
 
 
 def test_tiny_tail_past_the_floats_is_certified(run_cli, tmp_path):
@@ -568,6 +586,17 @@ def test_tiny_tail_past_the_floats_is_certified(run_cli, tmp_path):
         "family": "gaussian", "t": 1.19e-7, "tol": 1e-9, "max_residual": 1.0,
         "v": [1.0, 0.5], "lattice": _diag(2.36e139, 1e150)})
     assert code == 4 and "budget" in err and "tail presolve" not in err
+
+
+def test_theta_on_a_ball_past_the_floats_squared(run_cli, tmp_path):
+    # the ball's radius, about 2.4e155, squared leaves the floats: the
+    # search runs scaled by a power of two and certifies its 37 points
+    path = tmp_path / "coarse.json"
+    save_lattice(Lattice([[1.3e154]]), path)
+    code, out, _ = run_cli("theta", str(path), "--family", "supergaussian",
+                           "--p", "1.99", "--t", "5e154", "--v", "0")
+    assert code == 0
+    assert get_field(out, "npoints") == "37"
 
 
 def test_underflowing_terms_name_the_underflow(run_cli, tmp_path):

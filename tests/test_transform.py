@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import re
 import tracemalloc
 
 import mpmath
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from latbounds import transform
+from latbounds.cli import plan_manifest
 from latbounds.errors import ToleranceUnreachedError
 from latbounds.transform import (build_transform_table, fourier_1d,
                                  transform_tail_coefficient)
@@ -361,6 +363,32 @@ def test_table_asymptote_continuity(table15):
     below = t.eval(t.r_max - eps)
     above = t.eval(t.r_max + eps)
     assert abs(below - above) <= 5 * t.tol + 1e-9
+
+
+@pytest.mark.parametrize("name", ["table15", "table05"])
+def test_table_continues_past_r_max_by_its_tail(request, name):
+    # past r_max, values[-1] (r_max/r)^(p+1): the tail C_p r^(-p-1) through
+    # the last value, so within the 5% that r_max was checked to
+    t = request.getfixturevalue(name)
+    C = transform_tail_coefficient(t.p)
+    for r in (2 * t.r_max, 10 * t.r_max):
+        want = t.values[-1] * (t.r_max / r) ** (t.p + 1)
+        assert abs(t.eval(r) - want) <= 4 * math.ulp(want)
+        assert abs(t.eval(r) - C * r ** (-t.p - 1)) <= 0.05 * C * r ** (-t.p - 1)
+
+
+@pytest.mark.parametrize("refused", [
+    lambda: build_transform_table(1e-3, r_max=96.0),
+    lambda: plan_manifest({"checks": [{"check_name": "psf", "params": {
+        "family": "supergaussian", "p": 1e-3, "max_residual": 1e-6,
+        "lattice": {"kind": "integer", "dim": 2}}}]}, "."),
+], ids=["table", "psf-plan"])
+def test_pre_asymptotic_radius_is_refused_alike(refused):
+    # fhat_p at p = 1e-3 is far from its tail at r = 96 (R_TAIL): a table
+    # and psf's dual series refuse it through one check, in one message
+    with pytest.raises(ValueError, match=re.escape(
+            "r = 96 is inside the pre-asymptotic region of fhat_p at p = 0.001")):
+        refused()
 
 
 def test_table_to_dict_keeps_what_the_benchmark_reads(table15):

@@ -369,6 +369,22 @@ def test_tail_past_the_floats_keeps_its_bound():
     assert mass <= tail <= 1e-9
 
 
+def test_ball_whose_radius_squared_leaves_the_floats_is_summed():
+    # the sum's ball has radius S ~ 2.4e155, whose square, and the squared
+    # norms of its points, leave the floats: it is searched and filtered
+    # scaled by a power of two, and holds the 37 points |k| <= 18
+    L = Lattice([[1.3e154]])
+    cs = verify.certified_sum(L, FnSpec("supergaussian", 1, p=1.99), [0.0],
+                              5e154, 1e-9)
+    assert cs.npoints == 37
+    assert cs.remainder_bound <= 1e-9 * cs.partial
+    with mpmath.workdps(30):
+        a, p = mpmath.mpf(1.3e154) / mpmath.mpf(5e154), mpmath.mpf(1.99)
+        exact = mpmath.fsum(mpmath.exp(-abs(k * a) ** p)
+                            for k in range(-200, 201))
+    assert _contains(cs.interval(), exact)
+
+
 # beta per q and n, as (low, high): wide envelopes, where the bound is
 # nearly tight (the exact tail reaches 0.986 of it for exp_l1 on Z^1), only
 # in 1-D, so that the brute-force balls stay small

@@ -7,9 +7,13 @@ benchmark manifests at seeds 3 and 17 into a temporary directory
 (``perfbench/workloads.write_manifest``), then, in this tree and in
 OTHER_TREE, runs ``python3 -m latbounds verify`` on each of them and on
 ``manifests/acceptance.json`` (with ``--plot-csv``), every report, stdout
-and CSV written to the temporary directory.  Prints "same" or "differs"
-for each file, under each JSON report that differs the path of each field
-that moved (such as ``records[12].residual``), and exits 1 on any
+and CSV written to the temporary directory.  It also plans each manifest
+with the tree's code and writes the ``p``, ``nodes`` and ``values`` of every
+transform table that planning builds (the ``hypotheses`` plans' ``table``)
+to NAME.tables.json, each float as its shortest round-trip text, so that
+"same" means the same bits.  Prints "same" or "differs" for each file,
+under each JSON file that differs the path of each field that moved (such
+as ``records[12].residual`` or ``[0].values[17]``), and exits 1 on any
 difference.  Both trees run the same manifests.
 """
 
@@ -39,10 +43,30 @@ def _manifests(out_dir):
     return paths
 
 
+# run in a tree's interpreter: MANIFEST OUT; writes the tables that
+# planning MANIFEST builds, each once, in the order they are first used
+_TABLES = """
+import functools, json, os, sys
+import latbounds.cli as cli
+path, out = sys.argv[1:]
+plans = cli.plan_manifest(cli.read_manifest(path),
+                          os.path.dirname(os.path.abspath(path)))
+tables = {}
+for plan in plans:
+    table = plan.keywords.get("table") if isinstance(plan, functools.partial) else None
+    if table is not None:
+        tables[id(table)] = {"p": table.p, "nodes": table.nodes.tolist(),
+                             "values": table.values.tolist()}
+with open(out, "w") as fh:
+    json.dump(list(tables.values()), fh)
+"""
+
+
 def run_tree(tree, manifests, out_dir):
     """Run ``latbounds verify`` from tree on every manifest, writing
-    NAME.json, NAME.stdout and, for acceptance, NAME.csv to out_dir; True
-    when every run ended in a verdict (exit 0, 1 or 2)."""
+    NAME.json, NAME.stdout and, for acceptance, NAME.csv to out_dir, and
+    the tables its planning builds to NAME.tables.json; True when every
+    run ended in a verdict (exit 0, 1 or 2) and every plan was written."""
     os.makedirs(out_dir, exist_ok=True)
     ok = True
     env = {**os.environ, "PYTHONPATH": str(Path(tree, "src"))}
@@ -55,9 +79,16 @@ def run_tree(tree, manifests, out_dir):
         done = subprocess.run(cmd, env=env, cwd=tree, capture_output=True,
                               text=True)
         Path(f"{out}.stdout").write_text(done.stdout)
+        tables = subprocess.run(
+            [sys.executable, "-c", _TABLES, path, f"{out}.tables.json"],
+            env=env, cwd=tree, capture_output=True, text=True)
         if done.returncode > 2:  # past PASS, FAIL and INCONCLUSIVE
             print(f"{tree}: {name} exited {done.returncode}\n{done.stderr}",
                   file=sys.stderr)
+            ok = False
+        if tables.returncode:
+            print(f"{tree}: {name} tables exited {tables.returncode}\n"
+                  f"{tables.stderr}", file=sys.stderr)
             ok = False
     return ok
 
