@@ -3,7 +3,9 @@
 The engine enumerates lattice points out to a radius where the tail of the
 test function is provably below tolerance, then reports partial sum plus a
 rigorous bound on everything it did not visit, and a bound on the rounding
-of the float terms it did.
+of the float terms it did.  On a split lattice, exactly a sum of axis
+lattices d_j Z as Z^2 and its skewed basis below are, the sum is the
+product of such 1-D sums, one per coordinate.
 """
 
 import numpy as np

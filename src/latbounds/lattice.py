@@ -96,6 +96,30 @@ class Lattice:
         return Lattice(self._inverse.T, name=f"{self.name}*")
 
     @cached_property
+    def _axes(self):
+        """The axis lattices d_j Z, one per coordinate, when this lattice is
+        exactly their sum (+)_j d_j Z e_j (a split lattice), else None.
+
+        With g_j the gcd of column j of the exact basis B, every lattice
+        point's j-th coordinate lies in g_j Z, so the lattice lies in
+        (+)_j g_j Z e_j, and equals it exactly when it holds every g_j e_j:
+        when diag(g) B^-1, their coefficients, is integral in rationals.
+        g_j divides a float of the column and has the least power of two of
+        its entries, so it is a float.  Coordinates of one spacing share one
+        axis lattice, so each is reduced once.
+        """
+        columns = [list(col) for col in zip(*rational(self.basis))]
+        gaps = [_rational_gcd(col) for col in columns]
+        G = [[g if i == j else Fraction(0) for j in range(self.dim)]
+             for i, g in enumerate(gaps)]
+        if any(x.denominator != 1
+               for row in rational_solve(columns, G) for x in row):
+            return None
+        axes = {g: Lattice([[float(g)]], name=f"{float(g):g}Z")
+                for g in set(gaps)}
+        return tuple(axes[g] for g in gaps)
+
+    @cached_property
     def _reduction(self):
         reduced, U = _lll(self)
         U.setflags(write=False)
@@ -194,6 +218,12 @@ def rational(A):
     """Exact copy of a float or integer matrix as lists of Fractions (every
     float is a dyadic rational)."""
     return [[Fraction(x) for x in row] for row in np.asarray(A).tolist()]
+
+
+def _rational_gcd(xs):
+    """The greatest positive rational g with every x of xs in g Z."""
+    den = math.lcm(*(x.denominator for x in xs))
+    return Fraction(math.gcd(*(int(x * den) for x in xs)), den)
 
 
 def rational_matmul(A, C):

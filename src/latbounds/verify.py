@@ -9,11 +9,15 @@ picks the truncation radius and its tail bound, and runs one pass of
 holding no points, into one exactly rounded math.fsum per column.  Its
 callers are term maps: certified_sum's one column and ``_dual_sums``'s
 three; the charges for the terms' rounding are more columns of the same
-pass, one entry per block.  certified_sum keeps each unshifted sum (v = 0)
-while its lattice lives, so the right side of every tail check and of part
-1 on one lattice, spec and tol is summed once; a tail check adds the
-shifted sum when v != 0 and one pass over its body alone, the exact mass
-inside it.  The remainder rests on an exponential envelope: the centred
+pass, one entry per block.  On a split lattice, exactly the sum of its
+axis lattices d_j Z (Z^n, a sheared Z^n, a diagonal lattice),
+certified_sum multiplies the kernel's certified 1-D sums instead: every
+family is a product over coordinates.  certified_sum keeps each unshifted
+sum (v = 0) while its lattice lives, so the right side of every tail check
+and of part 1 on one lattice, spec and tol is summed once; a tail check
+adds the shifted sum when v != 0 and one pass over its body alone, the
+mass inside it, charged for its own term rounding on every route.  The
+remainder rests on an exponential envelope: the centred
 cells, tiling space, of the points past the truncation radius tile a
 region where the envelope integrates to an upper incomplete gamma
 function, bounded by integration by parts with a derived rounding
@@ -73,12 +77,12 @@ from .enumeration import (_BOUNDARY_SLACK, _U, DEFAULT_GRID_BUDGET,
                           DEFAULT_NODE_BUDGET, BodySpec, _cell_bounds,
                           ball_blocks, covering_radius_estimate,
                           enumerate_arrays, shortest_vector, transport_bracket)
-from .errors import (BudgetExceededError, InvariantError,
-                     ToleranceUnreachedError)
+from .errors import (BudgetExceededError, IllConditionedBasisError,
+                     InvariantError, ToleranceUnreachedError)
 from .functions import (TestFunctionSpec, check_hypotheses, envelope,
                         fhat_route, log_f)
-from .lattice import (Lattice, distortion_bound, dual, lll_reduce, lp_norm,
-                      rational, rational_matmul)
+from .lattice import (COND_THRESHOLD, Lattice, distortion_bound, dual,
+                      lll_reduce, lp_norm, rational, rational_matmul)
 from .transform import (R_TAIL, _refuse_pre_asymptotic, fourier_1d,
                         transform_tail_coefficient)
 
@@ -147,6 +151,9 @@ class CertifiedSum:
     tail.  So the true sum lies in [partial - rounding, partial +
     remainder_bound + rounding] (interval(), rounded outward).
     truncation_radius is measured on (lambda + v)/t in the family's norm.
+    On a split lattice the sum is a product of 1-D ones: partial is the
+    float product of their partials, npoints counts their terms and
+    truncation_radius is the largest of theirs (``certified_sum``).
     """
 
     partial: float
@@ -429,56 +436,32 @@ def _term_rounding(charge, npoints):
     return _up(1.01 * charge + 5 * npoints * math.ulp(0.0))
 
 
-def _sums(L, spec, v, t, target_tol, node_budget, terms):
-    """(S, tail, column sums, term rounding, npoints): the one truncation
-    and the one pass of every certified sum of f((lambda+v)/t) over L.
-
-    S, in the envelope's norm q, is grown (analytically, before any
-    enumeration) until tail, the certified bound on the mass of the terms
-    with ||lambda+v||_q >= S, drops below target_tol relative to the
-    largest of the origin term, the term at the rounded (Babai) point
-    nearest -v and, where the rows of the LLL basis are not exactly
-    orthogonal, so that the Babai point need not be the nearest, the terms
-    of every point within its l^2 distance of -v: each a term of the sum,
-    so a positive lower bound on it.  v is a shift its callers have
-    read by ``L.shift``, or zeros.  terms maps each block of the ball
-    ||lambda+v||_q <= S, as (embeddings, values of f, drift), to its
-    columns, each summed once, exactly rounded
-    (``_ball_sums``).  drift bounds, per point, how far each coordinate of
-    its float embedding fl(c B) lies from c B.  With w the largest column
-    2-norm of B, every partial sum of c B is at most ||c||_2 w in size;
-    where B's entries are multiples of 2^-k and ||c||_2 w <= 2^(53-k), they
-    are all floats and the embedding is exact (drift 0, or None for a whole
-    block), and else drift is gamma_n ||c||_2 w.  The term rounding bounds
-    the summed distance of the float values of f from the exact ones
-    (``_term_rounding``), whose charge is one more column of the pass, one
-    entry per block.
-    """
+def _scaled(L, spec, t, target_tol):
+    """beta_eff = beta / t^q of spec's envelope, once the arguments of a
+    certified sum of f((lambda+v)/t) over L are checked: every route
+    refuses the same inputs with the same errors."""
     if not t > 0:  # NaN too
         raise ValueError("t must be positive")
     if not target_tol > 0:
         raise ValueError("target_tol must be positive")
     if spec.dim != L.dim:
         raise ValueError(f"spec dimension {spec.dim} != lattice dimension {L.dim}")
-
-    def log_target(reduced):
-        c0 = np.round(reduced.coefficients(-v))
-        cand = np.vstack([np.zeros(L.dim), c0 @ reduced.basis])
-        # on exactly orthogonal rows (an exact Gram matrix) the Babai point
-        # is the nearest to -v; else the nearest is within its distance
-        rows = rational(reduced.basis) if np.any(v) else []
-        if any(sum(x * y for x, y in zip(a, b))
-               for a, b in itertools.combinations(rows, 2)):
-            r = float(np.linalg.norm(cand[1] + v))
-            cand = np.vstack([cand, enumerate_arrays(L, v, r, 2,
-                                                     node_budget)[1]])
-        return (math.log(target_tol)
-                + float(np.max(log_f(spec, (cand + v) / t))))
-
     env = envelope(spec)
-    beta_eff = _in_range(t, lambda: env.beta / t ** env.q)
-    S, tail = _truncated(L, env, beta_eff, log_target)
-    n = L.dim
+    return _in_range(t, lambda: env.beta / t ** env.q)
+
+
+def _charged(L, spec, v, t, terms):
+    """The term map of a pass over the blocks of L (``_ball_sums``) that
+    charges each block the rounding of its float terms f((x+v)/t):
+    (charge, *terms(embeddings, values of f, drift)), the charge one entry
+    per block and summed over the pass for ``_term_rounding``.  drift
+    bounds, per point, how far each coordinate of its float embedding
+    fl(c B) lies from c B.  With w the largest column 2-norm of B, every
+    partial sum of c B is at most ||c||_2 w in size; where B's entries are
+    multiples of 2^-k and ||c||_2 w <= 2^(53-k), they are all floats and
+    the embedding is exact (drift 0, or None for a whole block), and else
+    drift is gamma_n ||c||_2 w."""
+    env, n = envelope(spec), L.dim
     # the largest column 2-norm of B, with room for the rounding of reach
     width = float(np.sqrt((L.basis * L.basis).sum(axis=0).max())) * (
         1 + 2.0 ** -40)
@@ -504,10 +487,65 @@ def _sums(L, spec, v, t, target_tol, node_budget, terms):
         charge = (np.dot(vals, slip + 8 * _U)
                   if slip.max(initial=0.0) <= 2.0 ** -10 else math.inf)
         return charge, *terms(emb, vals, drift)
+    return charged
 
+
+def _sums(L, spec, v, t, target_tol, node_budget, terms):
+    """(S, tail, column sums, term rounding, npoints): the one truncation
+    and the one pass of every certified sum of f((lambda+v)/t) over L.
+
+    S, in the envelope's norm q, is grown (analytically, before any
+    enumeration) until tail, the certified bound on the mass of the terms
+    with ||lambda+v||_q >= S, drops below target_tol relative to the
+    largest of the origin term, the term at the rounded (Babai) point
+    nearest -v and, where the rows of the LLL basis are not exactly
+    orthogonal, so that the Babai point need not be the nearest, the terms
+    of every point within its l^2 distance of -v: each a term of the sum,
+    so a positive lower bound on it.  v is a shift its callers have
+    read by ``L.shift``, or zeros.  terms maps each block of the ball
+    ||lambda+v||_q <= S, as (embeddings, values of f, drift), to its
+    columns, each summed once, exactly rounded (``_ball_sums``); the
+    term rounding bounds the summed distance of the float values of f from
+    the exact ones (``_term_rounding``), whose charge is one more column
+    of the pass (``_charged``).
+    """
+    beta_eff = _scaled(L, spec, t, target_tol)
+
+    def log_target(reduced):
+        c0 = np.round(reduced.coefficients(-v))
+        cand = np.vstack([np.zeros(L.dim), c0 @ reduced.basis])
+        # on exactly orthogonal rows (an exact Gram matrix) the Babai point
+        # is the nearest to -v; else the nearest is within its distance
+        rows = rational(reduced.basis) if np.any(v) else []
+        if any(sum(x * y for x, y in zip(a, b))
+               for a, b in itertools.combinations(rows, 2)):
+            r = float(np.linalg.norm(cand[1] + v))
+            cand = np.vstack([cand, enumerate_arrays(L, v, r, 2,
+                                                     node_budget)[1]])
+        top = float(np.max(log_f(spec, (cand + v) / t)))
+        # every such term is 0 in floats: no relative tolerance can be met
+        return math.log(target_tol) + top if math.exp(top) > 0 else -math.inf
+
+    env = envelope(spec)
+    S, tail = _truncated(L, env, beta_eff, log_target)
     (charge, *sums), npoints = _ball_sums(L, v, S, env.q, node_budget,
-                                          charged)
+                                          _charged(L, spec, v, t, terms))
     return S, tail, sums, _term_rounding(charge, npoints), npoints
+
+
+def _body_sums(L, spec, v, r, p, node_budget, terms):
+    """Intervals, one per column of terms, holding the exact sum of f(x +
+    v) over that column's points: one pass over the ball ||x + v||_p <= r
+    (a tail body), each column a part of its terms.  A column is an exactly
+    rounded fsum (``_ball_sums``), within u of itself of the sum of its
+    float terms, and those are within the pass's term rounding, charged as
+    the kernel ``_sums`` charges every ball (``_charged``), of the exact
+    ones; each end is rounded outward."""
+    (charge, *sums), npoints = _ball_sums(L, v, r, p, node_budget,
+                                          _charged(L, spec, v, 1.0, terms))
+    rounding = _term_rounding(charge, npoints)
+    return [mass + Interval(-_up(rounding + _U * mass),
+                            _up(rounding + _U * mass)) for mass in sums]
 
 
 # L -> {(spec, t, target_tol, node_budget): its unshifted CertifiedSum}, one
@@ -520,9 +558,26 @@ def certified_sum(L: Lattice, spec: TestFunctionSpec, v, t: float,
                   target_tol: float,
                   node_budget: int = DEFAULT_NODE_BUDGET) -> CertifiedSum:
     """Sum of f((lambda+v)/t) over the lattice, with certified remainder
-    and rounding: the kernel ``_sums`` with the terms as its one column, so
-    it sums the points with ||(lambda+v)/t||_q <= R = S/t in the family's
-    natural norm q, the tail bound below target_tol relative to the sum.
+    and rounding, the tail bound below target_tol relative to the sum.
+
+    A lattice that is not split, and every 1-D one, is searched: the
+    kernel ``_sums``, with the terms as its one column, sums the points with
+    ||(lambda+v)/t||_q <= R = S/t in the family's natural norm q.  A split
+    lattice of dimension n > 1, exactly (+)_j d_j Z e_j (``Lattice._axes``:
+    Z^n, every sheared Z^n and every diagonal lattice), is summed as a
+    product: every family is one over coordinates, f(x) = prod_j g(x_j),
+    so the sum is prod_j sum_k g((d_j k + v_j)/t), nothing lost.  Each
+    factor is the kernel's 1-D sum on d_j Z at v_j with tol/(2n), tol =
+    min(target_tol, 1), which keeps the product's tail within (1 +
+    tol/2n)^n - 1 <= tol of it; factors of one (d_j, v_j) are
+    summed once, and their intervals multiplied, rounded outward.  partial
+    is the float product of their partial sums, rounding bounds partial
+    less the product's lower end and remainder_bound its upper end less
+    partial, so [partial, partial + remainder_bound] holds the sum without
+    rounding; npoints counts the 1-D terms summed and truncation_radius is
+    the largest 1-D radius.  Both routes refuse the same arguments
+    (``_scaled``), and a split basis whose spacings d_j are further apart
+    than a solve's condition threshold, as a solve would refuse it.
 
     The unshifted sum (v = 0), the right side of every tail bound and of
     part 1 on L, is computed once per lattice and arguments, and kept
@@ -537,12 +592,37 @@ def certified_sum(L: Lattice, spec: TestFunctionSpec, v, t: float,
     unshifted = not np.any(v)
     if unshifted and key in _UNSHIFTED.get(L, ()):
         return _UNSHIFTED[L][key]
-    S, tail, (partial,), rounding, npoints = _sums(
-        L, spec, v, t, target_tol, node_budget, lambda emb, vals, _: (vals,))
-    # the fsum of the float terms is exactly rounded: within u |partial|
-    cs = CertifiedSum(partial=partial, remainder_bound=tail,
-                      truncation_radius=S / t, npoints=npoints,
-                      rounding=_up(rounding + _U * partial))
+
+    def searched(lat, f, shift, tol):
+        S, tail, (partial,), rounding, npoints = _sums(
+            lat, f, shift, t, tol, node_budget, lambda emb, vals, _: (vals,))
+        # the fsum of the float terms is exactly rounded: within u |partial|
+        return CertifiedSum(partial=partial, remainder_bound=tail,
+                            truncation_radius=S / t, npoints=npoints,
+                            rounding=_up(rounding + _U * partial))
+    axes = L._axes if L.dim > 1 else None
+    if axes is None:
+        cs = searched(L, spec, v, target_tol)
+    else:
+        _scaled(L, spec, t, target_tol)
+        spacings = [axis.covolume for axis in axes]
+        cond = max(spacings) / min(spacings)
+        if cond > COND_THRESHOLD:
+            raise IllConditionedBasisError(cond, COND_THRESHOLD)
+        one_d = TestFunctionSpec(spec.family, 1, spec.p)
+        pairs = list(zip(axes, v.tolist()))
+        factors = {(axis, x): searched(axis, one_d, np.array([x]),
+                                       min(target_tol, 1) / (2 * L.dim))
+                   for axis, x in dict.fromkeys(pairs)}
+        each = [factors[pair] for pair in pairs]
+        lo, hi = math.prod(f.interval() for f in each)
+        partial = math.prod(f.partial for f in each)
+        cs = CertifiedSum(
+            partial=partial, remainder_bound=_up(hi - partial),
+            truncation_radius=max(f.truncation_radius
+                                  for f in factors.values()),
+            npoints=sum(f.npoints for f in factors.values()),
+            rounding=_up(partial - lo))
     if unshifted:
         _UNSHIFTED.setdefault(L, {})[key] = cs
     return cs
@@ -902,12 +982,9 @@ def check_tail_inequality(L: Lattice, spec: TestFunctionSpec, K: BodySpec,
     _body_envelope(spec, K)
     shifted = certified_sum(L, spec, v, 1.0, tol, node_budget)
     full = certified_sum(L, spec, np.zeros(L.dim), 1.0, tol, node_budget)
-    (inner,), _ = _ball_sums(L, v, K.radius, K.p, node_budget,
-                             lambda _, emb: (np.exp(log_f(spec, emb + v)),))
-    # inner, one exactly rounded fsum, is within u inner of the sum of its
-    # float terms, the bits of shifted's own terms, which its rounding
-    # bound covers
-    lhs_iv = shifted.interval() - inner * Interval(1 - 2 * _U, 1 + 2 * _U)
+    (inner,) = _body_sums(L, spec, v, K.radius, K.p, node_budget,
+                          lambda emb, vals, _: (vals,))
+    lhs_iv = shifted.interval() - inner
     rhs_iv = nu.value * full.interval()
     params = _spec_params(spec, body_p=float(K.p), body_radius=float(K.radius),
                           v=[float(x) for x in v], nu=nu.value,
@@ -926,17 +1003,16 @@ def tail_masses(L, spec, K, v, nu, record, radii,
     inside K less the mass inside rho, and the bound scales its rhs by
     nu(rho)/nu, None outside a closed form's domain and where nu = 0.  One
     pass over the ball of the largest radius sums every mass, the body cut
-    as the check cuts it, ties within 1e-12 relative kept; each mass, an
-    exactly rounded fsum, is charged 1 -+ 2u as the check charges its body,
-    and the upper end is rounded outward (``Interval``)."""
+    as the check cuts it, ties within 1e-12 relative kept; each mass is an
+    Interval charged as the check charges its body (``_body_sums``), and
+    the upper end is rounded outward."""
     cuts = [*radii, K.radius * (1 + _BOUNDARY_SLACK)]
 
-    def terms(_, emb):
-        y = emb + v
-        norms, vals = lp_norm(y, K.p), np.exp(log_f(spec, y))
+    def terms(emb, vals, _):
+        norms = lp_norm(emb + v, K.p)
         return tuple(vals[norms <= cut] for cut in cuts)
-    (*inside, inner), _ = _ball_sums(L, v, max(*radii, K.radius), K.p,
-                                     node_budget, terms)
+    *inside, inner = _body_sums(L, spec, v, max(*radii, K.radius), K.p,
+                                node_budget, terms)
 
     def bound(radius):
         try:
@@ -944,9 +1020,7 @@ def tail_masses(L, spec, K, v, nu, record, radii,
                 spec, BodySpec(K.p, float(radius)), L.dim).value
         except (ValueError, ArithmeticError):
             return None
-    charged = Interval(1 - 2 * _U, 1 + 2 * _U)
-    return [((record["lhs_interval"][1] + inner * charged
-              - mass * charged).hi, bound(radius))
+    return [((record["lhs_interval"][1] + inner - mass).hi, bound(radius))
             for radius, mass in zip(radii, inside)]
 
 

@@ -561,12 +561,18 @@ def _verify_one(run_cli, tmp_path, name, params):
     return code, err, json.loads(report.read_text()) if code <= 2 else None
 
 
+def _sheared_pair(a, b):
+    """The basis rows (a, a) and (0, b): for b far from a multiple of a, a
+    lattice that is not split, so its certified sums search it."""
+    return {"kind": "basis", "basis": [[a, a], [0.0, b]]}
+
+
 def test_tiny_tail_past_the_floats_is_certified(run_cli, tmp_path):
     # beta |c|^2 and beta (S - reach)^2 both leave the floats here: the tail
     # is taken in logs, and beta (w0 - E|c|^2) tells the two apart, so the
     # sum certifies instead of calling its tail unreachable; its bound, below
     # every float, is the least subnormal, not 0
-    coarse = _diag(1e150, 2e150)
+    coarse = _sheared_pair(1e150, 2e150)
     code, _, report = _verify_one(run_cli, tmp_path, "theta", {
         "family": "gaussian", "t": 1e-5, "tol": 1e-9, "lattice": coarse})
     assert code == 0
@@ -582,10 +588,15 @@ def test_tiny_tail_past_the_floats_is_certified(run_cli, tmp_path):
     assert code == 3 and "2^52" in err
     # here the ball of radius reach holds ~1e10 points along the short
     # axis: the node budget stops it (exit 4), past the tail presolve
-    code, err, _ = _verify_one(run_cli, tmp_path, "psf", {
-        "family": "gaussian", "t": 1.19e-7, "tol": 1e-9, "max_residual": 1.0,
-        "v": [1.0, 0.5], "lattice": _diag(2.36e139, 1e150)})
+    params = {"family": "gaussian", "t": 1.19e-7, "tol": 1e-9,
+              "max_residual": 1.0, "lattice": _sheared_pair(2.36e139, 2e150)}
+    code, err, _ = _verify_one(run_cli, tmp_path, "psf", params)
     assert code == 4 and "budget" in err and "tail presolve" not in err
+    # shifted by (1, 0.5), every term near the shift is below the least
+    # float, e^{-2.8e14}: no relative tolerance can be met
+    code, err, _ = _verify_one(run_cli, tmp_path, "psf",
+                               {**params, "v": [1.0, 0.5]})
+    assert code == 4 and "tail presolve: every term" in err
 
 
 def test_theta_on_a_ball_past_the_floats_squared(run_cli, tmp_path):
@@ -985,9 +996,11 @@ def test_acceptance_round_sums_each_unshifted_ball_once(acceptance_manifest,
     # the right side of every tail and part 1 check on one lattice,
     # function, t and tol is one kept certified sum: in a round of the
     # shipped manifest no unshifted one-column ball is truncated and summed
-    # twice, exp_l1 being the p = 1 supergaussian, and the round makes 108
-    # passes over 63,463 points (109 over 64,976 when the two were kept
-    # apart, 131,049 points when each check summed its own)
+    # twice, exp_l1 being the p = 1 supergaussian.  Every lattice of the
+    # manifest is split, so its sums are products of 1-D ones, and the round
+    # makes 125 passes over 1,651 points (108 over 63,463 when its sums
+    # searched their n-D balls, 131,049 points when each check summed its
+    # own)
     unshifted, points = [], []
 
     def sums(L, spec, v, t, tol, budget, terms, _run=verify._sums):
@@ -1008,4 +1021,4 @@ def test_acceptance_round_sums_each_unshifted_ball_once(acceptance_manifest,
     plans = plan_manifest(manifest, str(acceptance_manifest.parent))
     assert all(run()["verdict"] == cli.PASS for run in plans)
     assert unshifted and len(set(unshifted)) == len(unshifted)
-    assert len(points) == 108 and sum(points) == 63_463
+    assert len(points) == 125 and sum(points) == 1_651

@@ -213,7 +213,9 @@ def test_a_reduced_lattice_is_its_own_reduction(monkeypatch):
 
 def test_second_sum_on_a_lattice_reduces_nothing(monkeypatch):
     seen = _count_reductions(monkeypatch)
-    L, spec = random_unimodular_lattice(3, 5), FnSpec("gaussian", 3)
+    # D3, the points of Z^3 of even sum: not split, so the sum searches L
+    L = Lattice([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0], [0.0, 1.0, 1.0]])
+    spec = FnSpec("gaussian", 3)
     first = certified_sum(L, spec, np.full(3, 0.2), 1.0, 1e-6)
     assert seen == [L]
     again = certified_sum(L, spec, np.full(3, 0.2), 1.0, 1e-6)

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import gc
 import itertools
 import math
@@ -17,8 +18,8 @@ import latbounds.enumeration as enumeration
 import latbounds.lattice as lattice
 from latbounds.enumeration import BodySpec, enumerate_arrays
 import latbounds.verify as verify
-from latbounds.errors import (BudgetExceededError, InvariantError,
-                              ToleranceUnreachedError)
+from latbounds.errors import (BudgetExceededError, IllConditionedBasisError,
+                              InvariantError, ToleranceUnreachedError)
 from latbounds.functions import (CheckStats, Envelope, HypothesisReport,
                                  envelope, log_f)
 from latbounds.functions import TestFunctionSpec as FnSpec
@@ -56,6 +57,19 @@ def _e8():
 
 
 D4 = Lattice(_d_n(4), name="D4")
+# a lattice that is not split, the points of Z^2 of even sum, so a
+# certified sum on it runs the kernel's search
+CHECKER = Lattice([[1.0, 1.0], [1.0, -1.0]], name="D2")
+
+
+def _searched(L, spec, v, t, tol, node_budget=enumeration.DEFAULT_NODE_BUDGET):
+    """The search of L's ball through the kernel's one-column pass, on any
+    lattice, as certified_sum builds it on a lattice that is not split."""
+    S, tail, (partial,), rounding, npoints = verify._sums(
+        L, spec, np.asarray(v, dtype=float), t, tol, node_budget,
+        lambda emb, vals, _: (vals,))
+    return CertifiedSum(partial, tail, S / t, npoints,
+                        verify._up(rounding + verify._U * partial))
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +204,8 @@ def test_terms_past_the_floats_are_charged_nothing(monkeypatch):
         lost.append(bool(np.any(log_terms == -math.inf)) and drift is None)
         return _run(env, n, log_terms, drift)
     monkeypatch.setattr(verify, "_exponent_slip", spy)
-    cs = certified_sum(integer_lattice(3), FnSpec("gaussian", 3),
-                       np.zeros(3), 1.5e-154, 1e-9)
+    cs = _searched(integer_lattice(3), FnSpec("gaussian", 3), np.zeros(3),
+                   1.5e-154, 1e-9)
     assert any(lost) and cs.npoints > 1
     assert cs.partial == 1.0 and 0 < cs.rounding < 1e-13
 
@@ -199,8 +213,8 @@ def test_terms_past_the_floats_are_charged_nothing(monkeypatch):
 def test_large_sum_meets_its_tolerance():
     # 936k points: the tail bound alone is the remainder, with no roundoff
     # slack that grows with the number of points
-    cs = certified_sum(integer_lattice(3), FnSpec("gaussian", 3),
-                       np.array([0.3, 0.1, -0.2]), 18.0, 1e-10)
+    cs = _searched(integer_lattice(3), FnSpec("gaussian", 3),
+                   [0.3, 0.1, -0.2], 18.0, 1e-10)
     assert cs.npoints > 500_000
     assert cs.remainder_bound <= 1e-10 * cs.partial
 
@@ -209,8 +223,8 @@ def test_l1_sum_searches_its_l1_ball_not_the_l2_ball():
     # the l^1 ball of this sum holds 201,376 points and the l^2 ball of the
     # same radius 20 times as many, so a node budget of twice the points
     # passes only when the search cuts each level to the l^1 ball
-    cs = certified_sum(integer_lattice(5), FnSpec("sech_product", 5),
-                       np.full(5, 0.3), 1.0, 1e-9, node_budget=2 * 201_376)
+    cs = _searched(integer_lattice(5), FnSpec("sech_product", 5),
+                   np.full(5, 0.3), 1.0, 1e-9, node_budget=2 * 201_376)
     assert cs.npoints == 201_376
 
 
@@ -296,8 +310,8 @@ def test_cell_reach_holds_a_tiling_cell(n, q, seed, real):
 def test_gram_schmidt_box_shortens_zn_truncation():
     # the box reaches sqrt(5)/2 on Z^5, the parallelepiped 5/2; with the
     # parallelepiped this sum took 188,062 points and radius 8.13
-    cs = certified_sum(integer_lattice(5), FnSpec("gaussian", 5),
-                       np.full(5, 0.3), 1.0, 1e-9)
+    cs = _searched(integer_lattice(5), FnSpec("gaussian", 5),
+                   np.full(5, 0.3), 1.0, 1e-9)
     assert cs.npoints <= 25_000
     assert cs.truncation_radius <= 5.3
     assert cs.remainder_bound <= 1e-9 * cs.partial
@@ -307,8 +321,8 @@ def test_z8_gaussian_pays_the_reach_once():
     # Jensen over the Gram-Schmidt box: 1.05 M points, where paying the
     # reach twice took 8.57 M; the interval holds the 30-digit product of
     # 1-D theta series, sum_k e^{-pi (k + x)^2} = theta_3(pi x, e^{-pi})
-    cs = certified_sum(integer_lattice(8), FnSpec("gaussian", 8),
-                       np.full(8, 0.3), 1.0, 1e-9)
+    cs = _searched(integer_lattice(8), FnSpec("gaussian", 8),
+                   np.full(8, 0.3), 1.0, 1e-9)
     assert cs.npoints <= 1_200_000
     assert cs.remainder_bound <= 1e-9 * cs.partial
     with mpmath.workdps(30):
@@ -321,8 +335,8 @@ def test_z5_supergaussian_pays_the_reach_once():
     # Jensen over the cell with C = 2^{2-q}: 462,823 points, where paying
     # the reach twice took 782,629; the interval holds the 30-digit product
     # of 1-D series sum_k e^{-|k + 0.3|^1.5}
-    cs = certified_sum(integer_lattice(5), FnSpec("supergaussian", 5, p=1.5),
-                       np.full(5, 0.3), 1.0, 1e-9)
+    cs = _searched(integer_lattice(5), FnSpec("supergaussian", 5, p=1.5),
+                   np.full(5, 0.3), 1.0, 1e-9)
     assert cs.npoints <= 500_000
     assert cs.remainder_bound <= 1e-9 * cs.partial
     with mpmath.workdps(30):
@@ -839,6 +853,189 @@ def test_certified_sum_truncates_at_the_nearest_points_term():
                                 0.2)
 
 
+# ---------------------------------------------------------------------------
+# split lattices: products of certified 1-D sums
+
+# every family, the supergaussian at three p
+_FAMILIES = [("gaussian", None), ("supergaussian", 0.7),
+             ("supergaussian", 1.5), ("supergaussian", 2.0),
+             ("sech_product", None), ("inv_cosh_product", None),
+             ("exp_l1", None)]
+
+
+def _term(family, p):
+    """The 1-D factor g(x) of f(x) = prod_j g(x_j), in mpmath."""
+    if family != "supergaussian":
+        return _PRIMAL_1D[family]
+    return lambda x: mpmath.exp(-abs(x) ** mpmath.mpf(p))
+
+
+@functools.lru_cache(maxsize=None)
+def _series(family, p, d, x, t):
+    """_primal_oracle on the 1-D lattice dZ, shared by the products below."""
+    return _primal_oracle(_term(family, p), [d], [x], t)
+
+
+def _product_oracle(family, p, diag, v, t):
+    """_primal_oracle over diag(diag), as the product of its 1-D series."""
+    with mpmath.workdps(30):
+        return mpmath.fprod(_series(family, p, float(d), float(x), t)
+                            for d, x in zip(diag, v))
+
+
+_SHIFT = np.random.default_rng(38).uniform(-0.5, 0.5, 5)
+# the largest n of Z^n each family's n-D search sums at t = 1.5, tol 1e-6
+# in a few 1e5 points
+_SPLIT_MAX_N = {"gaussian": 5, 2.0: 5, "sech_product": 4,
+                "inv_cosh_product": 4, 1.5: 4, "exp_l1": 3, 0.7: 2}
+
+
+def _split_cases():
+    """(family, p, lattice, diag), the lattice diag(diag) as a point set."""
+    for family, p in _FAMILIES:
+        top = _SPLIT_MAX_N[p or family]
+        lattices = [(f"Z{n}", integer_lattice(n), [1.0] * n)
+                    for n in range(2, top + 1)]
+        lattices += [(f"uni{min(top, 3)}",
+                      random_unimodular_lattice(min(top, 3), 9),
+                      [1.0] * min(top, 3)),
+                     ("diag(1,1.25)", Lattice(np.diag([1.0, 1.25])),
+                      [1.0, 1.25]),
+                     ("4Z3", Lattice(np.diag([4.0] * 3)), [4.0] * 3)]
+        for name, L, diag in lattices:
+            yield pytest.param(family, p, L, diag,
+                               id=f"{family}{p or ''}-{name}")
+
+
+@pytest.mark.parametrize("family, p, L, diag", _split_cases())
+def test_product_route_agrees_with_the_search(family, p, L, diag):
+    # at v = 0 and a random shift, t in {0.5, 1, 1.5}: a split lattice is
+    # summed as a product, whose interval overlaps the n-D search's and
+    # holds the 30-digit product of 1-D series with no room
+    n = L.dim
+    spec = FnSpec(family, n, p=p)
+    assert L._axes is not None
+    for t in (0.5, 1.0, 1.5):
+        for v in (np.zeros(n), _SHIFT[:n]):
+            cs = certified_sum(L, spec, v, t, 1e-6)
+            lo, hi = cs.interval()
+            elo, ehi = _searched(L, spec, v, t, 1e-6).interval()
+            assert lo <= ehi and elo <= hi
+            assert _contains((lo, hi), _product_oracle(family, p, diag, v, t))
+            assert cs.remainder_bound <= 1e-6 * cs.partial
+
+
+@pytest.mark.parametrize("name", sorted(_ROOT_LATTICES))
+def test_lattices_that_are_not_split_are_searched(name):
+    # D4 and D5 have index 2 in the sum of their axis lattices, Z^n, and E8
+    # index 2^8 in (Z/2)^8: certified_sum is the kernel's n-D search, bit
+    # for bit (test_certified_sum_on_unsplit_lattices_contains_mpmath_oracle
+    # holds each family's interval against the coset oracle)
+    L = Lattice(_ROOT_LATTICES[name])
+    assert L._axes is None
+    n = L.dim
+    cases = [("gaussian", 0.5)] + ([("inv_cosh_product", 0.2)] if n < 8
+                                   else [])
+    for v in (np.zeros(n), np.full(n, 0.3)):
+        for family, t in cases:
+            spec = FnSpec(family, n)
+            assert certified_sum(L, spec, v, t, 1e-6) == _searched(
+                L, spec, v, t, 1e-6)
+
+
+@pytest.mark.parametrize("family, p", _FAMILIES)
+@pytest.mark.parametrize("L", [integer_lattice(8),
+                               random_unimodular_lattice(8, 38)],
+                         ids=["Z8", "sheared_Z8"])
+def test_z8_certifies_every_family_at_tol_1e_9(L, family, p):
+    # the scale target: at v = 0.3 (1, ..., 1), tol 1e-9, a product of
+    # eight equal 1-D sums, one summed, in fewer than 1,000 terms; the n-D
+    # search needs 1e6 (gaussian) to 1e16 (p = 0.7) points here
+    cs = certified_sum(L, FnSpec(family, 8, p=p), np.full(8, 0.3), 1.0, 1e-9)
+    assert cs.npoints < 1_000
+    assert cs.remainder_bound <= 1e-9 * cs.partial
+    assert _contains(cs.interval(),
+                     _product_oracle(family, p, [1.0] * 8, [0.3] * 8, 1.0))
+
+
+@pytest.mark.parametrize("family", ["exp_l1", "sech_product"])
+def test_product_meets_a_tolerance_past_one(family):
+    # (1 + tol/2n)^n - 1 <= tol fails past tol ~ 2.5, so each factor keeps
+    # min(tol, 1)/(2n): at tol/(2n) the factors' tails came to 2,500 (exp_l1)
+    # and 1,800 (sech_product) times this sum
+    cs = certified_sum(integer_lattice(8), FnSpec(family, 8), np.full(8, 0.3),
+                       1.0, 50.0)
+    assert cs.remainder_bound <= 50.0 * cs.partial
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_product_record_holds_the_exact_product_of_its_factors(seed):
+    # each factor is the 1-D certified_sum on its axis lattice at
+    # target_tol / (2n); the record's interval() holds the exact rational
+    # product of the factors' intervals, and [partial, partial +
+    # remainder_bound] holds its upper end without the rounding
+    rng = np.random.default_rng(seed)
+    n = 3 + seed % 3
+    L = Lattice(np.diag(rng.choice([1.0, 1.25, 2.0], n)))
+    family, p = _FAMILIES[seed]
+    v, t = rng.uniform(-0.5, 0.5, n), [0.5, 1.0, 1.5][seed % 3]
+    cs = certified_sum(L, FnSpec(family, n, p=p), v, t, 1e-9)
+    ends = [certified_sum(axis, FnSpec(family, 1, p=p), [x], t,
+                          1e-9 / (2 * n)).interval()
+            for axis, x in zip(L._axes, v)]
+    lo = math.prod(Fraction(e.lo) for e in ends)
+    hi = math.prod(Fraction(e.hi) for e in ends)
+    assert Fraction(cs.interval().lo) <= Fraction(cs.partial) - Fraction(
+        cs.rounding) <= lo
+    assert hi <= Fraction(cs.partial) + Fraction(cs.remainder_bound)
+    assert Fraction(cs.interval().hi) >= hi
+
+
+def test_product_route_refuses_what_the_search_refuses():
+    # each input refused with the same error type and message on a split
+    # lattice (the product) and on one that is not (the search)
+    z, gauss = np.zeros(2), FnSpec("gaussian", 2)
+
+    def refusals(L):
+        def refusal(spec, v, t, tol):
+            with pytest.raises((ValueError, ToleranceUnreachedError)) as err:
+                certified_sum(L, spec, v, t, tol)
+            return type(err.value), str(err.value)
+        return [refusal(gauss, z, 0.0, 1e-9), refusal(gauss, z, math.nan, 1e-9),
+                refusal(gauss, z, 1.0, math.nan), refusal(gauss, z, 1.0, -1e-9),
+                refusal(FnSpec("gaussian", 3), z, 1.0, 1e-9),
+                refusal(gauss, np.zeros(3), 1.0, 1e-9),
+                refusal(gauss, z, 1e-300, 1e-9), refusal(gauss, z, 1e300, 1e-9),
+                # every term near the shift underflows
+                refusal(gauss, [0.5, 0.5], 1e-10, 1e-9)]
+    assert refusals(integer_lattice(2)) == refusals(CHECKER)
+    # split, with spacings 1e13 apart: refused as the search refuses the
+    # same lattice under a basis that is not split
+    with pytest.raises(IllConditionedBasisError):
+        certified_sum(Lattice(np.diag([1.0, 1e-13])), gauss, z, 1.0, 1e-9)
+    with pytest.raises(IllConditionedBasisError):
+        verify._sums(Lattice(np.diag([1.0, 1e-13])), gauss, z, 1.0, 1e-9,
+                     enumeration.DEFAULT_NODE_BUDGET,
+                     lambda emb, vals, _: (vals,))
+
+
+def test_split_lattice_reduces_only_its_axes(monkeypatch):
+    # a product sums on the axis lattices d_j Z, one per spacing, each
+    # reduced once; L itself is never searched
+    reduced = []
+
+    def spy(L, _run=lattice._lll):
+        reduced.append(L)
+        return _run(L)
+    monkeypatch.setattr(lattice, "_lll", spy)
+    L = Lattice(np.diag([1.0, 1.25, 1.0]))
+    spec = FnSpec("sech_product", 3)
+    for v in (np.zeros(3), np.array([0.1, 0.2, 0.3])):
+        certified_sum(L, spec, v, 1.0, 1e-9)
+    assert reduced == [L._axes[0], L._axes[1]]
+    assert L._axes[0] is L._axes[2]
+
+
 # a rotation of Z^3, written behind a skewed integer basis U as B = fl(U Q):
 # the embedding fl(c B) then strays from c B by far more than an ulp of the
 # terms (the partial sum by up to 8.5e-12 relative on U of seed 616), which
@@ -965,7 +1162,7 @@ def test_psf_reduces_only_the_lattice_and_its_dual(monkeypatch):
         reduced.append(L)
         return _run(L)
     monkeypatch.setattr(lattice, "_lll", spy)
-    L = random_unimodular_lattice(3, 11)
+    L = Lattice(_d_n(3), name="D3")  # not split: its sums search L
     v = np.array([0.2, -0.1, 0.35])
     for spec, t in ((FnSpec("gaussian", 3), 1.0), (FnSpec("gaussian", 3), 1.5),
                     (FnSpec("supergaussian", 3, p=2.0), 0.8),
@@ -1190,7 +1387,8 @@ def test_tail_inequality_sums_each_unshifted_ball_once(v, monkeypatch):
     # spec and tol sums no unshifted ball: at v = 0 only its body.  L is
     # built here, so no other test's sums on it are kept
     spec = FnSpec("gaussian", 2)
-    S = {w: certified_sum(integer_lattice(2), spec, w, 1.0, 1e-9)
+    fresh = lambda: Lattice(CHECKER.basis)  # not split: every sum searches
+    S = {w: certified_sum(fresh(), spec, w, 1.0, 1e-9)
          .truncation_radius for w in {(0.0, 0.0), tuple(v)}}
     shifted = [(tuple(v), S[tuple(v)])] if np.any(v) else []
     balls = []
@@ -1199,7 +1397,7 @@ def test_tail_inequality_sums_each_unshifted_ball_once(v, monkeypatch):
         balls[-1].append((tuple(v), r))
         return _run(L, v, r, *args)
     monkeypatch.setattr(verify, "_ball_sums", spy)
-    L = integer_lattice(2)
+    L = fresh()
     for radius in (1.3, 1.6):
         balls.append([])
         K = BodySpec(p=2.0, radius=radius)
@@ -1223,22 +1421,33 @@ def test_tail_inequality_refuses_a_body_in_the_wrong_norm(monkeypatch):
     (integer_lattice(2), 1.0), (random_unimodular_lattice(3, 5), math.sqrt(2)),
 ], ids=["Z2", "unimodular3"])
 @pytest.mark.parametrize("dyadic", [False, True], ids=["v0", "dyadic_v"])
-def test_tail_inequality_cuts_its_body_as_a_separate_pass(L, radius, dyadic):
+def test_tail_inequality_cuts_its_body_as_a_separate_pass(L, radius, dyadic,
+                                                          monkeypatch):
     # the body's pass keeps the points on its boundary (the unit vectors of
     # Z^2 at R = 1, and the integer points of norm sqrt(2)), whose float
     # norms may sit an ulp past R.  Both lattices are Z^n as point sets, so
     # brute force over a box finds the body's points by their exact squared
     # norms, and the inner sum is their one exactly rounded fsum, taken
-    # within 2u either way
+    # within u of itself plus the pass's own term rounding either way
     n = L.dim
     spec, K = FnSpec("gaussian", n), BodySpec(2.0, radius)
     v = np.array([0.5, -0.25, 0.125][:n]) if dyadic else np.zeros(n)
     y = np.array(list(itertools.product(range(-3, 4), repeat=n))) + v
     inner = math.fsum(np.exp(log_f(spec, y[(y * y).sum(axis=1)
                                            <= round(radius ** 2)])))
-    lhs_iv = (certified_sum(L, spec, v, 1.0, 1e-9).interval()
-              - inner * Interval(1 - 2 * verify._U, 1 + 2 * verify._U))
+    seen = []
+
+    def spy(*args, _run=verify._ball_sums):
+        seen.append(_run(*args))
+        return seen[-1]
+    monkeypatch.setattr(verify, "_ball_sums", spy)
     rec = check_tail_inequality(L, spec, K, v, nu_for_body(spec, K, n))
+    (charge, body), npoints = seen[-1]
+    rounding = verify._term_rounding(charge, npoints)
+    assert body == inner and 0 < rounding < 1e-13
+    half = verify._up(rounding + verify._U * inner)
+    lhs_iv = (certified_sum(L, spec, v, 1.0, 1e-9).interval()
+              - (inner + Interval(-half, half)))
     assert rec["lhs_interval"] == list(lhs_iv)
 
 
@@ -1264,12 +1473,36 @@ def test_tail_body_wider_than_the_truncation_ball(v):
     cut = K.radius * (1 + enumeration._BOUNDARY_SLACK)
     (wide,), count = verify._ball_sums(L, v, cut, K.p,
                                        enumeration.DEFAULT_NODE_BUDGET, terms)
-    (inner,), _ = verify._ball_sums(L, v, K.radius, K.p,
-                                    enumeration.DEFAULT_NODE_BUDGET, terms)
+    (inner,) = verify._body_sums(L, spec, v, K.radius, K.p,
+                                 enumeration.DEFAULT_NODE_BUDGET,
+                                 lambda emb, vals, _: (vals,))
     before = (CertifiedSum(wide, shifted.remainder_bound, K.radius, count,
-                           shifted.rounding).interval()
-              - inner * Interval(1 - 2 * verify._U, 1 + 2 * verify._U))
+                           shifted.rounding).interval() - inner)
     assert hi <= before.hi
+
+
+@pytest.mark.parametrize("family, body_p", [("gaussian", 2.0),
+                                             ("inv_cosh_product", 1.0)])
+@pytest.mark.parametrize("v", [(0.0, 0.0), (0.3, -0.2)], ids=["v0", "shifted"])
+def test_product_routed_tail_holds_its_out_of_body_mass(family, body_p, v):
+    # the shifted sum is a product of 1-D sums, so no bit of it is a term of
+    # the body's pass: the body is charged its own term rounding, and the
+    # record's lhs holds the out-of-K mass, the 30-digit product of 1-D
+    # series less the 30-digit body, with no room
+    diag = [1.0, 1.25]
+    L, spec = Lattice(np.diag(diag)), FnSpec(family, 2)
+    K = BodySpec(body_p, 1.2)
+    rec = check_tail_inequality(L, spec, K, v, nu_for_body(spec, K, 2))
+    term = _PRIMAL_1D[family]
+    with mpmath.workdps(30):
+        body = mpmath.fsum(
+            mpmath.fprod(term(d * k + mpmath.mpf(x))
+                         for d, k, x in zip(diag, ks, v))
+            for ks in itertools.product(range(-3, 4), repeat=2)
+            if mpmath.fsum(abs(d * k + mpmath.mpf(x)) ** body_p
+                           for d, k, x in zip(diag, ks, v)) <= 1.2 ** body_p)
+        out = _product_oracle(family, None, diag, v, 1.0) - body
+    assert _contains(rec["lhs_interval"], out)
 
 
 def test_tail_mass_upper_holds_the_exact_sum_of_its_floats(monkeypatch):
@@ -1288,7 +1521,7 @@ def test_tail_mass_upper_holds_the_exact_sum_of_its_floats(monkeypatch):
     monkeypatch.setattr(verify, "_ball_sums", spy)
     rows = verify.tail_masses(L, spec, K, v, nu, rec,
                               np.linspace(0.25, 1.75, 24))
-    ((*inside, inner), _), = seen
+    ((_, *inside, inner), _), = seen
     top = Fraction(rec["lhs_interval"][1]) + Fraction(inner)
     assert len(rows) == len(inside) == 24
     for (upper, _), mass in zip(rows, inside):
@@ -1374,7 +1607,7 @@ def test_a_shifted_sum_is_never_kept(monkeypatch):
         passes.append(args)
         return _run(*args)
     monkeypatch.setattr(verify, "_ball_sums", spy)
-    L, spec = integer_lattice(2), FnSpec("gaussian", 2)
+    L, spec = Lattice(CHECKER.basis), FnSpec("gaussian", 2)
     first, again = (certified_sum(L, spec, [0.25, 0.0], 1.0, 1e-9)
                     for _ in range(2))
     assert len(passes) == 2 and _fields(first) == _fields(again)
@@ -1502,7 +1735,7 @@ def test_psf_raises_when_sin_pairing_does_not_cancel(monkeypatch, run):
                             np.array([[1, 0]], dtype=np.int64),
                             np.array([[1.0, 0.0]]))]))
     with pytest.raises(InvariantError, match="sin pairing"):
-        run(integer_lattice(2), FnSpec("gaussian", 2), np.array([0.25, 0.0]))
+        run(CHECKER, FnSpec("gaussian", 2), np.array([0.25, 0.0]))
 
 
 def test_certified_sum_interval_type():
