@@ -6,7 +6,9 @@ on numpy blocks of nodes, within a node budget.  Each bottom-level node's
 interval of c0 is handed out whole: its integers are the leaves, expanded
 block by block as they are formed, so no caller holds the whole tree.  Sums
 stream these blocks; ``enumerate_arrays`` concatenates them, unsorted, for
-shortest vectors and the covering-radius candidate sets.  Coefficients are
+shortest vectors and the covering-radius candidate sets.  On a 1-D lattice
+the search is one level, whose integer range ``_line_leaves`` hands out
+directly, bit for bit as the search would.  Coefficients are
 counted in floats, so an interval end at 2^52 or beyond raises ValueError;
 a ball of radius past 2^500 is searched scaled by a power of two, exactly,
 so its squared radius stays in the floats.
@@ -199,6 +201,32 @@ def _enum_coeffs(basis, shift, r, p, node_budget):
                       *((np.zeros((1, n)), np.zeros(1)) if cut else ()))
 
 
+def _line_leaves(basis, shift, r, p, node_budget):
+    """The blocks ``_enum_coeffs`` yields on a 1-D basis [[d]]: the integers
+    of its root's one interval, charged to node_budget and handed out
+    _BLOCK at a time from the low end, with the interval taken by the
+    search's own float operations on scalars.  There the search has no
+    parent offsets, g = 0 and a = 0, so its duality cut is the one bound
+    r (1 + 1e-9) ||d / |d| ||_q, padded by 1e-9 r, over |d|."""
+    d, s = float(basis[0, 0]), float(shift[0])
+    D = d * d
+    w = math.sqrt((r * r * (1 + 1e-9) + 1e-300) / D)
+    if p < 2 and _expected_points(r, np.array([D])) >= _CUT_MIN_POINTS:
+        q = math.inf if p <= 1 else p / (p - 1)
+        root = math.sqrt(D)
+        bound = r * (1 + 1e-9) * float(lp_norm([d / root], q))
+        w = min(w, (bound + 1e-9 * r) / root)
+    lo, hi = -s - w - 1e-12, -s + w + 1e-12
+    # ceil(lo) > -2^52 exactly when lo > -2^52, and floor(hi) likewise
+    if not (lo > -2**52 and hi < 2**52):
+        raise ValueError("coefficients reach 2^52: too large to count")
+    lo, hi = math.ceil(lo), math.floor(hi)
+    if hi - lo + 1 > node_budget:
+        raise BudgetExceededError(node_budget, hi - lo + 1)
+    for b in range(lo, hi + 1, _BLOCK):
+        yield np.arange(b, min(b + _BLOCK, hi + 1))[:, None]
+
+
 def _block_matmul(a, b):
     """a @ b for a block of rows, rounded as those rows of any larger product
     are: BLAS takes a one-row product down its matrix-vector path, which
@@ -215,21 +243,32 @@ def ball_blocks(L: Lattice, v, r: float, p: float = 2,
     returned (boundary ties resolved within 1e-12 relative).  v is read by
     ``L.shift``.  Raises BudgetExceededError once the search tree outgrows
     node_budget.
+
+    A 1-D lattice d Z is its own reduction (U = [[1]]), and its search is
+    one level: ``_line_leaves`` hands out that level's integer range, with
+    no LLL, Gram-Schmidt or tree.  It charges the budget the range's length,
+    every integer the search would charge, and yields the same blocks, so
+    the points, their order (ascending coefficient k, descending x for d <
+    0), their embeddings k d and the block splits are the search's.
     """
     if not r >= 0:
         raise ValueError("radius must be nonnegative")
     v = L.shift(v)
-    reduced, U = lll_reduce(L, return_transform=True)
+    if L.dim == 1:
+        reduced, identity, search = L, True, _line_leaves
+    else:
+        reduced, U = lll_reduce(L, return_transform=True)
+        # U is the identity when its n nonzero entries are the diagonal's 1s
+        # (a cheaper test than a comparison with np.eye)
+        identity = (np.count_nonzero(U) == L.dim
+                    and bool((U.diagonal() == 1).all()))
+        search = _enum_coeffs
     shift = reduced.coefficients(v)
-    # U is the identity when its n nonzero entries are the diagonal's 1s
-    # (a cheaper test than a comparison with np.eye)
-    identity = (np.count_nonzero(U) == L.dim
-                and bool((U.diagonal() == 1).all()))
     # a radius past 2^500 is searched and filtered on the ball scaled by
     # 2^-e, which is exact and keeps r^2 and ||y||^2 in the floats
     e = max(math.frexp(r)[1] - 500, 0)
     basis, v_e, r_e = np.ldexp(reduced.basis, -e), np.ldexp(v, -e), math.ldexp(r, -e)
-    for cred in _enum_coeffs(basis, shift, r_e, p, node_budget):
+    for cred in search(basis, shift, r_e, p, node_budget):
         y = _block_matmul(cred, basis) + v_e
         orig = cred[lp_norm(y, p) <= r_e * (1 + _BOUNDARY_SLACK)]
         if not identity:  # cred @ I is cred: skip the int64 product

@@ -218,6 +218,12 @@ def _log_upper_gamma(a, x, logs=None, drop=None):
                              + n_parts)
 
 
+# _log_tail is a pure function of its floats and tuples, asked again and
+# again for the same radii (every sum of one lattice, envelope and scale
+# grows S through the same steps): a round of the acceptance manifest asks
+# it 761 times for 234 distinct arguments.  typed, so a numpy float, whose
+# overflow is silent, never shares an entry with a Python float.
+@functools.lru_cache(maxsize=1024, typed=True)
 def _log_tail(n, covol, env, beta_eff, cell, S):
     """log of the certified bound on sum_{y in v+L, ||y||_q >= S} e^{n loga - beta_eff ||y||_q^q}.
 
@@ -322,6 +328,11 @@ def _ball_sums(L, v, r, p, node_budget, terms):
         np.ravel(a).tolist() for a in col)) for col in zip(*held)], npoints
 
 
+# reduced Lattice -> {q: its _cell_bounds}, held weakly, as _UNSHIFTED
+# holds its sums, so an entry dies with its lattice
+_CELLS = weakref.WeakKeyDictionary()
+
+
 def _truncated(L, env, beta_eff, log_target):
     """(S, tail): the radius a certified sum truncates at, in the envelope's
     norm q, and the certified bound on the mass of e^{n loga - beta_eff
@@ -329,7 +340,10 @@ def _truncated(L, env, beta_eff, log_target):
     steps of 1.4, then bisects to within 2%, until that bound drops below
     e^{log_target(reduced)}, reduced the LLL basis of L."""
     reduced = lll_reduce(L)
-    cell = _cell_bounds(reduced.basis, env.q)
+    cells = _CELLS.setdefault(reduced, {})
+    if env.q not in cells:
+        cells[env.q] = _cell_bounds(reduced.basis, env.q)
+    cell = cells[env.q]
     logtail = lambda S: _log_tail(L.dim, L.covolume, env, beta_eff, cell, S)
     target = log_target(reduced)
     reach = cell[0]
@@ -515,8 +529,9 @@ def _sums(L, spec, v, t, target_tol, node_budget, terms):
         c0 = np.round(reduced.coefficients(-v))
         cand = np.vstack([np.zeros(L.dim), c0 @ reduced.basis])
         # on exactly orthogonal rows (an exact Gram matrix) the Babai point
-        # is the nearest to -v; else the nearest is within its distance
-        rows = rational(reduced.basis) if np.any(v) else []
+        # is the nearest to -v; else the nearest is within its distance.  A
+        # single row is orthogonal: no pair to test
+        rows = rational(reduced.basis) if np.any(v) and L.dim > 1 else []
         if any(sum(x * y for x, y in zip(a, b))
                for a, b in itertools.combinations(rows, 2)):
             r = float(np.linalg.norm(cand[1] + v))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import latbounds.cli as cli
+import latbounds.enumeration as enumeration
 import latbounds.functions as functions
 import latbounds.verify as verify
 from latbounds.cli import _fmt, _write_plot_csv, main, plan_manifest
@@ -1000,8 +1001,11 @@ def test_acceptance_round_sums_each_unshifted_ball_once(acceptance_manifest,
     # manifest is split, so its sums are products of 1-D ones, and the round
     # makes 125 passes over 1,651 points (108 over 63,463 when its sums
     # searched their n-D balls, 131,049 points when each check summed its
-    # own)
-    unshifted, points = [], []
+    # own).  Its fixed costs are paid once: the certified tail is evaluated
+    # at most 250 times (761 before it was memoized, for 234 distinct
+    # arguments), the cell bounds once per reduced lattice and q, and no
+    # 1-D ball runs the n-D search
+    unshifted, points, cells, searched = [], [], [], []
 
     def sums(L, spec, v, t, tol, budget, terms, _run=verify._sums):
         S, tail, cols, rounding, n = _run(L, spec, v, t, tol, budget, terms)
@@ -1015,10 +1019,23 @@ def test_acceptance_round_sums_each_unshifted_ball_once(acceptance_manifest,
         cols, n = _run(*args)
         points.append(n)
         return cols, n
+    def cell_bounds(basis, q, _run=verify._cell_bounds):
+        cells.append((id(basis), q))
+        return _run(basis, q)
+
+    def enum_coeffs(basis, *args, _run=enumeration._enum_coeffs):
+        searched.append(basis.shape[0])
+        return _run(basis, *args)
     monkeypatch.setattr(verify, "_sums", sums)
     monkeypatch.setattr(verify, "_ball_sums", ball_sums)
+    monkeypatch.setattr(verify, "_cell_bounds", cell_bounds)
+    monkeypatch.setattr(enumeration, "_enum_coeffs", enum_coeffs)
+    verify._log_tail.cache_clear()
     manifest = cli.read_manifest(str(acceptance_manifest))
     plans = plan_manifest(manifest, str(acceptance_manifest.parent))
     assert all(run()["verdict"] == cli.PASS for run in plans)
     assert unshifted and len(set(unshifted)) == len(unshifted)
     assert len(points) == 125 and sum(points) == 1_651
+    assert verify._log_tail.cache_info().misses <= 250
+    assert cells and len(set(cells)) == len(cells)
+    assert 1 not in searched

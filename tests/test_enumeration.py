@@ -249,6 +249,97 @@ def test_every_bottom_node_charged_is_a_leaf(ball, cut):
     assert leaves == bottom
 
 
+def _searched_blocks(L, v, r, p, budget):
+    """The blocks of ball_blocks as the n-D search gives them: _enum_coeffs
+    on the reduced basis, the exact-norm filter and U, each step taken as
+    ball_blocks takes it on a lattice of dimension n > 1."""
+    reduced, U = lll_reduce(L, return_transform=True)
+    e = max(math.frexp(r)[1] - 500, 0)
+    basis, v_e = np.ldexp(reduced.basis, -e), np.ldexp(v, -e)
+    r_e = math.ldexp(r, -e)
+    for cred in enumeration._enum_coeffs(basis, reduced.coefficients(v),
+                                         r_e, p, budget):
+        y = enumeration._block_matmul(cred, basis) + v_e
+        inside = lp_norm(y, p) <= r_e * (1 + enumeration._BOUNDARY_SLACK)
+        orig = cred[inside] @ U
+        if len(orig):
+            yield orig, enumeration._block_matmul(orig.astype(float), L.basis)
+
+
+def _outcome(blocks):
+    """Every block's coords and embedding bits, in order, or the error."""
+    try:
+        return [(c.dtype, c.shape, c.tobytes(), x.shape, x.tobytes())
+                for c, x in blocks]
+    except (BudgetExceededError, ValueError) as exc:
+        return type(exc), exc.args
+
+
+@pytest.mark.parametrize("d", [-2.0, 0.3, 1.0, 1.25, 2.0 ** -40, 1e150, 1e-151,
+                               -1e-160])
+def test_a_line_is_handed_out_as_the_search_hands_it_out(d):
+    # on a 1-D lattice ball_blocks hands out the integer range of the
+    # search's one level without running the search: the same points,
+    # embeddings, order and block splits, the same refusals and the same
+    # budget counts (a budget of 0 refuses every nonempty range and names
+    # its length), cut or not, on small blocks and on _BLOCK.  A shift
+    # 5e-13 past 1e-4 spacings, with a radius of 1e-4 spacings, puts an end
+    # of the interval within its 1e-12 slack of an integer
+    rng = np.random.default_rng(7)
+    L = Lattice([[d]])
+    shifts = [0.0, d / 2, -d / 2, float(rng.uniform(-3, 3)) * abs(d),
+              d * (1e-4 + 5e-13)]
+    seen = set()
+    for x, p in itertools.product(shifts, [0.05, 0.5, 1.0, 1.5, 2.0,
+                                           math.inf]):
+        v = np.array([x])
+        radii = [0.0, abs(3 * d + x), float(lp_norm([-2 * d + x], p)),
+                 abs(d) * float(rng.uniform(0.5, 9)), abs(d) * 1e-4,
+                 1.5 * 2.0 ** 501]
+        for r, (cut, block), budget in itertools.product(
+                radii, [(4096, 1 << 16), (0, 7)], [10 ** 8, 0]):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(enumeration, "_CUT_MIN_POINTS", cut)
+                mp.setattr(enumeration, "_BLOCK", block)
+                got = _outcome(enumeration.ball_blocks(L, v, r, p, budget))
+                with np.errstate(over="ignore"):  # its w / |d| at 2^500
+                    want = _outcome(_searched_blocks(L, v, r, p, budget))
+            assert got == want, (x, p, r, cut, block, budget)
+            seen.add(got[0] if isinstance(got, tuple) else len(got))
+    # every case above hands out blocks or raises: both kinds are seen,
+    # and some cases split into several blocks
+    assert BudgetExceededError in seen and max(
+        k for k in seen if isinstance(k, int)) > 1
+    if abs(d) < 1e100:  # a radius past 2^500 reaches 2^52 coefficients
+        assert ValueError in seen
+
+
+def test_a_line_charges_its_range_to_the_budget():
+    # a 1-D ball of 2 x 10^6 + 1 points is charged exactly that many nodes,
+    # as the search charges it, and refused one node below
+    L = Lattice([[2.0 ** -40]])
+    r = 10 ** 6 * 2.0 ** -40
+    with pytest.raises(BudgetExceededError) as got:
+        next(enumeration.ball_blocks(L, np.zeros(1), r, 2.0, 2 * 10 ** 6))
+    with pytest.raises(BudgetExceededError) as want:
+        next(_searched_blocks(L, np.zeros(1), r, 2.0, 2 * 10 ** 6))
+    assert got.value.args == want.value.args
+    assert sum(len(c) for c, _ in enumeration.ball_blocks(
+        L, np.zeros(1), r, 2.0, 2 * 10 ** 6 + 1)) == 2 * 10 ** 6 + 1
+
+
+def test_a_line_runs_no_search(monkeypatch):
+    # no LLL transform, Gram-Schmidt or tree search on a 1-D lattice
+    def refuse(*args, **kwargs):
+        raise AssertionError("the search ran on a line")
+    monkeypatch.setattr(enumeration, "_enum_coeffs", refuse)
+    monkeypatch.setattr(enumeration, "_gso", refuse)
+    monkeypatch.setattr(enumeration, "lll_reduce", refuse)
+    coords, emb = enumerate_arrays(Lattice([[-2.0]]), np.array([0.5]), 4.6)
+    assert coords[:, 0].tolist() == [-2, -1, 0, 1, 2]
+    assert emb[:, 0].tolist() == [4.0, 2.0, 0.0, -2.0, -4.0]
+
+
 def test_end_test_overflow_is_silent():
     # the l^2 ball of radius 2e154 squares past the floats, so its
     # intervals come from an infinite remaining radius, with no overflow

@@ -1637,6 +1637,80 @@ def test_part3_scaled_inv_cosh():
     assert 1 - 2 * nu.value > 0  # a non-vacuous instance
 
 
+def _bits(x):
+    """x with every float, numpy float and array entry as its exact hex."""
+    if isinstance(x, (float, np.floating)):
+        return float(x).hex()
+    if isinstance(x, np.ndarray):
+        return _bits(x.tolist())
+    if isinstance(x, dict):
+        return {k: _bits(val) for k, val in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_bits(val) for val in x]
+    if dataclasses.is_dataclass(x):
+        return _bits(dataclasses.astuple(x))
+    return x
+
+
+def _memo_outputs(L, family, p):
+    """Every output the memos of _log_tail and _CELLS feed, on L: the
+    certified sum at v = 0 and a shift (the product route on a split L),
+    the kernel's search of it, the dual sums, and a tail check with its
+    sweep, but for p = 0.7 on a lattice that is not split, whose tail check
+    searches a few 1e6 points."""
+    n = L.dim
+    spec, v = FnSpec(family, n, p=p), _SHIFT[:n]
+    out = [[certified_sum(L, spec, x, 0.25, 1e-3) for x in (np.zeros(n), v)],
+           _searched(L, spec, v, 0.25, 1e-3),
+           verify._dual_sums(L, spec, v, 0.25, 1e-3,
+                             enumeration.DEFAULT_NODE_BUDGET)]
+    if p != 0.7 or L._axes is not None:
+        K = BodySpec(envelope(spec).q, 2.0)
+        # sech has no certified coefficient: any nu scales the right side
+        nu = (NuBound(0.5, "closed_form") if family == "sech_product"
+              else nu_for_body(spec, K, n))
+        rec = check_tail_inequality(L, spec, K, v, nu, 1e-3)
+        out += [rec, verify.tail_masses(L, spec, K, v, nu, rec,
+                                        [0.5, 1.0, 1.5])]
+    return _bits(out)
+
+
+@pytest.mark.parametrize("basis", [np.eye(3),
+                                   random_unimodular_lattice(3, 9).basis,
+                                   D4.basis], ids=["Z3", "uni3", "D4"])
+def test_warm_memos_change_no_bits(basis):
+    # _log_tail's and the cell bounds' memos hand back what a cold call
+    # computes: every output, for every family, is the same bits with both
+    # cleared as when they are warm, one lattice serving every family, so
+    # that an entry of one envelope would be seen by another.  The kept
+    # unshifted sums are dropped, so that the warm pass sums again
+    L, cold = Lattice(basis), {}
+    for family, p in _FAMILIES:
+        verify._log_tail.cache_clear()
+        verify._CELLS.clear()
+        cold[family, p] = _memo_outputs(L, family, p)
+    assert verify._log_tail.cache_info().currsize > 0 and verify._CELLS
+    verify._UNSHIFTED.pop(L, None)
+    for axis in L._axes or ():
+        verify._UNSHIFTED.pop(axis, None)
+    for family, p in _FAMILIES:
+        hits = verify._log_tail.cache_info().hits
+        assert _memo_outputs(L, family, p) == cold[family, p], family
+        assert verify._log_tail.cache_info().hits > hits
+
+
+def test_cell_bounds_are_kept_while_their_lattice_lives():
+    # one entry per reduced lattice and q, dropped with its lattice
+    L = Lattice(D4.basis)
+    certified_sum(L, FnSpec("gaussian", 4), np.zeros(4), 1.0, 1e-6)
+    reduced = lll_reduce(L)
+    assert list(verify._CELLS[reduced]) == [2.0]
+    held, ref = len(verify._CELLS), weakref.ref(reduced)
+    del L, reduced
+    gc.collect()
+    assert ref() is None and len(verify._CELLS) <= held - 1
+
+
 @pytest.mark.parametrize("violations, verdict", [(0, PASS), (1, FAIL)])
 def test_hypothesis_sampling_verdict_counts_violations(violations, verdict,
                                                        monkeypatch):
