@@ -1,24 +1,23 @@
 """Benchmark this source tree against another in alternating pairs.
 
-    python3 tools/bench_pairs.py OTHER_TREE [--pairs N] [--seeds S [S ...]]
-                                 [--workloads W [W ...]] [--out FILE]
+    python3 tools/bench_pairs.py OTHER_TREE [--seeds S [S ...]] [--out FILE]
 
 OTHER_TREE is the parent, the tree the change is measured against (a
 ``git archive`` of its commit, say).  For each workload of
-``BENCHMARK.json`` (or of --workloads) it makes N pairs of runs of the
-benchmark's command, ``perfbench/run.py --workload W --seed S --seconds
+``BENCHMARK.json`` it makes 10 pairs of runs of the benchmark's command, ``perfbench/run.py --workload W --seed S --seconds
 run_seconds --trace 0``, each side in its own tree with that tree's
 perfbench, one process at a time.  Which side runs first alternates from
 pair to pair, and the pairs are split evenly over the seeds, in order
-(pairs 0-4 at the first of two seeds and 5-9 at the second, for N = 10).
+(pairs 0-4 at the first of two seeds and 5-9 at the second).
 
 Prints, per workload and end-to-end metric of ``BENCHMARK.json``, each
 side's median and quartiles, the pairs in which the change was better and
 the parent's interquartile range; quartiles are the inclusive ones
 (``statistics.quantiles``, numpy's linear percentiles).  With --out it
 writes the runs, in the order they were made, and that summary as JSON,
-in the layout of the repository's ``BENCH_*.json`` files; the claim and
-the reading of the results are the author's to add.
+in the layout of the repository's ``BENCH_*.json`` files, with the two
+trees' paths; what the trees are, the claim and the reading of the
+results are the author's to add.
 """
 
 from __future__ import annotations
@@ -34,6 +33,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+# the pairs a claim needs, and every workload, for the no-regression check
+PAIRS = 10
+WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
 
 
 def quartiles(xs):
@@ -126,33 +128,17 @@ def run_side(tree, workload, seed):
             **{k: round(m["value"], 6) for k, m in result["metrics"].items()}}
 
 
-def _describe(tree):
-    """The git commit of tree, marked when its files differ from it, or
-    its path when it is no git checkout."""
-    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tree,
-                          capture_output=True, text=True)
-    if head.returncode != 0 or not (Path(tree) / ".git").exists():
-        return str(tree)
-    dirty = subprocess.run(["git", "status", "--porcelain"], cwd=tree,
-                           capture_output=True, text=True).stdout.strip()
-    return head.stdout.strip() + (" with uncommitted changes" if dirty else "")
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("other_tree", help="the parent tree")
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seeds", type=int, nargs="+", default=[3])
-    parser.add_argument("--workloads", nargs="+",
-                        default=[w["name"] for w in BENCHMARK["workloads"]])
     parser.add_argument("--out", help="write the runs and summary here")
     args = parser.parse_args(argv)
     trees = {"parent": Path(args.other_tree).resolve(), "change": ROOT}
     metrics = BENCHMARK["end_to_end"]
 
     runs = []
-    for workload, pair, seed, side in schedule(args.workloads, args.pairs,
-                                               args.seeds):
+    for workload, pair, seed, side in schedule(WORKLOADS, PAIRS, args.seeds):
         runs.append({"workload": workload, "seed": seed, "side": side,
                      "pair": pair, **run_side(trees[side], workload, seed)})
         print(json.dumps(runs[-1]), file=sys.stderr, flush=True)
@@ -166,14 +152,14 @@ def main(argv=None):
         seeds = ", ".join(map(str, args.seeds))
         record = {
             "command": command,
-            "parent": _describe(trees["parent"]),
-            "change": _describe(trees["change"]),
+            "parent": str(trees["parent"]),
+            "change": str(trees["change"]),
             "machine": f"{os.cpu_count()} cores, Python "
                        f"{platform.python_version()}, numpy "
                        f"{numpy.__version__}; PYTHONDONTWRITEBYTECODE="
                        f"{os.environ.get('PYTHONDONTWRITEBYTECODE', '')}",
             "order": f"runs are listed in the order they were made: "
-                     f"{args.pairs} pairs each of {', '.join(args.workloads)}"
+                     f"{PAIRS} pairs each of {', '.join(WORKLOADS)}"
                      f", split evenly over seeds {seeds} in that order; "
                      "each side ran in its own tree, one process at a time, "
                      "alternating which side ran first in a pair",
