@@ -42,8 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError, InvariantError
-from .lattice import (Lattice, _gso, distortion_bound, lll_reduce, lp_norm,
-                      rational, rational_matmul, rational_solve)
+from .lattice import (Lattice, _gso, distortion_bound, dyadic, int_matmul,
+                      int_solve, lll_reduce, lp_norm)
 
 DEFAULT_NODE_BUDGET = 100_000_000
 DEFAULT_GRID_BUDGET = 10_000_000
@@ -481,9 +481,9 @@ def covering_radius_estimate(L: Lattice, p: float = 2, resolution: int = 64,
             K = (K[:, None, :] + half * children).reshape(-1, n)
         half /= 2
 
-    # reduced.basis = (U @ L.basis) @ drift exactly, U unimodular
-    drift = rational_solve(rational_matmul(rational(U), rational(L.basis)),
-                           rational(B))
-    eps = distortion_bound(drift, p)
-    return (best, upper_end) if eps == 0 else \
-        transport_bracket(best, upper_end, eps)
+    # reduced.basis = (U @ L.basis) @ drift exactly, U unimodular: in ints
+    # on one scale, drift is the identity when U @ L.basis is B itself
+    (A, C), _ = dyadic(L.basis, B)
+    A = int_matmul(U.tolist(), A)
+    return (best, upper_end) if A == C else transport_bracket(
+        best, upper_end, distortion_bound(*int_solve(A, C), p))

@@ -6,14 +6,19 @@ so ``dual(dual(L))`` spans the original lattice again.
 
 A ``Lattice`` computes its LLL reduction, its inverse basis and its dual
 once, on first use, and keeps them: every caller shares the same objects,
-so they are read-only (the bases and U are non-writeable arrays).
+so they are read-only (the bases and U are non-writeable arrays).  A 1-D
+lattice d Z is its own reduction, with inverse 1/d: no LLL and no SVD.
+
+Exact tests on float bases run in Python ints: every float is a dyadic
+rational, so ``dyadic`` writes float matrices as int rows on one scale
+2^-E, and ``int_matmul``, ``int_det`` (fraction-free elimination) and
+``int_solve`` (Cramer's rule) work on them exactly.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -83,11 +88,13 @@ class Lattice:
 
     @cached_property
     def _inverse(self):
-        # a failed condition check raises and stores nothing
-        cond = np.linalg.cond(self.basis)
-        if not np.isfinite(cond) or cond > COND_THRESHOLD:
-            raise IllConditionedBasisError(cond, COND_THRESHOLD)
-        inverse = np.linalg.inv(self.basis)
+        if self.dim == 1:  # cond is 1; 1/d is the bits LAPACK's inv gives
+            inverse = np.array([[1.0 / float(self.basis[0, 0])]])
+        else:  # a failed condition check raises and stores nothing
+            cond = np.linalg.cond(self.basis)
+            if not np.isfinite(cond) or cond > COND_THRESHOLD:
+                raise IllConditionedBasisError(cond, COND_THRESHOLD)
+            inverse = np.linalg.inv(self.basis)
         inverse.setflags(write=False)
         return inverse
 
@@ -102,26 +109,27 @@ class Lattice:
 
         With g_j the gcd of column j of the exact basis B, every lattice
         point's j-th coordinate lies in g_j Z, so the lattice lies in
-        (+)_j g_j Z e_j, and equals it exactly when it holds every g_j e_j:
-        when diag(g) B^-1, their coefficients, is integral in rationals.
+        (+)_j g_j Z e_j with index |det B| / prod_j g_j, and equals it
+        exactly when prod_j g_j = |det B|.  Both sides are taken on the
+        int rows of B scaled by 2^E (``dyadic``), so the test is exact.
         g_j divides a float of the column and has the least power of two of
         its entries, so it is a float.  Coordinates of one spacing share one
-        axis lattice, so each is reduced once.
+        axis lattice, so each is summed once.
         """
-        columns = [list(col) for col in zip(*rational(self.basis))]
-        gaps = [_rational_gcd(col) for col in columns]
-        G = [[g if i == j else Fraction(0) for j in range(self.dim)]
-             for i, g in enumerate(gaps)]
-        if any(x.denominator != 1
-               for row in rational_solve(columns, G) for x in row):
+        (rows,), E = dyadic(self.basis)
+        gaps = [math.gcd(*col) for col in zip(*rows)]
+        # |det B|, by a solve with no columns: an exactly singular B raises
+        if math.prod(gaps) != int_solve(rows, [[] for _ in rows])[1]:
             return None
-        axes = {g: Lattice([[float(g)]], name=f"{float(g):g}Z")
+        axes = {g: Lattice([[g / (1 << E)]], name=f"{g / (1 << E):g}Z")
                 for g in set(gaps)}
         return tuple(axes[g] for g in gaps)
 
     @cached_property
     def _reduction(self):
-        reduced, U = _lll(self)
+        # a 1-D basis is its own reduction: there is no pair of rows to swap
+        reduced, U = ((self, np.eye(1, dtype=np.int64)) if self.dim == 1
+                      else _lll(self))
         U.setflags(write=False)
         return reduced, U
 
@@ -214,65 +222,79 @@ def _lll(L: Lattice):
     return reduced, U
 
 
-def rational(A):
-    """Exact copy of a float or integer matrix as lists of Fractions (every
-    float is a dyadic rational)."""
-    return [[Fraction(x) for x in row] for row in np.asarray(A).tolist()]
+def dyadic(*arrays):
+    """Float matrices exactly as Python int rows on one scale: ([rows of
+    each], E), every entry the int times 2^-E, E >= 0 the least such."""
+    ratios = [[[x.as_integer_ratio() for x in row]
+               for row in np.asarray(A, dtype=float).tolist()] for A in arrays]
+    E = max(den.bit_length() for A in ratios for row in A
+            for _, den in row) - 1
+    return [[[num << (E + 1 - den.bit_length()) for num, den in row]
+             for row in A] for A in ratios], E
 
 
-def _rational_gcd(xs):
-    """The greatest positive rational g with every x of xs in g Z."""
-    den = math.lcm(*(x.denominator for x in xs))
-    return Fraction(math.gcd(*(int(x * den) for x in xs)), den)
-
-
-def rational_matmul(A, C):
+def int_matmul(A, C):
     return [[sum(a * c for a, c in zip(row, col)) for col in zip(*C)]
             for row in A]
 
 
-def rational_solve(A, C):
-    """The exact X with A @ X == C, by Gauss-Jordan elimination."""
-    n = len(A)
-    M = [list(a) + list(c) for a, c in zip(A, C)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if M[i][k] != 0), None)
+def int_det(A):
+    """det A of an int matrix, by fraction-free elimination (Bareiss, Math.
+    Comp. 22, 1968): each step divides exactly by the last pivot."""
+    M, sign, last = [list(row) for row in A], 1, 1
+    while len(M) > 1:
+        piv = next((i for i, row in enumerate(M) if row[0]), None)
         if piv is None:
-            raise InvariantError("exactly singular basis")
-        M[k], M[piv] = M[piv], M[k]
-        pk = M[k][k]
-        M[k] = [x / pk for x in M[k]]
-        for i in range(n):
-            f = M[i][k]
-            if i != k and f != 0:
-                M[i] = [x - f * y for x, y in zip(M[i], M[k])]
-    return [row[n:] for row in M]
+            return 0
+        if piv:
+            M[0], M[piv], sign = M[piv], M[0], -sign
+        (p, *top), rest = M[0], M[1:]
+        M = [[(p * x - row[0] * y) // last for x, y in zip(row[1:], top)]
+             for row in rest]
+        last = p
+    return sign * M[0][0]
 
 
-def _float_above(q):  # the least float >= the exact rational q
-    x = float(q)
-    return x if Fraction(x) >= q else math.nextafter(x, math.inf)
+def int_solve(A, C):
+    """(X, d) for int matrices A (n x n) and C (n rows): d = |det A| and X
+    = d A^-1 C, an int matrix with A @ X == d C (Cramer's rule), so X / d
+    is the exact solution of A @ Y == C."""
+    d = int_det(A)
+    if d == 0:
+        raise InvariantError("exactly singular basis")
+    s = 1 if d > 0 else -1
+    return [[s * int_det([a[:i] + [c[j]] + a[i + 1:] for a, c in zip(A, C)])
+             for j in range(len(C[0]))] for i in range(len(A))], s * d
 
 
-def distortion_bound(T, p) -> float:
-    """A float eps >= ||T - I|| for an exact rational T, where ||.|| is the
-    l^p operator norm of x -> x @ T on row vectors, p >= 1.
+def _float_above(num, den):  # the least float >= num / den, den > 0
+    x = num / den  # an int quotient is correctly rounded
+    a, b = x.as_integer_ratio()
+    return x if a * den >= num * b else math.nextafter(x, math.inf)
+
+
+def distortion_bound(N, d, p) -> float:
+    """A float eps >= ||T - I|| for the exact rational T = N / d, N an int
+    matrix and d > 0 an int, where ||.|| is the l^p operator norm of x ->
+    x @ T on row vectors, p >= 1.
 
     p=1: the largest row sum of |T - I|; p=2: its Frobenius norm; any other
     p: the larger of the largest row and column sums (Riesz-Thorin).
     """
-    E = [[abs(t - int(i == j)) for j, t in enumerate(row)]
-         for i, row in enumerate(T)]
+    E = [[abs(t - d * (i == j)) for j, t in enumerate(row)]
+         for i, row in enumerate(N)]
     if p == 2:
-        q = sum(e * e for row in E for e in row)
-        eps = math.sqrt(_float_above(q))
-        while Fraction(eps) ** 2 < q:
+        q = sum(e * e for row in E for e in row)  # ||T - I||^2 = q / d^2
+        eps = math.sqrt(_float_above(q, d * d))
+        while True:
+            a, b = eps.as_integer_ratio()
+            if a * a * d * d >= q * b * b:
+                return eps
             eps = math.nextafter(eps, math.inf)
-        return eps
     s = max(sum(row) for row in E)
     if p != 1:
         s = max(s, max(sum(col) for col in zip(*E)))
-    return _float_above(s)
+    return _float_above(s, d)
 
 
 def random_unimodular_lattice(dim: int, seed: int) -> Lattice:

@@ -82,7 +82,7 @@ from .errors import (BudgetExceededError, IllConditionedBasisError,
 from .functions import (TestFunctionSpec, check_hypotheses, envelope,
                         fhat_route, log_f)
 from .lattice import (COND_THRESHOLD, Lattice, distortion_bound, dual,
-                      lll_reduce, lp_norm, rational, rational_matmul)
+                      dyadic, int_matmul, lll_reduce, lp_norm)
 from .transform import (R_TAIL, _refuse_pre_asymptotic, fourier_1d,
                         transform_tail_coefficient)
 
@@ -528,10 +528,12 @@ def _sums(L, spec, v, t, target_tol, node_budget, terms):
     def log_target(reduced):
         c0 = np.round(reduced.coefficients(-v))
         cand = np.vstack([np.zeros(L.dim), c0 @ reduced.basis])
-        # on exactly orthogonal rows (an exact Gram matrix) the Babai point
-        # is the nearest to -v; else the nearest is within its distance.  A
-        # single row is orthogonal: no pair to test
-        rows = rational(reduced.basis) if np.any(v) and L.dim > 1 else []
+        # on exactly orthogonal rows (an exact Gram matrix, taken on the
+        # rows as ints) the Babai point is the nearest to -v; else the
+        # nearest is within its distance.  A single row is orthogonal: no
+        # pair to test
+        rows = (dyadic(reduced.basis)[0][0] if np.any(v) and L.dim > 1
+                else [])
         if any(sum(x * y for x, y in zip(a, b))
                for a, b in itertools.combinations(rows, 2)):
             r = float(np.linalg.norm(cand[1] + v))
@@ -1157,13 +1159,14 @@ def transference_check(L: Lattice, p: float, resolution: int = 64,
     # The search runs on Ld, whose basis is the float inverse of L's.  As
     # exact rationals Ld.basis = B^-T @ M with M = B^T @ Ld.basis, so the
     # exact dual's radius follows from the bracket and ||M - I||; the
-    # transport also rounds out the float error of the distances.
+    # transport also rounds out the float error of the distances.  M is
+    # taken in ints: the two bases on one scale 2^-E, so M = Mi / 2^2E.
     Ld = dual(L)
-    M = rational_matmul(rational(L.basis.T), rational(Ld.basis))
+    (Bt, D), E = dyadic(L.basis.T, Ld.basis)
     rho_lo, rho_hi = transport_bracket(
         *covering_radius_estimate(Ld, p, resolution, grid_budget=grid_budget,
                                   node_budget=node_budget),
-        distortion_bound(M, p))
+        distortion_bound(int_matmul(Bt, D), 1 << 2 * E, p))
     bound = transference_bound_l2(n) if p == 2 else transference_bound_l1(n).value
     product = sigma * Interval(rho_lo, rho_hi)
     margin, verdict = _verdict(product, (bound, bound))

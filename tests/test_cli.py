@@ -1,6 +1,9 @@
 import csv
+import fractions
+import importlib.util
 import json
 import math
+import pathlib
 import subprocess
 import sys
 
@@ -10,6 +13,7 @@ import pytest
 import latbounds.cli as cli
 import latbounds.enumeration as enumeration
 import latbounds.functions as functions
+import latbounds.lattice as lattice
 import latbounds.verify as verify
 from latbounds.cli import _fmt, _write_plot_csv, main, plan_manifest
 from latbounds.enumeration import BodySpec, enumerate_arrays
@@ -966,6 +970,49 @@ def test_psf_without_threshold_passes(run_cli, z2):
     assert code == 0
     assert get_field(out, "max_residual") == "inf"
     assert get_field(out, "verdict") == "PASS"
+
+
+_REPO = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _benchmark_manifest(workload, seed, out_dir, monkeypatch):
+    """The manifest the benchmark writes for workload and seed, written by
+    ``perfbench/workloads.py`` itself, with no bytecode left beside it."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(
+        "workloads", _REPO / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.write_manifest(workload, seed, str(_REPO), out_dir)
+
+
+def test_theta_highdim_round_decides_structure_in_ints(tmp_path, monkeypatch):
+    # a cost guard: a theta_highdim round (seed 3) sums on split lattices,
+    # Z^4 and two sheared Z^5, as products of 1-D sums.  Whether a lattice is
+    # split is decided in ints, and each 1-D axis lattice is its own
+    # reduction with inverse 1/d, so the round runs no LLL loop, takes no
+    # condition number (an SVD) and builds no Fraction
+    calls = {"_lll": 0, "cond": 0, "Fraction": 0}
+
+    def counted(name, run):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return run(*args, **kwargs)
+        return spy
+    monkeypatch.setattr(lattice, "_lll", counted("_lll", lattice._lll))
+    monkeypatch.setattr(np.linalg, "cond", counted("cond", np.linalg.cond))
+    path = _benchmark_manifest("theta_highdim", 3, str(tmp_path), monkeypatch)
+    new = vars(fractions.Fraction)["__new__"]
+    fractions.Fraction.__new__ = staticmethod(counted("Fraction",
+                                                      new.__func__))
+    try:
+        plans = plan_manifest(cli.read_manifest(path), str(tmp_path))
+        records = [run() for run in plans]
+    finally:
+        fractions.Fraction.__new__ = new
+    assert len(records) == 3
+    assert all(rec["verdict"] == cli.PASS for rec in records)
+    assert calls == {"_lll": 0, "cond": 0, "Fraction": 0}
 
 
 def test_entries_naming_one_lattice_share_it(tmp_path, z2, monkeypatch):

@@ -1020,8 +1020,9 @@ def test_product_route_refuses_what_the_search_refuses():
 
 
 def test_split_lattice_reduces_only_its_axes(monkeypatch):
-    # a product sums on the axis lattices d_j Z, one per spacing, each
-    # reduced once; L itself is never searched
+    # a product sums on the axis lattices d_j Z, one per spacing, and each
+    # 1-D axis lattice is its own reduction: the LLL loop runs on nothing,
+    # and L itself is never searched
     reduced = []
 
     def spy(L, _run=lattice._lll):
@@ -1032,8 +1033,9 @@ def test_split_lattice_reduces_only_its_axes(monkeypatch):
     spec = FnSpec("sech_product", 3)
     for v in (np.zeros(3), np.array([0.1, 0.2, 0.3])):
         certified_sum(L, spec, v, 1.0, 1e-9)
-    assert reduced == [L._axes[0], L._axes[1]]
-    assert L._axes[0] is L._axes[2]
+    assert reduced == []
+    assert L._axes[0] is L._axes[2] and L._axes[0] is not L._axes[1]
+    assert all(lll_reduce(axis) is axis for axis in L._axes)
 
 
 # a rotation of Z^3, written behind a skewed integer basis U as B = fl(U Q):
