@@ -1160,7 +1160,8 @@ def transference_check(L: Lattice, p: float, resolution: int = 64,
     # exact rationals Ld.basis = B^-T @ M with M = B^T @ Ld.basis, so the
     # exact dual's radius follows from the bracket and ||M - I||; the
     # transport also rounds out the float error of the distances.  M is
-    # taken in ints: the two bases on one scale 2^-E, so M = Mi / 2^2E.
+    # taken in ints: with the two bases as ints on one scale 2^-E, M is
+    # their int product over 2^2E.
     Ld = dual(L)
     (Bt, D), E = dyadic(L.basis.T, Ld.basis)
     rho_lo, rho_hi = transport_bracket(
